@@ -116,17 +116,26 @@ def _make_predictor(model: str, ridge: float, schedule, mc: MonteCarloConfig):
     raise ValueError(f"unknown model {model!r}")
 
 
-def _bounded_threshold(model: str, feature_count: int, levels) -> int:
-    """Smallest n at which the model can produce a bounded interval."""
+def _bounded_threshold(
+    model: str, feature_count: int, active_count: int, ridge: float, levels
+) -> int:
+    """Smallest n at which the model can produce a bounded interval.
+
+    The empty set counts as bounded.  ``active_count`` is the number of
+    features the schedule lets the ridge fit see at that n: with ridge 0,
+    ``mva`` needs n >= active + 2, where its output is the empty set or the
+    whole line.  The Monte-Carlo machinery of ``iidgauss`` needs all
+    ``feature_count`` features and at least K + 2 observations.
+    """
     widest = max(levels)
     if model == "iid":
         return ceil(1.0 / widest)
     if model == "gauss":
         return feature_count + 3
     if model == "mva":
-        return 3
+        return active_count + 2 if ridge == 0.0 else 3
     if model == "iidgauss":
-        return min(ceil(1.0 / widest), feature_count + 3)
+        return max(min(ceil(1.0 / widest), feature_count + 3), feature_count + 2)
     raise ValueError(f"unknown model {model!r}")
 
 
@@ -157,7 +166,9 @@ def batch_predict(
     test_count = test_features.shape[0]
     level_count = len(levels)
     n = train_features.shape[0] + 1
-    if n < _bounded_threshold(model, train_features.shape[1], levels):
+    feature_count = train_features.shape[1]
+    active = schedule.active_features(n) if schedule is not None else feature_count
+    if n < _bounded_threshold(model, feature_count, active, ridge, levels):
         full = np.full((test_count, level_count), inf)
         return BatchResult(-full, full, 2)
 

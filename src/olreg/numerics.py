@@ -10,6 +10,13 @@ residual vector of (y_1, ..., y_{n-1}, y) is an affine function of y.  The
 ``residual_decomposition`` helper materializes that affine map once per
 prediction step; the predictors then scan candidate responses at O(1) per
 residual component instead of re-solving.
+
+The Gauss predictor needs no projector: its least-squares fit is read from
+the upper-triangular factor R of [design | responses] that ``History`` keeps
+(R'R equals the augmented Gram matrix, which is never formed).  New rows are
+absorbed lazily by a triangular-pentagonal QR update, O(K^2) per row, so an
+on-line step costs O(K^2) for the factor and its triangular solves plus one
+O(nK) residual pass, and the design's conditioning is never squared.
 """
 
 from __future__ import annotations

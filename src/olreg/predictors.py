@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from math import ceil, inf, sqrt
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor, cho_solve, solve_triangular
 
 from .base import (
     DegenerateFitError,
@@ -288,6 +288,14 @@ def gauss_fit(history: History, x_new) -> GaussFit:
     ``leverage`` the quadratic form z'(Z'Z)^{-1}z of the new design row; the
     prediction pivot (y - point_prediction) / (sigma_hat * sqrt(1 + leverage))
     follows a Student t law with ``degrees_of_freedom`` when the model holds.
+
+    Everything is read from the triangular factor R of [design | responses]
+    that the history keeps: the coefficients solve R_D b = r_y on R's leading
+    block and its response column, the leverage is ||R_D^-T z||^2 (no Gram
+    matrix is formed, so its conditioning is not squared), and ``sigma_hat``
+    comes from the direct residuals y - Z b, so a perfectly interpolated
+    history gives exactly zero.  With the factor up to date a call costs two
+    O(K^2) triangular solves plus the O(nK) residual product.
     """
     x = _new_row(x_new, history.feature_count)
     design = history.design_matrix
@@ -296,19 +304,20 @@ def gauss_fit(history: History, x_new) -> GaussFit:
         raise RankDeficiencyError(
             f"need more than {cols} observations to estimate the residual scale"
         )
-    coefficients, _, rank, _ = np.linalg.lstsq(design, history.responses, rcond=None)
-    if rank < cols:
+    if not history.design_has_full_rank():
         raise RankDeficiencyError("history design matrix is rank deficient")
+    factor = history.triangular_factor()
+    leading = factor[:cols, :cols]
+    coefficients = solve_triangular(leading, factor[:cols, cols], check_finite=False)
     fitted_residuals = history.responses - design @ coefficients
     dof = rows - cols
     sigma_hat = sqrt(float(fitted_residuals @ fitted_residuals) / dof)
     new_row = np.concatenate([[1.0], x])
-    gram_factor = cho_factor(design.T @ design, lower=True)
-    leverage = float(new_row @ cho_solve(gram_factor, new_row))
+    whitened = solve_triangular(leading, new_row, trans="T", check_finite=False)
     return GaussFit(
         coefficients=coefficients,
         sigma_hat=sigma_hat,
-        leverage=leverage,
+        leverage=float(whitened @ whitened),
         point_prediction=float(coefficients @ new_row),
         degrees_of_freedom=dof,
     )

@@ -25,6 +25,7 @@ import numpy as np
 from scipy import stats
 
 from .base import (
+    DegenerateFitError,
     FeatureSchedule,
     History,
     Observation,
@@ -36,6 +37,7 @@ from .numerics import RidgeProjector, StudentT
 from .predictors import (
     MonteCarloConfig,
     _augmented_design,
+    centered_residual_score,
     gauss_fit,
     gauss_predict,
     iid_predict,
@@ -118,14 +120,11 @@ class MvaPredictor:
         design = _augmented_design(history, observation.explanatory, self.schedule)
         responses = np.append(history.responses, observation.response)
         residuals = RidgeProjector(design, self.ridge).residuals(responses)
-        head = residuals[:-1]
-        head_mean = head.mean()
-        spread = float(((head - head_mean) ** 2).sum())
-        if spread == 0.0:
+        try:
+            score = centered_residual_score(residuals)
+        except DegenerateFitError:
             return 1.0
-        statistic = (
-            sqrt((n - 1) * (n - 2) / n) * (residuals[-1] - head_mean) / sqrt(spread)
-        )
+        statistic = sqrt((n - 1) * (n - 2) / n) * score
         return 2.0 * (1.0 - StudentT(n - 2).cdf(abs(statistic)))
 
 

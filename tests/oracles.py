@@ -352,6 +352,29 @@ def pivot_interval(features, responses, x_new, epsilon: float) -> tuple[float, f
     return center - half, center + half
 
 
+def pivot_interval_svd(features, responses, x_new, epsilon: float) -> tuple[float, float]:
+    """Classical prediction interval from the SVD of the design, never its Gram.
+
+    The coefficients come from an SVD least-squares solve and the leverage is
+    ||S^-1 V' z||^2, so the design's conditioning enters once, not squared.
+    """
+    features = np.asarray(features, dtype=float)
+    responses = np.asarray(responses, dtype=float)
+    rows = features.shape[0]
+    design = np.column_stack([np.ones(rows), features])
+    coefficients, *_ = np.linalg.lstsq(design, responses, rcond=None)
+    _, singular_values, right = np.linalg.svd(design, full_matrices=False)
+    row = np.concatenate([[1.0], np.atleast_1d(np.asarray(x_new, dtype=float))])
+    whitened = (right @ row) / singular_values
+    leverage = float(whitened @ whitened)
+    fitted = design @ coefficients
+    dof = rows - design.shape[1]
+    sigma = sqrt(float((responses - fitted) @ (responses - fitted)) / dof)
+    center = float(coefficients @ row)
+    half = t_upper_quantile_reference(dof, epsilon / 2.0) * sigma * sqrt(1.0 + leverage)
+    return center - half, center + half
+
+
 def pivot_score_direct(features, responses, x_new, y_new) -> float:
     """|y - yhat| / (sigma sqrt(1 + leverage)) recomputed from raw data."""
     features = np.asarray(features, dtype=float)

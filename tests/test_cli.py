@@ -103,6 +103,34 @@ def test_predict_with_too_little_training_data(tmp_path, capsys):
     assert np.all(upper == math.inf)
 
 
+@pytest.mark.parametrize(
+    "model,extra,features,rows",
+    [
+        ("mva", ["--ridge", "0"], 5, 4),  # too few rows for the ridge-0 fit
+        ("mva", ["--ridge", "0"], 5, 5),  # every residual is exactly zero
+        ("iidgauss", ["--epsilons", "0.05"], 50, 30),  # below K + 2 observations
+    ],
+)
+def test_predict_below_the_model_onset_writes_full_lines(
+    tmp_path, capsys, model, extra, features, rows
+):
+    train = tmp_path / "train.csv"
+    run(["gen", "--seed", 4, "--n", rows, "--k", features, "--out", train])
+    test = tmp_path / "test.csv"
+    test.write_text("\n".join(",".join(["0.5"] * features) for _ in range(3)) + "\n")
+    out = tmp_path / "bounds"
+    code = run(
+        ["predict", "--model", model, "--train", train, "--test", test, "--out", out]
+        + extra
+    )
+    assert code == 2
+    assert capsys.readouterr().out == "code 2\n"
+    lower = load_matrix(f"{out}_lower.csv")
+    upper = load_matrix(f"{out}_upper.csv")
+    assert lower.shape[0] == 3
+    assert np.all(lower == -math.inf) and np.all(upper == math.inf)
+
+
 def test_predict_on_an_empty_test_file(tmp_path, capsys):
     train = tmp_path / "train.csv"
     train.write_text(TRAIN_LINES)

@@ -172,3 +172,94 @@ def test_realized_pvalue_flips_at_the_interval_boundary():
     inside = predictor.pvalue(history, Observation(np.array([5.0]), interval.upper - shift), 0.5)
     outside = predictor.pvalue(history, Observation(np.array([5.0]), interval.upper + shift), 0.5)
     assert inside > 0.1 >= outside
+
+
+LEVELS = (0.05, 0.01)
+
+
+def test_nearly_collinear_features_match_the_svd_reference():
+    # x2 = x1 + delta * noise makes the design condition number about 2e8 and
+    # 2e10; forming the Gram matrix would square it past what doubles resolve
+    for delta in (1e-8, 1e-10):
+        rng = np.random.default_rng(5)
+        features = rng.normal(size=(41, 3))
+        features[:, 1] = features[:, 0] + delta * rng.normal(size=41)
+        responses = features @ np.array([1.0, -1.0, 0.5]) + rng.normal(size=41)
+        history = history_of(features[:40], responses[:40])
+        for interval, eps in zip(gauss_predict(history, features[40], LEVELS), LEVELS):
+            low, high = oracles.pivot_interval_svd(
+                features[:40], responses[:40], features[40], eps
+            )
+            assert abs(interval.lower - low) <= 1e-6 * (high - low)
+            assert abs(interval.upper - high) <= 1e-6 * (high - low)
+
+
+def equivariance_instance(seed):
+    """A 60 x 5 Gaussian-linear history and one new explanatory row."""
+    rng = np.random.default_rng(seed)
+    features = rng.normal(size=(61, 5))
+    responses = features @ np.arange(1.0, 6.0) + rng.normal(size=61)
+    return features[:60], responses[:60], features[60]
+
+
+def assert_moved_exactly(moved, base, scale, offset):
+    for got, ref in zip(moved, base):
+        width = scale * ref.length
+        assert abs(got.lower - (scale * ref.lower + offset)) <= 1e-6 * width
+        assert abs(got.upper - (scale * ref.upper + offset)) <= 1e-6 * width
+
+
+@pytest.mark.parametrize("shift", [1e3, 1e5, 1e6])
+def test_feature_shift_leaves_the_interval_unchanged(shift):
+    for seed in range(20):
+        features, responses, x = equivariance_instance(seed)
+        shifted, x_shifted = features + shift, x + shift
+        # (v + c) - c is exact here, so the reference sees the very features
+        # that the shifted floats represent
+        reference = history_of(shifted - shift, responses)
+        base = gauss_predict(reference, x_shifted - shift, LEVELS)
+        moved = gauss_predict(history_of(shifted, responses), x_shifted, LEVELS)
+        assert_moved_exactly(moved, base, 1.0, 0.0)
+
+
+# (1e-6, 1e9) is left out: the endpoints sit near 1e9, whose float spacing
+# (1.2e-7) is already 2 % of a width near 5e-6, so no float output can carry
+# the transform to 1e-6 of the width.
+@pytest.mark.parametrize(
+    "scale,offset", [(1e-6, 0.0), (1e6, 0.0), (1.0, 1e9), (1e6, 1e9)]
+)
+def test_response_affine_map_moves_the_interval_exactly(scale, offset):
+    for seed in range(20):
+        features, responses, x = equivariance_instance(seed)
+        moved_responses = scale * responses + offset
+        # the reference fits the responses that the mapped floats represent
+        represented = (moved_responses - offset) / scale
+        base = gauss_predict(history_of(features, represented), x, LEVELS)
+        moved = gauss_predict(history_of(features, moved_responses), x, LEVELS)
+        assert_moved_exactly(moved, base, scale, offset)
+
+
+def test_feature_shift_past_the_rank_cutoff_raises():
+    features, responses, x = equivariance_instance(0)
+    history = history_of(features + 1e7, responses)
+    with pytest.raises(RankDeficiencyError):
+        gauss_predict(history, x + 1e7, LEVELS)
+
+
+def test_factor_absorbed_in_pieces_matches_a_fresh_history():
+    rng = np.random.default_rng(34)
+    features = rng.normal(size=(50, 4))
+    responses = features @ np.array([0.5, -1.0, 2.0, 0.0]) + rng.normal(size=50)
+    grown = History(4)
+    for i, (row, y) in enumerate(zip(features, responses)):
+        grown.append(Observation(row, y))
+        if i in (5, 6, 17, 30):
+            gauss_fit(grown, row)
+    fresh = history_of(features, responses)
+    for x in rng.normal(size=(3, 4)):
+        got, ref = gauss_fit(grown, x), gauss_fit(fresh, x)
+        np.testing.assert_allclose(got.coefficients, ref.coefficients, rtol=1e-12)
+        assert got.sigma_hat == pytest.approx(ref.sigma_hat, rel=1e-12)
+        assert got.leverage == pytest.approx(ref.leverage, rel=1e-12)
+        assert got.point_prediction == pytest.approx(ref.point_prediction, rel=1e-12)
+        assert got.degrees_of_freedom == ref.degrees_of_freedom
