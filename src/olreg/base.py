@@ -13,7 +13,7 @@ Conventions used across the package:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import inf, isinf, isnan
+from math import inf, isinf, isnan, sqrt
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -74,14 +74,17 @@ class History:
     buffer so appending is amortized O(K) and ``design_matrix`` is a cheap
     view, which keeps a full on-line pass at O(sum_n n K^2).
 
-    The history also owns an upper-triangular factor R of the augmented
-    matrix A = [design | responses], with R'R = A'A (see
-    ``triangular_factor``).  Rows are absorbed lazily: appending only
-    records the row, and the rows appended since the factor was last asked
-    for are folded into R by one triangular-pentagonal QR update
-    (Gill, Golub, Murray & Saunders 1974), O(K^2) per absorbed row.  A fixed
-    history is therefore triangularized once, an on-line run pays O(K^2)
-    per step, and predictors that never ask for the factor pay nothing.
+    The history also owns, per ridge coefficient a that a predictor asks
+    for, an upper-triangular factor R of the augmented matrix
+    A = [design | responses] stacked on [sqrt(a) I | 0], so that
+    R'R = [D'D + aI, D'y; y'D, y'y], over the leading design columns asked
+    for (see ``triangular_factor``); a = 0 is the plain factor of
+    [design | responses].  Rows are absorbed lazily:
+    appending only records the row, and the rows appended since a factor
+    was last asked for are folded into it by one triangular-pentagonal QR
+    update (Gill, Golub, Murray & Saunders 1974), O(K^2) per absorbed row.
+    A fixed history is therefore triangularized once, an on-line run pays
+    O(K^2) per step, and predictors that never ask for a factor pay nothing.
     """
 
     def __init__(self, feature_count: int):
@@ -91,8 +94,8 @@ class History:
         self._design = np.empty((16, self._k + 1))
         self._responses = np.empty(16)
         self._n = 0
-        self._factor = np.zeros((self._k + 2, self._k + 2), order="F")
-        self._absorbed = 0
+        # ridge -> [factor, number of rows absorbed into it]
+        self._factors: dict[float, list] = {}
         self._full_rank: bool | None = None
 
     @classmethod
@@ -143,28 +146,49 @@ class History:
     def responses(self) -> np.ndarray:
         return self._responses[: self._n]
 
-    def triangular_factor(self) -> np.ndarray:
-        """Upper-triangular R with R'R = A'A, where A = [design | responses].
+    def triangular_factor(self, ridge: float = 0.0, columns: int | None = None) -> np.ndarray:
+        """Upper triangle R of [first c design columns | responses], with ridge.
 
-        R is (K+2) x (K+2) from the first call on.  Its leading (K+1)-block
-        is the triangular factor of the design and its last column carries
-        the responses, so least-squares coefficients and leverages need only
-        triangular solves.  Rows appended since the previous call are
-        absorbed first.  Treat the result as read-only.
+        R is (c+1) x (c+1) with R'R = A'A + diag(ridge I, 0), where
+        A = [design[:, :c] | responses] and c = ``columns`` (default: all
+        K+1).  Its leading c-block is the triangular factor of those design
+        columns stacked on sqrt(ridge) I and its last column carries the
+        responses, so ridge coefficients and leverages need only triangular
+        solves.  Treat the result as read-only.
+
+        The history keeps one factor per ridge, as wide as the widest c
+        asked for so far: rows appended since the previous call are absorbed
+        first, a wider request refactors the whole history once, and a
+        narrower one is served from the kept factor's leading c-block and
+        R[:c, -1] (the leading block of a triangular factor is the factor of
+        any leading set of columns), with the norm of the rest of that
+        column as the last diagonal entry.  A feature schedule therefore
+        pays for its narrow phase at the narrow width.
         """
-        pending = self._n - self._absorbed
-        if pending:
-            rows = np.empty((pending, self._k + 2), order="F")
-            rows[:, :-1] = self._design[self._absorbed : self._n]
-            rows[:, -1] = self._responses[self._absorbed : self._n]
-            # block size 8 was faster than 16 or 32 at K = 100, both for one
-            # row and for a 600-row batch
-            factor, _, _, info = lapack.dtpqrt(0, min(self._k + 2, 8), self._factor, rows)
-            if info != 0:  # pragma: no cover - only raised for invalid arguments
-                raise RuntimeError(f"LAPACK dtpqrt failed with info {info}")
-            self._factor = factor
-            self._absorbed = self._n
-        return self._factor
+        ridge = float(ridge)
+        if not 0.0 <= ridge < inf:
+            raise ValueError("ridge must be nonnegative and finite")
+        columns = self._k + 1 if columns is None else columns
+        entry = self._factors.get(ridge)
+        if entry is None or entry[0].shape[0] <= columns:
+            start = np.zeros((columns + 1, columns + 1), order="F")
+            np.fill_diagonal(start[:-1, :-1], sqrt(ridge))
+            entry = self._factors[ridge] = [start, 0]
+        factor, absorbed = entry
+        width = factor.shape[0] - 1
+        if absorbed < self._n:
+            rows = np.empty((self._n - absorbed, width + 1), order="F")
+            rows[:, :-1] = self._design[absorbed : self._n, :width]
+            rows[:, -1] = self._responses[absorbed : self._n]
+            entry[0] = factor = absorb_rows(factor, rows)
+            entry[1] = self._n
+        if columns == width:
+            return factor
+        truncated = np.zeros((columns + 1, columns + 1), order="F")
+        truncated[:columns, :columns] = factor[:columns, :columns]
+        truncated[:columns, columns] = factor[:columns, -1]
+        truncated[columns, columns] = np.linalg.norm(factor[columns:, -1])
+        return truncated
 
     def design_has_full_rank(self) -> bool:
         """Least-squares rank rule for the design, cached until the next append.
@@ -188,13 +212,52 @@ class History:
         return self._full_rank
 
 
-def _passes_rank_rule(triangle: np.ndarray, rows: int) -> bool:
-    """sigma_min > eps * max(rows, cols) * sigma_max for a square upper triangle."""
-    tolerance = np.finfo(float).eps * max(rows, triangle.shape[0])
+def absorb_rows(triangle: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Upper triangle T with T'T = triangle'triangle + rows'rows.
+
+    One triangular-pentagonal Householder QR of the triangle stacked over
+    the rows (LAPACK ``dtpqrt``), O(c^2) per row for c columns; the inputs
+    are left unchanged.
+    """
+    # block size 8 was faster than 16 or 32 at K = 100, both for one row
+    # and for a 600-row batch
+    factor, _, _, info = lapack.dtpqrt(0, min(triangle.shape[0], 8), triangle, rows)
+    if info != 0:  # pragma: no cover - only raised for invalid arguments
+        raise RuntimeError(f"LAPACK dtpqrt failed with info {info}")
+    return factor
+
+
+def _rank_tolerance(rows: int, cols: int) -> float:
+    return np.finfo(float).eps * max(rows, cols)
+
+
+def _ridge_certifies(ridge: float, rows: int, cols: int, frobenius: float) -> bool:
+    """Whether a factor of U'U + aI with this Frobenius norm passes the rank rule.
+
+    Its smallest singular value is at least sqrt(a) and its largest at most
+    the Frobenius norm, so sqrt(a) above the tolerance times that norm
+    settles the rule without looking at the factor.
+    """
+    return ridge > 0.0 and sqrt(ridge) > _rank_tolerance(rows, cols) * frobenius
+
+
+def _passes_rank_rule(triangle: np.ndarray, rows: int, ridge: float = 0.0) -> bool:
+    """sigma_min > eps * max(rows, cols) * sigma_max for a square upper triangle.
+
+    ``ridge`` is the coefficient a when the triangle factors U'U + aI, which
+    may settle the rule at once (``_ridge_certifies``).  Otherwise the bound
+    kappa_2 <= ||R||_F ||R^-1||_F settles it from one triangular inverse when
+    it is far below the cut-off, and the exact singular values decide when
+    it is not.
+    """
+    tolerance = _rank_tolerance(rows, triangle.shape[0])
+    frobenius = np.linalg.norm(triangle)
+    if _ridge_certifies(ridge, rows, triangle.shape[0], frobenius):
+        return True
     inverse, info = lapack.dtrtri(triangle)
     if info > 0:
         return False  # an exactly zero pivot: the triangle is singular
-    bound = np.linalg.norm(triangle) * np.linalg.norm(inverse)
+    bound = frobenius * np.linalg.norm(inverse)
     if bound * tolerance <= CERTIFICATE_MARGIN:
         return True
     spectrum = np.linalg.svd(triangle, compute_uv=False)

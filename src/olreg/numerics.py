@@ -1,33 +1,40 @@
 """Linear-algebra and Student-t primitives shared by the interval predictors.
 
-The residual projector applies ``e = y - U (U'U + aI)^{-1} U' y`` without ever
-forming an n-by-n matrix: everything is routed through one Cholesky
-factorization of the small normal matrix, so a projector application costs
-O(n k) after an O(k^3 + n k^2) setup for k regressor columns.
+The residual projector applies ``e = y - U (U'U + aI)^{-1} U' y`` without
+ever forming an n-by-n matrix or the Gram matrix U'U: it solves with
+U'U + aI through one upper-triangular factor (with at most a rank-one fold
+for the last row), so coefficients cost two O(k^2) triangular solves and a
+residual vector one O(n k) product for k regressor columns.
+A projector built from a design alone QR-factors it once, O(n k^2).  An
+on-line step instead starts from the triangular factor that ``History``
+keeps for the ridge coefficient, truncated to the scheduled columns, and
+adds the one new row by a Sherman-Morrison fold or by absorbing it into a
+copy, O(k^2); the step costs O(k^2 + n k) in all, and the design's
+conditioning is never squared.
 
 Because candidate responses enter the augmented response vector linearly, the
 residual vector of (y_1, ..., y_{n-1}, y) is an affine function of y.  The
 ``residual_decomposition`` helper materializes that affine map once per
-prediction step; the predictors then scan candidate responses at O(1) per
+prediction step around a reference candidate y0 (the predictors use the
+mean of the past responses, so the map does not cancel when responses sit
+far from zero); the predictors then scan candidate responses at O(1) per
 residual component instead of re-solving.
 
 The Gauss predictor needs no projector: its least-squares fit is read from
-the upper-triangular factor R of [design | responses] that ``History`` keeps
-(R'R equals the augmented Gram matrix, which is never formed).  New rows are
-absorbed lazily by a triangular-pentagonal QR update, O(K^2) per row, so an
-on-line step costs O(K^2) for the factor and its triangular solves plus one
-O(nK) residual pass, and the design's conditioning is never squared.
+the ridge-0 factor of [design | responses] that ``History`` keeps, by
+triangular solves.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isfinite
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import lapack
 from scipy.special import stdtr, stdtrit
 
-from .base import RankDeficiencyError
+from .base import RankDeficiencyError, _passes_rank_rule, _ridge_certifies, absorb_rows
 
 # Reciprocal condition number below which an unregularized normal matrix is
 # treated as rank deficient rather than silently solved.
@@ -35,62 +42,143 @@ RCOND_FLOOR = 1e-12
 
 
 class RidgeProjector:
-    """Residual map of a ridge regression with a fixed design matrix.
+    """Residual map of a ridge regression, applied through one triangular factor.
 
-    Parameters
-    ----------
-    design : array of shape (n_rows, n_cols)
-        Regressor matrix, one row per observation (the leading column is
-        normally the constant 1).
-    ridge : float
-        Nonnegative ridge coefficient ``a``.  With ``a = 0`` the design must
-        have full column rank; with ``a > 0`` any design is accepted.
+    The design U has n rows: ``design`` and then ``new_row``, or the rows
+    of ``design`` alone; v = (responses, reference) is a reference response
+    vector.  Solves with U'U + aI take two O(k^2) triangular solves; v is
+    fitted through the factor's response column (the QR least-squares route,
+    which does not square the design's conditioning) and any other vector as
+    a correction to v's fit.
 
-    Raises
-    ------
-    RankDeficiencyError
-        If ``ridge == 0`` and the normal matrix has reciprocal condition
-        number below ``RCOND_FLOOR``.
+    With ``new_row``, ``factor`` is the triangle T of [design | responses]
+    stacked on [sqrt(a) I | 0] (as ``History.triangular_factor`` returns
+    it; trusted, not checked).  When a positive ridge certifies the rank
+    rule and the new row's leverage h = z'G^{-1}z against G = T'T is at most
+    1, T is kept and the row folded in by Sherman-Morrison,
+    (G + zz')^{-1} = G^{-1} - u u' / (1 + h) with u = G^{-1} z; with h <= 1
+    that inverse lies between G^{-1} / 2 and G^{-1}, so the correction
+    cannot cancel the leading term.  Otherwise (ridge 0, or a row filling a
+    direction the earlier rows lack, as in the first K on-line steps) the
+    row is absorbed into a copy of T, O(k^2), and the least-squares rank
+    rule runs on the result.  Without ``new_row``, v is zero and the design
+    is QR-factored here, O(n k^2).
+
+    Raises ``RankDeficiencyError`` when the factor of U'U + aI fails the
+    rule sigma_min > eps * max(n, k) * sigma_max.
     """
 
-    def __init__(self, design, ridge: float = 0.0):
-        design = np.ascontiguousarray(design, dtype=float)
-        if design.ndim != 2 or design.shape[0] < 1 or design.shape[1] < 1:
-            raise ValueError("design must be a nonempty 2-d array")
-        if not np.all(np.isfinite(design)):
-            raise ValueError("design entries must be finite")
+    def __init__(
+        self,
+        design,
+        ridge: float = 0.0,
+        new_row=None,
+        factor=None,
+        responses=None,
+        reference: float = 0.0,
+    ):
         ridge = float(ridge)
-        if ridge < 0.0:
-            raise ValueError("ridge must be nonnegative")
-        gram = design.T @ design
-        if ridge == 0.0:
-            spectrum = np.linalg.svd(gram, compute_uv=False)
-            if spectrum[0] == 0.0 or spectrum[-1] / spectrum[0] < RCOND_FLOOR:
-                raise RankDeficiencyError(
-                    "design is rank deficient; use a positive ridge coefficient"
-                )
-        else:
-            gram = gram + ridge * np.eye(design.shape[1])
-        try:
-            self._factor = cho_factor(gram, lower=True)
-        except np.linalg.LinAlgError as err:  # pragma: no cover - guarded above
-            raise RankDeficiencyError("normal matrix is not positive definite") from err
-        self.design = design
+        if not (ridge >= 0.0 and isfinite(ridge)):
+            raise ValueError("ridge must be nonnegative and finite")
+        if new_row is None:
+            design = np.asarray(design, dtype=float)
+            if design.ndim != 2 or design.shape[0] < 1 or design.shape[1] < 1:
+                raise ValueError("design must be a nonempty 2-d array")
+            if not np.all(np.isfinite(design)):
+                raise ValueError("design entries must be finite")
+            design, new_row = design[:-1], design[-1]
+            cols = design.shape[1]
+            factor = np.zeros((cols + 1, cols + 1), order="F")
+            np.fill_diagonal(factor[:cols, :cols], np.sqrt(ridge))
+            if design.shape[0]:
+                factor = absorb_rows(factor, np.column_stack([design, np.zeros(len(design))]))
+            responses = np.zeros(design.shape[0])
+            reference = 0.0
+        elif factor is None or responses is None:
+            raise ValueError("new_row needs the factor and responses of the other rows")
+        cols = design.shape[1]
+        rows = design.shape[0] + 1
+        row = np.empty((1, cols + 1))
+        row[0, :cols] = new_row
+        row[0, cols] = reference
+        self._head = design
+        self._last = row[0, :cols]
+        self._reference = np.append(responses, reference)
         self.ridge = ridge
+        # T's leading columns of a Fortran-ordered (k+1)-square array are
+        # contiguous, so LAPACK reads T as their top block without a copy.
+        self._fold = None
+        frobenius = np.hypot(np.linalg.norm(factor[:cols, :cols]), np.linalg.norm(self._last))
+        if _ridge_certifies(ridge, rows, cols, frobenius):
+            self._columns = factor[:, :cols]
+            direction = self.solve(self._last)
+            leverage = float(self._last @ direction)
+            if leverage <= 1.0:
+                weight = 1.0 / (1.0 + leverage)
+                self._fold = (direction, weight)
+                head_fit = self._back_solve(factor[:cols, cols])
+                self._reference_coefficients = head_fit + direction * (
+                    weight * (reference - float(self._last @ head_fit))
+                )
+                return
+        triangle = absorb_rows(factor, row)
+        if not _passes_rank_rule(triangle[:cols, :cols], rows, ridge):
+            raise RankDeficiencyError(
+                "design is rank deficient; use a positive ridge coefficient"
+                if ridge == 0.0
+                else "ridge normal matrix is numerically singular"
+            )
+        self._columns = triangle[:, :cols]
+        self._reference_coefficients = self._back_solve(triangle[:cols, cols])
 
     @property
     def row_count(self) -> int:
-        return self.design.shape[0]
+        return self._head.shape[0] + 1
+
+    @property
+    def column_count(self) -> int:
+        return self._last.size
+
+    @property
+    def last_row(self) -> np.ndarray:
+        return self._last
+
+    @property
+    def reference(self) -> float:
+        """The last entry of the reference response vector."""
+        return float(self._reference[-1])
+
+    def _back_solve(self, values: np.ndarray) -> np.ndarray:
+        solution, _ = lapack.dtrtrs(self._columns, values)
+        return solution
+
+    def solve(self, moments: np.ndarray) -> np.ndarray:
+        """(U'U + aI)^{-1} moments, by two triangular solves (and the fold)."""
+        whitened, _ = lapack.dtrtrs(self._columns, moments, trans=1)
+        solution = self._back_solve(whitened)
+        if self._fold is not None:
+            direction, weight = self._fold
+            solution -= np.multiply.outer(direction, weight * (direction @ moments))
+        return solution
 
     def coefficients(self, responses: np.ndarray) -> np.ndarray:
         """Ridge coefficient estimate (U'U + aI)^{-1} U' y."""
-        responses = np.asarray(responses, dtype=float)
-        return cho_solve(self._factor, self.design.T @ responses)
+        shift = np.asarray(responses, dtype=float) - self._reference
+        if not shift.any():
+            return self._reference_coefficients
+        moments = self._head.T @ shift[:-1] + shift[-1] * self._last
+        return self._reference_coefficients + self.solve(moments)
+
+    def fitted(self, coefficients: np.ndarray) -> np.ndarray:
+        """U @ coefficients, for a coefficient vector or a matrix of columns."""
+        return np.concatenate(
+            [self._head @ coefficients, (self._last @ coefficients)[None]]
+        )
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         """Project ``values`` onto the residual space: values - U c(values)."""
         values = np.asarray(values, dtype=float)
-        return values - self.design @ self.coefficients(values)
+        return values - self.fitted(self.coefficients(values))
 
     def residuals(self, responses: np.ndarray) -> np.ndarray:
         responses = np.asarray(responses, dtype=float)
@@ -103,13 +191,14 @@ class RidgeProjector:
 
 @dataclass(frozen=True)
 class ResidualDecomposition:
-    """Residuals of (fixed responses..., y) as the affine map offset + y * slope."""
+    """Residuals of (fixed responses..., y) as offset + (y - reference) * slope."""
 
     offset: np.ndarray
     slope: np.ndarray
+    reference: float = 0.0
 
     def residuals_at(self, response: float) -> np.ndarray:
-        return self.offset + response * self.slope
+        return self.offset + (response - self.reference) * self.slope
 
 
 def residual_decomposition(
@@ -118,10 +207,12 @@ def residual_decomposition(
     """Split the residual map over the last response into offset and slope parts.
 
     ``fixed_responses`` are the first n-1 responses; the n-th is left
-    symbolic.  ``offset`` is the projected response vector padded with a zero
-    and ``slope`` the projected last unit vector, so that
-    ``offset + y * slope`` equals ``projector.residuals`` of the completed
-    response vector, exactly (same arithmetic, by linearity).
+    symbolic.  ``offset`` is the residual vector with the projector's
+    reference response in the last place and ``slope`` the projected last
+    unit vector, so that ``offset + (y - reference) * slope`` equals
+    ``projector.residuals`` of the completed response vector up to
+    rounding.  Both come from one O(nk) product with the two coefficient
+    vectors.
     """
     fixed_responses = np.asarray(fixed_responses, dtype=float)
     n = projector.row_count
@@ -129,11 +220,14 @@ def residual_decomposition(
         raise ValueError(
             f"expected {n - 1} fixed responses, got shape {fixed_responses.shape}"
         )
-    padded = np.zeros(n)
-    padded[:-1] = fixed_responses
-    unit = np.zeros(n)
-    unit[-1] = 1.0
-    return ResidualDecomposition(projector.apply(padded), projector.apply(unit))
+    completed = np.append(fixed_responses, projector.reference)
+    coefficients = np.column_stack(
+        [projector.coefficients(completed), projector.solve(projector.last_row)]
+    )
+    fitted = projector.fitted(coefficients)
+    slope = -fitted[:, 1]
+    slope[-1] += 1.0
+    return ResidualDecomposition(completed - fitted[:, 0], slope, projector.reference)
 
 
 @dataclass(frozen=True)
@@ -165,13 +259,3 @@ class StudentT:
         if not 0.0 < tail < 1.0:
             raise ValueError("tail must lie strictly inside (0, 1)")
         return -float(stdtrit(self.degrees_of_freedom, tail))
-
-
-def ridge_residuals(projector: RidgeProjector, responses) -> np.ndarray:
-    """Residual vector of the responses under the projector's ridge fit."""
-    return projector.residuals(responses)
-
-
-def t_quantile(dist: StudentT, delta: float) -> float:
-    """The point exceeded with probability ``delta`` under ``dist``."""
-    return dist.upper_quantile(delta)

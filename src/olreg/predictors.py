@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from math import ceil, inf, sqrt
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, solve_triangular
+from scipy.linalg import cho_factor, cho_solve, cholesky, solve_triangular
 
 from .base import (
     DegenerateFitError,
@@ -46,6 +46,7 @@ from .base import (
     Observation,
     RankDeficiencyError,
     SummaryMismatchError,
+    _passes_rank_rule,
     validate_levels,
 )
 from .numerics import (
@@ -71,21 +72,43 @@ def _new_row(x_new, feature_count: int) -> np.ndarray:
     return x
 
 
-def _augmented_design(
-    history: History, x_new: np.ndarray, schedule: FeatureSchedule | None
-) -> np.ndarray:
-    """Design matrix over all n rows, truncated to the scheduled column count."""
+def _step_projector(
+    history: History,
+    x_new,
+    ridge: float,
+    schedule: FeatureSchedule | None,
+    reference: float,
+) -> RidgeProjector:
+    """Ridge projector of the history rows plus the new one, truncated to the
+    scheduled column count, with ``reference`` as the new row's response.
+
+    Built from the history's kept factor for ``ridge`` plus the new row:
+    O(K^2) on top of the history's own O(K^2) per appended row, one O(n)
+    reference vector, and no copy of the design.
+    """
     k = history.feature_count
     x = _new_row(x_new, k)
     n = len(history) + 1
     active = schedule.active_features(n) if schedule is not None else k
     if active > k:
         raise ValueError(f"schedule asks for {active} features but only {k} exist")
-    design = np.empty((n, active + 1))
-    design[: n - 1] = history.design_matrix[:, : active + 1]
-    design[-1, 0] = 1.0
-    design[-1, 1:] = x[:active]
-    return design
+    cols = active + 1
+    row = np.empty(cols)
+    row[0] = 1.0
+    row[1:] = x[:active]
+    return RidgeProjector(
+        history.design_matrix[:, :cols],
+        ridge,
+        new_row=row,
+        factor=history.triangular_factor(ridge, cols),
+        responses=history.responses,
+        reference=reference,
+    )
+
+
+def _shifted(interval: PredictionInterval, by: float) -> PredictionInterval:
+    """The interval moved by ``by``; the empty set and infinite ends stay."""
+    return PredictionInterval(interval.lower + by, interval.upper + by)
 
 
 # ---------------------------------------------------------------------------
@@ -127,65 +150,61 @@ def build_sweep(offset: np.ndarray, slope: np.ndarray) -> SweepState:
     slopes simply produce a far-away crossing point that the infinite
     sentinels absorb.
     """
-    offset = np.array(offset, dtype=float)
-    slope = np.array(slope, dtype=float)
+    offset = np.asarray(offset, dtype=float)
+    slope = np.asarray(slope, dtype=float)
     if offset.shape != slope.shape or offset.ndim != 1 or offset.size < 1:
         raise ValueError("offset and slope must be 1-d arrays of equal positive length")
     # Normalize signs so every slope is nonnegative; |e_i| is unchanged.
     flip = slope < 0.0
-    offset[flip] = -offset[flip]
-    slope[flip] = -slope[flip]
-    last_offset = float(offset[-1])
-    last_slope = float(slope[-1])
+    offset = np.where(flip, -offset, offset)
+    slope = np.where(flip, -slope, slope)
+    a, b = offset[:-1], slope[:-1]
+    last_offset, last_slope = offset[-1], slope[-1]
 
-    points: list[float] = []
-    deltas: list[int] = []
-    left = right = 0
-    for a_i, b_i in zip(offset[:-1].tolist(), slope[:-1].tolist()):
-        if b_i != last_slope:
-            # Both magnitudes cross twice (counting multiplicity): where the
-            # difference and where the sum of the two affine maps vanish.
-            first = -(a_i - last_offset) / (b_i - last_slope)
-            second = -(a_i + last_offset) / (b_i + last_slope)
-            lo, hi = (first, second) if first <= second else (second, first)
-            if b_i < last_slope:
-                # S_i is the closed interval [lo, hi]; add both points even
-                # when they coincide (the set is then a single point).
-                points += [lo, hi]
-                deltas += [1, -1]
-            elif first == second:
-                # Tangency from above: S_i is the whole line.
-                left += 1
-                right += 1
-            else:
-                # S_i is the pair of closed rays extending past lo and hi.
-                points += [lo, hi]
-                deltas += [-1, 1]
-                left += 1
-                right += 1
-        elif a_i == last_offset:
-            # Identical magnitudes: S_i is the whole line.
-            left += 1
-            right += 1
-        elif last_slope != 0.0:
+    # Unequal slopes: both magnitudes cross twice (counting multiplicity),
+    # where the difference and where the sum of the two affine maps vanish.
+    differ = b != last_slope
+    a_d, b_d = a[differ], b[differ]
+    first = -(a_d - last_offset) / (b_d - last_slope)
+    second = -(a_d + last_offset) / (b_d + last_slope)
+    ordered = first <= second
+    # A smaller slope makes S_i the closed interval [lo, hi] (a single point
+    # when they coincide); a larger one makes it the two closed rays past lo
+    # and hi, or the whole line at a tangency from above (lo == hi), which
+    # adds no points.
+    inside = b_d < last_slope
+    kept = inside | (first != second)
+    starts = np.where(inside[kept], 1, -1)
+    points = [np.where(ordered, first, second)[kept], np.where(ordered, second, first)[kept]]
+    deltas = [starts, -starts]
+    left = right = int(inside.size - np.count_nonzero(inside))
+
+    same_slope = a[~differ]
+    if same_slope.size:
+        same = same_slope == last_offset  # identical magnitudes: the whole line
+        if last_slope != 0.0:
             # Equal nonzero slopes: one crossing, S_i is a single ray.
-            crossing = -(a_i + last_offset) / (2.0 * last_slope)
-            points.append(crossing)
-            if a_i > last_offset:
-                deltas.append(1)
-                right += 1
-            else:
-                deltas.append(-1)
-                left += 1
-        elif abs(a_i) >= abs(last_offset):
+            moving = same_slope[~same]
+            points.append(-(moving + last_offset) / (2.0 * last_slope))
+            rightward = moving > last_offset
+            deltas.append(np.where(rightward, 1, -1))
+            right_rays = int(np.count_nonzero(rightward))
+            left += moving.size - right_rays
+            right += right_rays
+            covering = int(np.count_nonzero(same))
+        else:
             # Both magnitudes constant: S_i is everything or nothing.
-            left += 1
-            right += 1
+            covering = int(np.count_nonzero(same | (np.abs(same_slope) >= abs(last_offset))))
+        left += covering
+        right += covering
 
-    all_points = np.array([-inf] + points + [inf])
-    all_deltas = np.array([left + 1] + deltas + [-right - 1], dtype=np.int64)
+    all_points = np.concatenate([[-inf], *points, [inf]])
+    all_deltas = np.concatenate([[left + 1], *deltas, [-right - 1]]).astype(np.int64)
     # Stable ascending sort; at ties the +1 entries must come first so the
     # prefix peak at a point equals the membership count at that point.
+    # Entries that tie on both keys are equal (at most the sign of a zero
+    # differs), so the order in which the cases above emit them does not
+    # matter.
     order = np.lexsort((-all_deltas, all_points))
     return SweepState(all_points[order], all_deltas[order], left, right)
 
@@ -224,22 +243,21 @@ def iid_predict(
     slightly longer intervals than the tie-smoothed ideal.
 
     With an empty history every candidate is maximally typical, so the full
-    line is returned at any level.
+    line is returned at any level.  The residuals are decomposed around the
+    mean past response, and the sweep runs in the distance from it.
     """
     levels = validate_levels(levels)
     n = len(history) + 1
     if n == 1:
         return _full_lines(len(levels))
-    design = _augmented_design(history, x_new, schedule)
-    decomposition = residual_decomposition(RidgeProjector(design, ridge), history.responses)
+    projector = _step_projector(
+        history, x_new, ridge, schedule, float(history.responses.mean())
+    )
+    decomposition = residual_decomposition(projector, history.responses)
     state = build_sweep(decomposition.offset, decomposition.slope)
-    return [sweep_hull(state, n, eps) for eps in levels]
-
-
-def iid_score(design, responses, ridge: float = 0.0) -> float:
-    """Ridge residual magnitude of the last observation given all n rows."""
-    responses = np.asarray(responses, dtype=float)
-    return float(abs(RidgeProjector(design, ridge).residuals(responses)[-1]))
+    return [
+        _shifted(sweep_hull(state, n, eps), decomposition.reference) for eps in levels
+    ]
 
 
 def iid_pvalue(scores, tie_break: float) -> float:
@@ -372,16 +390,6 @@ class GaussSummary:
             square_sum=float(y @ y),
         )
 
-    def updated(self, observation: Observation) -> "GaussSummary":
-        row = np.concatenate([[1.0], observation.explanatory])
-        y = observation.response
-        return GaussSummary(
-            count=self.count + 1,
-            gram=self.gram + np.outer(row, row),
-            moment=self.moment + y * row,
-            square_sum=self.square_sum + y * y,
-        )
-
 
 def gauss_score(summary: GaussSummary, observation: Observation) -> float:
     """Studentized residual magnitude of a new observation, from moments only.
@@ -394,10 +402,15 @@ def gauss_score(summary: GaussSummary, observation: Observation) -> float:
     dof = summary.count - cols
     if dof < 1:
         raise ValueError(f"need more than {cols} summarized observations")
-    spectrum = np.linalg.svd(summary.gram, compute_uv=False)
-    if spectrum[0] == 0.0 or spectrum[-1] / spectrum[0] < RCOND_FLOOR:
+    try:
+        upper = cholesky(summary.gram, check_finite=False)
+    except np.linalg.LinAlgError as err:
+        raise RankDeficiencyError("summarized design is rank deficient") from err
+    # the factor's singular values are the design's, so the least-squares
+    # rank rule applies to it directly
+    if not _passes_rank_rule(upper, summary.count):
         raise RankDeficiencyError("summarized design is rank deficient")
-    factor = cho_factor(summary.gram, lower=True)
+    factor = (upper, False)
     coefficients = cho_solve(factor, summary.moment)
     residual_energy = max(summary.square_sum - float(summary.moment @ coefficients), 0.0)
     sigma_hat = sqrt(residual_energy / dof)
@@ -533,7 +546,9 @@ def mva_predict(
     K + 3 on with ridge 0 (K the number of active features).  Residuals come
     from one ridge fit of all n rows, so the candidate response enters every
     residual and the survivor set is a quadratic region classified exactly
-    (no search).
+    (no search).  The region is solved in the distance from the mean past
+    response, so its coefficients do not grow with the responses' distance
+    from zero.
 
     With ridge 0 at n = K + 2 the residual space is one-dimensional: every
     candidate's residual vector is a multiple of one direction, so the
@@ -546,10 +561,12 @@ def mva_predict(
     n = len(history) + 1
     if n < 3:
         return _full_lines(len(levels))
-    design = _augmented_design(history, x_new, schedule)
-    decomposition = residual_decomposition(RidgeProjector(design, ridge), history.responses)
+    projector = _step_projector(
+        history, x_new, ridge, schedule, float(history.responses.mean())
+    )
+    decomposition = residual_decomposition(projector, history.responses)
     dist = StudentT(n - 2)
-    if ridge == 0.0 and n == design.shape[1] + 1:
+    if ridge == 0.0 and n == projector.column_count + 1:
         # offset and slope both lie on the residual direction; either may vanish
         offset, slope = decomposition.offset, decomposition.slope
         direction = offset if np.linalg.norm(offset) >= np.linalg.norm(slope) else slope
@@ -565,11 +582,14 @@ def mva_predict(
             for eps in levels
         ]
     return [
-        mva_hull(
-            decomposition.offset,
-            decomposition.slope,
-            n,
-            dist.upper_quantile(eps / 2.0),
+        _shifted(
+            mva_hull(
+                decomposition.offset,
+                decomposition.slope,
+                n,
+                dist.upper_quantile(eps / 2.0),
+            ),
+            decomposition.reference,
         )
         for eps in levels
     ]
@@ -597,18 +617,6 @@ class MvaSummary:
             feature_gram=x.T @ x,
             cross=x.T @ y,
             square_sum=float(y @ y),
-        )
-
-    def updated(self, observation: Observation) -> "MvaSummary":
-        x = observation.explanatory
-        y = observation.response
-        return MvaSummary(
-            count=self.count + 1,
-            feature_sum=self.feature_sum + x,
-            response_sum=self.response_sum + y,
-            feature_gram=self.feature_gram + np.outer(x, x),
-            cross=self.cross + y * x,
-            square_sum=self.square_sum + y * y,
         )
 
 
@@ -712,8 +720,8 @@ class MonteCarloConfig:
     ``samples`` conditional draws give the p-value estimate
     (1 + #{draws at least as strange}) / (samples + 1); the survivor set
     boundary is bracketed by geometric expansion from the least-squares
-    point prediction out to ``search_bound`` and then pinned down with
-    ``bisection_steps`` halvings per endpoint.
+    point prediction out to ``search_bound`` away from it and then pinned
+    down with ``bisection_steps`` halvings per endpoint.
     """
 
     samples: int = 999
@@ -911,7 +919,7 @@ def _mc_boundary(
     step = scale
     while True:
         candidate = center + direction * step
-        if abs(candidate) > mc.search_bound:
+        if step > mc.search_bound:
             return direction * inf
         if pvalue(candidate) <= epsilon:
             outside = candidate

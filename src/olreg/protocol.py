@@ -33,10 +33,10 @@ from .base import (
     Stream,
     validate_levels,
 )
-from .numerics import RidgeProjector, StudentT
+from .numerics import StudentT
 from .predictors import (
     MonteCarloConfig,
-    _augmented_design,
+    _step_projector,
     centered_residual_score,
     gauss_fit,
     gauss_predict,
@@ -77,9 +77,11 @@ class IidPredictor:
         if n == 1:
             # The only score ties with itself: zero larger, one equal.
             return tie_break
-        design = _augmented_design(history, observation.explanatory, self.schedule)
+        projector = _step_projector(
+            history, observation.explanatory, self.ridge, self.schedule, observation.response
+        )
         responses = np.append(history.responses, observation.response)
-        scores = np.abs(RidgeProjector(design, self.ridge).residuals(responses))
+        scores = np.abs(projector.residuals(responses))
         return iid_pvalue(scores, tie_break)
 
 
@@ -117,9 +119,11 @@ class MvaPredictor:
         n = len(history) + 1
         if n < 3:
             return 1.0
-        design = _augmented_design(history, observation.explanatory, self.schedule)
+        projector = _step_projector(
+            history, observation.explanatory, self.ridge, self.schedule, observation.response
+        )
         responses = np.append(history.responses, observation.response)
-        residuals = RidgeProjector(design, self.ridge).residuals(responses)
+        residuals = projector.residuals(responses)
         try:
             score = centered_residual_score(residuals)
         except DegenerateFitError:

@@ -184,6 +184,63 @@ def rank_region_hull(offset, slope, epsilon: float) -> tuple[float, float]:
     return lower, upper
 
 
+def sweep_loop(offset, slope):
+    """Sorted crossing points, deltas and boundary counts, one comparison at a time.
+
+    The scalar case analysis that the vectorized ``build_sweep`` must
+    reproduce exactly: the same float expressions per case, the same
+    sentinels, and the same (point, -delta) lexicographic tie order.
+    Returns (points, deltas, left_count, right_count).
+    """
+    offset = np.array(offset, dtype=float)
+    slope = np.array(slope, dtype=float)
+    flip = slope < 0.0
+    offset[flip] = -offset[flip]
+    slope[flip] = -slope[flip]
+    last_offset = float(offset[-1])
+    last_slope = float(slope[-1])
+
+    points: list[float] = []
+    deltas: list[int] = []
+    left = right = 0
+    for a_i, b_i in zip(offset[:-1].tolist(), slope[:-1].tolist()):
+        if b_i != last_slope:
+            first = -(a_i - last_offset) / (b_i - last_slope)
+            second = -(a_i + last_offset) / (b_i + last_slope)
+            lo, hi = (first, second) if first <= second else (second, first)
+            if b_i < last_slope:
+                points += [lo, hi]
+                deltas += [1, -1]
+            elif first == second:
+                left += 1
+                right += 1
+            else:
+                points += [lo, hi]
+                deltas += [-1, 1]
+                left += 1
+                right += 1
+        elif a_i == last_offset:
+            left += 1
+            right += 1
+        elif last_slope != 0.0:
+            crossing = -(a_i + last_offset) / (2.0 * last_slope)
+            points.append(crossing)
+            if a_i > last_offset:
+                deltas.append(1)
+                right += 1
+            else:
+                deltas.append(-1)
+                left += 1
+        elif abs(a_i) >= abs(last_offset):
+            left += 1
+            right += 1
+
+    all_points = np.array([-inf] + points + [inf])
+    all_deltas = np.array([left + 1] + deltas + [-right - 1], dtype=np.int64)
+    order = np.lexsort((-all_deltas, all_points))
+    return all_points[order], all_deltas[order], left, right
+
+
 def rank_pvalue_direct(design, ridge, responses) -> float:
     """Deterministic rank p-value by recomputing all residuals from scratch."""
     residual = residuals_direct(design, ridge, responses)

@@ -16,7 +16,6 @@ from olreg import (
     iid_bounded_threshold,
     iid_predict,
     iid_pvalue,
-    iid_score,
     residual_decomposition,
     sweep_hull,
 )
@@ -178,7 +177,8 @@ def test_score_is_last_absolute_residual():
     design = np.column_stack([np.ones(6), rng.normal(size=(6, 2))])
     responses = rng.normal(size=6)
     expected = abs(oracles.residuals_direct(design, 0.01, responses)[-1])
-    assert iid_score(design, responses, 0.01) == pytest.approx(expected, abs=1e-12)
+    score = abs(RidgeProjector(design, 0.01).residuals(responses)[-1])
+    assert score == pytest.approx(expected, abs=1e-12)
 
 
 def test_deterministic_pvalue_dominates_smoothed():
@@ -217,3 +217,31 @@ def test_sweep_agrees_with_brute_force(n, eps, seed):
     low, high = oracles.rank_region_hull(offset, slope, eps)
     assert hull.lower == pytest.approx(low, abs=1e-9)
     assert hull.upper == pytest.approx(high, abs=1e-9)
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    st.integers(min_value=1, max_value=30),
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.sampled_from(["random", "tied", "equal_slope"]),
+)
+def test_vectorized_sweep_equals_the_loop(n, seed, kind):
+    rng = np.random.default_rng(seed)
+    if kind == "random":
+        offset, slope = rng.normal(size=n), rng.normal(size=n)
+    elif kind == "tied":
+        # a few small values repeat, so tangencies, identical magnitudes and
+        # coincident crossing points all occur
+        offset = rng.integers(-2, 3, size=n).astype(float)
+        slope = rng.integers(-2, 3, size=n).astype(float)
+    else:
+        # many slopes equal the last one, including zero and negated ones
+        offset = rng.normal(size=n)
+        slope = rng.choice([-1.0, 1.0], size=n) * rng.choice([0.0, 0.5], size=n)
+    state = build_sweep(offset, slope)
+    points, deltas, left, right = oracles.sweep_loop(offset, slope)
+    # equal in value: tied entries may come in another order, which only
+    # shows as the sign of a zero crossing point
+    assert np.array_equal(state.points, points)
+    assert np.array_equal(state.deltas, deltas)
+    assert (state.left_count, state.right_count) == (left, right)

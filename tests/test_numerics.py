@@ -7,12 +7,13 @@ from hypothesis import strategies as st
 
 import oracles
 from olreg import (
+    FeatureSchedule,
+    History,
+    Observation,
     RankDeficiencyError,
     RidgeProjector,
     StudentT,
     residual_decomposition,
-    ridge_residuals,
-    t_quantile,
 )
 
 
@@ -22,14 +23,14 @@ def ones_design(n):
 
 def test_ones_column_residuals_center_the_responses():
     proj = RidgeProjector(ones_design(2), 0.0)
-    assert np.allclose(ridge_residuals(proj, [1.0, 1.0]), [0.0, 0.0])
-    assert np.allclose(ridge_residuals(proj, [0.0, 2.0]), [-1.0, 1.0])
+    assert np.allclose(proj.residuals([1.0, 1.0]), [0.0, 0.0])
+    assert np.allclose(proj.residuals([0.0, 2.0]), [-1.0, 1.0])
 
 
 def test_single_row_with_ridge_keeps_part_of_the_response():
     proj = RidgeProjector(ones_design(1), 1.0)
     # I - 1/(1+1) = 1/2, applied to y = 2
-    assert np.allclose(ridge_residuals(proj, [2.0]), [1.0])
+    assert np.allclose(proj.residuals([2.0]), [1.0])
 
 
 def test_decomposition_on_two_ones_rows():
@@ -75,7 +76,7 @@ def test_ridge_shrinks_fitted_values_monotonically():
     norms = []
     for ridge in (0.0, 0.01, 1.0, 100.0):
         proj = RidgeProjector(design, ridge)
-        fitted = responses - ridge_residuals(proj, responses)
+        fitted = responses - proj.residuals(responses)
         norms.append(float(np.linalg.norm(design @ proj.coefficients(responses) - fitted)))
         # fitted values computed two ways must agree
         assert norms[-1] < 1e-8
@@ -112,18 +113,34 @@ def test_wide_design_needs_ridge():
     assert proj.row_count == 3
 
 
+def test_row_in_a_direction_the_others_lack_keeps_full_accuracy():
+    # the earlier rows leave one direction to the small ridge alone, so the
+    # last row's leverage against them is huge; folding it in by
+    # Sherman-Morrison would cancel to about 1e-7 here
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        for ridge in (1e-8, 1e-6):
+            design = np.column_stack([np.ones(3), rng.normal(size=(3, 3))])
+            design[:2, 3] = 0.0
+            fixed = rng.normal(size=2)
+            dec = residual_decomposition(RidgeProjector(design, ridge), fixed)
+            for y in (-2.0, 0.0, 1.5):
+                expected = oracles.residuals_direct(design, ridge, np.append(fixed, y))
+                np.testing.assert_allclose(dec.residuals_at(y), expected, rtol=0, atol=1e-9)
+
+
 def test_t_quantile_one_degree_matches_arctangent_form():
     dist = StudentT(1)
-    assert t_quantile(dist, 0.025) == pytest.approx(
+    assert dist.upper_quantile(0.025) == pytest.approx(
         oracles.cauchy_upper_quantile(0.025), rel=1e-7
     )
-    assert abs(t_quantile(dist, 0.025) - 12.70620) < 1e-4
-    assert t_quantile(dist, 0.5) == pytest.approx(0.0, abs=1e-12)
+    assert abs(dist.upper_quantile(0.025) - 12.70620) < 1e-4
+    assert dist.upper_quantile(0.5) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_t_quantile_large_degrees_approach_normal():
     dist = StudentT(10**6)
-    assert t_quantile(dist, 0.025) == pytest.approx(
+    assert dist.upper_quantile(0.025) == pytest.approx(
         oracles.normal_upper_quantile(0.025), abs=1e-3
     )
 
@@ -163,3 +180,43 @@ def test_decomposition_is_affine_in_the_candidate(n, k, ridge, seed):
     for y in (-2.0, 0.0, 1.5):
         expected = oracles.residuals_direct(design, ridge, np.append(fixed, y))
         assert np.allclose(dec.offset + y * dec.slope, expected, atol=1e-9)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.integers(min_value=1, max_value=4),
+    st.sampled_from([0.0, 0.01, 1.0]),
+    st.booleans(),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_history_factor_projector_matches_direct_residuals(k, ridge, scheduled, seed):
+    # one history grows row by row and is asked for its factor at every
+    # step, as in an on-line run; the schedule (if any) switches from one
+    # feature to all k mid-stream, so some steps truncate the factor
+    rng = np.random.default_rng(seed)
+    schedule = FeatureSchedule(1, int(rng.integers(2, k + 5)), k) if scheduled else None
+    features = rng.normal(size=(k + 5, k))
+    responses = rng.normal(size=k + 5)
+    history = History(k)
+    for n in range(2, k + 6):
+        history.append(Observation(features[n - 2], responses[n - 2]))
+        cols = (schedule.active_features(n) if schedule else k) + 1
+        row = np.concatenate([[1.0], features[n - 1, : cols - 1]])
+        design = np.vstack([history.design_matrix[:, :cols], row])
+        arguments = dict(
+            new_row=row,
+            factor=history.triangular_factor(ridge, cols),
+            responses=history.responses,
+            reference=float(history.responses.mean()),
+        )
+        if ridge == 0.0 and n < cols:
+            with pytest.raises(RankDeficiencyError):
+                RidgeProjector(history.design_matrix[:, :cols], ridge, **arguments)
+            continue
+        projector = RidgeProjector(history.design_matrix[:, :cols], ridge, **arguments)
+        dec = residual_decomposition(projector, history.responses)
+        for y in (-2.0, 0.0, 1.5):
+            completed = np.append(history.responses, y)
+            expected = oracles.residuals_direct(design, ridge, completed)
+            np.testing.assert_allclose(dec.residuals_at(y), expected, rtol=0, atol=1e-9)
+            np.testing.assert_allclose(projector.residuals(completed), expected, rtol=0, atol=1e-9)
