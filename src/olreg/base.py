@@ -231,28 +231,24 @@ def _rank_tolerance(rows: int, cols: int) -> float:
     return np.finfo(float).eps * max(rows, cols)
 
 
-def _ridge_certifies(ridge: float, rows: int, cols: int, frobenius: float) -> bool:
-    """Whether a factor of U'U + aI with this Frobenius norm passes the rank rule.
+def _passes_rank_rule(
+    triangle: np.ndarray, rows: int, ridge: float = 0.0, tolerance: float | None = None
+) -> bool:
+    """sigma_min > tolerance * sigma_max for a square upper triangle.
 
-    Its smallest singular value is at least sqrt(a) and its largest at most
-    the Frobenius norm, so sqrt(a) above the tolerance times that norm
-    settles the rule without looking at the factor.
-    """
-    return ridge > 0.0 and sqrt(ridge) > _rank_tolerance(rows, cols) * frobenius
-
-
-def _passes_rank_rule(triangle: np.ndarray, rows: int, ridge: float = 0.0) -> bool:
-    """sigma_min > eps * max(rows, cols) * sigma_max for a square upper triangle.
-
-    ``ridge`` is the coefficient a when the triangle factors U'U + aI, which
-    may settle the rule at once (``_ridge_certifies``).  Otherwise the bound
+    ``tolerance`` defaults to the least-squares cut-off eps * max(rows, cols).
+    ``ridge`` is the coefficient a when the triangle factors U'U + aI: its
+    smallest singular value is then at least sqrt(a) and its largest at most
+    the Frobenius norm, which settles the rule at once when sqrt(a) clears
+    the tolerance times that norm.  Otherwise the bound
     kappa_2 <= ||R||_F ||R^-1||_F settles it from one triangular inverse when
     it is far below the cut-off, and the exact singular values decide when
     it is not.
     """
-    tolerance = _rank_tolerance(rows, triangle.shape[0])
+    if tolerance is None:
+        tolerance = _rank_tolerance(rows, triangle.shape[0])
     frobenius = np.linalg.norm(triangle)
-    if _ridge_certifies(ridge, rows, triangle.shape[0], frobenius):
+    if ridge > 0.0 and sqrt(ridge) > tolerance * frobenius:
         return True
     inverse, info = lapack.dtrtri(triangle)
     if info > 0:

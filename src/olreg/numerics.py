@@ -2,15 +2,14 @@
 
 The residual projector applies ``e = y - U (U'U + aI)^{-1} U' y`` without
 ever forming an n-by-n matrix or the Gram matrix U'U: it solves with
-U'U + aI through one upper-triangular factor (with at most a rank-one fold
-for the last row), so coefficients cost two O(k^2) triangular solves and a
-residual vector one O(n k) product for k regressor columns.
-A projector built from a design alone QR-factors it once, O(n k^2).  An
-on-line step instead starts from the triangular factor that ``History``
-keeps for the ridge coefficient, truncated to the scheduled columns, and
-adds the one new row by a Sherman-Morrison fold or by absorbing it into a
-copy, O(k^2); the step costs O(k^2 + n k) in all, and the design's
-conditioning is never squared.
+U'U + aI through one upper-triangular factor, so coefficients cost two
+O(k^2) triangular solves and a residual vector one O(n k) product for k
+regressor columns.  A projector built from a design alone QR-factors it
+once, O(n k^2).  An on-line step instead starts from the triangular factor
+that ``History`` keeps for the ridge coefficient, truncated to the
+scheduled columns, and absorbs the one new row into a copy, O(k^2); the
+step costs O(k^2 + n k) in all, and the design's conditioning is never
+squared.
 
 Because candidate responses enter the augmented response vector linearly, the
 residual vector of (y_1, ..., y_{n-1}, y) is an affine function of y.  The
@@ -34,7 +33,7 @@ import numpy as np
 from scipy.linalg import lapack
 from scipy.special import stdtr, stdtrit
 
-from .base import RankDeficiencyError, _passes_rank_rule, _ridge_certifies, absorb_rows
+from .base import RankDeficiencyError, _passes_rank_rule, absorb_rows
 
 # Reciprocal condition number below which an unregularized normal matrix is
 # treated as rank deficient rather than silently solved.
@@ -44,25 +43,19 @@ RCOND_FLOOR = 1e-12
 class RidgeProjector:
     """Residual map of a ridge regression, applied through one triangular factor.
 
-    The design U has n rows: ``design`` and then ``new_row``, or the rows
-    of ``design`` alone; v = (responses, reference) is a reference response
-    vector.  Solves with U'U + aI take two O(k^2) triangular solves; v is
-    fitted through the factor's response column (the QR least-squares route,
-    which does not square the design's conditioning) and any other vector as
-    a correction to v's fit.
+    The design U has n rows: the rows of ``design``, then ``new_row`` when
+    it is given; v = (responses, reference) is a reference response vector.
+    Solves with U'U + aI take two O(k^2) triangular solves; v is fitted
+    through the factor's response column (the QR least-squares route, which
+    does not square the design's conditioning) and any other vector as a
+    correction to v's fit.
 
+    Given alone, the design is QR-factored here, O(n k^2), and v is zero.
     With ``new_row``, ``factor`` is the triangle T of [design | responses]
     stacked on [sqrt(a) I | 0] (as ``History.triangular_factor`` returns
-    it; trusted, not checked).  When a positive ridge certifies the rank
-    rule and the new row's leverage h = z'G^{-1}z against G = T'T is at most
-    1, T is kept and the row folded in by Sherman-Morrison,
-    (G + zz')^{-1} = G^{-1} - u u' / (1 + h) with u = G^{-1} z; with h <= 1
-    that inverse lies between G^{-1} / 2 and G^{-1}, so the correction
-    cannot cancel the leading term.  Otherwise (ridge 0, or a row filling a
-    direction the earlier rows lack, as in the first K on-line steps) the
-    row is absorbed into a copy of T, O(k^2), and the least-squares rank
-    rule runs on the result.  Without ``new_row``, v is zero and the design
-    is QR-factored here, O(n k^2).
+    it), and the row is absorbed into a copy of T, O(k^2).  The shapes of
+    ``factor``, ``new_row`` and ``responses`` are checked against the
+    design; the factor's entries are trusted to match it.
 
     Raises ``RankDeficiencyError`` when the factor of U'U + aI fails the
     rule sigma_min > eps * max(n, k) * sigma_max.
@@ -72,6 +65,7 @@ class RidgeProjector:
         self,
         design,
         ridge: float = 0.0,
+        *,
         new_row=None,
         factor=None,
         responses=None,
@@ -94,33 +88,20 @@ class RidgeProjector:
                 factor = absorb_rows(factor, np.column_stack([design, np.zeros(len(design))]))
             responses = np.zeros(design.shape[0])
             reference = 0.0
-        elif factor is None or responses is None:
-            raise ValueError("new_row needs the factor and responses of the other rows")
-        cols = design.shape[1]
+        else:
+            if factor is None or responses is None:
+                raise ValueError("new_row needs the factor and responses of the other rows")
+            cols = design.shape[1]
+            if np.shape(new_row) != (cols,) or np.shape(factor) != (cols + 1, cols + 1):
+                raise ValueError(
+                    f"new_row must have {cols} entries and factor shape {(cols + 1, cols + 1)}"
+                )
+            if np.shape(responses) != (design.shape[0],):
+                raise ValueError(f"expected {design.shape[0]} responses for the design rows")
         rows = design.shape[0] + 1
         row = np.empty((1, cols + 1))
         row[0, :cols] = new_row
         row[0, cols] = reference
-        self._head = design
-        self._last = row[0, :cols]
-        self._reference = np.append(responses, reference)
-        self.ridge = ridge
-        # T's leading columns of a Fortran-ordered (k+1)-square array are
-        # contiguous, so LAPACK reads T as their top block without a copy.
-        self._fold = None
-        frobenius = np.hypot(np.linalg.norm(factor[:cols, :cols]), np.linalg.norm(self._last))
-        if _ridge_certifies(ridge, rows, cols, frobenius):
-            self._columns = factor[:, :cols]
-            direction = self.solve(self._last)
-            leverage = float(self._last @ direction)
-            if leverage <= 1.0:
-                weight = 1.0 / (1.0 + leverage)
-                self._fold = (direction, weight)
-                head_fit = self._back_solve(factor[:cols, cols])
-                self._reference_coefficients = head_fit + direction * (
-                    weight * (reference - float(self._last @ head_fit))
-                )
-                return
         triangle = absorb_rows(factor, row)
         if not _passes_rank_rule(triangle[:cols, :cols], rows, ridge):
             raise RankDeficiencyError(
@@ -128,6 +109,12 @@ class RidgeProjector:
                 if ridge == 0.0
                 else "ridge normal matrix is numerically singular"
             )
+        self._head = design
+        self._last = row[0, :cols]
+        self._reference = np.append(responses, reference)
+        self.ridge = ridge
+        # T's leading columns of a Fortran-ordered (k+1)-square array are
+        # contiguous, so LAPACK reads T as their top block without a copy.
         self._columns = triangle[:, :cols]
         self._reference_coefficients = self._back_solve(triangle[:cols, cols])
 
@@ -153,13 +140,9 @@ class RidgeProjector:
         return solution
 
     def solve(self, moments: np.ndarray) -> np.ndarray:
-        """(U'U + aI)^{-1} moments, by two triangular solves (and the fold)."""
+        """(U'U + aI)^{-1} moments, by two triangular solves."""
         whitened, _ = lapack.dtrtrs(self._columns, moments, trans=1)
-        solution = self._back_solve(whitened)
-        if self._fold is not None:
-            direction, weight = self._fold
-            solution -= np.multiply.outer(direction, weight * (direction @ moments))
-        return solution
+        return self._back_solve(whitened)
 
     def coefficients(self, responses: np.ndarray) -> np.ndarray:
         """Ridge coefficient estimate (U'U + aI)^{-1} U' y."""

@@ -47,6 +47,7 @@ from .base import (
     RankDeficiencyError,
     SummaryMismatchError,
     _passes_rank_rule,
+    _rank_tolerance,
     validate_levels,
 )
 from .numerics import (
@@ -396,7 +397,10 @@ def gauss_score(summary: GaussSummary, observation: Observation) -> float:
 
     Equals |y - yhat| / (sigma_hat * sqrt(1 + leverage)) computed from the
     raw history; requires at least K + 2 summarized observations so the
-    residual scale has a positive number of degrees of freedom.
+    residual scale has a positive number of degrees of freedom.  Working from
+    D'D, it raises ``RankDeficiencyError`` once cond(D) passes about
+    1 / sqrt(eps * max(n, K+1)) (near 1e7 at n = 40); just below that the
+    pivot can differ from ``gauss_fit``'s by about 1e-3 relative.
     """
     cols = summary.gram.shape[0]
     dof = summary.count - cols
@@ -406,9 +410,12 @@ def gauss_score(summary: GaussSummary, observation: Observation) -> float:
         upper = cholesky(summary.gram, check_finite=False)
     except np.linalg.LinAlgError as err:
         raise RankDeficiencyError("summarized design is rank deficient") from err
-    # the factor's singular values are the design's, so the least-squares
-    # rank rule applies to it directly
-    if not _passes_rank_rule(upper, summary.count):
+    # the factor's singular values are the design's, but it comes from D'D,
+    # so its smallest is only resolved to about sqrt(eps) * sigma_max and the
+    # moment route's error grows like eps * cond(D)^2: the least-squares rule
+    # is applied at the square root of its tolerance
+    tolerance = sqrt(_rank_tolerance(summary.count, cols))
+    if not _passes_rank_rule(upper, summary.count, tolerance=tolerance):
         raise RankDeficiencyError("summarized design is rank deficient")
     factor = (upper, False)
     coefficients = cho_solve(factor, summary.moment)

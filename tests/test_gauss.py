@@ -194,6 +194,27 @@ def test_nearly_collinear_features_match_the_svd_reference():
             assert abs(interval.upper - high) <= 1e-6 * (high - low)
 
 
+def test_summary_score_on_nearly_collinear_features_raises_or_matches_the_fit():
+    # the summary route squares the design's condition (2e8 and 2e10 here),
+    # so it must refuse rather than return a pivot the factor fit disagrees with
+    for delta in (1e-8, 1e-10):
+        rng = np.random.default_rng(5)
+        features = rng.normal(size=(41, 3))
+        features[:, 1] = features[:, 0] + delta * rng.normal(size=41)
+        responses = features @ np.array([1.0, -1.0, 0.5]) + rng.normal(size=41)
+        history = history_of(features[:40], responses[:40])
+        observation = Observation(features[40], float(responses[40]))
+        fit = gauss_fit(history, observation.explanatory)
+        pivot = abs(observation.response - fit.point_prediction) / (
+            fit.sigma_hat * math.sqrt(1.0 + fit.leverage)
+        )
+        try:
+            score = gauss_score(GaussSummary.from_history(history), observation)
+        except RankDeficiencyError:
+            continue
+        assert score == pytest.approx(pivot, rel=1e-6)
+
+
 def equivariance_instance(seed):
     """A 60 x 5 Gaussian-linear history and one new explanatory row."""
     rng = np.random.default_rng(seed)

@@ -113,10 +113,31 @@ def test_wide_design_needs_ridge():
     assert proj.row_count == 3
 
 
+def test_step_arguments_must_fit_the_design():
+    rng = np.random.default_rng(4)
+    head = np.column_stack([np.ones(6), rng.normal(size=(6, 2))])
+    history = History.from_observations(
+        Observation(row[1:], float(y)) for row, y in zip(head, rng.normal(size=6))
+    )
+    good = dict(
+        new_row=np.array([1.0, 0.5, -0.5]),
+        factor=history.triangular_factor(0.01),
+        responses=history.responses,
+    )
+    RidgeProjector(head, 0.01, **good)
+    for name, bad in (
+        ("new_row", np.array([1.0, 0.5])),
+        ("factor", history.triangular_factor(0.01, 2)),
+        ("responses", history.responses[:-1]),
+    ):
+        with pytest.raises(ValueError):
+            RidgeProjector(head, 0.01, **{**good, name: bad})
+
+
 def test_row_in_a_direction_the_others_lack_keeps_full_accuracy():
     # the earlier rows leave one direction to the small ridge alone, so the
-    # last row's leverage against them is huge; folding it in by
-    # Sherman-Morrison would cancel to about 1e-7 here
+    # last row's leverage against them is huge; a rank-one (Sherman-Morrison)
+    # update of their inverse would cancel to about 1e-7 here
     for seed in range(20):
         rng = np.random.default_rng(seed)
         for ridge in (1e-8, 1e-6):
