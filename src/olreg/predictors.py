@@ -728,7 +728,9 @@ class MonteCarloConfig:
     (1 + #{draws at least as strange}) / (samples + 1); the survivor set
     boundary is bracketed by geometric expansion from the least-squares
     point prediction out to ``search_bound`` away from it and then pinned
-    down with ``bisection_steps`` halvings per endpoint.
+    down with ``bisection_steps`` halvings per endpoint.  Setting up the
+    draws of one step costs O(samples * n * K) in GEMMs and O(samples * n)
+    memory; every p-value after that costs O(samples).
     """
 
     samples: int = 999
@@ -737,20 +739,54 @@ class MonteCarloConfig:
     bisection_steps: int = 40
 
 
+@dataclass(frozen=True, eq=False)
+class _MonteCarloStep:
+    """The common draws of one IID-Gauss step as functions of the candidate y.
+
+    Draw m's last truncated residual is
+    ``draw_const[m] + y * draw_lin[m] + radius(y) * draw_dir[m]`` and the
+    observed one is ``observed_const + y * observed_lin``, where
+    ``radius(y)``^2 = rss + weight * (y - center)^2 is the residual energy of
+    the full least-squares fit once y is appended to the history.
+    """
+
+    draw_const: np.ndarray
+    draw_lin: np.ndarray
+    draw_dir: np.ndarray
+    observed_const: float
+    observed_lin: float
+    rss: float
+    weight: float
+    center: float
+    scale: float
+
+    def radius(self, y: float) -> float:
+        return sqrt(max(self.rss + self.weight * (y - self.center) ** 2, 0.0))
+
+    def pvalue(self, y: float) -> float:
+        scores = np.abs(self.draw_const + y * self.draw_lin + self.radius(y) * self.draw_dir)
+        target = abs(self.observed_const + y * self.observed_lin)
+        return (1 + int(np.count_nonzero(scores >= target))) / (scores.size + 1)
+
+
 def _mc_machinery(
     history: History,
     x: np.ndarray,
     ridge: float,
     schedule: FeatureSchedule | None,
     mc: MonteCarloConfig,
-):
+) -> _MonteCarloStep | None:
     """Common-draw p-value machinery shared by prediction and verification.
 
-    Returns ``(pvalue, center, scale)`` where ``pvalue`` maps a candidate
-    response to its Monte-Carlo p-value, ``center`` is the least-squares
-    point prediction and ``scale`` a step size matched to the conditional
-    spread; returns None while the conditional law is degenerate (fewer
-    than K + 2 total observations, or no samples requested).
+    Returns the step's draws, least-squares point prediction ``center`` and a
+    search step ``scale`` matched to the conditional spread; returns None
+    while the conditional law is degenerate (fewer than K + 2 total
+    observations, or no samples requested).
+
+    A draw permutes the rows, but the truncated Gram and moments do not
+    change under row permutations, so no permuted copy of the design is
+    formed: the fitted vectors' truncated residuals are computed once and read
+    at each draw's last row, and the directions' moments come from one GEMM.
     """
     k = history.feature_count
     n = len(history) + 1
@@ -758,10 +794,14 @@ def _mc_machinery(
         return None
     x = _new_row(x, k)
 
+    # The draws must depend on the history only through its bag of rows
+    # (permuting past observations must not change the output), so the
+    # design is taken in a canonical lexicographic row order.
     design = np.empty((n, k + 1))
     design[: n - 1] = history.design_matrix
     design[-1, 0] = 1.0
     design[-1, 1:] = x
+    canonical = np.lexsort(design.T[::-1])
     gram = design.T @ design
     spectrum = np.linalg.svd(gram, compute_uv=False)
     if spectrum[0] == 0.0 or spectrum[-1] / spectrum[0] < RCOND_FLOOR:
@@ -769,24 +809,15 @@ def _mc_machinery(
     factor = cho_factor(gram, lower=True)
 
     responses = history.responses
-    fixed_moment = design[: n - 1].T @ responses
     new_row = design[-1]
-    fixed_solution = cho_solve(factor, fixed_moment)
+    fixed_fit = design @ cho_solve(factor, design[: n - 1].T @ responses)
     unit_solution = cho_solve(factor, new_row)
-    fixed_fit = design @ fixed_solution
     unit_fit = design @ unit_solution
-    # Residual energy of the summary as a quadratic in the candidate y.
-    energy_const = float(responses @ responses) - float(fixed_moment @ fixed_solution)
-    energy_lin = -(float(fixed_moment @ unit_solution) + float(new_row @ fixed_solution))
-    energy_quad = 1.0 - float(new_row @ unit_solution)
 
-    # The draws must depend on the history only through its bag of rows
-    # (permuting past observations must not change the output), so drawn
-    # orderings index the rows through a canonical lexicographic order.
-    canonical = np.lexsort(design.T[::-1])
     rng = np.random.default_rng(mc.seed)
-    orderings = canonical[random_orderings(rng, mc.samples, n)]
-    directions = complement_directions(rng, design, orderings, factor)
+    orderings = random_orderings(rng, mc.samples, n)
+    ordered = design[canonical]
+    directions = complement_directions(rng, ordered, orderings, factor)
 
     active = schedule.active_features(n) if schedule is not None else k
     if active > k:
@@ -802,41 +833,35 @@ def _mc_machinery(
             raise RankDeficiencyError("truncated design is rank deficient")
     trunc_factor = cho_factor(trunc_gram, lower=True)
 
-    rows = truncated[orderings]
-    last_rows = rows[:, -1, :]
-
-    def last_residual(values: np.ndarray) -> np.ndarray:
-        moments = np.einsum("mnk,mn->mk", rows, values)
-        coef = cho_solve(trunc_factor, moments.T).T
-        return values[:, -1] - np.einsum("mk,mk->m", last_rows, coef)
-
-    draw_const = last_residual(fixed_fit[orderings])
-    draw_lin = last_residual(unit_fit[orderings])
-    draw_dir = last_residual(directions)
+    fits = np.column_stack([fixed_fit, unit_fit])
+    fit_resid = fits - truncated @ cho_solve(trunc_factor, truncated.T @ fits)
+    last = orderings[:, -1]
+    draw_const, draw_lin = fit_resid[canonical[last]].T
+    scattered = np.empty_like(directions)
+    np.put_along_axis(scattered, orderings, directions, axis=1)
+    coef = cho_solve(trunc_factor, (scattered @ ordered[:, :cols]).T).T
+    draw_dir = directions[:, -1] - np.einsum("mk,mk->m", ordered[last, :cols], coef)
 
     observed = residual_decomposition(RidgeProjector(truncated, ridge), responses)
-    observed_const = float(observed.offset[-1])
-    observed_lin = float(observed.slope[-1])
 
-    denominator = mc.samples + 1
-
-    def pvalue(y: float) -> float:
-        radius = sqrt(max(energy_const + y * (energy_lin + y * energy_quad), 0.0))
-        scores = np.abs(draw_const + y * draw_lin + radius * draw_dir)
-        target = abs(observed_const + y * observed_lin)
-        return (1 + int(np.count_nonzero(scores >= target))) / denominator
-
-    solution, *_ = np.linalg.lstsq(history.design_matrix, responses, rcond=None)
+    # Residual energy once y is appended: the history's own residual energy
+    # plus the new row's share of (y - center)^2.  Both parts are small where
+    # y'y - m'b would cancel, so responses far from zero keep full accuracy.
+    history_design = history.design_matrix
+    solution, *_ = np.linalg.lstsq(history_design, responses, rcond=None)
+    history_resid = responses - history_design @ solution
+    rss = float(history_resid @ history_resid)
     center = float(new_row @ solution)
-    center_radius = sqrt(
-        max(energy_const + center * (energy_lin + center * energy_quad), 0.0)
-    )
     scale = max(
-        center_radius / sqrt(max(n - k - 1, 1)),
+        sqrt(rss) / sqrt(max(n - k - 1, 1)),
         1e-3 * (1.0 + abs(center)),
         1e-6,
     )
-    return pvalue, center, scale
+    return _MonteCarloStep(
+        draw_const, draw_lin, draw_dir,
+        float(observed.offset[-1]), float(observed.slope[-1]),
+        rss, 1.0 - float(new_row @ unit_solution), center, scale,
+    )
 
 
 def iidgauss_predict(
@@ -857,7 +882,10 @@ def iidgauss_predict(
     draws: the bag ordering and sphere directions are drawn once per call
     and reused for every candidate, so each draw's score is an explicit
     affine function of the candidate plus a radius term, and one p-value
-    evaluation costs O(samples).
+    evaluation costs O(samples).  Setting the draws up costs
+    O(samples * n * K) in GEMMs and O(samples * n) memory: the directions and
+    the last residuals are computed in the unpermuted row order, so no
+    permuted copy of the design is formed.
 
     The reported interval brackets the estimated survivor set and is an
     approximation on two counts (Monte-Carlo noise, and a bisection search
@@ -867,19 +895,18 @@ def iidgauss_predict(
     """
     levels = validate_levels(levels)
     mc = mc if mc is not None else MonteCarloConfig()
-    machinery = _mc_machinery(history, x_new, ridge, schedule, mc)
-    if machinery is None:
+    step = _mc_machinery(history, x_new, ridge, schedule, mc)
+    if step is None:
         return _full_lines(len(levels))
-    pvalue, center, scale = machinery
-    center_pvalue = pvalue(center)
+    center_pvalue = step.pvalue(step.center)
 
     out: list[PredictionInterval] = []
     for eps in levels:
         if center_pvalue <= eps:
             out.append(PredictionInterval.empty())
             continue
-        lower = _mc_boundary(pvalue, center, eps, -1.0, mc, scale)
-        upper = _mc_boundary(pvalue, center, eps, +1.0, mc, scale)
+        lower = _mc_boundary(step, eps, -1.0, mc)
+        upper = _mc_boundary(step, eps, +1.0, mc)
         out.append(PredictionInterval(lower, upper))
     # Bisection noise can break nesting by a hair; widen outward to restore it.
     for j in range(1, len(out)):
@@ -909,33 +936,31 @@ def iidgauss_pvalue(
     typical and the p-value is one.
     """
     mc = mc if mc is not None else MonteCarloConfig()
-    machinery = _mc_machinery(
-        history, observation.explanatory, ridge, schedule, mc
-    )
-    if machinery is None:
+    step = _mc_machinery(history, observation.explanatory, ridge, schedule, mc)
+    if step is None:
         return 1.0
-    pvalue, _, _ = machinery
-    return pvalue(float(observation.response))
+    return step.pvalue(float(observation.response))
 
 
 def _mc_boundary(
-    pvalue, center: float, epsilon: float, direction: float, mc: MonteCarloConfig, scale: float
+    step: _MonteCarloStep, epsilon: float, direction: float, mc: MonteCarloConfig
 ) -> float:
-    """One endpoint of {y : pvalue(y) > epsilon}, searched outward from center."""
+    """One endpoint of {y : pvalue(y) > epsilon}, searched outward from the center."""
+    center = step.center
     inside = center
-    step = scale
+    distance = step.scale
     while True:
-        candidate = center + direction * step
-        if step > mc.search_bound:
+        candidate = center + direction * distance
+        if distance > mc.search_bound:
             return direction * inf
-        if pvalue(candidate) <= epsilon:
+        if step.pvalue(candidate) <= epsilon:
             outside = candidate
             break
         inside = candidate
-        step *= 2.0
+        distance *= 2.0
     for _ in range(mc.bisection_steps):
         middle = 0.5 * (inside + outside)
-        if pvalue(middle) > epsilon:
+        if step.pvalue(middle) > epsilon:
             inside = middle
         else:
             outside = middle

@@ -151,18 +151,25 @@ def complement_directions(
     redrawn, so the output is uniform on the unit sphere of each complement.
     ``gram_factor`` is the Cholesky factorization of design'design, which is
     invariant under row permutations.
+
+    Row m of the output lists its direction in the order ``orderings[m]``,
+    but the projection runs in the design's own row order: each draw is
+    scattered to the rows it belongs to, so the moments of all draws are one
+    GEMM against ``design`` and no permuted copy of the design is formed.
+    That costs O(count * n * K) in GEMMs and O(count * n) memory.
     """
     count, n = orderings.shape
-    rows = design[orderings]
     out = np.empty((count, n))
     pending = np.arange(count)
     for _ in range(64):
         if pending.size == 0:
             return out
         draws = rng.standard_normal((pending.size, n))
-        moments = np.einsum("mnk,mn->mk", rows[pending], draws)
-        coef = cho_solve(gram_factor, moments.T).T
-        resid = draws - np.einsum("mnk,mk->mn", rows[pending], coef)
+        order = orderings[pending]
+        scattered = np.empty_like(draws)
+        np.put_along_axis(scattered, order, draws, axis=1)
+        coef = cho_solve(gram_factor, (scattered @ design).T).T
+        resid = np.take_along_axis(scattered - coef @ design.T, order, axis=1)
         norms = np.linalg.norm(resid, axis=1)
         accepted = norms > _DIRECTION_FLOOR
         out[pending[accepted]] = resid[accepted] / norms[accepted, None]

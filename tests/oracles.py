@@ -14,6 +14,7 @@ from math import inf, pi, sqrt, tan
 
 import numpy as np
 from scipy import stats
+from scipy.linalg import cho_factor, cho_solve
 from scipy.special import erfinv
 
 
@@ -239,6 +240,75 @@ def sweep_loop(offset, slope):
     all_deltas = np.array([left + 1] + deltas + [-right - 1], dtype=np.int64)
     order = np.lexsort((-all_deltas, all_points))
     return all_points[order], all_deltas[order], left, right
+
+
+# ---------------------------------------------------------------------------
+# Monte-Carlo draws of the IID-Gauss predictor, in permuted row order
+# ---------------------------------------------------------------------------
+
+
+def complement_directions_gathered(rng, design, orderings, gram_factor) -> np.ndarray:
+    """Unit complement directions computed on an explicit permuted copy of the design.
+
+    Consumes ``rng`` exactly as the package's ``complement_directions`` (one
+    block of normal draws per rejection round) but gathers
+    ``design[orderings]``, a count x n x (K+1) tensor, and contracts it with
+    einsum, so no scatter to the unpermuted row order is involved.
+    """
+    count, n = orderings.shape
+    rows = design[orderings]
+    out = np.empty((count, n))
+    pending = np.arange(count)
+    for _ in range(64):
+        if pending.size == 0:
+            return out
+        draws = rng.standard_normal((pending.size, n))
+        moments = np.einsum("mnk,mn->mk", rows[pending], draws)
+        coef = cho_solve(gram_factor, moments.T).T
+        resid = draws - np.einsum("mnk,mk->mn", rows[pending], coef)
+        norms = np.linalg.norm(resid, axis=1)
+        accepted = norms > 1e-12
+        out[pending[accepted]] = resid[accepted] / norms[accepted, None]
+        pending = pending[~accepted]
+    raise RuntimeError("direction sampling failed to converge")
+
+
+def mc_draws_gathered(features, head_responses, ridge, active, samples, seed):
+    """Each draw's last truncated residual as (constant, slope, direction) parts.
+
+    ``features`` holds every row including the new one.  Follows the IID-Gauss
+    predictor's random stream (canonical row order, orderings, then
+    directions) and refits every permuted draw on its own gathered rows.
+    Returns (draw_const, draw_lin, draw_dir), one entry per draw.
+    """
+    features = np.asarray(features, dtype=float)
+    n = features.shape[0]
+    design = np.column_stack([np.ones(n), features])
+    factor = cho_factor(design.T @ design, lower=True)
+    fixed_fit = design @ cho_solve(factor, design[:-1].T @ np.asarray(head_responses, float))
+    unit_fit = design @ cho_solve(factor, design[-1])
+
+    canonical = np.lexsort(design.T[::-1])
+    rng = np.random.default_rng(seed)
+    orderings = canonical[np.argsort(rng.random((samples, n)), axis=1)]
+    directions = complement_directions_gathered(rng, design, orderings, factor)
+
+    truncated = design[:, : active + 1]
+    trunc_factor = cho_factor(
+        truncated.T @ truncated + ridge * np.eye(active + 1), lower=True
+    )
+    rows = truncated[orderings]
+
+    def last_residual(values):
+        moments = np.einsum("mnk,mn->mk", rows, values)
+        coef = cho_solve(trunc_factor, moments.T).T
+        return values[:, -1] - np.einsum("mk,mk->m", rows[:, -1, :], coef)
+
+    return (
+        last_residual(fixed_fit[orderings]),
+        last_residual(unit_fit[orderings]),
+        last_residual(directions),
+    )
 
 
 def rank_pvalue_direct(design, ridge, responses) -> float:

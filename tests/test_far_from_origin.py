@@ -76,11 +76,19 @@ def test_summary_pivot_at_a_feature_shift_matches_the_factor_fit():
 
 def test_iidgauss_search_is_measured_from_the_center():
     # the Monte-Carlo search bound (1e6) used to be measured from zero, so
-    # responses near 5e6 gave the whole line.  The moment arithmetic at
-    # y'y ~ 1e15 perturbs the conditional radius slightly, hence the looser
-    # tolerance.
+    # responses near 5e6 gave the whole line
     features, responses, x, _ = instance(3)
     shifted = responses + 5e6
     base = iidgauss_predict(history_of(features, shifted - 5e6), x, LEVELS)
     moved = iidgauss_predict(history_of(features, shifted), x, LEVELS)
     assert_moved(moved, base, 5e6, 1e-2)
+
+
+def test_iidgauss_radius_keeps_full_accuracy_at_a_response_shift():
+    # the conditional radius comes from residuals, not from y'y - m'b,
+    # which cancels at y'y ~ 1e15 and moves this interval by 9e-4 of its width
+    features, responses, x, _ = instance(3)
+    shifted = responses + 5e6
+    base = iidgauss_predict(history_of(features, shifted - 5e6), x, LEVELS)
+    moved = iidgauss_predict(history_of(features, shifted), x, LEVELS)
+    assert_moved(moved, base, 5e6, 1e-6)

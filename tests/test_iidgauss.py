@@ -1,18 +1,26 @@
 """Monte-Carlo summary-conditional predictor."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import cho_factor
 
+import oracles
 from olreg import (
+    FeatureSchedule,
     History,
     MonteCarloConfig,
     Observation,
     iidgauss_predict,
     iidgauss_pvalue,
 )
+from olreg.predictors import _mc_machinery
 from olreg.protocol import IidGaussPredictor
+from olreg.sampler import complement_directions, random_orderings
 
 
 def history_of(features, responses):
@@ -128,3 +136,68 @@ def test_ridge_enables_wide_histories():
     mc = MonteCarloConfig(samples=199, seed=2)
     intervals = iidgauss_predict(history, x, (0.1,), ridge=0.01, mc=mc)
     assert len(intervals) == 1  # regularized run completes
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    st.integers(min_value=1, max_value=6),
+    st.integers(min_value=2, max_value=30),
+    st.sampled_from([0.0, 0.01]),
+    st.one_of(st.none(), st.integers(min_value=1, max_value=40)),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_draws_match_the_gathered_oracle(k, extra, ridge, switch, seed):
+    # the draws are computed in unpermuted row order; the oracle refits
+    # every permuted draw on its own gathered rows with the same stream.
+    # Both forms lose eps * |draw| / |projection| when normalizing, and with
+    # a complement of dimension 1 or 2 that projection is near zero often
+    # enough to reach 1e-8, so the complement here has dimension >= 3.
+    rng = np.random.default_rng(seed)
+    n = k + 2 + extra
+    features = rng.normal(size=(n, k))
+    responses = features @ rng.normal(size=k) + rng.normal(size=n)
+    samples = 64
+
+    design = np.column_stack([np.ones(n), features])
+    factor = cho_factor(design.T @ design, lower=True)
+    orderings = random_orderings(np.random.default_rng(seed + 1), samples, n)
+    directions = complement_directions(np.random.default_rng(seed), design, orderings, factor)
+    expected = oracles.complement_directions_gathered(
+        np.random.default_rng(seed), design, orderings, factor
+    )
+    np.testing.assert_allclose(directions, expected, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(np.linalg.norm(directions, axis=1), 1.0, rtol=0, atol=1e-10)
+    moments = np.einsum("mnk,mn->mk", design[orderings], directions)
+    np.testing.assert_allclose(moments, 0.0, rtol=0, atol=1e-10)
+
+    schedule = None if switch is None else FeatureSchedule(1, switch, k)
+    active = k if schedule is None else schedule.active_features(n)
+    mc = MonteCarloConfig(samples=samples, seed=seed)
+    step = _mc_machinery(history_of(features[:-1], responses[:-1]), features[-1], ridge,
+                         schedule, mc)
+    draws = oracles.mc_draws_gathered(features, responses[:-1], ridge, active, samples, seed)
+    for got, want in zip((step.draw_const, step.draw_lin, step.draw_dir), draws):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    # the radius is the residual norm of the full fit with y appended
+    for y in (step.center, responses[-1], step.center + 10.0):
+        appended = np.append(responses[:-1], y)
+        solution, *_ = np.linalg.lstsq(design, appended, rcond=None)
+        energy = float(np.sum((appended - design @ solution) ** 2))
+        assert step.radius(y) ** 2 == pytest.approx(energy, rel=1e-9, abs=1e-12)
+
+
+def test_one_paper_scale_step_stays_small():
+    # a permuted copy of the design for 999 draws over 301 rows would be a
+    # 999 x 301 x 101 tensor (243 MB); the draws need O(samples * n) memory
+    rng = np.random.default_rng(70)
+    features = rng.normal(size=(301, 100))
+    responses = features @ rng.normal(size=100) + rng.normal(size=301)
+    history = history_of(features[:-1], responses[:-1])
+    tracemalloc.start()
+    try:
+        intervals = iidgauss_predict(history, features[-1], (0.05, 0.01))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(interval.is_bounded for interval in intervals)
+    assert peak < 40e6, f"peak {peak / 1e6:.1f} MB"
