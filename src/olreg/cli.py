@@ -180,7 +180,7 @@ def batch_predict(
     lower = np.empty((test_count, level_count))
     upper = np.empty((test_count, level_count))
     for i in range(test_count):
-        intervals = predictor.predict(history, test_features[i], levels)
+        intervals = predictor.predict(predictor.step(history, test_features[i]), levels)
         lower[i] = [interval.lower for interval in intervals]
         upper[i] = [interval.upper for interval in intervals]
     return BatchResult(lower, upper, 0)

@@ -227,6 +227,65 @@ def sweep_hull(state: SweepState, count: int, epsilon: float) -> PredictionInter
     )
 
 
+@dataclass(frozen=True, eq=False)
+class RidgeStep:
+    """One IID or MVA step: the ridge fit shared by its intervals and p-value.
+
+    ``projector`` fits the history rows plus the new one, truncated to the
+    scheduled columns, with the mean past response as the new row's
+    reference; ``decomposition`` writes every residual as an affine function
+    of the candidate response around that reference.  ``responses`` are the
+    history's.
+    """
+
+    responses: np.ndarray
+    projector: RidgeProjector
+    decomposition: ResidualDecomposition
+
+    @property
+    def count(self) -> int:
+        return self.projector.row_count
+
+    def residuals(self, response: float) -> np.ndarray:
+        """The n residuals once ``response`` is revealed, solved by the projector."""
+        return self.projector.residuals(np.append(self.responses, response))
+
+
+def _ridge_step(
+    history: History,
+    x_new,
+    ridge: float,
+    schedule: FeatureSchedule | None,
+    minimum: int,
+) -> RidgeStep | None:
+    """The step at n = len(history) + 1, or None when n is below ``minimum``."""
+    if len(history) + 1 < minimum:
+        return None
+    projector = _step_projector(
+        history, x_new, ridge, schedule, float(history.responses.mean())
+    )
+    return RidgeStep(
+        history.responses, projector, residual_decomposition(projector, history.responses)
+    )
+
+
+def _iid_step(history, x_new, ridge, schedule) -> RidgeStep | None:
+    """The rank predictor's step; None on an empty history."""
+    return _ridge_step(history, x_new, ridge, schedule, 2)
+
+
+def _iid_intervals(step: RidgeStep | None, levels) -> list[PredictionInterval]:
+    levels = validate_levels(levels)
+    if step is None:
+        return _full_lines(len(levels))
+    decomposition = step.decomposition
+    state = build_sweep(decomposition.offset, decomposition.slope)
+    return [
+        _shifted(sweep_hull(state, step.count, eps), decomposition.reference)
+        for eps in levels
+    ]
+
+
 def iid_predict(
     history: History,
     x_new,
@@ -247,18 +306,7 @@ def iid_predict(
     line is returned at any level.  The residuals are decomposed around the
     mean past response, and the sweep runs in the distance from it.
     """
-    levels = validate_levels(levels)
-    n = len(history) + 1
-    if n == 1:
-        return _full_lines(len(levels))
-    projector = _step_projector(
-        history, x_new, ridge, schedule, float(history.responses.mean())
-    )
-    decomposition = residual_decomposition(projector, history.responses)
-    state = build_sweep(decomposition.offset, decomposition.slope)
-    return [
-        _shifted(sweep_hull(state, n, eps), decomposition.reference) for eps in levels
-    ]
+    return _iid_intervals(_iid_step(history, x_new, ridge, schedule), levels)
 
 
 def iid_pvalue(scores, tie_break: float) -> float:
@@ -342,19 +390,17 @@ def gauss_fit(history: History, x_new) -> GaussFit:
     )
 
 
-def gauss_predict(history: History, x_new, levels) -> list[PredictionInterval]:
-    """Classical studentized prediction intervals, full line before step K+3.
+def _gauss_step(history: History, x_new) -> GaussFit | None:
+    """The pivot predictor's step: the fit, or None before step K + 3."""
+    if len(history) + 1 < history.feature_count + 3:
+        return None
+    return gauss_fit(history, x_new)
 
-    Below step K + 3 the residual scale has no degrees of freedom, so the
-    predictor abstains with the whole line; from K + 3 on the intervals are
-    exact under the linear-Gaussian model.  A zero estimated scale (perfectly
-    interpolated history) collapses the interval to the point prediction.
-    """
+
+def _pivot_intervals(fit: GaussFit | None, levels) -> list[PredictionInterval]:
     levels = validate_levels(levels)
-    n = len(history) + 1
-    if n < history.feature_count + 3:
+    if fit is None:
         return _full_lines(len(levels))
-    fit = gauss_fit(history, x_new)
     if fit.sigma_hat == 0.0:
         return [
             PredictionInterval(fit.point_prediction, fit.point_prediction)
@@ -369,6 +415,17 @@ def gauss_predict(history: History, x_new, levels) -> list[PredictionInterval]:
             PredictionInterval(fit.point_prediction - half, fit.point_prediction + half)
         )
     return out
+
+
+def gauss_predict(history: History, x_new, levels) -> list[PredictionInterval]:
+    """Classical studentized prediction intervals, full line before step K+3.
+
+    Below step K + 3 the residual scale has no degrees of freedom, so the
+    predictor abstains with the whole line; from K + 3 on the intervals are
+    exact under the linear-Gaussian model.  A zero estimated scale (perfectly
+    interpolated history) collapses the interval to the point prediction.
+    """
+    return _pivot_intervals(_gauss_step(history, x_new), levels)
 
 
 @dataclass(frozen=True, eq=False)
@@ -539,41 +596,19 @@ def centered_residual_score(residuals) -> float:
     return float((residuals[-1] - head_mean) / sqrt(spread))
 
 
-def mva_predict(
-    history: History,
-    x_new,
-    levels,
-    ridge: float = 0.0,
-    schedule: FeatureSchedule | None = None,
-) -> list[PredictionInterval]:
-    """Prediction intervals from the studentized last centered ridge residual.
+def _mva_step(history, x_new, ridge, schedule) -> RidgeStep | None:
+    """The centered-residual predictor's step; None before step 3."""
+    return _ridge_step(history, x_new, ridge, schedule, 3)
 
-    Valid whenever the noise is Gaussian, whatever the explanatory vectors
-    are; informative from step 3 on with a positive ridge, and from step
-    K + 3 on with ridge 0 (K the number of active features).  Residuals come
-    from one ridge fit of all n rows, so the candidate response enters every
-    residual and the survivor set is a quadratic region classified exactly
-    (no search).  The region is solved in the distance from the mean past
-    response, so its coefficients do not grow with the responses' distance
-    from zero.
 
-    With ridge 0 at n = K + 2 the residual space is one-dimensional: every
-    candidate's residual vector is a multiple of one direction, so the
-    statistic does not depend on y (apart from the single candidate where it
-    is 0/0).  The interval is then the empty set or the whole line, decided
-    once from that direction rather than from the sign of a discriminant that
-    is exactly zero and only rounding makes positive.
-    """
+def _mva_intervals(step: RidgeStep | None, levels) -> list[PredictionInterval]:
     levels = validate_levels(levels)
-    n = len(history) + 1
-    if n < 3:
+    if step is None:
         return _full_lines(len(levels))
-    projector = _step_projector(
-        history, x_new, ridge, schedule, float(history.responses.mean())
-    )
-    decomposition = residual_decomposition(projector, history.responses)
+    n = step.count
+    projector, decomposition = step.projector, step.decomposition
     dist = StudentT(n - 2)
-    if ridge == 0.0 and n == projector.column_count + 1:
+    if projector.ridge == 0.0 and n == projector.column_count + 1:
         # offset and slope both lie on the residual direction; either may vanish
         offset, slope = decomposition.offset, decomposition.slope
         direction = offset if np.linalg.norm(offset) >= np.linalg.norm(slope) else slope
@@ -600,6 +635,34 @@ def mva_predict(
         )
         for eps in levels
     ]
+
+
+def mva_predict(
+    history: History,
+    x_new,
+    levels,
+    ridge: float = 0.0,
+    schedule: FeatureSchedule | None = None,
+) -> list[PredictionInterval]:
+    """Prediction intervals from the studentized last centered ridge residual.
+
+    Valid whenever the noise is Gaussian, whatever the explanatory vectors
+    are; informative from step 3 on with a positive ridge, and from step
+    K + 3 on with ridge 0 (K the number of active features).  Residuals come
+    from one ridge fit of all n rows, so the candidate response enters every
+    residual and the survivor set is a quadratic region classified exactly
+    (no search).  The region is solved in the distance from the mean past
+    response, so its coefficients do not grow with the responses' distance
+    from zero.
+
+    With ridge 0 at n = K + 2 the residual space is one-dimensional: every
+    candidate's residual vector is a multiple of one direction, so the
+    statistic does not depend on y (apart from the single candidate where it
+    is 0/0).  The interval is then the empty set or the whole line, decided
+    once from that direction rather than from the sign of a discriminant that
+    is exactly zero and only rounding makes positive.
+    """
+    return _mva_intervals(_mva_step(history, x_new, ridge, schedule), levels)
 
 
 @dataclass(frozen=True, eq=False)
@@ -740,14 +803,16 @@ class MonteCarloConfig:
 
 
 @dataclass(frozen=True, eq=False)
-class _MonteCarloStep:
-    """The common draws of one IID-Gauss step as functions of the candidate y.
+class IidGaussStep:
+    """One IID-Gauss step: common draws as functions of the candidate y.
 
     Draw m's last truncated residual is
     ``draw_const[m] + y * draw_lin[m] + radius(y) * draw_dir[m]`` and the
     observed one is ``observed_const + y * observed_lin``, where
     ``radius(y)``^2 = rss + weight * (y - center)^2 is the residual energy of
-    the full least-squares fit once y is appended to the history.
+    the full least-squares fit once y is appended to the history.  ``scale``
+    is the first step of the survivor search and ``mc`` the configuration the
+    draws were made with.
     """
 
     draw_const: np.ndarray
@@ -759,6 +824,7 @@ class _MonteCarloStep:
     weight: float
     center: float
     scale: float
+    mc: MonteCarloConfig
 
     def radius(self, y: float) -> float:
         return sqrt(max(self.rss + self.weight * (y - self.center) ** 2, 0.0))
@@ -775,18 +841,21 @@ def _mc_machinery(
     ridge: float,
     schedule: FeatureSchedule | None,
     mc: MonteCarloConfig,
-) -> _MonteCarloStep | None:
-    """Common-draw p-value machinery shared by prediction and verification.
+) -> IidGaussStep | None:
+    """The IID-Gauss step at n = len(history) + 1.
 
     Returns the step's draws, least-squares point prediction ``center`` and a
     search step ``scale`` matched to the conditional spread; returns None
     while the conditional law is degenerate (fewer than K + 2 total
     observations, or no samples requested).
 
-    A draw permutes the rows, but the truncated Gram and moments do not
-    change under row permutations, so no permuted copy of the design is
+    A draw permutes the rows, but the truncated fit and the fitted vectors do
+    not change under row permutations, so no permuted copy of the design is
     formed: the fitted vectors' truncated residuals are computed once and read
-    at each draw's last row, and the directions' moments come from one GEMM.
+    at each draw's last row.  A draw's direction is orthogonal to every
+    design column, so its truncated fit is zero and its last residual is its
+    own last entry.  The fits are orthogonal projections through QR factors
+    of the design, so the design's conditioning is not squared.
     """
     k = history.feature_count
     n = len(history) + 1
@@ -802,47 +871,42 @@ def _mc_machinery(
     design[-1, 0] = 1.0
     design[-1, 1:] = x
     canonical = np.lexsort(design.T[::-1])
-    gram = design.T @ design
-    spectrum = np.linalg.svd(gram, compute_uv=False)
-    if spectrum[0] == 0.0 or spectrum[-1] / spectrum[0] < RCOND_FLOOR:
+    ordered = design[canonical]
+    basis, upper = np.linalg.qr(ordered)
+    if not _passes_rank_rule(upper, n):
         raise RankDeficiencyError("augmented design is rank deficient")
-    factor = cho_factor(gram, lower=True)
 
+    # Fitted vectors of the fixed responses (new response 0) and of the new
+    # row's unit vector, in canonical order.
     responses = history.responses
-    new_row = design[-1]
-    fixed_fit = design @ cho_solve(factor, design[: n - 1].T @ responses)
-    unit_solution = cho_solve(factor, new_row)
-    unit_fit = design @ unit_solution
+    new_at = int(np.flatnonzero(canonical == n - 1)[0])
+    fixed_fit = basis @ (basis.T @ np.append(responses, 0.0)[canonical])
+    unit_fit = basis @ basis[new_at]
 
     rng = np.random.default_rng(mc.seed)
     orderings = random_orderings(rng, mc.samples, n)
-    ordered = design[canonical]
-    directions = complement_directions(rng, ordered, orderings, factor)
+    directions = complement_directions(rng, ordered, orderings, (upper, False))
 
     active = schedule.active_features(n) if schedule is not None else k
     if active > k:
         raise ValueError(f"schedule asks for {active} features but only {k} exist")
     cols = active + 1
-    truncated = design[:, :cols]
-    trunc_gram = truncated.T @ truncated
-    if ridge > 0.0:
-        trunc_gram = trunc_gram + ridge * np.eye(cols)
-    else:
-        spectrum = np.linalg.svd(trunc_gram, compute_uv=False)
-        if spectrum[0] == 0.0 or spectrum[-1] / spectrum[0] < RCOND_FLOOR:
-            raise RankDeficiencyError("truncated design is rank deficient")
-    trunc_factor = cho_factor(trunc_gram, lower=True)
+    # the ridge fit projects onto the leading rows of the orthogonal factor
+    # of the truncated design stacked on sqrt(ridge) I
+    stacked = np.vstack([ordered[:, :cols], sqrt(ridge) * np.eye(cols)])
+    trunc_basis, trunc_upper = np.linalg.qr(stacked)
+    if not _passes_rank_rule(trunc_upper, n, ridge):
+        raise RankDeficiencyError("truncated design is rank deficient")
+    trunc_basis = trunc_basis[:n]
 
     fits = np.column_stack([fixed_fit, unit_fit])
-    fit_resid = fits - truncated @ cho_solve(trunc_factor, truncated.T @ fits)
-    last = orderings[:, -1]
-    draw_const, draw_lin = fit_resid[canonical[last]].T
-    scattered = np.empty_like(directions)
-    np.put_along_axis(scattered, orderings, directions, axis=1)
-    coef = cho_solve(trunc_factor, (scattered @ ordered[:, :cols]).T).T
-    draw_dir = directions[:, -1] - np.einsum("mk,mk->m", ordered[last, :cols], coef)
+    fit_resid = fits - trunc_basis @ (trunc_basis.T @ fits)
+    draw_const, draw_lin = fit_resid[orderings[:, -1]].T
+    draw_dir = directions[:, -1]
 
-    observed = residual_decomposition(RidgeProjector(truncated, ridge), responses)
+    observed = residual_decomposition(
+        RidgeProjector(design[:, :cols], ridge), responses
+    )
 
     # Residual energy once y is appended: the history's own residual energy
     # plus the new row's share of (y - center)^2.  Both parts are small where
@@ -851,51 +915,40 @@ def _mc_machinery(
     solution, *_ = np.linalg.lstsq(history_design, responses, rcond=None)
     history_resid = responses - history_design @ solution
     rss = float(history_resid @ history_resid)
-    center = float(new_row @ solution)
+    center = float(design[-1] @ solution)
     scale = max(
         sqrt(rss) / sqrt(max(n - k - 1, 1)),
         1e-3 * (1.0 + abs(center)),
         1e-6,
     )
-    return _MonteCarloStep(
+    return IidGaussStep(
         draw_const, draw_lin, draw_dir,
         float(observed.offset[-1]), float(observed.slope[-1]),
-        rss, 1.0 - float(new_row @ unit_solution), center, scale,
+        rss, 1.0 - float(basis[new_at] @ basis[new_at]), center, scale, mc,
     )
 
 
-def iidgauss_predict(
-    history: History,
-    x_new,
-    levels,
-    ridge: float = 0.0,
-    schedule: FeatureSchedule | None = None,
-    mc: MonteCarloConfig | None = None,
-) -> list[PredictionInterval]:
+def iidgauss_predict(step: IidGaussStep | None, levels) -> list[PredictionInterval]:
     """Monte-Carlo prediction intervals under the Gaussian response model.
 
     For each candidate response, appending it to the history fixes the
     sufficient summary (feature bag, response moments); the candidate's
     p-value is the chance that a fresh sequence drawn from the conditional
     law given that summary has a last ridge residual at least as large as
-    the observed one.  The chance is estimated by ``mc.samples`` common
-    draws: the bag ordering and sphere directions are drawn once per call
-    and reused for every candidate, so each draw's score is an explicit
-    affine function of the candidate plus a radius term, and one p-value
-    evaluation costs O(samples).  Setting the draws up costs
-    O(samples * n * K) in GEMMs and O(samples * n) memory: the directions and
-    the last residuals are computed in the unpermuted row order, so no
-    permuted copy of the design is formed.
+    the observed one.  The chance is estimated by the step's common draws:
+    the bag orderings and sphere directions are drawn once per step and
+    reused for every candidate, so each draw's score is an explicit affine
+    function of the candidate plus a radius term, and one p-value evaluation
+    costs O(samples).  ``IidGaussPredictor.step`` builds the step, in
+    O(samples * n * K) GEMMs and O(samples * n) memory.
 
     The reported interval brackets the estimated survivor set and is an
     approximation on two counts (Monte-Carlo noise, and a bisection search
     that assumes the survivor set is an interval around the point
-    prediction).  Needs at least K + 2 total observations, otherwise the
-    conditional law is degenerate and the full line is returned.
+    prediction).  A step of None (fewer than K + 2 total observations, where
+    the conditional law is degenerate, or no samples) gives full lines.
     """
     levels = validate_levels(levels)
-    mc = mc if mc is not None else MonteCarloConfig()
-    step = _mc_machinery(history, x_new, ridge, schedule, mc)
     if step is None:
         return _full_lines(len(levels))
     center_pvalue = step.pvalue(step.center)
@@ -905,8 +958,8 @@ def iidgauss_predict(
         if center_pvalue <= eps:
             out.append(PredictionInterval.empty())
             continue
-        lower = _mc_boundary(step, eps, -1.0, mc)
-        upper = _mc_boundary(step, eps, +1.0, mc)
+        lower = _mc_boundary(step, eps, -1.0)
+        upper = _mc_boundary(step, eps, +1.0)
         out.append(PredictionInterval(lower, upper))
     # Bisection noise can break nesting by a hair; widen outward to restore it.
     for j in range(1, len(out)):
@@ -921,44 +974,34 @@ def iidgauss_predict(
     return out
 
 
-def iidgauss_pvalue(
-    history: History,
-    observation: Observation,
-    ridge: float = 0.0,
-    schedule: FeatureSchedule | None = None,
-    mc: MonteCarloConfig | None = None,
-) -> float:
-    """Monte-Carlo p-value of a realized observation against its history.
+def iidgauss_pvalue(step: IidGaussStep | None, response: float) -> float:
+    """Monte-Carlo p-value of a realized response, from the step's own draws.
 
-    Uses the same common draws as ``iidgauss_predict`` with the same
-    configuration, so the realized p-value and the reported intervals agree.
-    While the conditional law is degenerate every observation is maximally
-    typical and the p-value is one.
+    The draws are the ones ``iidgauss_predict`` searched, so the realized
+    p-value and the reported intervals agree.  While the conditional law is
+    degenerate (a step of None) every response is maximally typical and the
+    p-value is one.
     """
-    mc = mc if mc is not None else MonteCarloConfig()
-    step = _mc_machinery(history, observation.explanatory, ridge, schedule, mc)
     if step is None:
         return 1.0
-    return step.pvalue(float(observation.response))
+    return step.pvalue(float(response))
 
 
-def _mc_boundary(
-    step: _MonteCarloStep, epsilon: float, direction: float, mc: MonteCarloConfig
-) -> float:
+def _mc_boundary(step: IidGaussStep, epsilon: float, direction: float) -> float:
     """One endpoint of {y : pvalue(y) > epsilon}, searched outward from the center."""
     center = step.center
     inside = center
     distance = step.scale
     while True:
         candidate = center + direction * distance
-        if distance > mc.search_bound:
+        if distance > step.mc.search_bound:
             return direction * inf
         if step.pvalue(candidate) <= epsilon:
             outside = candidate
             break
         inside = candidate
         distance *= 2.0
-    for _ in range(mc.bisection_steps):
+    for _ in range(step.mc.bisection_steps):
         middle = 0.5 * (inside + outside)
         if step.pvalue(middle) > epsilon:
             inside = middle

@@ -22,44 +22,52 @@ from math import inf, sqrt
 from typing import Protocol
 
 import numpy as np
-from scipy import stats
 
 from .base import (
     DegenerateFitError,
     FeatureSchedule,
     History,
-    Observation,
     PredictionInterval,
     Stream,
     validate_levels,
 )
 from .numerics import StudentT
 from .predictors import (
+    GaussFit,
+    IidGaussStep,
     MonteCarloConfig,
-    _step_projector,
+    RidgeStep,
+    _gauss_step,
+    _iid_intervals,
+    _iid_step,
+    _mc_machinery,
+    _mva_intervals,
+    _mva_step,
+    _pivot_intervals,
     centered_residual_score,
-    gauss_fit,
-    gauss_predict,
-    iid_predict,
     iid_pvalue,
     iidgauss_predict,
     iidgauss_pvalue,
-    mva_predict,
 )
 
 DEFAULT_SEED = 1729
 
 
 class OnlinePredictor(Protocol):
-    """What ``run_online`` needs from a predictor."""
+    """What ``run_online`` needs from a predictor.
 
-    def predict(
-        self, history: History, x_new, levels
-    ) -> list[PredictionInterval]: ...
+    ``step`` builds everything the predictor knows at one step from the
+    history and the new explanatory vector, before the response is seen;
+    ``predict`` reads the committed intervals from that step and ``pvalue``
+    the realized p-value once the response arrives.  Both answers come from
+    the same step, which is built once per observation.
+    """
 
-    def pvalue(
-        self, history: History, observation: Observation, tie_break: float
-    ) -> float: ...
+    def step(self, history: History, x_new): ...
+
+    def predict(self, step, levels) -> list[PredictionInterval]: ...
+
+    def pvalue(self, step, response: float, tie_break: float) -> float: ...
 
 
 @dataclass(frozen=True)
@@ -69,40 +77,38 @@ class IidPredictor:
     ridge: float = 0.0
     schedule: FeatureSchedule | None = None
 
-    def predict(self, history, x_new, levels):
-        return iid_predict(history, x_new, levels, self.ridge, self.schedule)
+    def step(self, history, x_new) -> RidgeStep | None:
+        return _iid_step(history, x_new, self.ridge, self.schedule)
 
-    def pvalue(self, history, observation, tie_break=1.0):
-        n = len(history) + 1
-        if n == 1:
+    def predict(self, step, levels):
+        return _iid_intervals(step, levels)
+
+    def pvalue(self, step, response, tie_break=1.0):
+        if step is None:
             # The only score ties with itself: zero larger, one equal.
             return tie_break
-        projector = _step_projector(
-            history, observation.explanatory, self.ridge, self.schedule, observation.response
-        )
-        responses = np.append(history.responses, observation.response)
-        scores = np.abs(projector.residuals(responses))
-        return iid_pvalue(scores, tie_break)
+        return iid_pvalue(np.abs(step.residuals(response)), tie_break)
 
 
 @dataclass(frozen=True)
 class GaussPredictor:
     """Studentized-pivot predictor: exact under the linear-Gaussian model."""
 
-    def predict(self, history, x_new, levels):
-        return gauss_predict(history, x_new, levels)
+    def step(self, history, x_new) -> GaussFit | None:
+        return _gauss_step(history, x_new)
 
-    def pvalue(self, history, observation, tie_break=1.0):
-        n = len(history) + 1
-        if n < history.feature_count + 3:
+    def predict(self, step, levels):
+        return _pivot_intervals(step, levels)
+
+    def pvalue(self, step, response, tie_break=1.0):
+        if step is None:
             return 1.0
-        fit = gauss_fit(history, observation.explanatory)
-        if fit.sigma_hat == 0.0:
-            return 1.0 if observation.response == fit.point_prediction else 0.0
-        pivot = (observation.response - fit.point_prediction) / (
-            fit.sigma_hat * sqrt(1.0 + fit.leverage)
+        if step.sigma_hat == 0.0:
+            return 1.0 if response == step.point_prediction else 0.0
+        pivot = (response - step.point_prediction) / (
+            step.sigma_hat * sqrt(1.0 + step.leverage)
         )
-        return 2.0 * (1.0 - StudentT(fit.degrees_of_freedom).cdf(abs(pivot)))
+        return 2.0 * (1.0 - StudentT(step.degrees_of_freedom).cdf(abs(pivot)))
 
 
 @dataclass(frozen=True)
@@ -112,20 +118,18 @@ class MvaPredictor:
     ridge: float = 0.0
     schedule: FeatureSchedule | None = None
 
-    def predict(self, history, x_new, levels):
-        return mva_predict(history, x_new, levels, self.ridge, self.schedule)
+    def step(self, history, x_new) -> RidgeStep | None:
+        return _mva_step(history, x_new, self.ridge, self.schedule)
 
-    def pvalue(self, history, observation, tie_break=1.0):
-        n = len(history) + 1
-        if n < 3:
+    def predict(self, step, levels):
+        return _mva_intervals(step, levels)
+
+    def pvalue(self, step, response, tie_break=1.0):
+        if step is None:
             return 1.0
-        projector = _step_projector(
-            history, observation.explanatory, self.ridge, self.schedule, observation.response
-        )
-        responses = np.append(history.responses, observation.response)
-        residuals = projector.residuals(responses)
+        n = step.count
         try:
-            score = centered_residual_score(residuals)
+            score = centered_residual_score(step.residuals(response))
         except DegenerateFitError:
             return 1.0
         statistic = sqrt((n - 1) * (n - 2) / n) * score
@@ -140,25 +144,27 @@ class IidGaussPredictor:
     schedule: FeatureSchedule | None = None
     mc: MonteCarloConfig = MonteCarloConfig()
 
-    def predict(self, history, x_new, levels):
-        return iidgauss_predict(
-            history, x_new, levels, self.ridge, self.schedule, self.mc
-        )
+    def step(self, history, x_new) -> IidGaussStep | None:
+        return _mc_machinery(history, x_new, self.ridge, self.schedule, self.mc)
 
-    def pvalue(self, history, observation, tie_break=1.0):
-        return iidgauss_pvalue(
-            history, observation, self.ridge, self.schedule, self.mc
-        )
+    def predict(self, step, levels):
+        return iidgauss_predict(step, levels)
+
+    def pvalue(self, step, response, tie_break=1.0):
+        return iidgauss_pvalue(step, response)
 
 
 @dataclass(frozen=True)
 class FullLinePredictor:
     """Degenerate baseline that never commits to anything."""
 
-    def predict(self, history, x_new, levels):
+    def step(self, history, x_new) -> None:
+        return None
+
+    def predict(self, step, levels):
         return [PredictionInterval.full_line() for _ in validate_levels(levels)]
 
-    def pvalue(self, history, observation, tie_break=1.0):
+    def pvalue(self, step, response, tie_break=1.0):
         return 1.0
 
 
@@ -171,6 +177,8 @@ class PValueTrace:
 
     def ks_uniform(self) -> tuple[float, float]:
         """Kolmogorov-Smirnov (statistic, p-value) against uniform on [0, 1]."""
+        from scipy import stats  # slow to import, and only the diagnostics need it
+
         result = stats.kstest(self.pvalues, "uniform")
         return float(result.statistic), float(result.pvalue)
 
@@ -270,14 +278,15 @@ def run_online(
 ) -> OnlineLedger:
     """Drive one pass of the on-line protocol and collect its ledger.
 
-    At every step the predictor commits to nested intervals before seeing
-    the response.  In the deterministic mode an error at a level means the
-    response fell outside the committed closed interval.  In the smoothed
-    mode the error indicator is derived from the realized p-value (computed
-    with a fresh uniform tie-break per step, shared across levels), which
-    makes the long-run error frequency exactly the significance level for a
-    rank-based predictor; interval lengths are still those of the committed
-    deterministic intervals.
+    At every step the predictor builds one step from the history and the new
+    explanatory vector, and commits to nested intervals read from it before
+    seeing the response.  In the deterministic mode an error at a level
+    means the response fell outside the committed closed interval.  In the
+    smoothed mode the error indicator is derived from the realized p-value,
+    read from the same step with a fresh uniform tie-break per step shared
+    across levels, which makes the long-run error frequency exactly the
+    significance level for a rank-based predictor; interval lengths are
+    still those of the committed deterministic intervals.
     """
     levels = validate_levels(levels)
     observations = list(stream)
@@ -294,23 +303,24 @@ def run_online(
     tie_breaks = np.zeros(step_count, dtype=float) if smoothed else None
 
     history = History(observations[0].explanatory.size)
-    for step, observation in enumerate(observations):
-        intervals = predictor.predict(history, observation.explanatory, levels)
+    for index, observation in enumerate(observations):
+        step = predictor.step(history, observation.explanatory)
+        intervals = predictor.predict(step, levels)
         if len(intervals) != level_count:
             raise RuntimeError("predictor returned the wrong number of intervals")
         _check_nested(intervals)
         for j, interval in enumerate(intervals):
-            lengths[j, step] = interval.length
+            lengths[j, index] = interval.length
         if smoothed:
             tie_break = float(rng.random())
-            p = predictor.pvalue(history, observation, tie_break)
-            pvalues[step] = p
-            tie_breaks[step] = tie_break
+            p = predictor.pvalue(step, observation.response, tie_break)
+            pvalues[index] = p
+            tie_breaks[index] = tie_break
             for j, epsilon in enumerate(levels):
-                errors[j, step] = 1 if p <= epsilon else 0
+                errors[j, index] = 1 if p <= epsilon else 0
         else:
             for j, interval in enumerate(intervals):
-                errors[j, step] = 0 if interval.contains(observation.response) else 1
+                errors[j, index] = 0 if interval.contains(observation.response) else 1
         history.append(observation)
 
     return OnlineLedger(
@@ -401,6 +411,8 @@ def binomial_band(count: int, epsilon: float, confidence: float = 0.99) -> tuple
         raise ValueError("epsilon must lie strictly between 0 and 1")
     if not 0.0 < confidence < 1.0:
         raise ValueError("confidence must lie strictly between 0 and 1")
+    from scipy import stats  # slow to import, and only the diagnostics need it
+
     tail = (1.0 - confidence) / 2.0
     low = int(stats.binom.ppf(tail, count, epsilon))
     high = int(stats.binom.ppf(1.0 - tail, count, epsilon))

@@ -28,10 +28,9 @@ from math import sqrt
 from typing import Iterable
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_solve
 
-from .base import Observation, RankDeficiencyError, SummaryMismatchError
-from .numerics import RCOND_FLOOR
+from .base import Observation, RankDeficiencyError, SummaryMismatchError, _passes_rank_rule
 
 # Directions whose projection onto the orthogonal complement is shorter than
 # this are redrawn; normalizing them would amplify rounding noise.
@@ -149,8 +148,10 @@ def complement_directions(
     Standard normal draws are projected onto the orthogonal complement and
     normalized; rows whose projection is shorter than the rejection floor are
     redrawn, so the output is uniform on the unit sphere of each complement.
-    ``gram_factor`` is the Cholesky factorization of design'design, which is
-    invariant under row permutations.
+    ``gram_factor`` is a triangular factor of design'design in the
+    ``(factor, lower)`` form of ``scipy.linalg.cho_solve``, for instance
+    ``(R, False)`` with R from a QR factorization of the design; the matrix
+    is invariant under row permutations.
 
     Row m of the output lists its direction in the order ``orderings[m]``,
     but the projection runs in the design's own row order: each draw is
@@ -178,18 +179,23 @@ def complement_directions(
 
 
 def _conditional_geometry(summary: IidGaussSummary):
-    """Shared setup: design, Cholesky factor, fitted vector, residual radius."""
+    """Shared setup: design, its triangular factor, fitted vector, residual radius.
+
+    The factor is the R of a QR factorization of the design, passed as
+    ``(R, False)`` wherever a Cholesky factor of design'design is expected:
+    R'R is that matrix, and deciding rank on R does not square the design's
+    conditioning.
+    """
     n, k = summary.count, summary.feature_count
     if n < k + 2:
         raise ValueError(
             f"need at least {k + 2} observations for {k} features; got {n}"
         )
     design = summary.design_matrix()
-    gram = design.T @ design
-    spectrum = np.linalg.svd(gram, compute_uv=False)
-    if spectrum[0] == 0.0 or spectrum[-1] / spectrum[0] < RCOND_FLOOR:
+    upper = np.linalg.qr(design, mode="r")
+    if not _passes_rank_rule(upper, n):
         raise RankDeficiencyError("feature bag gives a rank-deficient design")
-    factor = cho_factor(gram, lower=True)
+    factor = (upper, False)
     moments = summary.moment_vector()
     solution = cho_solve(factor, moments)
     energy = summary.square_sum - float(moments @ solution)

@@ -18,6 +18,7 @@ from olreg import (
     FeatureSchedule,
     GaussPredictor,
     History,
+    IidGaussPredictor,
     IidPredictor,
     MvaPredictor,
     Observation,
@@ -244,12 +245,8 @@ def test_criterion_07_sampler_exactness_and_coverage(capfd):
         history = History.from_observations(
             Observation(x[i], float(y[i])) for i in range(n)
         )
-        p = iidgauss_pvalue(
-            history,
-            Observation(x[n], float(y[n])),
-            ridge=0.0,
-            mc=MonteCarloConfig(samples=999, seed=t),
-        )
+        predictor = IidGaussPredictor(ridge=0.0, mc=MonteCarloConfig(samples=999, seed=t))
+        p = iidgauss_pvalue(predictor.step(history, x[n]), float(y[n]))
         covered += 1 if p > 0.05 else 0
     coverage = covered / 400.0
     ok = mismatched == 0 and 0.92 <= coverage <= 0.98
@@ -352,7 +349,8 @@ def test_criterion_10_asymptotic_accuracy(capfd):
         predictor = MvaPredictor(
             ridge=0.01, schedule=FeatureSchedule.for_feature_count(100)
         )
-        interval = predictor.predict(history, stream[599].explanatory, (0.05,))[0]
+        step = predictor.step(history, stream[599].explanatory)
+        interval = predictor.predict(step, (0.05,))[0]
         lengths.append(interval.length)
     median = float(np.median(lengths))
     ok = abs(median / target - 1.0) <= 0.15

@@ -2,10 +2,15 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import olreg
 import oracles
 from olreg import batch_predict, load_matrix
 from olreg.cli import main
@@ -281,3 +286,16 @@ def test_report_from_a_saved_ledger(tmp_path):
     }
     assert 0.0 <= report["pvalue_ks_statistic"] <= 1.0
     assert run(["report", "--ledger", tmp_path / "missing.json", "--out", out]) == 10
+
+
+def test_importing_the_cli_leaves_scipy_stats_unloaded():
+    # scipy.stats takes about as long to import as everything else together,
+    # and only the validity diagnostics use it
+    source = str(Path(olreg.__file__).resolve().parent.parent)
+    path = os.pathsep.join([source, os.environ.get("PYTHONPATH", "")])
+    env = dict(os.environ, PYTHONPATH=path)
+    code = "import sys, olreg.cli; print('scipy.stats' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert result.stdout.strip() == "False"

@@ -11,6 +11,7 @@ import pytest
 from olreg import (
     GaussSummary,
     History,
+    IidGaussPredictor,
     Observation,
     gauss_fit,
     gauss_score,
@@ -18,12 +19,17 @@ from olreg import (
     iidgauss_predict,
     mva_predict,
 )
+from olreg.sampler import IidGaussSummary, sample_conditional
 
 LEVELS = (0.05, 0.01)
 
 
 def history_of(features, responses):
     return History.from_observations(Observation(x, float(y)) for x, y in zip(features, responses))
+
+
+def iidgauss_intervals(history, x):
+    return iidgauss_predict(IidGaussPredictor().step(history, x), LEVELS)
 
 
 def instance(seed):
@@ -79,8 +85,8 @@ def test_iidgauss_search_is_measured_from_the_center():
     # responses near 5e6 gave the whole line
     features, responses, x, _ = instance(3)
     shifted = responses + 5e6
-    base = iidgauss_predict(history_of(features, shifted - 5e6), x, LEVELS)
-    moved = iidgauss_predict(history_of(features, shifted), x, LEVELS)
+    base = iidgauss_intervals(history_of(features, shifted - 5e6), x)
+    moved = iidgauss_intervals(history_of(features, shifted), x)
     assert_moved(moved, base, 5e6, 1e-2)
 
 
@@ -89,6 +95,28 @@ def test_iidgauss_radius_keeps_full_accuracy_at_a_response_shift():
     # which cancels at y'y ~ 1e15 and moves this interval by 9e-4 of its width
     features, responses, x, _ = instance(3)
     shifted = responses + 5e6
-    base = iidgauss_predict(history_of(features, shifted - 5e6), x, LEVELS)
-    moved = iidgauss_predict(history_of(features, shifted), x, LEVELS)
+    base = iidgauss_intervals(history_of(features, shifted - 5e6), x)
+    moved = iidgauss_intervals(history_of(features, shifted), x)
     assert_moved(moved, base, 5e6, 1e-6)
+
+
+def test_iidgauss_feature_shift_keeps_full_rank_and_the_interval():
+    # x + 1e3 gives a design condition number near 2e6; the squared Gram's
+    # reciprocal condition number (4e-13) used to fail the rank floor
+    features, responses, x, _ = instance(3)
+    shifted, x_shifted = features + 1e3, x + 1e3
+    base = iidgauss_intervals(history_of(shifted - 1e3, responses), x_shifted - 1e3)
+    moved = iidgauss_intervals(history_of(shifted, responses), x_shifted)
+    assert_moved(moved, base, 0.0, 1e-6)
+
+
+def test_sampler_at_a_feature_shift_reproduces_the_summary():
+    features, responses, _, _ = instance(0)
+    summary = IidGaussSummary.from_stream(
+        Observation(x, float(y)) for x, y in zip(features + 1e3, responses)
+    )
+    for sample in sample_conditional(summary, 20, seed=9):
+        again = sample.summary()
+        assert again.response_sum == pytest.approx(summary.response_sum, rel=1e-8)
+        assert np.allclose(again.cross_sum, summary.cross_sum, rtol=1e-8, atol=1e-10)
+        assert again.square_sum == pytest.approx(summary.square_sum, rel=1e-8)

@@ -169,8 +169,9 @@ def test_realized_pvalue_flips_at_the_interval_boundary():
     predictor = GaussPredictor()
     (interval,) = gauss_predict(history, np.array([5.0]), (0.1,))
     shift = 1e-6 * (1.0 + abs(interval.upper))
-    inside = predictor.pvalue(history, Observation(np.array([5.0]), interval.upper - shift), 0.5)
-    outside = predictor.pvalue(history, Observation(np.array([5.0]), interval.upper + shift), 0.5)
+    step = predictor.step(history, np.array([5.0]))
+    inside = predictor.pvalue(step, interval.upper - shift, 0.5)
+    outside = predictor.pvalue(step, interval.upper + shift, 0.5)
     assert inside > 0.1 >= outside
 
 

@@ -33,20 +33,23 @@ def random_history(rng, n, k):
     return history_of(rng.normal(size=(n, k)), rng.normal(size=n))
 
 
+def step_of(history, x, mc=MonteCarloConfig(), ridge=0.0):
+    return IidGaussPredictor(ridge=ridge, mc=mc).step(history, x)
+
+
 def test_full_lines_until_enough_observations():
     rng = np.random.default_rng(61)
     history = random_history(rng, 2, 2)  # n = 3 < K + 2 = 4
-    intervals = iidgauss_predict(history, rng.normal(size=2), (0.2, 0.05))
+    intervals = iidgauss_predict(step_of(history, rng.normal(size=2)), (0.2, 0.05))
     assert all((i.lower, i.upper) == (-math.inf, math.inf) for i in intervals)
-    obs = Observation(rng.normal(size=2), 0.0)
-    assert iidgauss_pvalue(history, obs) == 1.0
+    assert iidgauss_pvalue(step_of(history, rng.normal(size=2)), 0.0) == 1.0
 
 
 def test_no_samples_means_no_information():
     rng = np.random.default_rng(62)
     history = random_history(rng, 12, 2)
     mc = MonteCarloConfig(samples=0, seed=0)
-    intervals = iidgauss_predict(history, rng.normal(size=2), (0.05,), mc=mc)
+    intervals = iidgauss_predict(step_of(history, rng.normal(size=2), mc), (0.05,))
     assert (intervals[0].lower, intervals[0].upper) == (-math.inf, math.inf)
 
 
@@ -55,8 +58,8 @@ def test_intervals_are_deterministic_given_the_seed():
     history = random_history(rng, 15, 2)
     x = rng.normal(size=2)
     mc = MonteCarloConfig(samples=499, seed=3)
-    first = iidgauss_predict(history, x, (0.1, 0.05), mc=mc)
-    second = iidgauss_predict(history, x, (0.1, 0.05), mc=mc)
+    first = iidgauss_predict(step_of(history, x, mc), (0.1, 0.05))
+    second = iidgauss_predict(step_of(history, x, mc), (0.1, 0.05))
     assert first == second
 
 
@@ -66,7 +69,7 @@ def test_levels_nest():
         history = random_history(rng, 20, 2)
         x = rng.normal(size=2)
         mc = MonteCarloConfig(samples=499, seed=trial)
-        wide, mid, narrow = iidgauss_predict(history, x, (0.2, 0.1, 0.05), mc=mc)
+        wide, mid, narrow = iidgauss_predict(step_of(history, x, mc), (0.2, 0.1, 0.05))
         assert mid.lower <= wide.lower or wide.is_empty
         assert wide.upper <= mid.upper or wide.is_empty
         assert narrow.lower <= mid.lower or mid.is_empty
@@ -82,11 +85,12 @@ def test_permutation_invariance_is_bitwise():
     plain = history_of(features, responses)
     shuffled_index = rng.permutation(14)
     shuffled = history_of(features[shuffled_index], responses[shuffled_index])
-    a = iidgauss_predict(plain, x, (0.1,), mc=mc)
-    b = iidgauss_predict(shuffled, x, (0.1,), mc=mc)
+    a = iidgauss_predict(step_of(plain, x, mc), (0.1,))
+    b = iidgauss_predict(step_of(shuffled, x, mc), (0.1,))
     assert a == b
-    obs = Observation(x, 0.25)
-    assert iidgauss_pvalue(plain, obs, mc=mc) == iidgauss_pvalue(shuffled, obs, mc=mc)
+    assert iidgauss_pvalue(step_of(plain, x, mc), 0.25) == iidgauss_pvalue(
+        step_of(shuffled, x, mc), 0.25
+    )
 
 
 def test_pvalue_and_interval_are_consistent():
@@ -94,26 +98,26 @@ def test_pvalue_and_interval_are_consistent():
     history = random_history(rng, 25, 2)
     x = rng.normal(size=2)
     mc = MonteCarloConfig(samples=999, seed=5)
-    (interval,) = iidgauss_predict(history, x, (0.1,), mc=mc)
+    step = step_of(history, x, mc)
+    (interval,) = iidgauss_predict(step, (0.1,))
     assert interval.is_bounded
     center = 0.5 * (interval.lower + interval.upper)
     margin = 0.05 * interval.length
-    assert iidgauss_pvalue(history, Observation(x, center), mc=mc) > 0.1
+    assert iidgauss_pvalue(step, center) > 0.1
     far_out = interval.upper + 5.0 * interval.length
-    assert iidgauss_pvalue(history, Observation(x, far_out), mc=mc) <= 0.1
+    assert iidgauss_pvalue(step, far_out) <= 0.1
     # endpoints sit within the bisection resolution of the 0.1 contour
     near_inside = interval.upper - margin
     near_outside = interval.upper + margin
-    assert iidgauss_pvalue(history, Observation(x, near_inside), mc=mc) > 0.1
-    assert iidgauss_pvalue(history, Observation(x, near_outside), mc=mc) <= 0.1
+    assert iidgauss_pvalue(step, near_inside) > 0.1
+    assert iidgauss_pvalue(step, near_outside) <= 0.1
 
 
 def test_pvalue_floor_is_one_over_samples_plus_one():
     rng = np.random.default_rng(67)
     history = random_history(rng, 10, 1)
     mc = MonteCarloConfig(samples=9, seed=0)
-    outlier = Observation(np.array([0.0]), 1e6)
-    p = iidgauss_pvalue(history, outlier, mc=mc)
+    p = iidgauss_pvalue(step_of(history, np.array([0.0]), mc), 1e6)
     assert p >= 1.0 / 10.0
     assert p <= 0.5
 
@@ -134,7 +138,7 @@ def test_ridge_enables_wide_histories():
     history = random_history(rng, 6, 8)  # more columns than rows
     x = rng.normal(size=8)
     mc = MonteCarloConfig(samples=199, seed=2)
-    intervals = iidgauss_predict(history, x, (0.1,), ridge=0.01, mc=mc)
+    intervals = iidgauss_predict(step_of(history, x, mc, ridge=0.01), (0.1,))
     assert len(intervals) == 1  # regularized run completes
 
 
@@ -195,7 +199,7 @@ def test_one_paper_scale_step_stays_small():
     history = history_of(features[:-1], responses[:-1])
     tracemalloc.start()
     try:
-        intervals = iidgauss_predict(history, features[-1], (0.05, 0.01))
+        intervals = iidgauss_predict(step_of(history, features[-1]), (0.05, 0.01))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

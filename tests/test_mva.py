@@ -172,12 +172,9 @@ def test_realized_pvalue_flips_at_the_interval_boundary():
     predictor = MvaPredictor(ridge=0.01)
     (interval,) = mva_predict(history, np.array([15.0]), (0.1,), ridge=0.01)
     shift = 1e-7 * (1.0 + abs(interval.upper))
-    inside = predictor.pvalue(
-        history, Observation(np.array([15.0]), interval.upper - shift), 0.5
-    )
-    outside = predictor.pvalue(
-        history, Observation(np.array([15.0]), interval.upper + shift), 0.5
-    )
+    step = predictor.step(history, np.array([15.0]))
+    inside = predictor.pvalue(step, interval.upper - shift, 0.5)
+    outside = predictor.pvalue(step, interval.upper + shift, 0.5)
     assert inside > 0.1 >= outside
 
 
@@ -190,7 +187,7 @@ def test_pvalue_matches_direct_recomputation():
         features = rng.normal(size=(n, k))
         responses = rng.normal(size=n)
         history = history_of(features[:-1], responses[:-1])
-        p = predictor.pvalue(history, Observation(features[-1], responses[-1]), 0.5)
+        p = predictor.pvalue(predictor.step(history, features[-1]), responses[-1], 0.5)
         design = np.column_stack([np.ones(n), features])
         expected = oracles.centered_pvalue_direct(design, 0.01, responses)
         assert p == pytest.approx(expected, rel=1e-9, abs=1e-12)
@@ -218,9 +215,8 @@ def test_one_residual_dimension_gives_empty_set_or_whole_line():
     for features, responses, schedule in cases:
         history = history_of(features[:-1], responses[:-1])
         intervals = mva_predict(history, features[-1], levels, ridge=0.0, schedule=schedule)
-        p = MvaPredictor(ridge=0.0, schedule=schedule).pvalue(
-            history, Observation(features[-1], responses[-1]), 0.5
-        )
+        predictor = MvaPredictor(ridge=0.0, schedule=schedule)
+        p = predictor.pvalue(predictor.step(history, features[-1]), responses[-1], 0.5)
         for eps, interval in zip(levels, intervals):
             bounds = (interval.lower, interval.upper)
             assert bounds in ((math.inf, -math.inf), (-math.inf, math.inf)), bounds

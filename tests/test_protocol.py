@@ -6,43 +6,63 @@ import numpy as np
 import pytest
 
 import oracles
+import olreg.base
+import olreg.numerics
 from olreg import (
     DEFAULT_SEED,
+    FeatureSchedule,
     FullLinePredictor,
     GaussPredictor,
     History,
+    IidGaussPredictor,
     IidPredictor,
+    MonteCarloConfig,
+    MvaPredictor,
     Observation,
     OnlineLedger,
     PredictionInterval,
+    StudentT,
+    SyntheticConfig,
     binomial_band,
+    centered_residual_score,
     fisher_verify,
+    gauss_fit,
+    gen_synthetic,
+    iid_pvalue,
     median_accuracy,
     run_online,
     validity_report,
 )
+from olreg.base import DegenerateFitError
+from olreg.predictors import _mc_machinery, _step_projector
 from olreg.protocol import PValueTrace
 
 
 class EmptyPredictor:
     """Always claims certainty it cannot have: every interval is empty."""
 
-    def predict(self, history, x_new, levels):
+    def step(self, history, x_new):
+        return None
+
+    def predict(self, step, levels):
         return [PredictionInterval.empty() for _ in levels]
 
-    def pvalue(self, history, observation, tie_break=1.0):
+    def pvalue(self, step, response, tie_break=1.0):
         return 0.0
 
 
 class BrokenNestingPredictor:
     """*Narrower* intervals at *smaller* epsilon: deliberately inverted."""
 
-    def predict(self, history, x_new, levels):
+    def step(self, history, x_new):
+        return None
+
+    def predict(self, step, levels):
         return [
             PredictionInterval(-1.0 / eps, 1.0 / eps) for eps in sorted(levels)
         ]
 
-    def pvalue(self, history, observation, tie_break=1.0):
+    def pvalue(self, step, response, tie_break=1.0):
         return 1.0
 
 
@@ -254,3 +274,120 @@ def test_fisher_rejects_bad_arguments():
         fisher_verify(np.ones(10), batch_size=1, epsilon=0.1)
     with pytest.raises(ValueError):
         fisher_verify(np.ones(10), batch_size=3, epsilon=0.1, mode="other")
+
+
+MODELS = (
+    IidPredictor(ridge=0.01, schedule=FeatureSchedule(1, 6, 3)),
+    MvaPredictor(ridge=0.01, schedule=FeatureSchedule(1, 6, 3)),
+    GaussPredictor(),
+    IidGaussPredictor(mc=MonteCarloConfig(samples=99, seed=4)),
+)
+
+
+@pytest.mark.parametrize("predictor", MODELS, ids=lambda p: type(p).__name__)
+def test_smoothed_runs_build_one_step_per_observation(predictor, monkeypatch):
+    built = []
+    build = type(predictor).step
+
+    def counted(self, history, x_new):
+        built.append(len(history))
+        return build(self, history, x_new)
+
+    monkeypatch.setattr(type(predictor), "step", counted)
+    stream = feature_stream(np.random.default_rng(82), 30, 3)
+    run_online(predictor, stream, (0.2, 0.1), smoothed=True)
+    assert built == list(range(30))
+
+
+def test_smoothed_iid_absorbs_two_rows_per_step(monkeypatch):
+    # one row into the history's kept factor and one into the step's copy;
+    # building the step a second time for the p-value would make it three
+    absorbed = []
+    absorb = olreg.base.absorb_rows
+
+    def counted(triangle, rows):
+        absorbed.append(len(rows))
+        return absorb(triangle, rows)
+
+    monkeypatch.setattr(olreg.base, "absorb_rows", counted)
+    monkeypatch.setattr(olreg.numerics, "absorb_rows", counted)
+    stream = gen_synthetic(SyntheticConfig(seed=3, observation_count=60, feature_count=100))
+    predictor = IidPredictor(ridge=0.01, schedule=FeatureSchedule.for_feature_count(100))
+    run_online(predictor, stream, (0.05, 0.01), smoothed=True)
+    assert len(absorbed) == 2 * (len(stream) - 1)
+
+
+def one_off_pvalue(predictor, history, observation, tie_break):
+    """The realized p-value built afresh for the known response, as it was
+    computed before steps were shared, and whether the rank scores tie
+    within 1e-12 without being equal (rounding then decides the rank)."""
+    n = len(history) + 1
+    x, y = observation.explanatory, observation.response
+    if isinstance(predictor, IidGaussPredictor):
+        step = _mc_machinery(history, x, predictor.ridge, predictor.schedule, predictor.mc)
+        return (1.0 if step is None else step.pvalue(y)), False
+    if isinstance(predictor, GaussPredictor):
+        if n < history.feature_count + 3:
+            return 1.0, False
+        fit = gauss_fit(history, x)
+        pivot = (y - fit.point_prediction) / (fit.sigma_hat * np.sqrt(1.0 + fit.leverage))
+        return 2.0 * (1.0 - StudentT(fit.degrees_of_freedom).cdf(abs(pivot))), False
+    if isinstance(predictor, IidPredictor) and n == 1:
+        return tie_break, False
+    if isinstance(predictor, MvaPredictor) and n < 3:
+        return 1.0, False
+    projector = _step_projector(history, x, predictor.ridge, predictor.schedule, y)
+    residuals = projector.residuals(np.append(history.responses, y))
+    if isinstance(predictor, IidPredictor):
+        scores = np.abs(residuals)
+        gaps = np.abs(scores[:-1] - scores[-1])
+        near_tie = bool(np.any((gaps > 0.0) & (gaps <= 1e-12)))
+        return iid_pvalue(scores, tie_break), near_tie
+    try:
+        score = centered_residual_score(residuals)
+    except DegenerateFitError:
+        return 1.0, False
+    statistic = np.sqrt((n - 1) * (n - 2) / n) * score
+    return 2.0 * (1.0 - StudentT(n - 2).cdf(abs(statistic))), False
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_shared_step_pvalues_match_the_one_off_computation(seed):
+    rng = np.random.default_rng(300 + seed)
+    stream = feature_stream(rng, 40, 3)
+    levels = (0.2, 0.05)
+    predictors = [GaussPredictor()]
+    for ridge in (0.0, 0.01, 0.5):
+        for schedule in (None, FeatureSchedule(1, 6, 3)):
+            if ridge > 0.0 or schedule is not None:  # ridge 0 needs rows before columns
+                predictors += [
+                    IidPredictor(ridge=ridge, schedule=schedule),
+                    MvaPredictor(ridge=ridge, schedule=schedule),
+                ]
+            predictors.append(
+                IidGaussPredictor(ridge, schedule, MonteCarloConfig(samples=99, seed=seed))
+            )
+    for predictor in predictors:
+        ledger = run_online(predictor, stream, levels, smoothed=True, seed=seed)
+        history = History(3)
+        expected, near_ties = [], []
+        for observation, tie_break in zip(stream, ledger.trace.tie_breaks):
+            pvalue, near_tie = one_off_pvalue(predictor, history, observation, tie_break)
+            expected.append(pvalue)
+            near_ties.append(near_tie)
+            history.append(observation)
+        got = ledger.trace.pvalues
+        expected, near_ties = np.array(expected), np.array(near_ties)
+        if isinstance(predictor, MvaPredictor):
+            np.testing.assert_allclose(got, expected, rtol=1e-9, atol=0)
+        else:
+            assert np.array_equal(got[~near_ties], expected[~near_ties]), predictor
+        # only a ridge-0 step of n = (active features) + 1 rows ties: it
+        # interpolates, so every residual is zero up to rounding
+        interpolating = [
+            n for n in range(1, len(stream) + 1)
+            if predictor.ridge == 0.0 and n == predictor.schedule.active_features(n) + 1
+        ] if isinstance(predictor, IidPredictor) else []
+        assert (np.flatnonzero(near_ties) + 1).tolist() in ([], interpolating), predictor
+        bits = np.array([[p <= eps for p in expected] for eps in levels], dtype=np.uint8)
+        assert np.array_equal(ledger.errors[:, ~near_ties], bits[:, ~near_ties]), predictor
