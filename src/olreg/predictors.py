@@ -18,8 +18,10 @@ Four predictors are provided, differing in what they assume about the data:
   law; it studentizes the last centered ridge residual and classifies the
   resulting quadratic inequality in y.
 * ``iidgauss_predict`` assumes the Gaussian response model with exchangeable
-  explanatory vectors and estimates the survivor set by Monte Carlo draws
-  from the exact conditional distribution given the sufficient summary.
+  explanatory vectors and estimates p-values by Monte Carlo draws from the
+  exact conditional distribution given the sufficient summary; the survivor
+  set of those estimates is found exactly, by a sweep over the at most four
+  points per draw where the draw's score crosses the candidate's.
 
 ``wilks_predict`` is the model-free order-statistic predictor used as a
 baseline: it needs no explanatory data at all.
@@ -134,6 +136,22 @@ class SweepState:
     left_count: int
     right_count: int
 
+    @classmethod
+    def from_crossings(cls, points, deltas, left: int, right: int) -> "SweepState":
+        """Sort the crossing points (lists of arrays) between the infinite sentinels.
+
+        The sentinels carry ``left`` + 1 and -``right`` - 1: the candidate's
+        own score is always counted.
+        """
+        all_points = np.concatenate([[-inf], *points, [inf]])
+        all_deltas = np.concatenate([[left + 1], *deltas, [-right - 1]]).astype(np.int64)
+        # Stable ascending sort; at ties the +1 entries must come first so the
+        # prefix peak at a point equals the membership count at that point.
+        # Entries that tie on both keys are equal (at most the sign of a zero
+        # differs), so the order in which they are emitted does not matter.
+        order = np.lexsort((-all_deltas, all_points))
+        return cls(all_points[order], all_deltas[order], left, right)
+
     def prefix_counts(self) -> np.ndarray:
         return np.cumsum(self.deltas)
 
@@ -199,15 +217,7 @@ def build_sweep(offset: np.ndarray, slope: np.ndarray) -> SweepState:
         left += covering
         right += covering
 
-    all_points = np.concatenate([[-inf], *points, [inf]])
-    all_deltas = np.concatenate([[left + 1], *deltas, [-right - 1]]).astype(np.int64)
-    # Stable ascending sort; at ties the +1 entries must come first so the
-    # prefix peak at a point equals the membership count at that point.
-    # Entries that tie on both keys are equal (at most the sign of a zero
-    # differs), so the order in which the cases above emit them does not
-    # matter.
-    order = np.lexsort((-all_deltas, all_points))
-    return SweepState(all_points[order], all_deltas[order], left, right)
+    return SweepState.from_crossings(points, deltas, left, right)
 
 
 def sweep_hull(state: SweepState, count: int, epsilon: float) -> PredictionInterval:
@@ -246,6 +256,11 @@ class RidgeStep:
     def count(self) -> int:
         return self.projector.row_count
 
+    @property
+    def interpolates(self) -> bool:
+        """Ridge 0 with as many rows as columns: every residual is identically zero."""
+        return self.projector.ridge == 0.0 and self.count == self.projector.column_count
+
     def residuals(self, response: float) -> np.ndarray:
         """The n residuals once ``response`` is revealed, solved by the projector."""
         return self.projector.residuals(np.append(self.responses, response))
@@ -276,7 +291,8 @@ def _iid_step(history, x_new, ridge, schedule) -> RidgeStep | None:
 
 def _iid_intervals(step: RidgeStep | None, levels) -> list[PredictionInterval]:
     levels = validate_levels(levels)
-    if step is None:
+    if step is None or step.interpolates:
+        # every residual ties with the candidate's, whatever the candidate
         return _full_lines(len(levels))
     decomposition = step.decomposition
     state = build_sweep(decomposition.offset, decomposition.slope)
@@ -303,8 +319,11 @@ def iid_predict(
     slightly longer intervals than the tie-smoothed ideal.
 
     With an empty history every candidate is maximally typical, so the full
-    line is returned at any level.  The residuals are decomposed around the
-    mean past response, and the sweep runs in the distance from it.
+    line is returned at any level.  So it is at ridge 0 with as many rows as
+    columns: the fit interpolates and every residual is zero whatever the
+    candidate, which that structure decides rather than rounding residue.
+    The residuals are decomposed around the mean past response, and the
+    sweep runs in the distance from it.
     """
     return _iid_intervals(_iid_step(history, x_new, ridge, schedule), levels)
 
@@ -785,21 +804,18 @@ def wilks_level(step: int, depth: int) -> float:
 
 @dataclass(frozen=True)
 class MonteCarloConfig:
-    """Knobs of the Monte-Carlo survivor search.
+    """Knobs of the Monte-Carlo p-value estimate.
 
     ``samples`` conditional draws give the p-value estimate
-    (1 + #{draws at least as strange}) / (samples + 1); the survivor set
-    boundary is bracketed by geometric expansion from the least-squares
-    point prediction out to ``search_bound`` away from it and then pinned
-    down with ``bisection_steps`` halvings per endpoint.  Setting up the
-    draws of one step costs O(samples * n * K) in GEMMs and O(samples * n)
-    memory; every p-value after that costs O(samples).
+    (1 + #{draws at least as strange}) / (samples + 1), and ``seed`` fixes
+    the draws.  Setting up the draws of one step costs O(samples * n * K) in
+    GEMMs and O(samples * n) memory; after that a p-value costs O(samples)
+    and the survivor sets of every level one O(samples log samples) sweep,
+    with no search bound and no bisection.
     """
 
     samples: int = 999
     seed: object = 0
-    search_bound: float = 1e6
-    bisection_steps: int = 40
 
 
 @dataclass(frozen=True, eq=False)
@@ -810,9 +826,18 @@ class IidGaussStep:
     ``draw_const[m] + y * draw_lin[m] + radius(y) * draw_dir[m]`` and the
     observed one is ``observed_const + y * observed_lin``, where
     ``radius(y)``^2 = rss + weight * (y - center)^2 is the residual energy of
-    the full least-squares fit once y is appended to the history.  ``scale``
-    is the first step of the survivor search and ``mc`` the configuration the
-    draws were made with.
+    the full least-squares fit once y is appended to the history; ``center``
+    is the history's least-squares prediction.  Scores are compared in
+    u = y - center, so they do not cancel when responses sit far from zero.
+
+    ``ties`` marks the draws whose last row is the new row when the residual
+    sphere is one-dimensional (n = K + 2).  Such a draw reproduces the
+    observed sequence wherever u has the sign of its ``draw_dir``, so there
+    it counts as at least as strange, decided from that structure rather
+    than from rounding residue.  ``reflected`` says that the truncated fit
+    is the full one (ridge 0 on all K features): a draw's last residual is
+    then ``radius(y) * draw_dir`` alone, so a tied draw reproduces the
+    observed score on both sides.
     """
 
     draw_const: np.ndarray
@@ -823,16 +848,90 @@ class IidGaussStep:
     rss: float
     weight: float
     center: float
-    scale: float
-    mc: MonteCarloConfig
+    ties: np.ndarray
+    reflected: bool
 
     def radius(self, y: float) -> float:
         return sqrt(max(self.rss + self.weight * (y - self.center) ** 2, 0.0))
 
+    def strange(self, u: np.ndarray) -> np.ndarray:
+        """Whether each draw is at least as strange as the observed sequence at
+        y = center + u; ``u`` is a scalar or has one row per draw."""
+        u = np.asarray(u, dtype=float)
+        per_draw = (slice(None),) + (None,) * (u.ndim - 1)
+        lin = self.draw_lin[per_draw]
+        direction = self.draw_dir[per_draw]
+        const = self.draw_const[per_draw] + self.center * lin
+        radius = np.sqrt(np.maximum(self.rss + self.weight * u * u, 0.0))
+        scores = np.abs(const + lin * u + radius * direction)
+        observed = self.observed_const + self.center * self.observed_lin
+        target = np.abs(observed + self.observed_lin * u)
+        tied = self.ties[per_draw] & (self.reflected | (u * direction >= 0.0))
+        return (scores >= target) | tied
+
     def pvalue(self, y: float) -> float:
-        scores = np.abs(self.draw_const + y * self.draw_lin + self.radius(y) * self.draw_dir)
-        target = abs(self.observed_const + y * self.observed_lin)
-        return (1 + int(np.count_nonzero(scores >= target))) / (scores.size + 1)
+        count = int(np.count_nonzero(self.strange(y - self.center)))
+        return (1 + count) / (self.draw_dir.size + 1)
+
+    def sweep(self) -> SweepState:
+        """Every point in u = y - center where some draw's indicator changes.
+
+        Draw m's last residual equals s times the observed one (s = +1 or
+        -1) where radius(u) * d = P + Q u, with d = draw_dir[m], P = s * g -
+        a and Q = s * observed_lin - draw_lin[m]; a and g are the draw's and
+        the observed last residual without the radius term at u = 0.
+        Squaring gives the quadratic (Q^2 - d^2 w) u^2 + 2 P Q u + (P^2 -
+        d^2 rss) = 0, whose discriminant is d^2 (rss Q^2 + w (P^2 - d^2
+        rss)), so each draw crosses at most four times (plus u = 0 for a
+        tied draw).  Roots that
+        the squaring adds are harmless: the indicator is probed once in every
+        cell between a draw's sorted roots, and only a change of the probed
+        value is a crossing.  Prefix sums of the sorted deltas count, on
+        every cell, the draws at least as strange, plus one for the observed
+        sequence itself.
+        """
+        w, rss = self.weight, self.rss
+        lin, direction = self.draw_lin, self.draw_dir
+        const = self.draw_const + self.center * lin
+        observed = self.observed_const + self.center * self.observed_lin
+        spread = direction * direction
+        columns = [np.where(self.ties, 0.0, inf)]
+        for sign in (1.0, -1.0):
+            p = sign * observed - const
+            q = sign * self.observed_lin - lin
+            lead = q * q - spread * w
+            half = p * q
+            constant = p * p - spread * rss
+            disc = rss * q * q + w * constant
+            real = disc >= 0.0
+            root = np.abs(direction) * np.sqrt(np.where(real, disc, 0.0))
+            # the root of larger magnitude from the sum of like signs, the
+            # other from the product of the roots, so neither cancels
+            far = -(half + np.copysign(root, half))
+            columns.append(np.divide(far, lead, out=np.full_like(far, inf),
+                                     where=real & (lead != 0.0)))
+            columns.append(np.divide(constant, far, out=np.full_like(far, inf),
+                                     where=real & (far != 0.0)))
+        roots = np.sort(np.column_stack(columns), axis=1)
+        known = np.isfinite(roots)  # the missing roots (inf) sort last
+        at = np.where(known, roots, 0.0)
+        reach = 1.0 + np.abs(at)
+        # one probe left of the first root, then one right of each root: the
+        # midpoint to the next root, or a point past the last
+        probes = np.empty((roots.shape[0], roots.shape[1] + 1))
+        probes[:, 0] = at[:, 0] - reach[:, 0]
+        probes[:, 1:] = at + reach
+        probes[:, 1:-1] = np.where(
+            known[:, 1:], 0.5 * (at[:, :-1] + at[:, 1:]), probes[:, 1:-1]
+        )
+        strange = self.strange(probes)
+        after = strange[:, 1:]
+        changes = known & (after != strange[:, :-1])
+        left = int(np.count_nonzero(strange[:, 0]))
+        right = int(np.count_nonzero(strange[np.arange(roots.shape[0]), known.sum(axis=1)]))
+        return SweepState.from_crossings(
+            [roots[changes]], [np.where(after[changes], 1, -1)], left, right
+        )
 
 
 def _mc_machinery(
@@ -844,18 +943,18 @@ def _mc_machinery(
 ) -> IidGaussStep | None:
     """The IID-Gauss step at n = len(history) + 1.
 
-    Returns the step's draws, least-squares point prediction ``center`` and a
-    search step ``scale`` matched to the conditional spread; returns None
-    while the conditional law is degenerate (fewer than K + 2 total
-    observations, or no samples requested).
+    Returns the step's draws, the observed last residual and the radius
+    terms; returns None while the conditional law is degenerate (fewer than
+    K + 2 total observations, or no samples requested).
 
     A draw permutes the rows, but the truncated fit and the fitted vectors do
     not change under row permutations, so no permuted copy of the design is
     formed: the fitted vectors' truncated residuals are computed once and read
-    at each draw's last row.  A draw's direction is orthogonal to every
-    design column, so its truncated fit is zero and its last residual is its
-    own last entry.  The fits are orthogonal projections through QR factors
-    of the design, so the design's conditioning is not squared.
+    at each draw's last row, and the observed one at the new row.  A draw's
+    direction is orthogonal to every design column, so its truncated fit is
+    zero and its last residual is its own last entry.  The fits are
+    orthogonal projections through QR factors of the design, so the design's
+    conditioning is not squared.
     """
     k = history.feature_count
     n = len(history) + 1
@@ -878,53 +977,60 @@ def _mc_machinery(
 
     # Fitted vectors of the fixed responses (new response 0) and of the new
     # row's unit vector, in canonical order.
-    responses = history.responses
     new_at = int(np.flatnonzero(canonical == n - 1)[0])
-    fixed_fit = basis @ (basis.T @ np.append(responses, 0.0)[canonical])
+    fixed = np.append(history.responses, 0.0)[canonical]
+    fixed_fit = basis @ (basis.T @ fixed)
     unit_fit = basis @ basis[new_at]
 
     rng = np.random.default_rng(mc.seed)
     orderings = random_orderings(rng, mc.samples, n)
     directions = complement_directions(rng, ordered, orderings, (upper, False))
 
+    # Once y is appended the full fit leaves residual fixed - fixed_fit +
+    # y * (unit - unit_fit), whose energy is least at the history's own
+    # prediction, center, where it is the history's residual energy rss.
+    # Both are read off these vectors, so nothing cancels when the responses
+    # sit far from zero.
+    weight = 1.0 - float(basis[new_at] @ basis[new_at])
+    center = float(fixed_fit[new_at]) / weight if weight > 0.0 else 0.0
+    if n == k + 2:
+        # One residual dimension: the history's K + 1 rows are interpolated,
+        # and the draws whose last row is the new row tie (see IidGaussStep).
+        rss, ties = 0.0, orderings[:, -1] == new_at
+    else:
+        resid = fixed - fixed_fit - center * unit_fit
+        resid[new_at] += center
+        rss, ties = float(resid @ resid), np.zeros(mc.samples, dtype=bool)
+    draw_dir = directions[:, -1]
+
     active = schedule.active_features(n) if schedule is not None else k
     if active > k:
         raise ValueError(f"schedule asks for {active} features but only {k} exist")
-    cols = active + 1
-    # the ridge fit projects onto the leading rows of the orthogonal factor
-    # of the truncated design stacked on sqrt(ridge) I
-    stacked = np.vstack([ordered[:, :cols], sqrt(ridge) * np.eye(cols)])
-    trunc_basis, trunc_upper = np.linalg.qr(stacked)
-    if not _passes_rank_rule(trunc_upper, n, ridge):
-        raise RankDeficiencyError("truncated design is rank deficient")
-    trunc_basis = trunc_basis[:n]
-
-    fits = np.column_stack([fixed_fit, unit_fit])
-    fit_resid = fits - trunc_basis @ (trunc_basis.T @ fits)
-    draw_const, draw_lin = fit_resid[orderings[:, -1]].T
-    draw_dir = directions[:, -1]
-
-    observed = residual_decomposition(
-        RidgeProjector(design[:, :cols], ridge), responses
-    )
-
-    # Residual energy once y is appended: the history's own residual energy
-    # plus the new row's share of (y - center)^2.  Both parts are small where
-    # y'y - m'b would cancel, so responses far from zero keep full accuracy.
-    history_design = history.design_matrix
-    solution, *_ = np.linalg.lstsq(history_design, responses, rcond=None)
-    history_resid = responses - history_design @ solution
-    rss = float(history_resid @ history_resid)
-    center = float(design[-1] @ solution)
-    scale = max(
-        sqrt(rss) / sqrt(max(n - k - 1, 1)),
-        1e-3 * (1.0 + abs(center)),
-        1e-6,
-    )
+    reflected = ridge == 0.0 and active == k
+    if reflected:
+        # The truncated fit is the full fit: it leaves nothing of the fitted
+        # vectors, and the observed last residual is weight * (y - center).
+        draw_const = draw_lin = np.zeros(mc.samples)
+        observed_const, observed_lin = -weight * center, weight
+    else:
+        # the ridge fit projects onto the leading rows of the orthogonal
+        # factor of the truncated design stacked on sqrt(ridge) I
+        cols = active + 1
+        stacked = np.vstack([ordered[:, :cols], sqrt(ridge) * np.eye(cols)])
+        trunc_basis, trunc_upper = np.linalg.qr(stacked)
+        if not _passes_rank_rule(trunc_upper, n, ridge):
+            raise RankDeficiencyError("truncated design is rank deficient")
+        trunc_basis = trunc_basis[:n]
+        fits = np.column_stack([fixed_fit, unit_fit])
+        fit_resid = fits - trunc_basis @ (trunc_basis.T @ fits)
+        draw_const, draw_lin = fit_resid[orderings[:, -1]].T
+        # the observed sequence's own last residual: its new row
+        trunc_row = trunc_basis[new_at]
+        observed_const = -float(trunc_row @ (trunc_basis.T @ fixed))
+        observed_lin = 1.0 - float(trunc_row @ trunc_row)
     return IidGaussStep(
-        draw_const, draw_lin, draw_dir,
-        float(observed.offset[-1]), float(observed.slope[-1]),
-        rss, 1.0 - float(basis[new_at] @ basis[new_at]), center, scale, mc,
+        draw_const, draw_lin, draw_dir, observed_const, observed_lin,
+        rss, weight, center, ties, reflected,
     )
 
 
@@ -938,46 +1044,31 @@ def iidgauss_predict(step: IidGaussStep | None, levels) -> list[PredictionInterv
     the observed one.  The chance is estimated by the step's common draws:
     the bag orderings and sphere directions are drawn once per step and
     reused for every candidate, so each draw's score is an explicit affine
-    function of the candidate plus a radius term, and one p-value evaluation
-    costs O(samples).  ``IidGaussPredictor.step`` builds the step, in
-    O(samples * n * K) GEMMs and O(samples * n) memory.
+    function of the candidate plus a radius term.  ``IidGaussPredictor.step``
+    builds the step, in O(samples * n * K) GEMMs and O(samples * n) memory.
 
-    The reported interval brackets the estimated survivor set and is an
-    approximation on two counts (Monte-Carlo noise, and a bisection search
-    that assumes the survivor set is an interval around the point
-    prediction).  A step of None (fewer than K + 2 total observations, where
-    the conditional law is degenerate, or no samples) gives full lines.
+    The estimate is a step function of the candidate whose jumps are solved
+    in closed form (``IidGaussStep.sweep``), so the reported interval is the
+    exact hull of the candidates whose estimated p-value exceeds epsilon, in
+    one O(samples log samples) sweep for all levels: no search bound, no
+    bisection, and no assumption that the survivor set is an interval.  An
+    unbounded end cell gives a ray.  The only approximation left is the
+    Monte-Carlo noise of the estimate.  A step of None (fewer than K + 2
+    total observations, where the conditional law is degenerate, or no
+    samples) gives full lines.
     """
     levels = validate_levels(levels)
     if step is None:
         return _full_lines(len(levels))
-    center_pvalue = step.pvalue(step.center)
-
-    out: list[PredictionInterval] = []
-    for eps in levels:
-        if center_pvalue <= eps:
-            out.append(PredictionInterval.empty())
-            continue
-        lower = _mc_boundary(step, eps, -1.0)
-        upper = _mc_boundary(step, eps, +1.0)
-        out.append(PredictionInterval(lower, upper))
-    # Bisection noise can break nesting by a hair; widen outward to restore it.
-    for j in range(1, len(out)):
-        if out[j].is_empty:
-            continue
-        prev = out[j - 1]
-        if prev.is_empty:
-            continue
-        out[j] = PredictionInterval(
-            min(out[j].lower, prev.lower), max(out[j].upper, prev.upper)
-        )
-    return out
+    state = step.sweep()
+    count = step.draw_dir.size + 1
+    return [_shifted(sweep_hull(state, count, eps), step.center) for eps in levels]
 
 
 def iidgauss_pvalue(step: IidGaussStep | None, response: float) -> float:
     """Monte-Carlo p-value of a realized response, from the step's own draws.
 
-    The draws are the ones ``iidgauss_predict`` searched, so the realized
+    The draws are the ones ``iidgauss_predict`` swept, so the realized
     p-value and the reported intervals agree.  While the conditional law is
     degenerate (a step of None) every response is maximally typical and the
     p-value is one.
@@ -985,26 +1076,3 @@ def iidgauss_pvalue(step: IidGaussStep | None, response: float) -> float:
     if step is None:
         return 1.0
     return step.pvalue(float(response))
-
-
-def _mc_boundary(step: IidGaussStep, epsilon: float, direction: float) -> float:
-    """One endpoint of {y : pvalue(y) > epsilon}, searched outward from the center."""
-    center = step.center
-    inside = center
-    distance = step.scale
-    while True:
-        candidate = center + direction * distance
-        if distance > step.mc.search_bound:
-            return direction * inf
-        if step.pvalue(candidate) <= epsilon:
-            outside = candidate
-            break
-        inside = candidate
-        distance *= 2.0
-    for _ in range(step.mc.bisection_steps):
-        middle = 0.5 * (inside + outside)
-        if step.pvalue(middle) > epsilon:
-            inside = middle
-        else:
-            outside = middle
-    return 0.5 * (inside + outside)

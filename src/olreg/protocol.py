@@ -84,8 +84,8 @@ class IidPredictor:
         return _iid_intervals(step, levels)
 
     def pvalue(self, step, response, tie_break=1.0):
-        if step is None:
-            # The only score ties with itself: zero larger, one equal.
+        if step is None or step.interpolates:
+            # Every score ties with the last: zero larger, all equal.
             return tie_break
         return iid_pvalue(np.abs(step.residuals(response)), tie_break)
 

@@ -160,21 +160,27 @@ def complement_directions(
     That costs O(count * n * K) in GEMMs and O(count * n) memory.
     """
     count, n = orderings.shape
-    out = np.empty((count, n))
+    out = None
     pending = np.arange(count)
     for _ in range(64):
-        if pending.size == 0:
-            return out
         draws = rng.standard_normal((pending.size, n))
         order = orderings[pending]
         scattered = np.empty_like(draws)
         np.put_along_axis(scattered, order, draws, axis=1)
         coef = cho_solve(gram_factor, (scattered @ design).T).T
-        resid = np.take_along_axis(scattered - coef @ design.T, order, axis=1)
+        scattered -= coef @ design.T
+        resid = np.take_along_axis(scattered, order, axis=1)
         norms = np.linalg.norm(resid, axis=1)
         accepted = norms > _DIRECTION_FLOOR
+        if out is None:
+            if accepted.all():  # the usual case: no row to redraw, no copies
+                resid /= norms[:, None]
+                return resid
+            out = np.empty((count, n))
         out[pending[accepted]] = resid[accepted] / norms[accepted, None]
         pending = pending[~accepted]
+        if pending.size == 0:
+            return out
     raise RuntimeError("direction sampling failed to converge; is the complement trivial?")
 
 

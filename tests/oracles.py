@@ -273,6 +273,67 @@ def complement_directions_gathered(rng, design, orderings, gram_factor) -> np.nd
     raise RuntimeError("direction sampling failed to converge")
 
 
+def complement_directions_masked(rng, design, orderings, gram_factor) -> np.ndarray:
+    """The package's scatter-and-GEMM direction sampler, as it was before it
+    worked in place: every round copies the accepted rows out by boolean
+    masks.  The in-place form must reproduce it bit for bit."""
+    count, n = orderings.shape
+    out = np.empty((count, n))
+    pending = np.arange(count)
+    for _ in range(64):
+        if pending.size == 0:
+            return out
+        draws = rng.standard_normal((pending.size, n))
+        order = orderings[pending]
+        scattered = np.empty_like(draws)
+        np.put_along_axis(scattered, order, draws, axis=1)
+        coef = cho_solve(gram_factor, (scattered @ design).T).T
+        resid = np.take_along_axis(scattered - coef @ design.T, order, axis=1)
+        norms = np.linalg.norm(resid, axis=1)
+        accepted = norms > 1e-12
+        out[pending[accepted]] = resid[accepted] / norms[accepted, None]
+        pending = pending[~accepted]
+    raise RuntimeError("direction sampling failed to converge")
+
+
+def mc_bisection_boundary(step, epsilon, direction, scale, search_bound):
+    """One endpoint of {y : step.pvalue(y) > epsilon}, searched outward from
+    ``step.center``: doubling steps from ``scale`` until the p-value drops to
+    epsilon or the distance passes ``search_bound`` (a ray), then 40
+    bisections.  It finds the first crossing on each side, so it assumes the
+    survivor set is an interval around the center."""
+    center = step.center
+    inside = center
+    distance = scale
+    while True:
+        candidate = center + direction * distance
+        if distance > search_bound:
+            return direction * inf
+        if step.pvalue(candidate) <= epsilon:
+            outside = candidate
+            break
+        inside = candidate
+        distance *= 2.0
+    for _ in range(40):
+        middle = 0.5 * (inside + outside)
+        if step.pvalue(middle) > epsilon:
+            inside = middle
+        else:
+            outside = middle
+    return 0.5 * (inside + outside)
+
+
+def mc_bisection_interval(step, epsilon, scale, search_bound):
+    """(lower, upper) by bisection from the center; (inf, -inf) when the
+    center itself has a p-value at or below epsilon."""
+    if step.pvalue(step.center) <= epsilon:
+        return inf, -inf
+    return (
+        mc_bisection_boundary(step, epsilon, -1.0, scale, search_bound),
+        mc_bisection_boundary(step, epsilon, +1.0, scale, search_bound),
+    )
+
+
 def mc_draws_gathered(features, head_responses, ridge, active, samples, seed):
     """Each draw's last truncated residual as (constant, slope, direction) parts.
 

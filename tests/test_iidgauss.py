@@ -106,7 +106,7 @@ def test_pvalue_and_interval_are_consistent():
     assert iidgauss_pvalue(step, center) > 0.1
     far_out = interval.upper + 5.0 * interval.length
     assert iidgauss_pvalue(step, far_out) <= 0.1
-    # endpoints sit within the bisection resolution of the 0.1 contour
+    # endpoints sit on the 0.1 contour
     near_inside = interval.upper - margin
     near_outside = interval.upper + margin
     assert iidgauss_pvalue(step, near_inside) > 0.1
@@ -205,3 +205,124 @@ def test_one_paper_scale_step_stays_small():
         tracemalloc.stop()
     assert all(interval.is_bounded for interval in intervals)
     assert peak < 40e6, f"peak {peak / 1e6:.1f} MB"
+
+
+class ScriptedNormals:
+    """A generator stand-in whose first normal block is given; later blocks
+    come from a real generator."""
+
+    def __init__(self, first, seed):
+        self._first = first
+        self._rest = np.random.default_rng(seed)
+
+    def standard_normal(self, shape):
+        if self._first is not None:
+            first, self._first = self._first, None
+            assert first.shape == shape
+            return first
+        return self._rest.standard_normal(shape)
+
+
+@pytest.mark.parametrize("n,k,samples", [(12, 3, 64), (40, 5, 200), (120, 5, 999), (61, 30, 101)])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_directions_match_the_masked_loop_bitwise(n, k, samples, seed):
+    rng = np.random.default_rng(seed)
+    design = np.column_stack([np.ones(n), rng.normal(size=(n, k))])
+    factor = (np.linalg.qr(design, mode="r"), False)
+    orderings = random_orderings(rng, samples, n)
+    got = complement_directions(np.random.default_rng(seed), design, orderings, factor)
+    want = oracles.complement_directions_masked(
+        np.random.default_rng(seed), design, orderings, factor
+    )
+    assert np.array_equal(got, want)
+    # draws lying in the column space are redrawn: the first block puts the
+    # intercept column in every third row
+    first = np.random.default_rng(seed + 10).standard_normal((samples, n))
+    first[::3] = 1.0
+    got = complement_directions(ScriptedNormals(first.copy(), seed), design, orderings, factor)
+    want = oracles.complement_directions_masked(
+        ScriptedNormals(first.copy(), seed), design, orderings, factor
+    )
+    assert np.array_equal(got, want)
+    np.testing.assert_allclose(np.linalg.norm(got, axis=1), 1.0, rtol=0, atol=1e-12)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.integers(min_value=1, max_value=5),
+    st.integers(min_value=0, max_value=30),
+    st.sampled_from([0.0, 0.01]),
+    st.one_of(st.none(), st.integers(min_value=1, max_value=40)),
+    st.sampled_from([(0.2,), (0.1, 0.05), (0.5, 0.2, 0.05, 0.01)]),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_sweep_contains_the_bisection_and_meets_it_at_its_ends(
+    k, extra, ridge, switch, levels, seed
+):
+    # the bisection oracle searches outward from the center, so it finds the
+    # survivor set only where that set is an interval around the center; the
+    # sweep must contain its interval, share every finite endpoint unless a
+    # gap lies between them, and sit on a p-value jump at each of its own ends
+    rng = np.random.default_rng(seed)
+    n = k + 2 + extra
+    features = rng.normal(size=(n, k))
+    responses = features @ rng.normal(size=k) + rng.normal(size=n)
+    schedule = None if switch is None else FeatureSchedule(1, switch, k)
+    step = _mc_machinery(history_of(features[:-1], responses[:-1]), features[-1], ridge,
+                         schedule, MonteCarloConfig(samples=99, seed=seed))
+    scale = max(math.sqrt(step.rss / max(n - k - 1, 1)), 1e-3 * (1.0 + abs(step.center)), 1e-6)
+    for eps, got in zip(levels, iidgauss_predict(step, levels)):
+        lower, upper = oracles.mc_bisection_interval(step, eps, scale, search_bound=1e9)
+        if got.is_empty:
+            assert lower > upper, (eps, lower, upper)
+            continue
+        width = got.upper - got.lower
+        tol = 1e-9 * (width if 0.0 < width < math.inf else scale)
+        if lower <= upper:
+            assert got.lower <= lower + tol and upper - tol <= got.upper, (got, lower, upper)
+        for side, end, found in ((-1.0, got.lower, lower), (1.0, got.upper, upper)):
+            if math.isinf(end):
+                assert end == side * math.inf
+                continue
+            gap = lower <= upper and math.isfinite(found) and abs(end - found) > tol
+            if gap:
+                assert iidgauss_pvalue(step, found + side * tol) <= eps
+            if width > 0.0:
+                assert iidgauss_pvalue(step, end - side * tol) > eps, (eps, side, end)
+            else:
+                assert iidgauss_pvalue(step, end) > eps, (eps, end)
+            for distance in tol * 10.0 ** np.arange(0, 16, 3):
+                assert iidgauss_pvalue(step, end + side * distance) <= eps, (eps, side, end)
+
+
+@pytest.mark.parametrize("k", [1, 3, 5])
+@pytest.mark.parametrize("ridge,switch", [(0.0, None), (0.01, None), (0.01, 2)])
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_one_residual_dimension_is_decided_by_structure(k, ridge, switch, seed):
+    # at n = K + 2 the draws whose last row is the new row reproduce the
+    # observed sequence, so their scores tie with it exactly; counting them
+    # by structure makes the answer scale with the responses, where rounding
+    # used to decide it differently at every scale
+    rng = np.random.default_rng(400 + seed)
+    n = k + 2
+    features = rng.normal(size=(n, k))
+    responses = features @ rng.normal(size=k) + rng.normal(size=n)
+    schedule = None if switch is None else FeatureSchedule(1, switch, k)
+    predictor = IidGaussPredictor(ridge, schedule, MonteCarloConfig(samples=199, seed=seed))
+    levels = (0.3, 0.2, 0.1, 0.05)
+    answers = []
+    for factor in (1.0, 3.0):
+        scaled = factor * responses
+        step = predictor.step(history_of(features[:-1], scaled[:-1]), features[-1])
+        answers.append((predictor.predict(step, levels), predictor.pvalue(step, scaled[-1])))
+    (base, base_p), (tripled, tripled_p) = answers
+    assert tripled_p == base_p
+    for plain, scaled in zip(base, tripled):
+        assert plain.is_empty == scaled.is_empty
+        if plain.is_empty:
+            continue
+        for a, b in ((plain.lower, scaled.lower), (plain.upper, scaled.upper)):
+            if math.isinf(a):
+                assert b == a
+            else:
+                assert b == pytest.approx(3.0 * a, rel=1e-9, abs=1e-12)

@@ -319,8 +319,9 @@ def test_smoothed_iid_absorbs_two_rows_per_step(monkeypatch):
 
 def one_off_pvalue(predictor, history, observation, tie_break):
     """The realized p-value built afresh for the known response, as it was
-    computed before steps were shared, and whether the rank scores tie
-    within 1e-12 without being equal (rounding then decides the rank)."""
+    computed before steps were shared (a ridge-0 IID step that interpolates
+    is decided by its structure), and whether the rank scores tie within
+    1e-12 without being equal (rounding would then decide the rank)."""
     n = len(history) + 1
     x, y = observation.explanatory, observation.response
     if isinstance(predictor, IidGaussPredictor):
@@ -333,6 +334,12 @@ def one_off_pvalue(predictor, history, observation, tie_break):
         pivot = (y - fit.point_prediction) / (fit.sigma_hat * np.sqrt(1.0 + fit.leverage))
         return 2.0 * (1.0 - StudentT(fit.degrees_of_freedom).cdf(abs(pivot))), False
     if isinstance(predictor, IidPredictor) and n == 1:
+        return tie_break, False
+    if isinstance(predictor, IidPredictor) and predictor.ridge == 0.0 and (
+        n == predictor.schedule.active_features(n) + 1
+    ):
+        # a ridge-0 fit of n rows on n columns interpolates: every residual
+        # is zero, so every score ties with the last
         return tie_break, False
     if isinstance(predictor, MvaPredictor) and n < 3:
         return 1.0, False
@@ -381,13 +388,8 @@ def test_shared_step_pvalues_match_the_one_off_computation(seed):
         if isinstance(predictor, MvaPredictor):
             np.testing.assert_allclose(got, expected, rtol=1e-9, atol=0)
         else:
-            assert np.array_equal(got[~near_ties], expected[~near_ties]), predictor
-        # only a ridge-0 step of n = (active features) + 1 rows ties: it
-        # interpolates, so every residual is zero up to rounding
-        interpolating = [
-            n for n in range(1, len(stream) + 1)
-            if predictor.ridge == 0.0 and n == predictor.schedule.active_features(n) + 1
-        ] if isinstance(predictor, IidPredictor) else []
-        assert (np.flatnonzero(near_ties) + 1).tolist() in ([], interpolating), predictor
+            assert np.array_equal(got, expected), predictor
+        # no rank is left to rounding: the interpolating steps are decided above
+        assert not near_ties.any(), (predictor, np.flatnonzero(near_ties) + 1)
         bits = np.array([[p <= eps for p in expected] for eps in levels], dtype=np.uint8)
-        assert np.array_equal(ledger.errors[:, ~near_ties], bits[:, ~near_ties]), predictor
+        assert np.array_equal(ledger.errors, bits), predictor
