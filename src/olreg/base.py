@@ -85,6 +85,19 @@ class History:
     update (Gill, Golub, Murray & Saunders 1974), O(K^2) per absorbed row.
     A fixed history is therefore triangularized once, an on-line run pays
     O(K^2) per step, and predictors that never ask for a factor pay nothing.
+
+    With each kept factor the history carries one rank certificate: the
+    number ||R_D^-1||_F of the factor's design block R_D, taken from the
+    last triangular inverse of that block (``design_inverse_norm``).
+    Appending rows adds u u' to R_D'R_D for each row u, which never lowers
+    the smallest singular value and never raises trace((R_D'R_D)^-1) =
+    ||R_D^-1||_F^2; the inverse of a leading block of R_D is the leading
+    block of R_D^-1.  So the carried number bounds ||T^-1||_F, and
+    ||T||_F times it bounds kappa_2(T), for the current block, for any
+    truncation of it to leading columns, and for any triangle that adds rows
+    to either.  One inverse thus settles the rank rule for every later step
+    until the bound stops settling it; an on-line run forms a new inverse
+    only then, not once per step.
     """
 
     def __init__(self, feature_count: int):
@@ -94,8 +107,7 @@ class History:
         self._design = np.empty((16, self._k + 1))
         self._responses = np.empty(16)
         self._n = 0
-        # ridge -> [factor, number of rows absorbed into it]
-        self._factors: dict[float, list] = {}
+        self._factors: dict[float, _KeptFactor] = {}
         self._full_rank: bool | None = None
 
     @classmethod
@@ -169,19 +181,8 @@ class History:
         if not 0.0 <= ridge < inf:
             raise ValueError("ridge must be nonnegative and finite")
         columns = self._k + 1 if columns is None else columns
-        entry = self._factors.get(ridge)
-        if entry is None or entry[0].shape[0] <= columns:
-            start = np.zeros((columns + 1, columns + 1), order="F")
-            np.fill_diagonal(start[:-1, :-1], sqrt(ridge))
-            entry = self._factors[ridge] = [start, 0]
-        factor, absorbed = entry
+        factor = self._kept_factor(ridge, columns).triangle
         width = factor.shape[0] - 1
-        if absorbed < self._n:
-            rows = np.empty((self._n - absorbed, width + 1), order="F")
-            rows[:, :-1] = self._design[absorbed : self._n, :width]
-            rows[:, -1] = self._responses[absorbed : self._n]
-            entry[0] = factor = absorb_rows(factor, rows)
-            entry[1] = self._n
         if columns == width:
             return factor
         truncated = np.zeros((columns + 1, columns + 1), order="F")
@@ -190,16 +191,60 @@ class History:
         truncated[columns, columns] = np.linalg.norm(factor[columns:, -1])
         return truncated
 
+    def _kept_factor(self, ridge: float, columns: int) -> "_KeptFactor":
+        """The factor kept for ``ridge``, at least ``columns`` design columns
+        wide, with every appended row absorbed."""
+        entry = self._factors.get(ridge)
+        if entry is None or entry.triangle.shape[0] <= columns:
+            start = np.zeros((columns + 1, columns + 1), order="F")
+            np.fill_diagonal(start[:-1, :-1], sqrt(ridge))
+            entry = self._factors[ridge] = _KeptFactor(start)
+        if entry.absorbed < self._n:
+            width = entry.triangle.shape[0] - 1
+            rows = np.empty((self._n - entry.absorbed, width + 1), order="F")
+            rows[:, :-1] = self._design[entry.absorbed : self._n, :width]
+            rows[:, -1] = self._responses[entry.absorbed : self._n]
+            entry.triangle = absorb_rows(entry.triangle, rows)
+            entry.absorbed = self._n
+        return entry
+
+    def design_inverse_norm(self, ridge: float = 0.0) -> float | None:
+        """The rank certificate kept with ``ridge``'s factor.
+
+        ||R_D^-1||_F of the factor's design block as it was when last taken,
+        which bounds ||T^-1||_F for the current block, for any truncation of
+        it and for any step triangle built on either (see the class
+        docstring).  It is taken again, by one triangular inverse of the
+        current block, only when it no longer settles the rank rule for that
+        block.  An exactly singular block gives inf; None means that the
+        sqrt(ridge) shortcut settles the rule without it.
+        """
+        ridge = float(ridge)
+        entry = self._factors.get(ridge)
+        width = self._k + 1 if entry is None else entry.triangle.shape[0] - 1
+        entry = self._kept_factor(ridge, width)
+        block = entry.triangle[:width, :width]
+        if _settles(block, self._n, ridge, entry.inverse_norm):
+            return entry.inverse_norm
+        if entry.inverse_norm is None or entry.certified_rows < self._n:
+            inverse, info = lapack.dtrtri(block)
+            entry.inverse_norm = inf if info > 0 else float(np.linalg.norm(inverse))
+            entry.certified_rows = self._n
+        return entry.inverse_norm
+
     def design_has_full_rank(self) -> bool:
         """Least-squares rank rule for the design, cached until the next append.
 
         The design is rank deficient when sigma_min <= eps * max(n, K+1) *
         sigma_max, the default cut-off of LAPACK's SVD least-squares solver.
         The singular values of the design are those of the leading block of
-        ``triangular_factor``, so the rule is evaluated there: the rigorous
-        bound kappa_2 <= ||R||_F ||R^-1||_F settles it from one triangular
-        inverse when the bound is far below the cut-off, and the exact
-        singular values decide otherwise.
+        ``triangular_factor``, so the rule is evaluated there, with the
+        certificate of ``design_inverse_norm``: appended rows only raise the
+        design's smallest singular value, so an on-line run settles the rule
+        from the inverse it formed at an earlier step, and forms a new one
+        only when ||R||_F times the carried norm no longer lies far below
+        the cut-off.  When even a fresh certificate does not settle it, the
+        exact singular values decide.
         """
         if self._full_rank is None:
             cols = self._k + 1
@@ -207,9 +252,23 @@ class History:
                 self._full_rank = False
             else:
                 self._full_rank = _passes_rank_rule(
-                    self.triangular_factor()[:cols, :cols], self._n
+                    self.triangular_factor()[:cols, :cols],
+                    self._n,
+                    inverse_norm=self.design_inverse_norm(),
                 )
         return self._full_rank
+
+
+@dataclass(eq=False)
+class _KeptFactor:
+    """A ridge factor the history keeps: ``absorbed`` rows are folded into
+    ``triangle``, and ``inverse_norm`` is ||R_D^-1||_F of its design block
+    after ``certified_rows`` rows (None until a rank rule asks for it)."""
+
+    triangle: np.ndarray
+    absorbed: int = 0
+    inverse_norm: float | None = None
+    certified_rows: int = 0
 
 
 def absorb_rows(triangle: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -231,8 +290,30 @@ def _rank_tolerance(rows: int, cols: int) -> float:
     return np.finfo(float).eps * max(rows, cols)
 
 
+def _settles(
+    triangle: np.ndarray,
+    rows: int,
+    ridge: float,
+    inverse_norm: float | None,
+    tolerance: float | None = None,
+) -> bool:
+    """Whether a cheap bound alone shows sigma_min > tolerance * sigma_max:
+    the sqrt(ridge) shortcut, or the certificate ||R||_F * inverse_norm far
+    below the cut-off (see ``_passes_rank_rule``).  No inverse is formed."""
+    if tolerance is None:
+        tolerance = _rank_tolerance(rows, triangle.shape[0])
+    frobenius = float(np.linalg.norm(triangle))
+    if ridge > 0.0 and sqrt(ridge) > tolerance * frobenius:
+        return True
+    return inverse_norm is not None and frobenius * inverse_norm * tolerance <= CERTIFICATE_MARGIN
+
+
 def _passes_rank_rule(
-    triangle: np.ndarray, rows: int, ridge: float = 0.0, tolerance: float | None = None
+    triangle: np.ndarray,
+    rows: int,
+    ridge: float = 0.0,
+    tolerance: float | None = None,
+    inverse_norm: float | None = None,
 ) -> bool:
     """sigma_min > tolerance * sigma_max for a square upper triangle.
 
@@ -240,21 +321,24 @@ def _passes_rank_rule(
     ``ridge`` is the coefficient a when the triangle factors U'U + aI: its
     smallest singular value is then at least sqrt(a) and its largest at most
     the Frobenius norm, which settles the rule at once when sqrt(a) clears
-    the tolerance times that norm.  Otherwise the bound
-    kappa_2 <= ||R||_F ||R^-1||_F settles it from one triangular inverse when
-    it is far below the cut-off, and the exact singular values decide when
-    it is not.
+    the tolerance times that norm.  Otherwise the rigorous bound
+    kappa_2 <= ||R||_F ||R^-1||_F settles it when it is far below the
+    cut-off.  ``inverse_norm``, when given, is an upper bound on
+    ||R^-1||_F (``History.design_inverse_norm`` carries one across appended
+    rows) and is tried before any inverse is formed; when it is absent or
+    does not settle the rule, one triangular inverse of R gives the bound,
+    and the exact singular values decide when that does not settle it
+    either.  A carried bound is never below R's own ||R^-1||_F, so it
+    settles the rule only where the triangle's own inverse would have.
     """
     if tolerance is None:
         tolerance = _rank_tolerance(rows, triangle.shape[0])
-    frobenius = np.linalg.norm(triangle)
-    if ridge > 0.0 and sqrt(ridge) > tolerance * frobenius:
+    if _settles(triangle, rows, ridge, inverse_norm, tolerance):
         return True
     inverse, info = lapack.dtrtri(triangle)
     if info > 0:
         return False  # an exactly zero pivot: the triangle is singular
-    bound = frobenius * np.linalg.norm(inverse)
-    if bound * tolerance <= CERTIFICATE_MARGIN:
+    if _settles(triangle, rows, 0.0, float(np.linalg.norm(inverse)), tolerance):
         return True
     spectrum = np.linalg.svd(triangle, compute_uv=False)
     return bool(spectrum[-1] > tolerance * spectrum[0])

@@ -9,7 +9,8 @@ once, O(n k^2).  An on-line step instead starts from the triangular factor
 that ``History`` keeps for the ridge coefficient, truncated to the
 scheduled columns, and absorbs the one new row into a copy, O(k^2); the
 step costs O(k^2 + n k) in all, and the design's conditioning is never
-squared.
+squared.  Its rank check reads the certificate the history carries for that
+factor, so it forms no triangular inverse either.
 
 Because candidate responses enter the augmented response vector linearly, the
 residual vector of (y_1, ..., y_{n-1}, y) is an affine function of y.  The
@@ -35,10 +36,6 @@ from scipy.special import stdtr, stdtrit
 
 from .base import RankDeficiencyError, _passes_rank_rule, absorb_rows
 
-# Reciprocal condition number below which an unregularized normal matrix is
-# treated as rank deficient rather than silently solved.
-RCOND_FLOOR = 1e-12
-
 
 class RidgeProjector:
     """Residual map of a ridge regression, applied through one triangular factor.
@@ -58,7 +55,10 @@ class RidgeProjector:
     design; the factor's entries are trusted to match it.
 
     Raises ``RankDeficiencyError`` when the factor of U'U + aI fails the
-    rule sigma_min > eps * max(n, k) * sigma_max.
+    rule sigma_min > eps * max(n, k) * sigma_max.  ``inverse_norm`` is an
+    upper bound on the inverse's Frobenius norm for that factor, such as
+    ``History.design_inverse_norm`` carries for ``factor``; when it settles
+    the rule no inverse is formed.
     """
 
     def __init__(
@@ -70,6 +70,7 @@ class RidgeProjector:
         factor=None,
         responses=None,
         reference: float = 0.0,
+        inverse_norm: float | None = None,
     ):
         ridge = float(ridge)
         if not (ridge >= 0.0 and isfinite(ridge)):
@@ -103,7 +104,9 @@ class RidgeProjector:
         row[0, :cols] = new_row
         row[0, cols] = reference
         triangle = absorb_rows(factor, row)
-        if not _passes_rank_rule(triangle[:cols, :cols], rows, ridge):
+        if not _passes_rank_rule(
+            triangle[:cols, :cols], rows, ridge, inverse_norm=inverse_norm
+        ):
             raise RankDeficiencyError(
                 "design is rank deficient; use a positive ridge coefficient"
                 if ridge == 0.0

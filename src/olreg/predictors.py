@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from math import ceil, inf, sqrt
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, cholesky, solve_triangular
+from scipy.linalg import cho_solve, cholesky, solve_triangular
 
 from .base import (
     DegenerateFitError,
@@ -53,7 +53,6 @@ from .base import (
     validate_levels,
 )
 from .numerics import (
-    RCOND_FLOOR,
     ResidualDecomposition,
     RidgeProjector,
     StudentT,
@@ -87,7 +86,9 @@ def _step_projector(
 
     Built from the history's kept factor for ``ridge`` plus the new row:
     O(K^2) on top of the history's own O(K^2) per appended row, one O(n)
-    reference vector, and no copy of the design.
+    reference vector, and no copy of the design.  The new row only raises
+    the smallest singular value, so the rank certificate the history carries
+    for that factor settles the projector's rank rule without an inverse.
     """
     k = history.feature_count
     x = _new_row(x_new, k)
@@ -106,6 +107,7 @@ def _step_projector(
         factor=history.triangular_factor(ridge, cols),
         responses=history.responses,
         reference=reference,
+        inverse_norm=history.design_inverse_norm(ridge),
     )
 
 
@@ -553,6 +555,25 @@ class QuadraticRegion:
         )
 
 
+def _centered_region(
+    a: np.ndarray, b: np.ndarray, count: int, t_value: float
+) -> QuadraticRegion:
+    """``mva_region`` for offset and slope already centered by their heads' means."""
+    scale = float((count - 1) * (count - 2))
+    weight = t_value * t_value * count
+    head_a, head_b = a[:-1], b[:-1]
+    return QuadraticRegion(
+        lead=scale * float(b[-1] * b[-1]) - weight * float(head_b @ head_b),
+        cross=scale * float(a[-1] * b[-1]) - weight * float(head_a @ head_b),
+        constant=scale * float(a[-1] * a[-1]) - weight * float(head_a @ head_a),
+    )
+
+
+def _centered(values) -> np.ndarray:
+    values = np.asarray(values, dtype=float)
+    return values - values[:-1].mean()
+
+
 def mva_region(offset, slope, count: int, t_value: float) -> QuadraticRegion:
     """Quadratic form of the studentized-last-centered-residual inequality.
 
@@ -564,19 +585,7 @@ def mva_region(offset, slope, count: int, t_value: float) -> QuadraticRegion:
 
     which after squaring is the region carried by the returned coefficients.
     """
-    offset = np.asarray(offset, dtype=float)
-    slope = np.asarray(slope, dtype=float)
-    n = count
-    a = offset - offset[:-1].mean()
-    b = slope - slope[:-1].mean()
-    scale = float((n - 1) * (n - 2))
-    weight = t_value * t_value * n
-    head_a, head_b = a[:-1], b[:-1]
-    return QuadraticRegion(
-        lead=scale * float(b[-1] * b[-1]) - weight * float(head_b @ head_b),
-        cross=scale * float(a[-1] * b[-1]) - weight * float(head_a @ head_b),
-        constant=scale * float(a[-1] * a[-1]) - weight * float(head_a @ head_a),
-    )
+    return _centered_region(_centered(offset), _centered(slope), count, t_value)
 
 
 def mva_hull(offset, slope, count: int, t_value: float) -> PredictionInterval:
@@ -587,13 +596,10 @@ def mva_hull(offset, slope, count: int, t_value: float) -> PredictionInterval:
     is 0/0 and carries no evidence against any candidate, so the full line is
     returned rather than the empty set the raw algebra would give.
     """
-    offset = np.asarray(offset, dtype=float)
-    slope = np.asarray(slope, dtype=float)
-    a = offset - offset[:-1].mean()
-    b = slope - slope[:-1].mean()
+    a, b = _centered(offset), _centered(slope)
     if not a[:-1].any() and not b[:-1].any():
         return PredictionInterval.full_line()
-    return mva_region(offset, slope, count, t_value).hull()
+    return _centered_region(a, b, count, t_value).hull()
 
 
 def centered_residual_score(residuals) -> float:
@@ -622,7 +628,8 @@ def _mva_step(history, x_new, ridge, schedule) -> RidgeStep | None:
 
 def _mva_intervals(step: RidgeStep | None, levels) -> list[PredictionInterval]:
     levels = validate_levels(levels)
-    if step is None:
+    if step is None or step.interpolates:
+        # every residual is identically zero: the statistic is 0/0 everywhere
         return _full_lines(len(levels))
     n = step.count
     projector, decomposition = step.projector, step.decomposition
@@ -674,6 +681,9 @@ def mva_predict(
     response, so its coefficients do not grow with the responses' distance
     from zero.
 
+    With ridge 0 at n = K + 1 the fit interpolates: every residual is zero
+    whatever the candidate, so the statistic is 0/0 and the whole line is
+    returned, decided by that structure rather than by rounding residue.
     With ridge 0 at n = K + 2 the residual space is one-dimensional: every
     candidate's residual vector is a multiple of one direction, so the
     statistic does not depend on y (apart from the single candidate where it
@@ -720,7 +730,9 @@ def mva_score(
     The score is signed: (e_n - mean of earlier residuals) divided by the
     root of the summed squared deviations of the earlier residuals, all
     computed from moments.  ``active_count`` truncates the regression to the
-    first features, mirroring a feature schedule.
+    first features, mirroring a feature schedule.  With ridge 0 it raises
+    ``RankDeficiencyError`` where ``gauss_score`` does: once cond(D) passes
+    about 1 / sqrt(eps * max(n, K+1)).
     """
     k = summary.feature_sum.size
     active = k if active_count is None else int(active_count)
@@ -745,11 +757,17 @@ def mva_score(
     full_moment = head_moment + observation.response * new_row
     if ridge > 0.0:
         full_gram = full_gram + ridge * np.eye(cols)
-    else:
-        spectrum = np.linalg.svd(full_gram, compute_uv=False)
-        if spectrum[0] == 0.0 or spectrum[-1] / spectrum[0] < RCOND_FLOOR:
-            raise RankDeficiencyError("design is rank deficient; use a positive ridge")
-    coefficients = cho_solve(cho_factor(full_gram, lower=True), full_moment)
+    try:
+        upper = cholesky(full_gram, check_finite=False)
+    except np.linalg.LinAlgError as err:
+        raise RankDeficiencyError("summarized design is rank deficient") from err
+    # as in gauss_score: the factor comes from the Gram matrix, so the
+    # least-squares rule is applied at the square root of its tolerance
+    if ridge == 0.0 and not _passes_rank_rule(
+        upper, n, tolerance=sqrt(_rank_tolerance(n, cols))
+    ):
+        raise RankDeficiencyError("design is rank deficient; use a positive ridge")
+    coefficients = cho_solve((upper, False), full_moment)
 
     last_residual = observation.response - float(new_row @ coefficients)
     head_row_sum = np.concatenate([[head], summary.feature_sum[:active]])

@@ -125,7 +125,8 @@ class MvaPredictor:
         return _mva_intervals(step, levels)
 
     def pvalue(self, step, response, tie_break=1.0):
-        if step is None:
+        if step is None or step.interpolates:
+            # every residual is identically zero: no evidence either way
             return 1.0
         n = step.count
         try:

@@ -12,12 +12,15 @@ from olreg import (
     GaussSummary,
     History,
     IidGaussPredictor,
+    MvaSummary,
     Observation,
+    RankDeficiencyError,
     gauss_fit,
     gauss_score,
     iid_predict,
     iidgauss_predict,
     mva_predict,
+    mva_score,
 )
 from olreg.sampler import IidGaussSummary, sample_conditional
 
@@ -120,3 +123,26 @@ def test_sampler_at_a_feature_shift_reproduces_the_summary():
         assert again.response_sum == pytest.approx(summary.response_sum, rel=1e-8)
         assert np.allclose(again.cross_sum, summary.cross_sum, rtol=1e-8, atol=1e-10)
         assert again.square_sum == pytest.approx(summary.square_sum, rel=1e-8)
+
+
+def test_summary_centered_score_at_a_feature_shift_matches_the_unshifted_one():
+    # x + 1e3 gives a design condition number near 5e6: the rank rule on the
+    # Gram's Cholesky factor, at the square root of the least-squares
+    # tolerance, keeps it; a fixed floor on the Gram's reciprocal condition
+    # number (4e-14 here) used to reject it
+    features, responses, x, y = instance(0)
+    shifted, x_shifted = features + 1e3, x + 1e3
+    base = mva_score(
+        MvaSummary.from_history(history_of(shifted - 1e3, responses)),
+        Observation(x_shifted - 1e3, y),
+    )
+    moved = mva_score(MvaSummary.from_history(history_of(shifted, responses)), Observation(x_shifted, y))
+    assert moved == pytest.approx(base, rel=1e-6)
+
+
+def test_summary_centered_score_past_the_rank_cutoff_raises():
+    # at x + 1e4 the design condition number is near 5e8, past the cut-off
+    features, responses, x, y = instance(0)
+    summary = MvaSummary.from_history(history_of(features + 1e4, responses))
+    with pytest.raises(RankDeficiencyError):
+        mva_score(summary, Observation(x + 1e4, y))

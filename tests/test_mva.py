@@ -226,6 +226,28 @@ def test_one_residual_dimension_gives_empty_set_or_whole_line():
     assert seen == {True, False}
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_interpolating_ridge_zero_step_gives_full_lines_and_pvalue_one(seed):
+    # K = 2 and n = 3 at ridge 0: the fit interpolates and every residual is
+    # identically zero, so the statistic is 0/0 whatever the response; the
+    # rounding residue left in the residuals must not decide the interval
+    # or the p-value, which tripling the responses would then change
+    rng = np.random.default_rng(seed)
+    features = rng.normal(size=(3, 2))
+    responses = features @ np.array([1.0, 2.0]) + rng.normal(size=3)
+    predictor = MvaPredictor(ridge=0.0, schedule=FeatureSchedule.for_feature_count(2))
+    levels = (0.2, 0.05)
+    for scale in (1.0, 3.0):
+        history = history_of(features[:2], scale * responses[:2])
+        step = predictor.step(history, features[2])
+        assert step.interpolates
+        for interval in predictor.predict(step, levels):
+            assert (interval.lower, interval.upper) == (-math.inf, math.inf)
+        assert predictor.pvalue(step, scale * responses[2], 0.5) == 1.0
+        intervals = mva_predict(history, features[2], levels, ridge=0.0)
+        assert all((i.lower, i.upper) == (-math.inf, math.inf) for i in intervals)
+
+
 # ---------------------------------------------------------------------------
 # Order-statistic predictor
 # ---------------------------------------------------------------------------
