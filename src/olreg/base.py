@@ -243,18 +243,20 @@ class History:
         design's smallest singular value, so an on-line run settles the rule
         from the inverse it formed at an earlier step, and forms a new one
         only when ||R||_F times the carried norm no longer lies far below
-        the cut-off.  When even a fresh certificate does not settle it, the
-        exact singular values decide.
+        the cut-off.  A certificate that does not settle the rule is that
+        fresh one, the block's own ||R^-1||_F, so the exact singular values
+        decide without a second inverse of the same block.
         """
         if self._full_rank is None:
             cols = self._k + 1
             if self._n < cols:
                 self._full_rank = False
             else:
-                self._full_rank = _passes_rank_rule(
-                    self.triangular_factor()[:cols, :cols],
-                    self._n,
-                    inverse_norm=self.design_inverse_norm(),
+                # the block first: a wider factor starts without a certificate
+                block = self.triangular_factor()[:cols, :cols]
+                inverse_norm = self.design_inverse_norm()
+                self._full_rank = _settles(block, self._n, 0.0, inverse_norm) or (
+                    inverse_norm < inf and _spectrum_passes(block, self._n)
                 )
         return self._full_rank
 
@@ -340,6 +342,13 @@ def _passes_rank_rule(
         return False  # an exactly zero pivot: the triangle is singular
     if _settles(triangle, rows, 0.0, float(np.linalg.norm(inverse)), tolerance):
         return True
+    return _spectrum_passes(triangle, rows, tolerance)
+
+
+def _spectrum_passes(triangle: np.ndarray, rows: int, tolerance: float | None = None) -> bool:
+    """The rank rule decided by the triangle's exact singular values."""
+    if tolerance is None:
+        tolerance = _rank_tolerance(rows, triangle.shape[0])
     spectrum = np.linalg.svd(triangle, compute_uv=False)
     return bool(spectrum[-1] > tolerance * spectrum[0])
 

@@ -148,11 +148,19 @@ class RidgeProjector:
         return self._back_solve(whitened)
 
     def coefficients(self, responses: np.ndarray) -> np.ndarray:
-        """Ridge coefficient estimate (U'U + aI)^{-1} U' y."""
+        """Ridge coefficient estimate (U'U + aI)^{-1} U' y.
+
+        Solved as a correction to the reference vector's fit.  When only the
+        new row's response differs from the reference, as for a step's
+        realized residuals, the O(nk) product with the other rows is skipped.
+        """
         shift = np.asarray(responses, dtype=float) - self._reference
-        if not shift.any():
+        if shift[:-1].any():
+            moments = self._head.T @ shift[:-1] + shift[-1] * self._last
+        elif shift[-1] != 0.0:
+            moments = shift[-1] * self._last
+        else:
             return self._reference_coefficients
-        moments = self._head.T @ shift[:-1] + shift[-1] * self._last
         return self._reference_coefficients + self.solve(moments)
 
     def fitted(self, coefficients: np.ndarray) -> np.ndarray:

@@ -125,16 +125,17 @@ def _shifted(interval: PredictionInterval, by: float) -> PredictionInterval:
 class SweepState:
     """Sorted crossing points with membership deltas and boundary counts.
 
-    ``points`` starts at -inf and ends at +inf; ``deltas`` aligns with it and
-    its running prefix sum equals n * p(y) for y in the half-open cell that
-    starts at the corresponding point, where p(y) is the fraction of the n
-    residual magnitudes at least as large as the candidate's own.
-    ``left_count`` and ``right_count`` tally the comparison sets that are
-    unbounded to the left and to the right.
+    ``points`` starts at -inf and ends at +inf; ``deltas`` aligns with it,
+    and ``counts``, its running prefix sum, equals n * p(y) for y in the
+    half-open cell that starts at the corresponding point, where p(y) is the
+    fraction of the n residual magnitudes at least as large as the
+    candidate's own.  ``left_count`` and ``right_count`` tally the
+    comparison sets that are unbounded to the left and to the right.
     """
 
     points: np.ndarray
     deltas: np.ndarray
+    counts: np.ndarray
     left_count: int
     right_count: int
 
@@ -143,19 +144,23 @@ class SweepState:
         """Sort the crossing points (lists of arrays) between the infinite sentinels.
 
         The sentinels carry ``left`` + 1 and -``right`` - 1: the candidate's
-        own score is always counted.
+        own score is always counted.  One ``argsort`` orders the points; only
+        when two of them are equal does a stable ``lexsort`` on (point,
+        -delta) replace it, so that at a tie the +1 entries come first and
+        the prefix peak at a point equals the membership count there.
+        Entries that tie on both keys are equal (at most the sign of a zero
+        differs), so the order in which they are emitted does not matter.
+        Without ties both sorts give the one ascending order.
         """
         all_points = np.concatenate([[-inf], *points, [inf]])
-        all_deltas = np.concatenate([[left + 1], *deltas, [-right - 1]]).astype(np.int64)
-        # Stable ascending sort; at ties the +1 entries must come first so the
-        # prefix peak at a point equals the membership count at that point.
-        # Entries that tie on both keys are equal (at most the sign of a zero
-        # differs), so the order in which they are emitted does not matter.
-        order = np.lexsort((-all_deltas, all_points))
-        return cls(all_points[order], all_deltas[order], left, right)
-
-    def prefix_counts(self) -> np.ndarray:
-        return np.cumsum(self.deltas)
+        all_deltas = np.concatenate([[left + 1], *deltas, [-right - 1]], dtype=np.int64)
+        order = np.argsort(all_points)
+        sorted_points = all_points[order]
+        if (sorted_points[1:] == sorted_points[:-1]).any():
+            order = np.lexsort((-all_deltas, all_points))
+            sorted_points = all_points[order]
+        sorted_deltas = all_deltas[order]
+        return cls(sorted_points, sorted_deltas, np.cumsum(sorted_deltas), left, right)
 
 
 def build_sweep(offset: np.ndarray, slope: np.ndarray) -> SweepState:
@@ -177,8 +182,8 @@ def build_sweep(offset: np.ndarray, slope: np.ndarray) -> SweepState:
         raise ValueError("offset and slope must be 1-d arrays of equal positive length")
     # Normalize signs so every slope is nonnegative; |e_i| is unchanged.
     flip = slope < 0.0
-    offset = np.where(flip, -offset, offset)
-    slope = np.where(flip, -slope, slope)
+    offset = np.negative(offset, out=offset.copy(), where=flip)
+    slope = np.negative(slope, out=slope.copy(), where=flip)
     a, b = offset[:-1], slope[:-1]
     last_offset, last_slope = offset[-1], slope[-1]
 
@@ -186,8 +191,12 @@ def build_sweep(offset: np.ndarray, slope: np.ndarray) -> SweepState:
     # where the difference and where the sum of the two affine maps vanish.
     differ = b != last_slope
     a_d, b_d = a[differ], b[differ]
-    first = -(a_d - last_offset) / (b_d - last_slope)
-    second = -(a_d + last_offset) / (b_d + last_slope)
+    first = np.subtract(a_d, last_offset)
+    np.negative(first, out=first)
+    first /= b_d - last_slope
+    second = np.add(a_d, last_offset)
+    np.negative(second, out=second)
+    second /= b_d + last_slope
     ordered = first <= second
     # A smaller slope makes S_i the closed interval [lo, hi] (a single point
     # when they coincide); a larger one makes it the two closed rays past lo
@@ -225,13 +234,13 @@ def build_sweep(offset: np.ndarray, slope: np.ndarray) -> SweepState:
 def sweep_hull(state: SweepState, count: int, epsilon: float) -> PredictionInterval:
     """Convex hull of the candidates whose rank fraction exceeds ``epsilon``.
 
-    The prefix sums give count * p(y) per cell; a cell or point qualifies
-    when p(y) > epsilon.  The hull runs from the first qualifying position to
+    The state's prefix counts give count * p(y) per cell; a cell or point
+    qualifies when p(y) = counts / count > epsilon, so no sum is taken
+    again per level.  The hull runs from the first qualifying position to
     the point just after the last one: qualifying sets are closed, so the
     supremum of a qualifying open cell is itself a member.
     """
-    fractions = state.prefix_counts() / count
-    qualifying = np.flatnonzero(fractions > epsilon)
+    qualifying = np.flatnonzero(state.counts / count > epsilon)
     if qualifying.size == 0:
         return PredictionInterval.empty()
     return PredictionInterval(
@@ -826,10 +835,13 @@ class MonteCarloConfig:
 
     ``samples`` conditional draws give the p-value estimate
     (1 + #{draws at least as strange}) / (samples + 1), and ``seed`` fixes
-    the draws.  Setting up the draws of one step costs O(samples * n * K) in
-    GEMMs and O(samples * n) memory; after that a p-value costs O(samples)
-    and the survivor sets of every level one O(samples log samples) sweep,
-    with no search bound and no bisection.
+    the draws: a generator seeded with it gives the row orderings
+    (``random_orderings``) and then the normals of the directions
+    (``complement_directions``), drawn in the design's canonical row order.
+    Setting up the draws of one step costs O(samples * n * K) in two GEMMs
+    and O(samples * n) memory; after that a p-value costs O(samples) and
+    the survivor sets of every level one O(samples log samples) sweep, with
+    no search bound and no bisection.
     """
 
     samples: int = 999
@@ -982,12 +994,16 @@ def _mc_machinery(
 
     # The draws must depend on the history only through its bag of rows
     # (permuting past observations must not change the output), so the
-    # design is taken in a canonical lexicographic row order.
+    # design is taken in a canonical lexicographic row order.  Past the
+    # constant ones column the first feature decides it unless it has ties.
     design = np.empty((n, k + 1))
     design[: n - 1] = history.design_matrix
     design[-1, 0] = 1.0
     design[-1, 1:] = x
-    canonical = np.lexsort(design.T[::-1])
+    first = design[:, min(k, 1)]  # the ones column itself when K = 0
+    canonical = np.argsort(first)
+    if (first[canonical[1:]] == first[canonical[:-1]]).any():
+        canonical = np.lexsort(design.T[::-1])
     ordered = design[canonical]
     basis, upper = np.linalg.qr(ordered)
     if not _passes_rank_rule(upper, n):

@@ -28,7 +28,7 @@ from math import sqrt
 from typing import Iterable
 
 import numpy as np
-from scipy.linalg import cho_solve
+from scipy.linalg import cho_solve, solve_triangular
 
 from .base import Observation, RankDeficiencyError, SummaryMismatchError, _passes_rank_rule
 
@@ -145,39 +145,48 @@ def complement_directions(
 ) -> np.ndarray:
     """Unit vectors orthogonal to the columns of each row-permuted design.
 
-    Standard normal draws are projected onto the orthogonal complement and
-    normalized; rows whose projection is shorter than the rejection floor are
-    redrawn, so the output is uniform on the unit sphere of each complement.
-    ``gram_factor`` is a triangular factor of design'design in the
-    ``(factor, lower)`` form of ``scipy.linalg.cho_solve``, for instance
-    ``(R, False)`` with R from a QR factorization of the design; the matrix
-    is invariant under row permutations.
+    Row m of the output is a uniform unit direction of the orthogonal
+    complement of ``design[orderings[m]]``, listed in the order
+    ``orderings[m]``.  ``gram_factor`` is a triangular factor of
+    design'design in the ``(factor, lower)`` form of ``scipy.linalg.cho_solve``,
+    for instance ``(R, False)`` with R from a QR factorization of the design;
+    the matrix is invariant under row permutations.
 
-    Row m of the output lists its direction in the order ``orderings[m]``,
-    but the projection runs in the design's own row order: each draw is
-    scattered to the rows it belongs to, so the moments of all draws are one
-    GEMM against ``design`` and no permuted copy of the design is formed.
-    That costs O(count * n * K) in GEMMs and O(count * n) memory.
+    The stream: each round draws one block of standard normals, one row per
+    pending direction, in the design's own row order.  A row is projected
+    onto the complement of the design's columns and normalized; rows whose
+    projection is shorter than the rejection floor are redrawn in the next
+    round.  Row m is then read in the order ``orderings[m]``: a complement
+    direction of the design, permuted, is one of the permuted design, and
+    relabelling i.i.d. normals by an independent permutation leaves their
+    law unchanged, so the output is uniform on the unit sphere of each
+    permuted complement.
+
+    The projection is two GEMMs against the orthonormal basis design R^-1,
+    formed once per call by a triangular solve: O(count * n * K) time and
+    O(count * n) memory, with no permuted copy of the design.
     """
     count, n = orderings.shape
+    factor, lower = gram_factor
+    # the orthonormal basis design R^-1, transposed: R'^-1 design', where R
+    # is the factor, or its transpose when it is lower triangular
+    basis_t = solve_triangular(factor, design.T, trans=0 if lower else 1, lower=lower)
     out = None
     pending = np.arange(count)
     for _ in range(64):
         draws = rng.standard_normal((pending.size, n))
-        order = orderings[pending]
-        scattered = np.empty_like(draws)
-        np.put_along_axis(scattered, order, draws, axis=1)
-        coef = cho_solve(gram_factor, (scattered @ design).T).T
-        scattered -= coef @ design.T
-        resid = np.take_along_axis(scattered, order, axis=1)
-        norms = np.linalg.norm(resid, axis=1)
+        draws -= (draws @ basis_t.T) @ basis_t
+        norms = np.linalg.norm(draws, axis=1)
         accepted = norms > _DIRECTION_FLOOR
         if out is None:
-            if accepted.all():  # the usual case: no row to redraw, no copies
-                resid /= norms[:, None]
-                return resid
+            if accepted.all():  # the usual case: no row to redraw
+                draws /= norms[:, None]
+                return np.take_along_axis(draws, orderings, axis=1)
             out = np.empty((count, n))
-        out[pending[accepted]] = resid[accepted] / norms[accepted, None]
+        kept = pending[accepted]
+        out[kept] = np.take_along_axis(
+            draws[accepted] / norms[accepted, None], orderings[kept], axis=1
+        )
         pending = pending[~accepted]
         if pending.size == 0:
             return out

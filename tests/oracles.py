@@ -14,7 +14,7 @@ from math import inf, pi, sqrt, tan
 
 import numpy as np
 from scipy import stats
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor, cho_solve, solve_triangular
 from scipy.special import erfinv
 
 
@@ -251,9 +251,11 @@ def complement_directions_gathered(rng, design, orderings, gram_factor) -> np.nd
     """Unit complement directions computed on an explicit permuted copy of the design.
 
     Consumes ``rng`` exactly as the package's ``complement_directions`` (one
-    block of normal draws per rejection round) but gathers
-    ``design[orderings]``, a count x n x (K+1) tensor, and contracts it with
-    einsum, so no scatter to the unpermuted row order is involved.
+    block of normal draws per rejection round, each row in the design's own
+    row order) but reads every draw in its ordering first, gathers
+    ``design[orderings]``, a count x n x (K+1) tensor, and projects with
+    einsum and a Gram solve, so no orthonormal basis of the unpermuted design
+    is involved.
     """
     count, n = orderings.shape
     rows = design[orderings]
@@ -262,7 +264,9 @@ def complement_directions_gathered(rng, design, orderings, gram_factor) -> np.nd
     for _ in range(64):
         if pending.size == 0:
             return out
-        draws = rng.standard_normal((pending.size, n))
+        draws = np.take_along_axis(
+            rng.standard_normal((pending.size, n)), orderings[pending], axis=1
+        )
         moments = np.einsum("mnk,mn->mk", rows[pending], draws)
         coef = cho_solve(gram_factor, moments.T).T
         resid = draws - np.einsum("mnk,mk->mn", rows[pending], coef)
@@ -274,24 +278,27 @@ def complement_directions_gathered(rng, design, orderings, gram_factor) -> np.nd
 
 
 def complement_directions_masked(rng, design, orderings, gram_factor) -> np.ndarray:
-    """The package's scatter-and-GEMM direction sampler, as it was before it
-    worked in place: every round copies the accepted rows out by boolean
-    masks.  The in-place form must reproduce it bit for bit."""
+    """The package's direction sampler written plainly: every round projects a
+    fresh block of normals in the design's row order with the basis design
+    R^-1, copies the accepted rows out by boolean masks and reads each in
+    its ordering.  The package's in-place form must reproduce it bit for
+    bit."""
     count, n = orderings.shape
+    factor, lower = gram_factor
+    basis_t = solve_triangular(factor, design.T, trans=0 if lower else 1, lower=lower)
     out = np.empty((count, n))
     pending = np.arange(count)
     for _ in range(64):
         if pending.size == 0:
             return out
         draws = rng.standard_normal((pending.size, n))
-        order = orderings[pending]
-        scattered = np.empty_like(draws)
-        np.put_along_axis(scattered, order, draws, axis=1)
-        coef = cho_solve(gram_factor, (scattered @ design).T).T
-        resid = np.take_along_axis(scattered - coef @ design.T, order, axis=1)
+        resid = draws - (draws @ basis_t.T) @ basis_t
         norms = np.linalg.norm(resid, axis=1)
         accepted = norms > 1e-12
-        out[pending[accepted]] = resid[accepted] / norms[accepted, None]
+        kept = pending[accepted]
+        out[kept] = np.take_along_axis(
+            resid[accepted] / norms[accepted, None], orderings[kept], axis=1
+        )
         pending = pending[~accepted]
     raise RuntimeError("direction sampling failed to converge")
 
@@ -339,7 +346,8 @@ def mc_draws_gathered(features, head_responses, ridge, active, samples, seed):
 
     ``features`` holds every row including the new one.  Follows the IID-Gauss
     predictor's random stream (canonical row order, orderings, then
-    directions) and refits every permuted draw on its own gathered rows.
+    directions, whose normals are drawn in canonical row order) and refits
+    every permuted draw on its own gathered rows.
     Returns (draw_const, draw_lin, draw_dir), one entry per draw.
     """
     features = np.asarray(features, dtype=float)
@@ -349,10 +357,13 @@ def mc_draws_gathered(features, head_responses, ridge, active, samples, seed):
     fixed_fit = design @ cho_solve(factor, design[:-1].T @ np.asarray(head_responses, float))
     unit_fit = design @ cho_solve(factor, design[-1])
 
+    # the normals are drawn in the canonical row order, and each ordering
+    # lists canonical positions
     canonical = np.lexsort(design.T[::-1])
     rng = np.random.default_rng(seed)
-    orderings = canonical[np.argsort(rng.random((samples, n)), axis=1)]
-    directions = complement_directions_gathered(rng, design, orderings, factor)
+    positions = np.argsort(rng.random((samples, n)), axis=1)
+    directions = complement_directions_gathered(rng, design[canonical], positions, factor)
+    orderings = canonical[positions]
 
     truncated = design[:, : active + 1]
     trunc_factor = cho_factor(

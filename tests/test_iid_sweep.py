@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import oracles
 from olreg import (
     History,
+    MonteCarloConfig,
     Observation,
     RidgeProjector,
     build_sweep,
@@ -19,6 +20,7 @@ from olreg import (
     residual_decomposition,
     sweep_hull,
 )
+from olreg.protocol import IidGaussPredictor, IidPredictor
 
 # Worked example, expected bounds fixed by the set-by-set brute-force
 # oracle in oracles.py (ridge 0.01, four training rows).
@@ -79,7 +81,7 @@ def test_sweep_deltas_balance():
         offset = rng.normal(size=n)
         slope = rng.normal(size=n)
         state = build_sweep(offset, slope)
-        prefix = state.prefix_counts()
+        prefix = state.counts
         # leftmost cell holds the -inf members plus the candidate itself,
         # rightmost cell the +inf members, and the sweep conserves mass
         assert prefix[0] == state.left_count + 1
@@ -95,7 +97,7 @@ def test_prefix_counts_match_brute_force_on_cells():
         slope = rng.normal(size=n) * rng.choice([0.0, 1.0], size=n)
         sets = oracles.comparison_sets(offset.copy(), slope.copy())
         state = build_sweep(offset, slope)
-        prefix = state.prefix_counts()
+        prefix = state.counts
         points = state.points
         for j in range(len(points) - 1):
             if points[j] == points[j + 1] or not np.isfinite(points[j]):
@@ -245,3 +247,38 @@ def test_vectorized_sweep_equals_the_loop(n, seed, kind):
     assert np.array_equal(state.points, points)
     assert np.array_equal(state.deltas, deltas)
     assert (state.left_count, state.right_count) == (left, right)
+
+
+@pytest.mark.parametrize("levels", [(0.2,), (0.5, 0.2, 0.1, 0.05, 0.02, 0.01)])
+def test_tie_free_sweeps_sort_once_and_sum_once(monkeypatch, levels):
+    # without tied points one argsort orders a sweep and no lexsort runs;
+    # its prefix counts are summed once, however many levels read them
+    rng = np.random.default_rng(31)
+    features = rng.normal(size=(60, 3))
+    responses = features.sum(axis=1) + rng.normal(size=60)
+    history = History.from_observations(
+        Observation(x, y) for x, y in zip(features[:-1], responses[:-1])
+    )
+    predictors = (IidPredictor(ridge=0.01), IidGaussPredictor(mc=MonteCarloConfig(199, seed=3)))
+    steps = [predictor.step(history, features[-1]) for predictor in predictors]
+    calls = []
+    for name in ("lexsort", "cumsum"):
+        original = getattr(np, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np, name, counted)
+    states = [build_sweep(rng.normal(size=40), rng.normal(size=40)), steps[1].sweep()]
+    for state in states:
+        assert np.all(np.diff(state.points) > 0.0)
+    assert calls == ["cumsum", "cumsum"]
+    calls.clear()
+    for state in states:
+        for eps in levels:
+            sweep_hull(state, 40, eps)
+    assert calls == []
+    for predictor, step in zip(predictors, steps):
+        predictor.predict(step, levels)
+    assert calls == ["cumsum", "cumsum"]

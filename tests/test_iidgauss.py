@@ -93,6 +93,22 @@ def test_permutation_invariance_is_bitwise():
     )
 
 
+def test_permutation_invariance_with_a_tied_first_feature():
+    # the first feature alone cannot order these rows, so the canonical
+    # order falls back to the full lexicographic sort
+    rng = np.random.default_rng(66)
+    features = rng.normal(size=(14, 3))
+    features[:, 0] = rng.integers(0, 3, size=14)
+    responses = rng.normal(size=14)
+    x = np.array([1.0, 0.3, -0.2])
+    mc = MonteCarloConfig(samples=299, seed=9)
+    shuffled_index = rng.permutation(14)
+    plain = step_of(history_of(features, responses), x, mc)
+    shuffled = step_of(history_of(features[shuffled_index], responses[shuffled_index]), x, mc)
+    assert iidgauss_predict(plain, (0.1,)) == iidgauss_predict(shuffled, (0.1,))
+    assert np.array_equal(plain.draw_dir, shuffled.draw_dir)
+
+
 def test_pvalue_and_interval_are_consistent():
     rng = np.random.default_rng(66)
     history = random_history(rng, 25, 2)

@@ -241,3 +241,28 @@ def test_history_factor_projector_matches_direct_residuals(k, ridge, scheduled, 
             expected = oracles.residuals_direct(design, ridge, completed)
             np.testing.assert_allclose(dec.residuals_at(y), expected, rtol=0, atol=1e-9)
             np.testing.assert_allclose(projector.residuals(completed), expected, rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize("ridge", [0.0, 0.5])
+def test_shift_of_the_last_response_alone_gives_the_full_product(ridge):
+    # a step's realized residuals move only the new row's response away from
+    # the reference; the coefficients skip the product with the other rows
+    # and must equal the ones the full product gives
+    rng = np.random.default_rng(9)
+    features, responses = rng.normal(size=(30, 4)), rng.normal(size=30)
+    history = History.from_observations(
+        Observation(x, y) for x, y in zip(features, responses)
+    )
+    row = np.concatenate([[1.0], rng.normal(size=4)])
+    reference = float(responses.mean())
+    projector = RidgeProjector(
+        history.design_matrix, ridge, new_row=row,
+        factor=history.triangular_factor(ridge), responses=responses, reference=reference,
+    )
+    base = projector.coefficients(np.append(responses, reference))
+    for y in (-3.0, reference + 1e-9, 7.5):
+        shift = np.zeros(31)
+        shift[-1] = y - reference
+        moments = history.design_matrix.T @ shift[:-1] + shift[-1] * row
+        expected = base + projector.solve(moments)
+        assert np.array_equal(projector.coefficients(np.append(responses, y)), expected)

@@ -130,3 +130,18 @@ def test_ridge_zero_batch_prediction_forms_no_inverse_per_row(monkeypatch, model
     result = batch_predict(train, responses, rng.normal(size=(50, 20)), (0.05, 0.01), model=model)
     assert result.code == 0 and np.isfinite(result.upper).all()
     assert len(calls) <= 2
+
+
+def test_rank_deficient_design_is_inverted_once_per_check(monkeypatch):
+    # while the rows repeat no certificate settles the rule: each check takes
+    # a fresh one, the block's own inverse norm, and the singular values
+    # decide without inverting the same block again
+    rng = np.random.default_rng(8)
+    features, responses = stream_rows(rng, 4, 10, None, 10)
+    history = History(4)
+    calls = count_inverses(monkeypatch)
+    for i, (row, y) in enumerate(zip(features, responses)):
+        history.append(Observation(row, y))
+        calls.clear()
+        assert not history.design_has_full_rank()
+        assert len(calls) == (1 if i >= 4 else 0), i

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from olreg import (
     ConditionalSample,
@@ -11,6 +12,7 @@ from olreg import (
     sample_conditional,
     update_summary,
 )
+from olreg.sampler import complement_directions, random_orderings
 
 
 def stream_of(features, responses):
@@ -168,3 +170,29 @@ def test_sample_type_roundtrip():
     back = sample.summary()
     assert back.count == 2
     assert back.square_sum == pytest.approx(25.0)
+
+
+@pytest.mark.parametrize("n,k", [(4, 2), (9, 6), (5, 2), (8, 3), (40, 5), (61, 30)])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_last_coordinate_follows_the_sphere_law(n, k, seed):
+    # Whatever the random stream, a complement direction read at its last
+    # row j is sqrt(1 - h_j) times one coordinate U of a uniform point on the
+    # unit sphere of the d = n - K - 1 dimensional complement, where h_j is
+    # row j's leverage: (U + 1) / 2 is Beta((d - 1) / 2, (d - 1) / 2) for
+    # d >= 2, |U| = 1 for d = 1, and j is uniform over the rows.
+    rng = np.random.default_rng(seed)
+    design = np.column_stack([np.ones(n), rng.normal(size=(n, k))])
+    basis, upper = np.linalg.qr(design)
+    leverage = np.einsum("ij,ij->i", basis, basis)
+    samples = 4000
+    orderings = random_orderings(rng, samples, n)
+    directions = complement_directions(rng, design, orderings, (upper, False))
+    last = orderings[:, -1]
+    u = directions[:, -1] / np.sqrt(1.0 - leverage[last])
+    d = n - k - 1
+    if d == 1:
+        np.testing.assert_allclose(np.abs(u), 1.0, rtol=0, atol=1e-12)
+    else:
+        shape = (d - 1) / 2
+        assert stats.kstest((u + 1.0) / 2.0, stats.beta(shape, shape).cdf).pvalue > 1e-6
+    assert stats.chisquare(np.bincount(last, minlength=n)).pvalue > 1e-6
