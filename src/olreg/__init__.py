@@ -19,45 +19,28 @@ from .base import (
     RankDeficiencyError,
     Stream,
     SummaryMismatchError,
-    validate_levels,
 )
-from .numerics import (
-    ResidualDecomposition,
-    RidgeProjector,
-    StudentT,
-    residual_decomposition,
-)
+from .numerics import RidgeProjector, residual_decomposition
 from .predictors import (
-    GaussFit,
-    GaussSummary,
     MonteCarloConfig,
-    MvaSummary,
-    QuadraticRegion,
-    SweepState,
+    RegressionSummary,
     build_sweep,
     centered_residual_score,
     gauss_fit,
     gauss_predict,
     gauss_score,
-    iid_bounded_threshold,
     iid_predict,
     iid_pvalue,
     iidgauss_predict,
     iidgauss_pvalue,
     mva_hull,
     mva_predict,
-    mva_region,
     mva_score,
     sweep_hull,
     wilks_level,
     wilks_predict,
 )
-from .sampler import (
-    ConditionalSample,
-    IidGaussSummary,
-    sample_conditional,
-    update_summary,
-)
+from .sampler import ConditionalSample, IidGaussSummary, sample_conditional
 from .protocol import (
     DEFAULT_SEED,
     FullLinePredictor,
@@ -66,7 +49,6 @@ from .protocol import (
     IidPredictor,
     MvaPredictor,
     OnlineLedger,
-    PValueTrace,
     binomial_band,
     fisher_verify,
     median_accuracy,
@@ -82,21 +64,18 @@ from .data import (
     observations_to_arrays,
     save_matrix,
 )
-from .cli import BatchResult, batch_predict
+from .cli import batch_predict
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BatchResult",
     "ConditionalSample",
     "DEFAULT_SEED",
     "DegenerateFitError",
     "EpsilonLadder",
     "FeatureSchedule",
     "FullLinePredictor",
-    "GaussFit",
     "GaussPredictor",
-    "GaussSummary",
     "History",
     "IidGaussPredictor",
     "IidGaussSummary",
@@ -104,19 +83,14 @@ __all__ = [
     "MatrixParseError",
     "MonteCarloConfig",
     "MvaPredictor",
-    "MvaSummary",
     "Observation",
     "OnlineLedger",
-    "PValueTrace",
     "PredictionInterval",
-    "QuadraticRegion",
     "RankDeficiencyError",
-    "ResidualDecomposition",
+    "RegressionSummary",
     "RidgeProjector",
     "Stream",
-    "StudentT",
     "SummaryMismatchError",
-    "SweepState",
     "SyntheticConfig",
     "batch_predict",
     "binomial_band",
@@ -128,7 +102,6 @@ __all__ = [
     "gauss_predict",
     "gauss_score",
     "gen_synthetic",
-    "iid_bounded_threshold",
     "iid_predict",
     "iid_pvalue",
     "iidgauss_predict",
@@ -137,7 +110,6 @@ __all__ = [
     "median_accuracy",
     "mva_hull",
     "mva_predict",
-    "mva_region",
     "mva_score",
     "observations_from_arrays",
     "observations_to_arrays",
@@ -146,8 +118,6 @@ __all__ = [
     "sample_conditional",
     "save_matrix",
     "sweep_hull",
-    "update_summary",
-    "validate_levels",
     "validity_report",
     "wilks_level",
     "wilks_predict",

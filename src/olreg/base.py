@@ -181,15 +181,7 @@ class History:
         if not 0.0 <= ridge < inf:
             raise ValueError("ridge must be nonnegative and finite")
         columns = self._k + 1 if columns is None else columns
-        factor = self._kept_factor(ridge, columns).triangle
-        width = factor.shape[0] - 1
-        if columns == width:
-            return factor
-        truncated = np.zeros((columns + 1, columns + 1), order="F")
-        truncated[:columns, :columns] = factor[:columns, :columns]
-        truncated[:columns, columns] = factor[:columns, -1]
-        truncated[columns, columns] = np.linalg.norm(factor[columns:, -1])
-        return truncated
+        return _leading_factor(self._kept_factor(ridge, columns).triangle, columns)
 
     def _kept_factor(self, ridge: float, columns: int) -> "_KeptFactor":
         """The factor kept for ``ridge``, at least ``columns`` design columns
@@ -288,6 +280,24 @@ def absorb_rows(triangle: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return factor
 
 
+def _leading_factor(factor: np.ndarray, columns: int) -> np.ndarray:
+    """The upper triangle of [first ``columns`` design columns | responses],
+    read from the triangle R of [design | responses].
+
+    The leading block of a triangular factor is the factor of any leading
+    set of columns, so the result keeps R's leading ``columns``-block and
+    R[:columns, -1], with the norm of the rest of that column as its last
+    diagonal entry.  R itself is returned when it is that wide already.
+    """
+    if columns == factor.shape[0] - 1:
+        return factor
+    truncated = np.zeros((columns + 1, columns + 1), order="F")
+    truncated[:columns, :columns] = factor[:columns, :columns]
+    truncated[:columns, columns] = factor[:columns, -1]
+    truncated[columns, columns] = np.linalg.norm(factor[columns:, -1])
+    return truncated
+
+
 def _rank_tolerance(rows: int, cols: int) -> float:
     return np.finfo(float).eps * max(rows, cols)
 
@@ -297,13 +307,11 @@ def _settles(
     rows: int,
     ridge: float,
     inverse_norm: float | None,
-    tolerance: float | None = None,
 ) -> bool:
-    """Whether a cheap bound alone shows sigma_min > tolerance * sigma_max:
-    the sqrt(ridge) shortcut, or the certificate ||R||_F * inverse_norm far
-    below the cut-off (see ``_passes_rank_rule``).  No inverse is formed."""
-    if tolerance is None:
-        tolerance = _rank_tolerance(rows, triangle.shape[0])
+    """Whether a cheap bound alone shows that the triangle passes the rank
+    rule: the sqrt(ridge) shortcut, or the certificate ||R||_F * inverse_norm
+    far below the cut-off (see ``_passes_rank_rule``).  No inverse is formed."""
+    tolerance = _rank_tolerance(rows, triangle.shape[0])
     frobenius = float(np.linalg.norm(triangle))
     if ridge > 0.0 and sqrt(ridge) > tolerance * frobenius:
         return True
@@ -314,12 +322,11 @@ def _passes_rank_rule(
     triangle: np.ndarray,
     rows: int,
     ridge: float = 0.0,
-    tolerance: float | None = None,
     inverse_norm: float | None = None,
 ) -> bool:
-    """sigma_min > tolerance * sigma_max for a square upper triangle.
+    """sigma_min > tolerance * sigma_max for a square upper triangle, with
+    the least-squares cut-off tolerance = eps * max(rows, cols).
 
-    ``tolerance`` defaults to the least-squares cut-off eps * max(rows, cols).
     ``ridge`` is the coefficient a when the triangle factors U'U + aI: its
     smallest singular value is then at least sqrt(a) and its largest at most
     the Frobenius norm, which settles the rule at once when sqrt(a) clears
@@ -333,22 +340,19 @@ def _passes_rank_rule(
     either.  A carried bound is never below R's own ||R^-1||_F, so it
     settles the rule only where the triangle's own inverse would have.
     """
-    if tolerance is None:
-        tolerance = _rank_tolerance(rows, triangle.shape[0])
-    if _settles(triangle, rows, ridge, inverse_norm, tolerance):
+    if _settles(triangle, rows, ridge, inverse_norm):
         return True
     inverse, info = lapack.dtrtri(triangle)
     if info > 0:
         return False  # an exactly zero pivot: the triangle is singular
-    if _settles(triangle, rows, 0.0, float(np.linalg.norm(inverse)), tolerance):
+    if _settles(triangle, rows, 0.0, float(np.linalg.norm(inverse))):
         return True
-    return _spectrum_passes(triangle, rows, tolerance)
+    return _spectrum_passes(triangle, rows)
 
 
-def _spectrum_passes(triangle: np.ndarray, rows: int, tolerance: float | None = None) -> bool:
+def _spectrum_passes(triangle: np.ndarray, rows: int) -> bool:
     """The rank rule decided by the triangle's exact singular values."""
-    if tolerance is None:
-        tolerance = _rank_tolerance(rows, triangle.shape[0])
+    tolerance = _rank_tolerance(rows, triangle.shape[0])
     spectrum = np.linalg.svd(triangle, compute_uv=False)
     return bool(spectrum[-1] > tolerance * spectrum[0])
 

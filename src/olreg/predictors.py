@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from math import ceil, inf, sqrt
 
 import numpy as np
-from scipy.linalg import cho_solve, cholesky, solve_triangular
+from scipy.linalg import solve_triangular
 
 from .base import (
     DegenerateFitError,
@@ -47,9 +47,10 @@ from .base import (
     PredictionInterval,
     Observation,
     RankDeficiencyError,
-    SummaryMismatchError,
+    _leading_factor,
     _passes_rank_rule,
     _rank_tolerance,
+    absorb_rows,
     validate_levels,
 )
 from .numerics import (
@@ -403,21 +404,29 @@ def gauss_fit(history: History, x_new) -> GaussFit:
         )
     if not history.design_has_full_rank():
         raise RankDeficiencyError("history design matrix is rank deficient")
-    factor = history.triangular_factor()
-    leading = factor[:cols, :cols]
-    coefficients = solve_triangular(leading, factor[:cols, cols], check_finite=False)
+    new_row = np.concatenate([[1.0], x])
+    coefficients, leverage = _solve_and_leverage(history.triangular_factor(), new_row)
     fitted_residuals = history.responses - design @ coefficients
     dof = rows - cols
     sigma_hat = sqrt(float(fitted_residuals @ fitted_residuals) / dof)
-    new_row = np.concatenate([[1.0], x])
-    whitened = solve_triangular(leading, new_row, trans="T", check_finite=False)
     return GaussFit(
         coefficients=coefficients,
         sigma_hat=sigma_hat,
-        leverage=float(whitened @ whitened),
+        leverage=leverage,
         point_prediction=float(coefficients @ new_row),
         degrees_of_freedom=dof,
     )
+
+
+def _solve_and_leverage(factor: np.ndarray, new_row: np.ndarray) -> tuple[np.ndarray, float]:
+    """Least-squares coefficients and the leverage of ``new_row`` from the
+    triangle R of [design | responses]: b solves R_D b = r_y on R's leading
+    block R_D and its response column, and the leverage is ||R_D^-T z||^2."""
+    cols = new_row.size
+    leading = factor[:cols, :cols]
+    coefficients = solve_triangular(leading, factor[:cols, cols], check_finite=False)
+    whitened = solve_triangular(leading, new_row, trans="T", check_finite=False)
+    return coefficients, float(whitened @ whitened)
 
 
 def _gauss_step(history: History, x_new) -> GaussFit | None:
@@ -459,59 +468,50 @@ def gauss_predict(history: History, x_new, levels) -> list[PredictionInterval]:
 
 
 @dataclass(frozen=True, eq=False)
-class GaussSummary:
-    """Design cross-moments of a history: enough to studentize any new point."""
+class RegressionSummary:
+    """Sufficient summary of a history for ``gauss_score`` and ``mva_score``.
+
+    ``factor`` is the upper triangle R of [1 | x | y] over the ``count``
+    summarized rows, a copy of ``History.triangular_factor()``: R'R is the
+    matrix of the rows' cross-moments, but no Gram matrix is formed, so a
+    score read from R by triangular solves keeps the design's conditioning
+    unsquared.
+    """
 
     count: int
-    gram: np.ndarray
-    moment: np.ndarray
-    square_sum: float
+    factor: np.ndarray
 
     @classmethod
-    def from_history(cls, history: History) -> "GaussSummary":
-        design = history.design_matrix
-        y = history.responses
-        return cls(
-            count=len(history),
-            gram=design.T @ design,
-            moment=design.T @ y,
-            square_sum=float(y @ y),
-        )
+    def from_history(cls, history: History) -> "RegressionSummary":
+        return cls(len(history), np.array(history.triangular_factor()))
 
 
-def gauss_score(summary: GaussSummary, observation: Observation) -> float:
-    """Studentized residual magnitude of a new observation, from moments only.
+def gauss_score(summary: RegressionSummary, observation: Observation) -> float:
+    """Studentized residual magnitude of a new observation, from the summary.
 
     Equals |y - yhat| / (sigma_hat * sqrt(1 + leverage)) computed from the
     raw history; requires at least K + 2 summarized observations so the
-    residual scale has a positive number of degrees of freedom.  Working from
-    D'D, it raises ``RankDeficiencyError`` once cond(D) passes about
-    1 / sqrt(eps * max(n, K+1)) (near 1e7 at n = 40); just below that the
-    pivot can differ from ``gauss_fit``'s by about 1e-3 relative.
+    residual scale has a positive number of degrees of freedom.  The fit and
+    the leverage come from the summary's triangle as in ``gauss_fit``, under
+    the same least-squares rank rule, and sigma_hat from its last diagonal
+    entry, the root of the residual energy.  A residual energy at the
+    least-squares cut-off relative to the responses' own (a perfectly
+    interpolated history) raises ``DegenerateFitError``.
     """
-    cols = summary.gram.shape[0]
+    factor = summary.factor
+    cols = factor.shape[0] - 1
     dof = summary.count - cols
     if dof < 1:
         raise ValueError(f"need more than {cols} summarized observations")
-    try:
-        upper = cholesky(summary.gram, check_finite=False)
-    except np.linalg.LinAlgError as err:
-        raise RankDeficiencyError("summarized design is rank deficient") from err
-    # the factor's singular values are the design's, but it comes from D'D,
-    # so its smallest is only resolved to about sqrt(eps) * sigma_max and the
-    # moment route's error grows like eps * cond(D)^2: the least-squares rule
-    # is applied at the square root of its tolerance
-    tolerance = sqrt(_rank_tolerance(summary.count, cols))
-    if not _passes_rank_rule(upper, summary.count, tolerance=tolerance):
+    if not _passes_rank_rule(factor[:cols, :cols], summary.count):
         raise RankDeficiencyError("summarized design is rank deficient")
-    factor = (upper, False)
-    coefficients = cho_solve(factor, summary.moment)
-    residual_energy = max(summary.square_sum - float(summary.moment @ coefficients), 0.0)
-    sigma_hat = sqrt(residual_energy / dof)
-    if sigma_hat == 0.0:
+    residual_norm = abs(float(factor[-1, -1]))
+    tolerance = _rank_tolerance(summary.count, cols + 1)
+    if residual_norm <= tolerance * np.linalg.norm(factor[:, -1]):
         raise DegenerateFitError("summarized history is perfectly interpolated")
     row = np.concatenate([[1.0], observation.explanatory])
-    leverage = float(row @ cho_solve(factor, row))
+    coefficients, leverage = _solve_and_leverage(factor, row)
+    sigma_hat = residual_norm / sqrt(dof)
     prediction = float(coefficients @ row)
     return abs(observation.response - prediction) / (sigma_hat * sqrt(1.0 + leverage))
 
@@ -567,7 +567,16 @@ class QuadraticRegion:
 def _centered_region(
     a: np.ndarray, b: np.ndarray, count: int, t_value: float
 ) -> QuadraticRegion:
-    """``mva_region`` for offset and slope already centered by their heads' means."""
+    """Quadratic form of the studentized-last-centered-residual inequality.
+
+    ``a`` and ``b`` decompose the n ridge residuals as affine functions of
+    the candidate response, both already centered by the mean of their first
+    n-1 components.  A candidate survives when
+
+        sqrt((n-1)/n) |a_n + y b_n| < t * sqrt(sum_{i<n} (a_i + y b_i)^2 / (n-2)),
+
+    which after squaring is the region carried by the returned coefficients.
+    """
     scale = float((count - 1) * (count - 2))
     weight = t_value * t_value * count
     head_a, head_b = a[:-1], b[:-1]
@@ -581,20 +590,6 @@ def _centered_region(
 def _centered(values) -> np.ndarray:
     values = np.asarray(values, dtype=float)
     return values - values[:-1].mean()
-
-
-def mva_region(offset, slope, count: int, t_value: float) -> QuadraticRegion:
-    """Quadratic form of the studentized-last-centered-residual inequality.
-
-    ``offset`` and ``slope`` decompose the n ridge residuals as affine
-    functions of the candidate response; both are centered here by the mean
-    of their first n-1 components.  A candidate survives when
-
-        sqrt((n-1)/n) |a_n + y b_n| < t * sqrt(sum_{i<n} (a_i + y b_i)^2 / (n-2)),
-
-    which after squaring is the region carried by the returned coefficients.
-    """
-    return _centered_region(_centered(offset), _centered(slope), count, t_value)
 
 
 def mva_hull(offset, slope, count: int, t_value: float) -> PredictionInterval:
@@ -615,7 +610,7 @@ def centered_residual_score(residuals) -> float:
     """Last residual centered by the earlier mean, over the centered spread.
 
     The raw-data route to the same score that ``mva_score`` computes from a
-    moment summary: with residuals e_1 ... e_n, returns
+    ``RegressionSummary``: with residuals e_1 ... e_n, returns
     (e_n - mean(e_1..e_{n-1})) / sqrt(sum_{i<n} (e_i - mean)^2), keeping the
     sign.  Zero spread among the earlier residuals is a degenerate fit.
     """
@@ -703,33 +698,8 @@ def mva_predict(
     return _mva_intervals(_mva_step(history, x_new, ridge, schedule), levels)
 
 
-@dataclass(frozen=True, eq=False)
-class MvaSummary:
-    """Raw cross-moments of a history, feature-truncation deferred to scoring."""
-
-    count: int
-    feature_sum: np.ndarray
-    response_sum: float
-    feature_gram: np.ndarray
-    cross: np.ndarray
-    square_sum: float
-
-    @classmethod
-    def from_history(cls, history: History) -> "MvaSummary":
-        x = history.features
-        y = history.responses
-        return cls(
-            count=len(history),
-            feature_sum=x.sum(axis=0),
-            response_sum=float(y.sum()),
-            feature_gram=x.T @ x,
-            cross=x.T @ y,
-            square_sum=float(y @ y),
-        )
-
-
 def mva_score(
-    summary: MvaSummary,
+    summary: RegressionSummary,
     observation: Observation,
     ridge: float = 0.0,
     active_count: int | None = None,
@@ -737,62 +707,53 @@ def mva_score(
     """Last centered ridge residual over the root of the centered energy.
 
     The score is signed: (e_n - mean of earlier residuals) divided by the
-    root of the summed squared deviations of the earlier residuals, all
-    computed from moments.  ``active_count`` truncates the regression to the
-    first features, mirroring a feature schedule.  With ridge 0 it raises
-    ``RankDeficiencyError`` where ``gauss_score`` does: once cond(D) passes
-    about 1 / sqrt(eps * max(n, K+1)).
+    root of the summed squared deviations of the earlier residuals, all read
+    from the summary's triangle.  ``active_count`` truncates the regression
+    to the first features, mirroring a feature schedule.  With ridge 0 it
+    raises ``RankDeficiencyError`` under the least-squares rank rule, as
+    ``gauss_score`` does, and ``DegenerateFitError`` at n = active + 1,
+    where the fit interpolates and every residual is zero.  A centered
+    spread at the least-squares cut-off relative to the past responses' own
+    energy (an exactly linear history) is ``DegenerateFitError`` too.
+
+    The head triangle R of [1 | x | y] is truncated to the active columns,
+    and sqrt(ridge) I and the new row [1, x, y] are absorbed into a copy of
+    it to solve for the ridge coefficients c.  With w = R [-c, 1] the head
+    residuals are Q w for R's orthogonal factor Q, whose first column is the
+    ones column over R[0, 0] = +-sqrt(count): so the head residuals sum to
+    R[0, 0] w[0] and their centered energy is ||w[1:]||^2, with no column
+    sums formed and no difference of energies that could cancel.
     """
-    k = summary.feature_sum.size
+    k = summary.factor.shape[0] - 2
     active = k if active_count is None else int(active_count)
     if not 0 <= active <= k:
         raise ValueError(f"active_count must lie in [0, {k}]")
-    x = observation.explanatory[:active]
     head = summary.count
     n = head + 1
     if n < 3:
         raise ValueError("need at least three observations in total")
 
     cols = active + 1
-    gram = np.empty((cols, cols))
-    gram[0, 0] = head
-    gram[0, 1:] = summary.feature_sum[:active]
-    gram[1:, 0] = summary.feature_sum[:active]
-    gram[1:, 1:] = summary.feature_gram[:active, :active]
-    head_moment = np.concatenate([[summary.response_sum], summary.cross[:active]])
-
-    new_row = np.concatenate([[1.0], x])
-    full_gram = gram + np.outer(new_row, new_row)
-    full_moment = head_moment + observation.response * new_row
+    factor = _leading_factor(summary.factor, cols)
+    new_row = np.concatenate([[1.0], observation.explanatory[:active]])
+    rows = np.append(new_row, observation.response)[None, :]
     if ridge > 0.0:
-        full_gram = full_gram + ridge * np.eye(cols)
-    try:
-        upper = cholesky(full_gram, check_finite=False)
-    except np.linalg.LinAlgError as err:
-        raise RankDeficiencyError("summarized design is rank deficient") from err
-    # as in gauss_score: the factor comes from the Gram matrix, so the
-    # least-squares rule is applied at the square root of its tolerance
-    if ridge == 0.0 and not _passes_rank_rule(
-        upper, n, tolerance=sqrt(_rank_tolerance(n, cols))
-    ):
-        raise RankDeficiencyError("design is rank deficient; use a positive ridge")
-    coefficients = cho_solve((upper, False), full_moment)
+        rows = np.vstack([sqrt(ridge) * np.eye(cols, cols + 1), rows])
+    full = absorb_rows(factor, rows)
+    if ridge == 0.0:
+        if not _passes_rank_rule(full[:cols, :cols], n):
+            raise RankDeficiencyError("design is rank deficient; use a positive ridge")
+        if n == cols:
+            raise DegenerateFitError("the fit interpolates: every residual is zero")
+    coefficients = solve_triangular(full[:cols, :cols], full[:cols, -1], check_finite=False)
 
     last_residual = observation.response - float(new_row @ coefficients)
-    head_row_sum = np.concatenate([[head], summary.feature_sum[:active]])
-    head_residual_sum = summary.response_sum - float(head_row_sum @ coefficients)
-    head_mean = head_residual_sum / head
-    head_energy = (
-        summary.square_sum
-        - 2.0 * float(head_moment @ coefficients)
-        + float(coefficients @ gram @ coefficients)
-    )
-    centered_energy = head_energy - head * head_mean * head_mean
-    if centered_energy <= 0.0:
-        if centered_energy < -1e-8 * max(summary.square_sum, 1.0):
-            raise SummaryMismatchError("inconsistent summary moments")
+    weights = factor @ np.append(-coefficients, 1.0)
+    head_mean = float(factor[0, 0] * weights[0]) / head
+    spread = float(np.linalg.norm(weights[1:]))
+    if spread <= _rank_tolerance(head, cols + 1) * np.linalg.norm(factor[:, -1]):
         raise DegenerateFitError("earlier residuals have zero spread")
-    return (last_residual - head_mean) / sqrt(centered_energy)
+    return (last_residual - head_mean) / spread
 
 
 # ---------------------------------------------------------------------------

@@ -47,6 +47,12 @@ class IidGaussSummary:
 
     ``features`` holds the bag of explanatory vectors, one row per
     observation; the row order carries no information.
+
+    The summary keeps response moments by its public contract, so the
+    sampler's residual radius is the difference square_sum - m'b of the
+    response energy and the fitted energy (``_conditional_geometry``).  That
+    difference cancels when the responses sit far from zero relative to
+    their residual spread: at y'y near 1e15 it keeps only a few digits.
     """
 
     features: np.ndarray

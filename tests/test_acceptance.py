@@ -32,9 +32,8 @@ from olreg import (
 )
 from olreg.numerics import RidgeProjector, residual_decomposition
 from olreg.predictors import (
-    GaussSummary,
     MonteCarloConfig,
-    MvaSummary,
+    RegressionSummary,
     build_sweep,
     gauss_score,
     iidgauss_pvalue,
@@ -273,7 +272,8 @@ def test_criterion_08_summary_scores_match_raw_paths(capfd):
         history = History.from_observations(
             Observation(x[i], float(y[i])) for i in range(n)
         )
-        mine = gauss_score(GaussSummary.from_history(history), observation)
+        summary = RegressionSummary.from_history(history)
+        mine = gauss_score(summary, observation)
         reference = oracles.pivot_score_direct(
             x, y, observation.explanatory, observation.response
         )
@@ -282,7 +282,7 @@ def test_criterion_08_summary_scores_match_raw_paths(capfd):
             [np.ones(n + 1), np.vstack([x, observation.explanatory])]
         )
         full_y = np.concatenate([y, [observation.response]])
-        mine_mva = mva_score(MvaSummary.from_history(history), observation)
+        mine_mva = mva_score(summary, observation)
         reference_mva = oracles.centered_score_direct(design, 0.0, full_y)
         worst_mva = max(worst_mva, abs(mine_mva - reference_mva) / abs(reference_mva))
     ok = worst_gauss < 1e-10 and worst_mva < 1e-10

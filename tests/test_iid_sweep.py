@@ -14,12 +14,12 @@ from olreg import (
     Observation,
     RidgeProjector,
     build_sweep,
-    iid_bounded_threshold,
     iid_predict,
     iid_pvalue,
     residual_decomposition,
     sweep_hull,
 )
+from olreg.predictors import iid_bounded_threshold
 from olreg.protocol import IidGaussPredictor, IidPredictor
 
 # Worked example, expected bounds fixed by the set-by-set brute-force

@@ -11,9 +11,8 @@ from olreg import (
     DegenerateFitError,
     FeatureSchedule,
     History,
-    MvaSummary,
     Observation,
-    QuadraticRegion,
+    RegressionSummary,
     RidgeProjector,
     centered_residual_score,
     mva_hull,
@@ -23,6 +22,7 @@ from olreg import (
     wilks_level,
     wilks_predict,
 )
+from olreg.predictors import QuadraticRegion
 from olreg.protocol import MvaPredictor
 
 # Worked example (same data as the rank-region one), bounds fixed by the
@@ -146,7 +146,7 @@ def test_summary_score_matches_raw_computation():
         features = rng.normal(size=(n, k))
         responses = rng.normal(size=n)
         history = history_of(features[:-1], responses[:-1])
-        summary = MvaSummary.from_history(history)
+        summary = RegressionSummary.from_history(history)
         obs = Observation(features[-1], responses[-1])
         from_summary = mva_score(summary, obs, ridge=ridge)
         design = np.column_stack([np.ones(n), features])
@@ -154,12 +154,23 @@ def test_summary_score_matches_raw_computation():
         assert from_summary == pytest.approx(raw, rel=1e-10, abs=1e-12)
 
 
+def test_summary_score_on_an_exactly_linear_history_is_degenerate():
+    # every residual is zero in exact arithmetic; near 1e9 rounding leaves
+    # them a spread that is residue, not signal
+    features = np.arange(1.0, 9.0)[:, None]
+    for scale, offset in ((1.0, 0.0), (1e6, 1e9)):
+        responses = scale * (2.0 * features[:, 0] + 3.0) + offset
+        summary = RegressionSummary.from_history(history_of(features, responses))
+        with pytest.raises(DegenerateFitError):
+            mva_score(summary, Observation(np.array([9.0]), scale * 21.0 + offset))
+
+
 def test_summary_score_respects_feature_truncation():
     rng = np.random.default_rng(43)
     features = rng.normal(size=(8, 4))
     responses = rng.normal(size=8)
     history = history_of(features[:-1], responses[:-1])
-    summary = MvaSummary.from_history(history)
+    summary = RegressionSummary.from_history(history)
     obs = Observation(features[-1], responses[-1])
     truncated = mva_score(summary, obs, ridge=0.01, active_count=2)
     design = np.column_stack([np.ones(8), features[:, :2]])

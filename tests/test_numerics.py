@@ -12,9 +12,9 @@ from olreg import (
     Observation,
     RankDeficiencyError,
     RidgeProjector,
-    StudentT,
     residual_decomposition,
 )
+from olreg.numerics import StudentT
 
 
 def ones_design(n):

@@ -21,7 +21,6 @@ from olreg import (
     Observation,
     OnlineLedger,
     PredictionInterval,
-    StudentT,
     SyntheticConfig,
     binomial_band,
     centered_residual_score,
@@ -34,6 +33,7 @@ from olreg import (
     validity_report,
 )
 from olreg.base import DegenerateFitError
+from olreg.numerics import StudentT
 from olreg.predictors import _mc_machinery, _step_projector
 from olreg.protocol import PValueTrace
 

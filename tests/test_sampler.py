@@ -10,9 +10,8 @@ from olreg import (
     Observation,
     SummaryMismatchError,
     sample_conditional,
-    update_summary,
 )
-from olreg.sampler import complement_directions, random_orderings
+from olreg.sampler import complement_directions, random_orderings, update_summary
 
 
 def stream_of(features, responses):
