@@ -115,9 +115,45 @@ class History:
         observations = list(observations)
         if not observations:
             raise ValueError("cannot infer the feature count from an empty sequence")
-        history = cls(observations[0].explanatory.size)
+        k = observations[0].explanatory.size
         for obs in observations:
-            history.append(obs)
+            if obs.explanatory.size != k:
+                raise ValueError(f"expected {k} features, got {obs.explanatory.size}")
+        return cls.from_arrays(
+            np.vstack([obs.explanatory for obs in observations]),
+            [obs.response for obs in observations],
+        )
+
+    @classmethod
+    def from_arrays(cls, features, responses) -> "History":
+        """A history of the rows of ``features`` (n x K) and their
+        ``responses``, built with one copy into the design buffer.
+
+        The checks are ``Observation``'s: the first row with a non-finite
+        feature or response raises the ``ValueError`` that its
+        ``Observation`` would, features first.
+        """
+        features = np.asarray(features, dtype=float)
+        responses = np.asarray(responses, dtype=float).ravel()
+        if features.ndim != 2:
+            raise ValueError("features must be two-dimensional")
+        if features.shape[0] != responses.size:
+            raise ValueError("feature rows and responses must have equal count")
+        finite_rows = np.isfinite(features).all(axis=1)
+        finite_responses = np.isfinite(responses)
+        if not (finite_rows.all() and finite_responses.all()):
+            first = int(np.argmin(finite_rows & finite_responses))
+            if not finite_rows[first]:
+                raise ValueError("explanatory components must be finite")
+            raise ValueError("response must be finite")
+        n, k = features.shape
+        history = cls(k)
+        history._design = np.empty((max(n, 16), k + 1))
+        history._design[:n, 0] = 1.0
+        history._design[:n, 1:] = features
+        history._responses = np.empty(max(n, 16))
+        history._responses[:n] = responses
+        history._n = n
         return history
 
     def append(self, observation: Observation) -> None:

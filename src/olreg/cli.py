@@ -174,9 +174,7 @@ def batch_predict(
 
     mc = mc if mc is not None else MonteCarloConfig()
     predictor = _make_predictor(model, ridge, schedule, mc)
-    history = History.from_observations(
-        observations_from_arrays(train_features, train_responses)
-    )
+    history = History.from_arrays(train_features, train_responses)
     lower = np.empty((test_count, level_count))
     upper = np.empty((test_count, level_count))
     for i in range(test_count):

@@ -80,8 +80,13 @@ def observations_from_arrays(features, responses) -> list[Observation]:
     return [Observation(x, y) for x, y in zip(features, responses)]
 
 
-def _tokenize(line: str) -> list[str]:
-    return line.replace(",", " ").split()
+def _is_numeric(tokens: list[str]) -> bool:
+    try:
+        for token in tokens:
+            float(token)
+    except ValueError:
+        return False
+    return True
 
 
 def load_matrix(path) -> np.ndarray:
@@ -91,28 +96,54 @@ def load_matrix(path) -> np.ndarray:
     parsing is taken to be a header and skipped; blank lines are ignored.
     Ragged rows and unparseable fields raise ``MatrixParseError`` with the
     offending 1-based line number.  A file with no data rows yields a 0x0
-    matrix.
+    matrix.  Every field is read as Python's ``float()`` reads it.
+
+    The file is read once and split into lines on newlines, as iterating
+    over it would.  Below the header, its commas become spaces and numpy's
+    C reader (``np.loadtxt``, whitespace-delimited, no comment character)
+    converts the lines: it splits on the whitespace ``str.split`` splits on
+    and converts a field as ``float()`` does, or rejects it.  Whatever it
+    rejects (ragged rows, bad fields, and tokens only ``float()`` takes,
+    such as ``1_0`` or non-ASCII digits) is read again line by line with
+    ``float()``, which reproduces those values or names the bad line.
     """
+    with open(path, "r", encoding="utf-8") as handle:
+        lines = handle.read().replace(",", " ").split("\n")
+    start = next((i for i, line in enumerate(lines) if line.split()), len(lines))
+    if start < len(lines) and not _is_numeric(lines[start].split()):
+        start += 1
+    body = lines[start:]
+    if not any(map(str.strip, body)):
+        return np.empty((0, 0))
+    try:
+        return np.loadtxt(body, comments=None, ndmin=2)
+    except ValueError:
+        return _load_lines(lines)
+
+
+def _load_lines(lines: list[str]) -> np.ndarray:
+    """``load_matrix`` one line at a time, with commas already made spaces,
+    converting each token with ``float()``: the fallback for what the C
+    reader rejects."""
     rows: list[list[float]] = []
     saw_content = False
-    with open(path, "r", encoding="utf-8") as handle:
-        for number, raw in enumerate(handle, start=1):
-            tokens = _tokenize(raw)
-            if not tokens:
+    for number, raw in enumerate(lines, start=1):
+        tokens = raw.split()
+        if not tokens:
+            continue
+        first_content = not saw_content
+        saw_content = True
+        try:
+            values = [float(token) for token in tokens]
+        except ValueError:
+            if first_content:
                 continue
-            first_content = not saw_content
-            saw_content = True
-            try:
-                values = [float(token) for token in tokens]
-            except ValueError:
-                if first_content:
-                    continue
-                raise MatrixParseError("unparseable numeric field", number) from None
-            if rows and len(values) != len(rows[0]):
-                raise MatrixParseError(
-                    f"expected {len(rows[0])} fields, got {len(values)}", number
-                )
-            rows.append(values)
+            raise MatrixParseError("unparseable numeric field", number) from None
+        if rows and len(values) != len(rows[0]):
+            raise MatrixParseError(
+                f"expected {len(rows[0])} fields, got {len(values)}", number
+            )
+        rows.append(values)
     if not rows:
         return np.empty((0, 0))
     return np.array(rows, dtype=float)

@@ -500,6 +500,7 @@ def gauss_score(summary: RegressionSummary, observation: Observation) -> float:
     """
     factor = summary.factor
     cols = factor.shape[0] - 1
+    x = _new_row(observation.explanatory, cols - 1)
     dof = summary.count - cols
     if dof < 1:
         raise ValueError(f"need more than {cols} summarized observations")
@@ -509,7 +510,7 @@ def gauss_score(summary: RegressionSummary, observation: Observation) -> float:
     tolerance = _rank_tolerance(summary.count, cols + 1)
     if residual_norm <= tolerance * np.linalg.norm(factor[:, -1]):
         raise DegenerateFitError("summarized history is perfectly interpolated")
-    row = np.concatenate([[1.0], observation.explanatory])
+    row = np.concatenate([[1.0], x])
     coefficients, leverage = _solve_and_leverage(factor, row)
     sigma_hat = residual_norm / sqrt(dof)
     prediction = float(coefficients @ row)
@@ -725,6 +726,7 @@ def mva_score(
     sums formed and no difference of energies that could cancel.
     """
     k = summary.factor.shape[0] - 2
+    x = _new_row(observation.explanatory, k)
     active = k if active_count is None else int(active_count)
     if not 0 <= active <= k:
         raise ValueError(f"active_count must lie in [0, {k}]")
@@ -735,7 +737,7 @@ def mva_score(
 
     cols = active + 1
     factor = _leading_factor(summary.factor, cols)
-    new_row = np.concatenate([[1.0], observation.explanatory[:active]])
+    new_row = np.concatenate([[1.0], x[:active]])
     rows = np.append(new_row, observation.response)[None, :]
     if ridge > 0.0:
         rows = np.vstack([sqrt(ridge) * np.eye(cols, cols + 1), rows])

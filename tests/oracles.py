@@ -608,3 +608,43 @@ def binomial_band_direct(count: int, probability: float, confidence: float = 0.9
 def normal_interval_halfwidth(epsilon: float) -> float:
     """Half-width of the known-noise oracle interval, via erfinv."""
     return normal_upper_quantile(epsilon / 2.0)
+
+
+# ---------------------------------------------------------------------------
+# Matrix file reference
+# ---------------------------------------------------------------------------
+
+
+def load_matrix_loop(path) -> np.ndarray:
+    """Read a matrix file one line and one ``float()`` at a time.
+
+    Commas and whitespace delimit, a first content line that fails
+    ``float()`` is a header, blank lines are skipped, and a ragged row or a
+    bad field past the header raises ``MatrixParseError`` with its 1-based
+    line number.  No data rows give a 0x0 matrix.
+    """
+    from olreg import MatrixParseError
+
+    rows: list[list[float]] = []
+    saw_content = False
+    with open(path, "r", encoding="utf-8") as handle:
+        for number, raw in enumerate(handle, start=1):
+            tokens = raw.replace(",", " ").split()
+            if not tokens:
+                continue
+            first_content = not saw_content
+            saw_content = True
+            try:
+                values = [float(token) for token in tokens]
+            except ValueError:
+                if first_content:
+                    continue
+                raise MatrixParseError("unparseable numeric field", number) from None
+            if rows and len(values) != len(rows[0]):
+                raise MatrixParseError(
+                    f"expected {len(rows[0])} fields, got {len(values)}", number
+                )
+            rows.append(values)
+    if not rows:
+        return np.empty((0, 0))
+    return np.array(rows, dtype=float)

@@ -205,6 +205,24 @@ def test_rank_deficient_training_design(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cell", [(2, 0), (3, 2)])
+def test_predict_on_a_non_finite_training_value_is_an_error(tmp_path, capsys, cell):
+    rows = [[float(i), float(i * i % 7), 2.0 * i + 1.0] for i in range(12)]
+    rows[cell[0]][cell[1]] = math.inf
+    train = tmp_path / "train.csv"
+    train.write_text("x1,x2,y\n" + "".join(",".join(map(str, row)) + "\n" for row in rows))
+    test = tmp_path / "test.csv"
+    test.write_text("x1,x2\n1,1\n")
+    for model in ("iid", "gauss"):
+        code = run(
+            ["predict", "--model", model, "--train", train, "--test", test,
+             "--epsilons", "0.2", "--out", tmp_path / "bounds"]
+        )
+        assert code == 2
+        assert "must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "bounds_lower.csv").exists()
+
+
 def test_batch_predict_columns_follow_the_ladder():
     rng = np.random.default_rng(13)
     x = rng.normal(size=(30, 2))

@@ -1,10 +1,13 @@
 """Synthetic stream generation, matrix text I/O, and series emission."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+import oracles
+import olreg.data
 from olreg import (
     MatrixParseError,
     Observation,
@@ -130,6 +133,134 @@ def test_empty_file_yields_empty_matrix(tmp_path):
     assert load_matrix(path).shape == (0, 0)
     path.write_text("only,a,header\n")
     assert load_matrix(path).shape == (0, 0)
+
+
+def write_text(tmp_path, text, name="matrix.txt"):
+    """Write ``text`` as UTF-8 with its line ends kept as given."""
+    path = tmp_path / name
+    path.write_bytes(text.encode("utf-8"))
+    return path
+
+
+def assert_same_bits(got, want):
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def random_cells(rng, rows, cols):
+    """Doubles across the whole exponent range, with the special values and
+    edge tokens that ``float()`` reads: infinities, subnormals, overflow and
+    underflow, signs and bare points."""
+    values = rng.normal(size=(rows, cols)) * 10.0 ** rng.integers(-320, 309, size=(rows, cols))
+    cells = [[f"{v:.17g}" if rng.random() < 0.5 else repr(float(v)) for v in row] for row in values]
+    specials = ["inf", "-inf", "Infinity", "-INF", "1e400", "-1e999", "1e-400", "nan",
+                "5e-324", "-2.2250738585072009e-308", "4.9406564584124654e-324",
+                "1.7976931348623157e308", "+1.5", ".5", "5.", "-0", "0e0", "1E+2"]
+    for i, token in enumerate(specials):
+        cells[i % rows][(i * 7) % cols] = token
+    return cells
+
+
+DELIMITERS = [",", " ", "\t", ", ", " , ", "mixed"]
+
+
+def format_matrix(rng, cells, delimiter, newline, header, blanks):
+    lines = []
+    for row in cells:
+        if delimiter == "mixed":
+            seps = rng.choice([",", " ", "\t", ", ", " ,\t", "\u3000"], size=len(row) - 1)
+            line = "".join(cell + sep for cell, sep in zip(row, seps)) + row[-1]
+        else:
+            line = delimiter.join(row)
+        lines.append(line)
+        if blanks and rng.random() < 0.2:
+            lines.append(str(rng.choice(["", "  ", "\t", ",", " , "])))
+    if header:
+        lines.insert(0, ",".join(f"x{j}" for j in range(len(cells[0]))))
+    if blanks:
+        lines.insert(0, "")
+    return newline.join(lines) + (newline if rng.random() < 0.7 else "")
+
+
+@pytest.mark.parametrize("delimiter", DELIMITERS)
+def test_parse_equals_the_float_loop_bitwise(tmp_path, delimiter):
+    rng = np.random.default_rng(len(delimiter) + DELIMITERS.index(delimiter))
+    for shape in ((30, 7), (1, 5), (6, 1), (1, 1)):
+        cells = random_cells(rng, *shape)
+        for newline in ("\n", "\r\n"):
+            for header in (False, True):
+                for blanks in (False, True):
+                    text = format_matrix(rng, cells, delimiter, newline, header, blanks)
+                    path = write_text(tmp_path, text)
+                    want = oracles.load_matrix_loop(path)
+                    assert want.shape == shape
+                    assert_same_bits(load_matrix(path), want)
+
+
+def test_saved_and_whitespace_files_skip_the_line_loop(tmp_path, monkeypatch):
+    def refuse(lines):
+        raise AssertionError("the line loop ran")
+
+    monkeypatch.setattr(olreg.data, "_load_lines", refuse)
+    rng = np.random.default_rng(21)
+    matrix = rng.normal(size=(25, 4))
+    path = tmp_path / "saved.csv"
+    save_matrix(matrix, path, header=["a", "b", "c", "y"])
+    assert_same_bits(load_matrix(path), matrix)
+    text = "a b c\r\n\r\n" + "".join(" ".join(repr(float(v)) for v in row) + "\r\n" for row in matrix[:, :3])
+    assert_same_bits(load_matrix(write_text(tmp_path, text)), matrix[:, :3])
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "1_0,2\n3,4\n",  # underscores: float() only
+        "x,y\n\u0661,2\n3,\u0663.\u0665\n",  # Arabic-Indic digits
+        "1,2\n\uff13,4_000.5\n",  # full-width digit
+        "a b\r\n1 2\r\n3\u00a04\r\n5_5 6\r\n",
+    ],
+)
+def test_tokens_only_float_reads_take_the_line_loop(tmp_path, text):
+    path = write_text(tmp_path, text)
+    want = oracles.load_matrix_loop(path)
+    assert want.size > 0
+    assert_same_bits(load_matrix(path), want)
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("h1,h2\n1,2\n3,4,5\n", 3),
+        ("h1,h2\r\n\r\n1,2\r\n3,4\r\n\r\n5,6,7\r\n", 6),
+        ("1 2\n3\n", 2),
+        ("1,2\n3,4\n5,\n", 3),
+        ("1,2\n3,oops\n", 2),
+        ("x,y\n1,2\n\n3,1_0x\n", 4),
+        ("x,y\n1,2\n3,4\n#5,6\n", 4),
+        ("\n\n1,2\nx,y\n", 4),
+        ("1,2\n3\x0c4\x0c5\n", 2),
+    ],
+)
+def test_parse_errors_name_their_line(tmp_path, text, line):
+    path = write_text(tmp_path, text)
+    with pytest.raises(MatrixParseError) as reference:
+        oracles.load_matrix_loop(path)
+    assert reference.value.line_number == line
+    with pytest.raises(MatrixParseError) as info:
+        load_matrix(path)
+    assert info.value.line_number == line
+    assert str(info.value) == str(reference.value)
+
+
+@pytest.mark.parametrize(
+    "text", ["", "\n", " \r\n\t\n", "x1,x2,y\n", "x1 x2\r\n\r\n  \r\n", ",,\nh\n,\n"]
+)
+def test_empty_or_header_only_file_is_0x0_without_a_warning(tmp_path, text):
+    path = write_text(tmp_path, text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        loaded = load_matrix(path)
+    assert loaded.shape == (0, 0)
 
 
 def test_save_layout_and_header(tmp_path):

@@ -149,6 +149,16 @@ def test_score_zero_spread_is_degenerate():
             gauss_score(summary, Observation(np.array([5.0]), 10.0))
 
 
+def test_score_rejects_an_observation_of_another_width():
+    rng = np.random.default_rng(35)
+    features = rng.normal(size=(20, 3))
+    responses = features @ np.array([1.0, -1.0, 0.5]) + rng.normal(size=20)
+    summary = RegressionSummary.from_history(history_of(features, responses))
+    for width in (2, 4):
+        with pytest.raises(ValueError, match=f"expected 3 features, got {width}"):
+            gauss_score(summary, Observation(rng.normal(size=width), 0.5))
+
+
 def test_pivot_law_matches_student_t():
     # draws of (y - yhat)/(sigma sqrt(1 + leverage)) from the true model
     # follow the t law with n - K - 2 degrees of freedom

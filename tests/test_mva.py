@@ -165,6 +165,17 @@ def test_summary_score_on_an_exactly_linear_history_is_degenerate():
             mva_score(summary, Observation(np.array([9.0]), scale * 21.0 + offset))
 
 
+def test_summary_score_rejects_an_observation_of_another_width():
+    rng = np.random.default_rng(44)
+    features = rng.normal(size=(20, 3))
+    responses = features @ np.array([1.0, -1.0, 0.5]) + rng.normal(size=20)
+    summary = RegressionSummary.from_history(history_of(features, responses))
+    for width in (2, 4):
+        for active in (None, 2):
+            with pytest.raises(ValueError, match=f"expected 3 features, got {width}"):
+                mva_score(summary, Observation(rng.normal(size=width), 0.5), active_count=active)
+
+
 def test_summary_score_respects_feature_truncation():
     rng = np.random.default_rng(43)
     features = rng.normal(size=(8, 4))
