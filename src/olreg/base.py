@@ -24,6 +24,8 @@ from scipy.linalg import lapack
 # rounding in the computed inverse.
 CERTIFICATE_MARGIN = 1e-2
 
+_EPS = float(np.finfo(float).eps)
+
 
 class RankDeficiencyError(ValueError):
     """An unregularized fit required a full-rank design matrix and did not get one."""
@@ -66,6 +68,36 @@ class Observation:
         object.__setattr__(self, "explanatory", x)
         object.__setattr__(self, "response", y)
 
+    @classmethod
+    def _checked(cls, explanatory: np.ndarray, response: float) -> "Observation":
+        """An observation of a 1-d float row and a float that the caller has
+        checked already (``_checked_rows``); nothing is checked again."""
+        observation = object.__new__(cls)
+        object.__setattr__(observation, "explanatory", explanatory)
+        object.__setattr__(observation, "response", response)
+        return observation
+
+
+def _checked_rows(features, responses) -> tuple[np.ndarray, np.ndarray]:
+    """``features`` (n x K) and ``responses`` (n) as float arrays, checked
+    once for the whole matrix with ``Observation``'s rule: the first row
+    with a non-finite feature or response raises the ``ValueError`` that its
+    ``Observation`` would, features first."""
+    features = np.asarray(features, dtype=float)
+    responses = np.asarray(responses, dtype=float).ravel()
+    if features.ndim != 2:
+        raise ValueError("features must be two-dimensional")
+    if features.shape[0] != responses.size:
+        raise ValueError("feature rows and responses must have equal count")
+    finite_rows = np.isfinite(features).all(axis=1)
+    finite_responses = np.isfinite(responses)
+    if not (finite_rows.all() and finite_responses.all()):
+        first = int(np.argmin(finite_rows & finite_responses))
+        if not finite_rows[first]:
+            raise ValueError("explanatory components must be finite")
+        raise ValueError("response must be finite")
+    return features, responses
+
 
 class History:
     """Growing record of revealed observations with a cached design matrix.
@@ -98,6 +130,14 @@ class History:
     to either.  One inverse thus settles the rank rule for every later step
     until the bound stops settling it; an on-line run forms a new inverse
     only then, not once per step.
+
+    The other factor of that bound, ||R_D||_F, is carried too: each kept
+    factor holds the column sums of squares s_j of the design rows it has
+    absorbed, updated in O(K) per absorbed row and started again by a wider
+    refactor.  R'R = D'D + aI gives ||R_D||_F = sqrt(a c + sum_{j<c} s_j)
+    for any leading c-block (``design_norm``), so no rank rule reads R for
+    its norm, and a step triangle that adds a row z has norm
+    sqrt(||R_D||_F^2 + ||z||^2).
     """
 
     def __init__(self, feature_count: int):
@@ -133,19 +173,7 @@ class History:
         feature or response raises the ``ValueError`` that its
         ``Observation`` would, features first.
         """
-        features = np.asarray(features, dtype=float)
-        responses = np.asarray(responses, dtype=float).ravel()
-        if features.ndim != 2:
-            raise ValueError("features must be two-dimensional")
-        if features.shape[0] != responses.size:
-            raise ValueError("feature rows and responses must have equal count")
-        finite_rows = np.isfinite(features).all(axis=1)
-        finite_responses = np.isfinite(responses)
-        if not (finite_rows.all() and finite_responses.all()):
-            first = int(np.argmin(finite_rows & finite_responses))
-            if not finite_rows[first]:
-                raise ValueError("explanatory components must be finite")
-            raise ValueError("response must be finite")
+        features, responses = _checked_rows(features, responses)
         n, k = features.shape
         history = cls(k)
         history._design = np.empty((max(n, 16), k + 1))
@@ -226,15 +254,23 @@ class History:
         if entry is None or entry.triangle.shape[0] <= columns:
             start = np.zeros((columns + 1, columns + 1), order="F")
             np.fill_diagonal(start[:-1, :-1], sqrt(ridge))
-            entry = self._factors[ridge] = _KeptFactor(start)
+            entry = self._factors[ridge] = _KeptFactor(start, np.full(columns, ridge))
         if entry.absorbed < self._n:
             width = entry.triangle.shape[0] - 1
             rows = np.empty((self._n - entry.absorbed, width + 1), order="F")
             rows[:, :-1] = self._design[entry.absorbed : self._n, :width]
             rows[:, -1] = self._responses[entry.absorbed : self._n]
             entry.triangle = absorb_rows(entry.triangle, rows)
+            entry.column_squares += np.einsum("ij,ij->j", rows[:, :-1], rows[:, :-1])
             entry.absorbed = self._n
         return entry
+
+    def design_norm(self, ridge: float = 0.0, columns: int | None = None) -> float:
+        """||R_D||_F of the leading ``columns``-block of ``ridge``'s factor
+        (default: all K+1 columns), from the column sums of squares the
+        history carries (see the class docstring): O(K), no pass over R."""
+        columns = self._k + 1 if columns is None else columns
+        return self._kept_factor(float(ridge), columns).design_norm(columns)
 
     def design_inverse_norm(self, ridge: float = 0.0) -> float | None:
         """The rank certificate kept with ``ridge``'s factor.
@@ -251,11 +287,10 @@ class History:
         entry = self._factors.get(ridge)
         width = self._k + 1 if entry is None else entry.triangle.shape[0] - 1
         entry = self._kept_factor(ridge, width)
-        block = entry.triangle[:width, :width]
-        if _settles(block, self._n, ridge, entry.inverse_norm):
+        if _settles(entry.design_norm(width), width, self._n, ridge, entry.inverse_norm):
             return entry.inverse_norm
         if entry.inverse_norm is None or entry.certified_rows < self._n:
-            inverse, info = lapack.dtrtri(block)
+            inverse, info = lapack.dtrtri(entry.triangle[:width, :width])
             entry.inverse_norm = inf if info > 0 else float(np.linalg.norm(inverse))
             entry.certified_rows = self._n
         return entry.inverse_norm
@@ -280,11 +315,13 @@ class History:
             if self._n < cols:
                 self._full_rank = False
             else:
-                # the block first: a wider factor starts without a certificate
-                block = self.triangular_factor()[:cols, :cols]
+                # the full width first: a wider factor starts without a certificate
+                entry = self._kept_factor(0.0, cols)
                 inverse_norm = self.design_inverse_norm()
-                self._full_rank = _settles(block, self._n, 0.0, inverse_norm) or (
-                    inverse_norm < inf and _spectrum_passes(block, self._n)
+                frobenius = entry.design_norm(cols)
+                self._full_rank = _settles(frobenius, cols, self._n, 0.0, inverse_norm) or (
+                    inverse_norm < inf
+                    and _spectrum_passes(entry.triangle[:cols, :cols], self._n)
                 )
         return self._full_rank
 
@@ -292,13 +329,26 @@ class History:
 @dataclass(eq=False)
 class _KeptFactor:
     """A ridge factor the history keeps: ``absorbed`` rows are folded into
-    ``triangle``, and ``inverse_norm`` is ||R_D^-1||_F of its design block
-    after ``certified_rows`` rows (None until a rank rule asks for it)."""
+    ``triangle``, ``column_squares`` holds the squared norms of the design
+    columns of the stacked matrix it factors (the ridge a plus the column
+    sums of squares of those rows), and ``inverse_norm`` is ||R_D^-1||_F of
+    its design block after ``certified_rows`` rows (None until a rank rule
+    asks for it)."""
 
     triangle: np.ndarray
+    column_squares: np.ndarray
     absorbed: int = 0
     inverse_norm: float | None = None
     certified_rows: int = 0
+
+    def design_norm(self, columns: int) -> float:
+        """||R_D||_F of the leading ``columns``-block of the design block.
+
+        R'R is the Gram matrix of the stacked matrix, so column j of R has
+        that matrix's column norm, and the leading block of an upper
+        triangle holds the whole of its leading columns.
+        """
+        return sqrt(float(self.column_squares[:columns].sum()))
 
 
 def absorb_rows(triangle: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -335,20 +385,21 @@ def _leading_factor(factor: np.ndarray, columns: int) -> np.ndarray:
 
 
 def _rank_tolerance(rows: int, cols: int) -> float:
-    return np.finfo(float).eps * max(rows, cols)
+    return _EPS * max(rows, cols)
 
 
 def _settles(
-    triangle: np.ndarray,
+    frobenius: float,
+    cols: int,
     rows: int,
     ridge: float,
     inverse_norm: float | None,
 ) -> bool:
-    """Whether a cheap bound alone shows that the triangle passes the rank
-    rule: the sqrt(ridge) shortcut, or the certificate ||R||_F * inverse_norm
-    far below the cut-off (see ``_passes_rank_rule``).  No inverse is formed."""
-    tolerance = _rank_tolerance(rows, triangle.shape[0])
-    frobenius = float(np.linalg.norm(triangle))
+    """Whether a cheap bound alone shows that a square cols x cols triangle
+    with Frobenius norm ``frobenius`` passes the rank rule: the sqrt(ridge)
+    shortcut, or the certificate ||R||_F * inverse_norm far below the
+    cut-off (see ``_passes_rank_rule``).  No inverse is formed."""
+    tolerance = _rank_tolerance(rows, cols)
     if ridge > 0.0 and sqrt(ridge) > tolerance * frobenius:
         return True
     return inverse_norm is not None and frobenius * inverse_norm * tolerance <= CERTIFICATE_MARGIN
@@ -359,6 +410,7 @@ def _passes_rank_rule(
     rows: int,
     ridge: float = 0.0,
     inverse_norm: float | None = None,
+    frobenius: float | None = None,
 ) -> bool:
     """sigma_min > tolerance * sigma_max for a square upper triangle, with
     the least-squares cut-off tolerance = eps * max(rows, cols).
@@ -375,13 +427,18 @@ def _passes_rank_rule(
     and the exact singular values decide when that does not settle it
     either.  A carried bound is never below R's own ||R^-1||_F, so it
     settles the rule only where the triangle's own inverse would have.
+    ``frobenius``, when given, is ||R||_F (``History.design_norm`` carries
+    it for a kept factor); otherwise it is taken from R.
     """
-    if _settles(triangle, rows, ridge, inverse_norm):
+    cols = triangle.shape[0]
+    if frobenius is None:
+        frobenius = float(np.linalg.norm(triangle))
+    if _settles(frobenius, cols, rows, ridge, inverse_norm):
         return True
     inverse, info = lapack.dtrtri(triangle)
     if info > 0:
         return False  # an exactly zero pivot: the triangle is singular
-    if _settles(triangle, rows, 0.0, float(np.linalg.norm(inverse))):
+    if _settles(frobenius, cols, rows, 0.0, float(np.linalg.norm(inverse))):
         return True
     return _spectrum_passes(triangle, rows)
 

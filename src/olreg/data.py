@@ -15,7 +15,7 @@ from math import inf
 
 import numpy as np
 
-from .base import MatrixParseError, Observation
+from .base import MatrixParseError, Observation, _checked_rows
 from .protocol import DEFAULT_SEED, OnlineLedger
 
 
@@ -72,12 +72,14 @@ def observations_to_arrays(observations) -> tuple[np.ndarray, np.ndarray]:
 
 
 def observations_from_arrays(features, responses) -> list[Observation]:
-    """Pair feature rows with responses into a stream."""
-    features = np.asarray(features, dtype=float)
-    responses = np.asarray(responses, dtype=float).ravel()
-    if features.shape[0] != responses.size:
-        raise ValueError("feature rows and responses must have equal count")
-    return [Observation(x, y) for x, y in zip(features, responses)]
+    """Pair feature rows with responses into a stream.
+
+    The whole matrix is checked once, by ``Observation``'s rule: the first
+    row with a non-finite feature or response raises the ``ValueError``
+    that its ``Observation`` would.  No row is checked again.
+    """
+    features, responses = _checked_rows(features, responses)
+    return [Observation._checked(x, y) for x, y in zip(features, responses.tolist())]
 
 
 def _is_numeric(tokens: list[str]) -> bool:

@@ -9,8 +9,9 @@ once, O(n k^2).  An on-line step instead starts from the triangular factor
 that ``History`` keeps for the ridge coefficient, truncated to the
 scheduled columns, and absorbs the one new row into a copy, O(k^2); the
 step costs O(k^2 + n k) in all, and the design's conditioning is never
-squared.  Its rank check reads the certificate the history carries for that
-factor, so it forms no triangular inverse either.
+squared.  Its rank check reads the certificate and the Frobenius norm that
+the history carries for that factor, so it forms no triangular inverse and
+takes no O(k^2) norm either.
 
 Because candidate responses enter the augmented response vector linearly, the
 residual vector of (y_1, ..., y_{n-1}, y) is an affine function of y.  The
@@ -21,14 +22,15 @@ far from zero); the predictors then scan candidate responses at O(1) per
 residual component instead of re-solving.
 
 The Gauss predictor needs no projector: its least-squares fit is read from
-the ridge-0 factor of [design | responses] that ``History`` keeps, by
-triangular solves.
+the ridge-0 factor of [design | responses] that ``History`` keeps, by two
+LAPACK triangular solves, and its residual scale from that factor's last
+diagonal entry, so a Gauss step is O(k^2) with no pass over the rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isfinite
+from math import isfinite, sqrt
 
 import numpy as np
 from scipy.linalg import lapack
@@ -58,7 +60,10 @@ class RidgeProjector:
     rule sigma_min > eps * max(n, k) * sigma_max.  ``inverse_norm`` is an
     upper bound on the inverse's Frobenius norm for that factor, such as
     ``History.design_inverse_norm`` carries for ``factor``; when it settles
-    the rule no inverse is formed.
+    the rule no inverse is formed.  ``design_norm``, when given, is the
+    Frobenius norm of ``factor``'s design block (``History.design_norm``);
+    the new row's squared norm is added to it for the step triangle, so the
+    rule reads no norm off the triangle either.
     """
 
     def __init__(
@@ -71,6 +76,7 @@ class RidgeProjector:
         responses=None,
         reference: float = 0.0,
         inverse_norm: float | None = None,
+        design_norm: float | None = None,
     ):
         ridge = float(ridge)
         if not (ridge >= 0.0 and isfinite(ridge)):
@@ -104,8 +110,11 @@ class RidgeProjector:
         row[0, :cols] = new_row
         row[0, cols] = reference
         triangle = absorb_rows(factor, row)
+        frobenius = None
+        if design_norm is not None:
+            frobenius = sqrt(design_norm * design_norm + float(row[0, :cols] @ row[0, :cols]))
         if not _passes_rank_rule(
-            triangle[:cols, :cols], rows, ridge, inverse_norm=inverse_norm
+            triangle[:cols, :cols], rows, ridge, inverse_norm, frobenius
         ):
             raise RankDeficiencyError(
                 "design is rank deficient; use a positive ridge coefficient"

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from math import ceil, inf, sqrt
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg import lapack, solve_triangular
 
 from .base import (
     DegenerateFitError,
@@ -89,7 +89,8 @@ def _step_projector(
     O(K^2) on top of the history's own O(K^2) per appended row, one O(n)
     reference vector, and no copy of the design.  The new row only raises
     the smallest singular value, so the rank certificate the history carries
-    for that factor settles the projector's rank rule without an inverse.
+    for that factor settles the projector's rank rule without an inverse,
+    and the carried ``design_norm`` gives the step triangle's norm in O(K).
     """
     k = history.feature_count
     x = _new_row(x_new, k)
@@ -109,6 +110,7 @@ def _step_projector(
         responses=history.responses,
         reference=reference,
         inverse_norm=history.design_inverse_norm(ridge),
+        design_norm=history.design_norm(ridge, cols),
     )
 
 
@@ -370,7 +372,12 @@ def iid_bounded_threshold(epsilon: float) -> int:
 
 @dataclass(frozen=True)
 class GaussFit:
-    """Least-squares fit of the history plus the geometry of one new point."""
+    """Least-squares fit of the history plus the geometry of one new point.
+
+    ``sigma_hat`` is read from the history's triangular factor, and is
+    exactly zero when the residual energy lies at or below the least-squares
+    cut-off (see ``gauss_fit``).
+    """
 
     coefficients: np.ndarray
     sigma_hat: float
@@ -391,41 +398,58 @@ def gauss_fit(history: History, x_new) -> GaussFit:
     that the history keeps: the coefficients solve R_D b = r_y on R's leading
     block and its response column, the leverage is ||R_D^-T z||^2 (no Gram
     matrix is formed, so its conditioning is not squared), and ``sigma_hat``
-    comes from the direct residuals y - Z b, so a perfectly interpolated
-    history gives exactly zero.  With the factor up to date a call costs two
-    O(K^2) triangular solves plus the O(nK) residual product.
+    is |R[-1, -1]|, the root of the residual energy, over sqrt(dof).  A
+    residual energy at or below the least-squares cut-off relative to the
+    responses' own (a perfectly interpolated history) gives exactly zero, by
+    the rule ``gauss_score`` applies to the same triangle.  With the factor
+    up to date a call costs two O(K^2) triangular solves and no pass over
+    the rows.
     """
     x = _new_row(x_new, history.feature_count)
-    design = history.design_matrix
-    rows, cols = design.shape
+    rows, cols = len(history), history.feature_count + 1
     if rows <= cols:
         raise RankDeficiencyError(
             f"need more than {cols} observations to estimate the residual scale"
         )
     if not history.design_has_full_rank():
         raise RankDeficiencyError("history design matrix is rank deficient")
+    factor = history.triangular_factor()
     new_row = np.concatenate([[1.0], x])
-    coefficients, leverage = _solve_and_leverage(history.triangular_factor(), new_row)
-    fitted_residuals = history.responses - design @ coefficients
+    coefficients, leverage = _solve_and_leverage(factor, new_row)
     dof = rows - cols
-    sigma_hat = sqrt(float(fitted_residuals @ fitted_residuals) / dof)
     return GaussFit(
         coefficients=coefficients,
-        sigma_hat=sigma_hat,
+        sigma_hat=_residual_norm(factor, rows) / sqrt(dof),
         leverage=leverage,
         point_prediction=float(coefficients @ new_row),
         degrees_of_freedom=dof,
     )
 
 
+def _residual_norm(factor: np.ndarray, count: int) -> float:
+    """The root of the residual energy of the least-squares fit that the
+    triangle R of [design | responses] over ``count`` rows carries: |R[-1, -1]|,
+    or exactly zero at or below the least-squares cut-off relative to the
+    responses' own root energy ||R[:, -1]||."""
+    residual_norm = abs(float(factor[-1, -1]))
+    tolerance = _rank_tolerance(count, factor.shape[0])
+    if residual_norm <= tolerance * np.linalg.norm(factor[:, -1]):
+        return 0.0
+    return residual_norm
+
+
 def _solve_and_leverage(factor: np.ndarray, new_row: np.ndarray) -> tuple[np.ndarray, float]:
     """Least-squares coefficients and the leverage of ``new_row`` from the
     triangle R of [design | responses]: b solves R_D b = r_y on R's leading
-    block R_D and its response column, and the leverage is ||R_D^-T z||^2."""
+    block R_D and its response column, and the leverage is ||R_D^-T z||^2.
+
+    LAPACK reads R_D as the top block of R's leading columns, which are
+    contiguous in a Fortran-ordered R, so no copy of it is made.
+    """
     cols = new_row.size
-    leading = factor[:cols, :cols]
-    coefficients = solve_triangular(leading, factor[:cols, cols], check_finite=False)
-    whitened = solve_triangular(leading, new_row, trans="T", check_finite=False)
+    leading = factor[:, :cols]
+    coefficients, _ = lapack.dtrtrs(leading, factor[:cols, cols])
+    whitened, _ = lapack.dtrtrs(leading, new_row, trans=1)
     return coefficients, float(whitened @ whitened)
 
 
@@ -494,9 +518,10 @@ def gauss_score(summary: RegressionSummary, observation: Observation) -> float:
     residual scale has a positive number of degrees of freedom.  The fit and
     the leverage come from the summary's triangle as in ``gauss_fit``, under
     the same least-squares rank rule, and sigma_hat from its last diagonal
-    entry, the root of the residual energy.  A residual energy at the
-    least-squares cut-off relative to the responses' own (a perfectly
-    interpolated history) raises ``DegenerateFitError``.
+    entry, the root of the residual energy.  Where ``gauss_fit`` gives
+    sigma_hat = 0 (a residual energy at or below the least-squares cut-off
+    relative to the responses' own: a perfectly interpolated history), this
+    raises ``DegenerateFitError``.
     """
     factor = summary.factor
     cols = factor.shape[0] - 1
@@ -506,9 +531,8 @@ def gauss_score(summary: RegressionSummary, observation: Observation) -> float:
         raise ValueError(f"need more than {cols} summarized observations")
     if not _passes_rank_rule(factor[:cols, :cols], summary.count):
         raise RankDeficiencyError("summarized design is rank deficient")
-    residual_norm = abs(float(factor[-1, -1]))
-    tolerance = _rank_tolerance(summary.count, cols + 1)
-    if residual_norm <= tolerance * np.linalg.norm(factor[:, -1]):
+    residual_norm = _residual_norm(factor, summary.count)
+    if residual_norm == 0.0:
         raise DegenerateFitError("summarized history is perfectly interpolated")
     row = np.concatenate([[1.0], x])
     coefficients, leverage = _solve_and_leverage(factor, row)

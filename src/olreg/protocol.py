@@ -108,7 +108,8 @@ class GaussPredictor:
         pivot = (response - step.point_prediction) / (
             step.sigma_hat * sqrt(1.0 + step.leverage)
         )
-        return 2.0 * (1.0 - StudentT(step.degrees_of_freedom).cdf(abs(pivot)))
+        # the lower tail: 1 - cdf(|t|) loses the tail to rounding
+        return 2.0 * StudentT(step.degrees_of_freedom).cdf(-abs(pivot))
 
 
 @dataclass(frozen=True)
@@ -134,7 +135,7 @@ class MvaPredictor:
         except DegenerateFitError:
             return 1.0
         statistic = sqrt((n - 1) * (n - 2) / n) * score
-        return 2.0 * (1.0 - StudentT(n - 2).cdf(abs(statistic)))
+        return 2.0 * StudentT(n - 2).cdf(-abs(statistic))
 
 
 @dataclass(frozen=True)

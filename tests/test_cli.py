@@ -317,3 +317,18 @@ def test_importing_the_cli_leaves_scipy_stats_unloaded():
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
     )
     assert result.stdout.strip() == "False"
+
+
+def test_python_dash_m_runs_the_command(tmp_path):
+    # the package imports olreg.cli, so only a __main__ module runs without
+    # the "found in sys.modules" RuntimeWarning
+    source = str(Path(olreg.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([source, os.environ.get("PYTHONPATH", "")]))
+    out = tmp_path / "train.csv"
+    result = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "olreg",
+         "gen", "--n", "4", "--k", "2", "--out", str(out)],
+        capture_output=True, text=True, env=env,
+    )
+    assert result.returncode == 0, result.stderr
+    assert out.read_text().splitlines()[0] == "x1,x2,y"

@@ -308,3 +308,27 @@ def test_emitted_median_series(tmp_path):
     assert [row[2] for row in table] == ["inf", "inf", "inf", "inf"]
     with pytest.raises(ValueError):
         emit_series(_toy_ledger(), "histogram", tmp_path / "x.csv")
+
+
+@pytest.mark.parametrize("row, col", [(0, 0), (2, 1), (4, None)])
+@pytest.mark.parametrize("value", [np.inf, np.nan])
+def test_array_streams_raise_what_the_first_bad_observation_raises(row, col, value):
+    rng = np.random.default_rng(56)
+    features, responses = rng.normal(size=(5, 2)), rng.normal(size=5)
+    if col is None:
+        responses[row] = value
+    else:
+        features[row, col] = value
+    responses[min(row + 1, 4)] = -value  # a later bad row does not decide
+    with pytest.raises(ValueError) as reference:
+        [Observation(x, y) for x, y in zip(features, responses)]
+    with pytest.raises(ValueError, match=f"^{reference.value}$"):
+        observations_from_arrays(features, responses)
+
+
+def test_array_streams_hold_float_rows_and_responses():
+    features = np.arange(6).reshape(3, 2)
+    stream = observations_from_arrays(features, [1, 2, 3])
+    for row, obs in zip(features, stream):
+        assert obs.explanatory.dtype == float and np.array_equal(obs.explanatory, row)
+        assert type(obs.response) is float

@@ -95,7 +95,7 @@ def test_exact_fit_collapses_to_a_point():
     (interval,) = gauss_predict(history, np.zeros(0), (0.05,))
     assert interval.lower == interval.upper == 3.0
 
-    # data that is linear only up to rounding keeps a sliver of width
+    # data that is linear only up to rounding leaves at most a sliver of width
     features = np.array([[1.0], [2.0], [3.0], [4.0]])
     responses = np.array([2.0, 4.0, 6.0, 8.0])
     history = history_of(features, responses)
@@ -298,3 +298,39 @@ def test_factor_absorbed_in_pieces_matches_a_fresh_history():
         assert got.leverage == pytest.approx(ref.leverage, rel=1e-12)
         assert got.point_prediction == pytest.approx(ref.point_prediction, rel=1e-12)
         assert got.degrees_of_freedom == ref.degrees_of_freedom
+
+
+def test_fit_scale_is_the_summary_factor_corner():
+    rng = np.random.default_rng(36)
+    for _ in range(60):
+        k = int(rng.integers(0, 5))
+        n = int(rng.integers(k + 3, 40))
+        features = rng.normal(size=(n, k))
+        responses = features.sum(axis=1) + rng.normal(size=n)
+        history = history_of(features[:-1], responses[:-1])
+        fit = gauss_fit(history, features[-1])
+        summary = RegressionSummary.from_history(history)
+        assert fit.sigma_hat * math.sqrt(fit.degrees_of_freedom) == pytest.approx(
+            abs(summary.factor[-1, -1]), rel=1e-12
+        )
+        pivot = abs(responses[-1] - fit.point_prediction) / (
+            fit.sigma_hat * math.sqrt(1.0 + fit.leverage)
+        )
+        score = gauss_score(summary, Observation(features[-1], responses[-1]))
+        assert pivot == pytest.approx(score, rel=1e-12)
+
+
+def test_exactly_linear_history_is_decided_by_one_rule():
+    # linear responses near 1e9: the residual energy is rounding, not zero,
+    # and lies below the least-squares cut-off, so the fit has no spread and
+    # the summary score is degenerate
+    features = np.array([[0.1], [0.2], [0.3], [0.7], [1.3]])
+    responses = 1e6 * (2.0 * features[:, 0] + 3.0) + 1e9
+    history = history_of(features, responses)
+    assert history.triangular_factor()[-1, -1] != 0.0
+    fit = gauss_fit(history, np.array([6.0]))
+    assert fit.sigma_hat == 0.0
+    (interval,) = gauss_predict(history, np.array([6.0]), (0.05,))
+    assert interval.lower == interval.upper == fit.point_prediction
+    with pytest.raises(DegenerateFitError):
+        gauss_score(RegressionSummary.from_history(history), Observation(np.array([6.0]), 1.0))

@@ -76,3 +76,30 @@ def test_non_finite_rows_raise_what_an_observation_raises(bad_features, bad_resp
 def test_mismatched_row_counts_raise():
     with pytest.raises(ValueError, match="equal count"):
         History.from_arrays(np.ones((3, 2)), np.ones(4))
+
+
+def assert_norm_is_carried(history, ridge, columns):
+    block = history.triangular_factor(ridge, columns)[:columns, :columns]
+    want = np.linalg.norm(block)
+    assert history.design_norm(ridge, columns) == pytest.approx(want, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("ridge", [0.0, 0.5])
+def test_carried_design_norm_matches_the_kept_block(ridge):
+    rng = np.random.default_rng(54)
+    k = 6
+    features = 3.0 + rng.normal(size=(60, k))
+    responses = features.sum(axis=1) + rng.normal(size=60)
+    history = History(k)
+    # a narrow request first keeps a narrow factor; the full-width request
+    # after it refactors and starts the column sums again
+    for i, (row, y) in enumerate(zip(features, responses)):
+        history.append(Observation(row, y))
+        if i < 20:
+            assert_norm_is_carried(history, ridge, 3)
+        else:
+            for columns in (k + 1, 3, 1):  # the truncated requests read the wide factor
+                assert_norm_is_carried(history, ridge, columns)
+    bulk = History.from_arrays(features, responses)
+    for columns in (3, k + 1):  # absorbed in one batch, then refactored wider
+        assert_norm_is_carried(bulk, ridge, columns)

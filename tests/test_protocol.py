@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import optimize, stats
 
 import oracles
 import olreg.base
@@ -34,7 +35,7 @@ from olreg import (
 )
 from olreg.base import DegenerateFitError
 from olreg.numerics import StudentT
-from olreg.predictors import _mc_machinery, _step_projector
+from olreg.predictors import GaussFit, _mc_machinery, _step_projector
 from olreg.protocol import PValueTrace
 
 
@@ -332,7 +333,7 @@ def one_off_pvalue(predictor, history, observation, tie_break):
             return 1.0, False
         fit = gauss_fit(history, x)
         pivot = (y - fit.point_prediction) / (fit.sigma_hat * np.sqrt(1.0 + fit.leverage))
-        return 2.0 * (1.0 - StudentT(fit.degrees_of_freedom).cdf(abs(pivot))), False
+        return 2.0 * StudentT(fit.degrees_of_freedom).cdf(-abs(pivot)), False
     if isinstance(predictor, IidPredictor) and n == 1:
         return tie_break, False
     if isinstance(predictor, IidPredictor) and predictor.ridge == 0.0 and (
@@ -355,7 +356,7 @@ def one_off_pvalue(predictor, history, observation, tie_break):
     except DegenerateFitError:
         return 1.0, False
     statistic = np.sqrt((n - 1) * (n - 2) / n) * score
-    return 2.0 * (1.0 - StudentT(n - 2).cdf(abs(statistic))), False
+    return 2.0 * StudentT(n - 2).cdf(-abs(statistic)), False
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -393,3 +394,37 @@ def test_shared_step_pvalues_match_the_one_off_computation(seed):
         assert not near_ties.any(), (predictor, np.flatnonzero(near_ties) + 1)
         bits = np.array([[p <= eps for p in expected] for eps in levels], dtype=np.uint8)
         assert np.array_equal(ledger.errors, bits), predictor
+
+
+TAIL_STATISTICS = (5.0, 9.0, 40.0)
+
+
+def test_gauss_pvalue_is_exact_in_the_far_tail():
+    # 1 - cdf(|t|) is off by 1.2e-10 relative at t = 5 and rounds to 0 from
+    # t = 9 on, where the tail is still 4.8e-18
+    step = GaussFit(np.zeros(1), 1.0, 0.0, 0.0, 497)
+    for t in TAIL_STATISTICS:
+        for response in (t, -t):
+            got = GaussPredictor().pvalue(step, response)
+            assert got == pytest.approx(2.0 * stats.t.sf(t, 497), rel=1e-12, abs=0)
+
+
+def test_mva_pvalue_is_exact_in_the_far_tail():
+    rng = np.random.default_rng(75)
+    history = History(2)
+    for observation in feature_stream(rng, 498, 2):
+        history.append(observation)
+    predictor = MvaPredictor(ridge=0.01)
+    step = predictor.step(history, rng.normal(size=2))
+    n = step.count
+
+    def statistic(y):
+        score = centered_residual_score(step.residuals(y))
+        return math.sqrt((n - 1) * (n - 2) / n) * score
+
+    center = optimize.brentq(statistic, -100.0, 100.0)
+    for t in TAIL_STATISTICS:
+        y = optimize.brentq(lambda y: statistic(y) - t, center, center + 1e3)
+        want = 2.0 * stats.t.sf(abs(statistic(y)), n - 2)
+        assert want > 0.0
+        assert predictor.pvalue(step, y) == pytest.approx(want, rel=1e-12, abs=0)
