@@ -22,7 +22,12 @@ from .base import (
 )
 from .numerics import RidgeProjector, residual_decomposition
 from .predictors import (
+    FullLinePredictor,
+    GaussPredictor,
+    IidGaussPredictor,
+    IidPredictor,
     MonteCarloConfig,
+    MvaPredictor,
     RegressionSummary,
     build_sweep,
     centered_residual_score,
@@ -43,11 +48,6 @@ from .predictors import (
 from .sampler import ConditionalSample, IidGaussSummary, sample_conditional
 from .protocol import (
     DEFAULT_SEED,
-    FullLinePredictor,
-    GaussPredictor,
-    IidGaussPredictor,
-    IidPredictor,
-    MvaPredictor,
     OnlineLedger,
     binomial_band,
     fisher_verify,

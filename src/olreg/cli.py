@@ -29,7 +29,7 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
-from math import ceil, inf
+from math import inf
 
 import numpy as np
 
@@ -50,18 +50,15 @@ from .data import (
     observations_to_arrays,
     save_matrix,
 )
-from .predictors import MonteCarloConfig
-from .protocol import (
-    DEFAULT_SEED,
+from .predictors import (
     FullLinePredictor,
     GaussPredictor,
     IidGaussPredictor,
     IidPredictor,
+    MonteCarloConfig,
     MvaPredictor,
-    OnlineLedger,
-    run_online,
-    validity_report,
 )
+from .protocol import DEFAULT_SEED, OnlineLedger, run_online, validity_report
 
 BATCH_MODELS = ("iid", "gauss", "mva", "iidgauss")
 ONLINE_MODELS = BATCH_MODELS + ("full",)
@@ -116,29 +113,6 @@ def _make_predictor(model: str, ridge: float, schedule, mc: MonteCarloConfig):
     raise ValueError(f"unknown model {model!r}")
 
 
-def _bounded_threshold(
-    model: str, feature_count: int, active_count: int, ridge: float, levels
-) -> int:
-    """Smallest n at which the model can produce a bounded interval.
-
-    The empty set counts as bounded.  ``active_count`` is the number of
-    features the schedule lets the ridge fit see at that n: with ridge 0,
-    ``mva`` needs n >= active + 2, where its output is the empty set or the
-    whole line.  The Monte-Carlo machinery of ``iidgauss`` needs all
-    ``feature_count`` features and at least K + 2 observations.
-    """
-    widest = max(levels)
-    if model == "iid":
-        return ceil(1.0 / widest)
-    if model == "gauss":
-        return feature_count + 3
-    if model == "mva":
-        return active_count + 2 if ridge == 0.0 else 3
-    if model == "iidgauss":
-        return max(min(ceil(1.0 / widest), feature_count + 3), feature_count + 2)
-    raise ValueError(f"unknown model {model!r}")
-
-
 def batch_predict(
     train_features,
     train_responses,
@@ -153,8 +127,11 @@ def batch_predict(
 
     Each test row is one independent prediction step: history = the whole
     training set, so n = N_train + 1 throughout.  Level columns follow the
-    ladder (decreasing) order.
+    ladder (decreasing) order.  Code 2 is returned where the predictor's own
+    onset rule (``can_bound``) says that no level can be bounded at that n.
     """
+    if model not in BATCH_MODELS:
+        raise ValueError(f"unknown batch model {model!r}")
     levels = validate_levels(levels)
     train_features = np.asarray(train_features, dtype=float)
     test_features = np.asarray(test_features, dtype=float)
@@ -165,15 +142,12 @@ def batch_predict(
 
     test_count = test_features.shape[0]
     level_count = len(levels)
-    n = train_features.shape[0] + 1
-    feature_count = train_features.shape[1]
-    active = schedule.active_features(n) if schedule is not None else feature_count
-    if n < _bounded_threshold(model, feature_count, active, ridge, levels):
+    n, feature_count = train_features.shape[0] + 1, train_features.shape[1]
+    predictor = _make_predictor(model, ridge, schedule, mc or MonteCarloConfig())
+    if not predictor.can_bound(n, feature_count, levels):
         full = np.full((test_count, level_count), inf)
         return BatchResult(-full, full, 2)
 
-    mc = mc if mc is not None else MonteCarloConfig()
-    predictor = _make_predictor(model, ridge, schedule, mc)
     history = History.from_arrays(train_features, train_responses)
     lower = np.empty((test_count, level_count))
     upper = np.empty((test_count, level_count))
@@ -252,8 +226,7 @@ def cmd_online(args) -> int:
     emit_series(ledger, "cumulative_errors", f"{args.out_prefix}_cumulative_errors.csv")
     emit_series(ledger, "median_accuracy", f"{args.out_prefix}_median_accuracy.csv")
     with open(f"{args.out_prefix}_ledger.json", "w", encoding="utf-8") as handle:
-        json.dump(ledger.to_dict(), handle)
-        handle.write("\n")
+        handle.write(json.dumps(ledger.to_dict()) + "\n")
     return 0
 
 

@@ -6,25 +6,33 @@ not look strange at significance level epsilon?  The reported interval is the
 convex hull of the surviving candidates, one interval per level of a strictly
 decreasing ladder.
 
-Four predictors are provided, differing in what they assume about the data:
+Each model is one class that owns all of its rules, in three calls plus an
+onset rule: ``step(history, x_new)`` builds what the model knows before the
+response arrives (None where it abstains), ``predict(step, levels)`` reads
+the intervals from that step, ``pvalue(step, response, tie_break)`` the
+realized p-value, and ``can_bound(n, feature_count, levels)`` says from which
+step n a bounded interval (the empty set included) is possible at all.
 
-* ``iid_predict`` assumes exchangeability only.  A candidate survives when
+* ``IidPredictor`` assumes exchangeability only.  A candidate survives when
   the rank of its ridge residual magnitude among all n residual magnitudes is
   not extreme; the exact survivor set is found by a sweep over the at most
   2n - 2 points where two residual magnitudes cross.
-* ``gauss_predict`` assumes the full linear-Gaussian model and inverts the
+* ``GaussPredictor`` assumes the full linear-Gaussian model and inverts the
   classical studentized prediction pivot.
-* ``mva_predict`` assumes Gaussian noise but nothing about the explanatory
+* ``MvaPredictor`` assumes Gaussian noise but nothing about the explanatory
   law; it studentizes the last centered ridge residual and classifies the
   resulting quadratic inequality in y.
-* ``iidgauss_predict`` assumes the Gaussian response model with exchangeable
+* ``IidGaussPredictor`` assumes the Gaussian response model with exchangeable
   explanatory vectors and estimates p-values by Monte Carlo draws from the
   exact conditional distribution given the sufficient summary; the survivor
   set of those estimates is found exactly, by a sweep over the at most four
   points per draw where the draw's score crosses the candidate's.
+* ``FullLinePredictor`` is the degenerate reference that never commits.
 
-``wilks_predict`` is the model-free order-statistic predictor used as a
-baseline: it needs no explanatory data at all.
+``iid_predict``, ``gauss_predict`` and ``mva_predict`` are one-step
+shortcuts that take the history directly.  ``wilks_predict`` is the
+model-free order-statistic predictor used as a baseline: it needs no
+explanatory data at all.
 
 Conventions: intervals are closed, the pair (+inf, -inf) encodes the empty
 set, and degenerate fits fall back to documented conventions (a zero
@@ -75,6 +83,14 @@ def _new_row(x_new, feature_count: int) -> np.ndarray:
     return x
 
 
+def _active_features(schedule: FeatureSchedule | None, n: int, k: int) -> int:
+    """How many of the k features the ridge fit sees at step n."""
+    active = schedule.active_features(n) if schedule is not None else k
+    if active > k:
+        raise ValueError(f"schedule asks for {active} features but only {k} exist")
+    return active
+
+
 def _step_projector(
     history: History,
     x_new,
@@ -94,14 +110,10 @@ def _step_projector(
     """
     k = history.feature_count
     x = _new_row(x_new, k)
-    n = len(history) + 1
-    active = schedule.active_features(n) if schedule is not None else k
-    if active > k:
-        raise ValueError(f"schedule asks for {active} features but only {k} exist")
-    cols = active + 1
+    cols = _active_features(schedule, len(history) + 1, k) + 1
     row = np.empty(cols)
     row[0] = 1.0
-    row[1:] = x[:active]
+    row[1:] = x[: cols - 1]
     return RidgeProjector(
         history.design_matrix[:, :cols],
         ridge,
@@ -298,50 +310,6 @@ def _ridge_step(
     )
 
 
-def _iid_step(history, x_new, ridge, schedule) -> RidgeStep | None:
-    """The rank predictor's step; None on an empty history."""
-    return _ridge_step(history, x_new, ridge, schedule, 2)
-
-
-def _iid_intervals(step: RidgeStep | None, levels) -> list[PredictionInterval]:
-    levels = validate_levels(levels)
-    if step is None or step.interpolates:
-        # every residual ties with the candidate's, whatever the candidate
-        return _full_lines(len(levels))
-    decomposition = step.decomposition
-    state = build_sweep(decomposition.offset, decomposition.slope)
-    return [
-        _shifted(sweep_hull(state, step.count, eps), decomposition.reference)
-        for eps in levels
-    ]
-
-
-def iid_predict(
-    history: History,
-    x_new,
-    levels,
-    ridge: float = 0.0,
-    schedule: FeatureSchedule | None = None,
-) -> list[PredictionInterval]:
-    """Distribution-free prediction intervals from ridge residual ranks.
-
-    A candidate response y survives at level epsilon when more than an
-    epsilon fraction of the n ridge residual magnitudes (computed with the
-    candidate appended) are at least as large as the candidate's own.  Ties
-    count in the candidate's favour, which makes the predictor conservative:
-    its error rate never exceeds epsilon in probability, at the price of
-    slightly longer intervals than the tie-smoothed ideal.
-
-    With an empty history every candidate is maximally typical, so the full
-    line is returned at any level.  So it is at ridge 0 with as many rows as
-    columns: the fit interpolates and every residual is zero whatever the
-    candidate, which that structure decides rather than rounding residue.
-    The residuals are decomposed around the mean past response, and the
-    sweep runs in the distance from it.
-    """
-    return _iid_intervals(_iid_step(history, x_new, ridge, schedule), levels)
-
-
 def iid_pvalue(scores, tie_break: float) -> float:
     """Rank fraction of the last score with randomized tie handling.
 
@@ -360,9 +328,71 @@ def iid_pvalue(scores, tie_break: float) -> float:
     return (larger + tie_break * equal) / scores.size
 
 
-def iid_bounded_threshold(epsilon: float) -> int:
-    """Smallest step at which the rank predictor can return a bounded interval."""
-    return ceil(1.0 / epsilon)
+@dataclass(frozen=True)
+class IidPredictor:
+    """Distribution-free prediction intervals from ridge residual ranks.
+
+    Valid for any exchangeable data source.  A candidate response y survives
+    at level epsilon when more than an epsilon fraction of the n ridge
+    residual magnitudes (computed with the candidate appended) are at least
+    as large as the candidate's own.  Ties count in the candidate's favour,
+    which makes the predictor conservative: its error rate never exceeds
+    epsilon in probability, at the price of slightly longer intervals than
+    the tie-smoothed ideal.  The smoothed p-value weighs the ties by the
+    tie-break instead.
+
+    With an empty history every candidate is maximally typical, so the full
+    line is returned at any level.  So it is at ridge 0 with as many rows as
+    columns: the fit interpolates and every residual is zero whatever the
+    candidate, which that structure decides rather than rounding residue.
+    The residuals are decomposed around the mean past response, and the
+    sweep runs in the distance from it.
+    """
+
+    ridge: float = 0.0
+    schedule: FeatureSchedule | None = None
+
+    def step(self, history: History, x_new) -> RidgeStep | None:
+        """The ridge fit of the step; None on an empty history."""
+        return _ridge_step(history, x_new, self.ridge, self.schedule, 2)
+
+    def predict(self, step, levels) -> list[PredictionInterval]:
+        levels = validate_levels(levels)
+        if step is None or step.interpolates:
+            # every residual ties with the candidate's, whatever the candidate
+            return _full_lines(len(levels))
+        decomposition = step.decomposition
+        state = build_sweep(decomposition.offset, decomposition.slope)
+        return [
+            _shifted(sweep_hull(state, step.count, eps), decomposition.reference)
+            for eps in levels
+        ]
+
+    def pvalue(self, step, response: float, tie_break: float = 1.0) -> float:
+        if step is None or step.interpolates:
+            # Every score ties with the last: zero larger, all equal.
+            return tie_break
+        return iid_pvalue(np.abs(step.residuals(response)), tie_break)
+
+    def can_bound(self, n: int, feature_count: int, levels) -> bool:
+        """Whether step n can give a bounded interval: n >= ceil(1 / max epsilon).
+
+        Below that the candidate's own rank fraction 1/n alone exceeds every
+        level, so every candidate survives.
+        """
+        return n >= ceil(1.0 / max(levels))
+
+
+def iid_predict(
+    history: History,
+    x_new,
+    levels,
+    ridge: float = 0.0,
+    schedule: FeatureSchedule | None = None,
+) -> list[PredictionInterval]:
+    """The intervals of ``IidPredictor(ridge, schedule)`` at one step."""
+    predictor = IidPredictor(ridge, schedule)
+    return predictor.predict(predictor.step(history, x_new), levels)
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +406,7 @@ class GaussFit:
 
     ``sigma_hat`` is read from the history's triangular factor, and is
     exactly zero when the residual energy lies at or below the least-squares
-    cut-off (see ``gauss_fit``).
+    cut-off (see ``from_factor``).
     """
 
     coefficients: np.ndarray
@@ -385,25 +415,64 @@ class GaussFit:
     point_prediction: float
     degrees_of_freedom: int
 
+    @classmethod
+    def from_factor(cls, factor: np.ndarray, count: int, x: np.ndarray) -> "GaussFit":
+        """The fit that the triangle R of [1 | x | y] over ``count`` rows
+        carries, at the new explanatory vector ``x``.
+
+        The coefficients solve R_D b = r_y on R's leading block and its
+        response column, the leverage is ||R_D^-T z||^2 (no Gram matrix is
+        formed, so its conditioning is not squared), and ``sigma_hat`` is
+        |R[-1, -1]|, the root of the residual energy, over sqrt(dof): exactly
+        zero at or below the least-squares cut-off relative to the responses'
+        own root energy ||R[:, -1]||.  Two O(K^2) triangular solves and no
+        pass over the rows.
+        """
+        new_row = np.concatenate([[1.0], x])
+        cols = new_row.size
+        leading = factor[:, :cols]
+        # LAPACK reads R_D as the top block of R's leading columns, which are
+        # contiguous in a Fortran-ordered R, so no copy of it is made
+        coefficients, _ = lapack.dtrtrs(leading, factor[:cols, cols])
+        whitened, _ = lapack.dtrtrs(leading, new_row, trans=1)
+        residual_norm = abs(float(factor[-1, -1]))
+        tolerance = _rank_tolerance(count, factor.shape[0])
+        if residual_norm <= tolerance * np.linalg.norm(factor[:, -1]):
+            residual_norm = 0.0
+        dof = count - cols
+        return cls(
+            coefficients=coefficients,
+            sigma_hat=residual_norm / sqrt(dof),
+            leverage=float(whitened @ whitened),
+            point_prediction=float(coefficients @ new_row),
+            degrees_of_freedom=dof,
+        )
+
+    @property
+    def spread(self) -> float:
+        """sigma_hat * sqrt(1 + leverage), the scale of the prediction error."""
+        return self.sigma_hat * sqrt(1.0 + self.leverage)
+
+    def pivot(self, response: float) -> float:
+        """(y - point_prediction) / spread, Student t with ``degrees_of_freedom``
+        under the linear-Gaussian model."""
+        return (response - self.point_prediction) / self.spread
+
 
 def gauss_fit(history: History, x_new) -> GaussFit:
     """Fit the history by least squares and studentize the new design point.
 
     ``sigma_hat`` is the usual unbiased residual scale estimate and
     ``leverage`` the quadratic form z'(Z'Z)^{-1}z of the new design row; the
-    prediction pivot (y - point_prediction) / (sigma_hat * sqrt(1 + leverage))
-    follows a Student t law with ``degrees_of_freedom`` when the model holds.
+    prediction pivot ``GaussFit.pivot`` follows a Student t law with
+    ``degrees_of_freedom`` when the model holds.
 
     Everything is read from the triangular factor R of [design | responses]
-    that the history keeps: the coefficients solve R_D b = r_y on R's leading
-    block and its response column, the leverage is ||R_D^-T z||^2 (no Gram
-    matrix is formed, so its conditioning is not squared), and ``sigma_hat``
-    is |R[-1, -1]|, the root of the residual energy, over sqrt(dof).  A
-    residual energy at or below the least-squares cut-off relative to the
-    responses' own (a perfectly interpolated history) gives exactly zero, by
-    the rule ``gauss_score`` applies to the same triangle.  With the factor
-    up to date a call costs two O(K^2) triangular solves and no pass over
-    the rows.
+    that the history keeps (``GaussFit.from_factor``).  A residual energy at
+    or below the least-squares cut-off relative to the responses' own (a
+    perfectly interpolated history) gives sigma_hat exactly zero, by the rule
+    ``gauss_score`` applies to the same triangle.  With the factor up to date
+    a call costs two O(K^2) triangular solves and no pass over the rows.
     """
     x = _new_row(x_new, history.feature_count)
     rows, cols = len(history), history.feature_count + 1
@@ -413,82 +482,59 @@ def gauss_fit(history: History, x_new) -> GaussFit:
         )
     if not history.design_has_full_rank():
         raise RankDeficiencyError("history design matrix is rank deficient")
-    factor = history.triangular_factor()
-    new_row = np.concatenate([[1.0], x])
-    coefficients, leverage = _solve_and_leverage(factor, new_row)
-    dof = rows - cols
-    return GaussFit(
-        coefficients=coefficients,
-        sigma_hat=_residual_norm(factor, rows) / sqrt(dof),
-        leverage=leverage,
-        point_prediction=float(coefficients @ new_row),
-        degrees_of_freedom=dof,
-    )
+    return GaussFit.from_factor(history.triangular_factor(), rows, x)
 
 
-def _residual_norm(factor: np.ndarray, count: int) -> float:
-    """The root of the residual energy of the least-squares fit that the
-    triangle R of [design | responses] over ``count`` rows carries: |R[-1, -1]|,
-    or exactly zero at or below the least-squares cut-off relative to the
-    responses' own root energy ||R[:, -1]||."""
-    residual_norm = abs(float(factor[-1, -1]))
-    tolerance = _rank_tolerance(count, factor.shape[0])
-    if residual_norm <= tolerance * np.linalg.norm(factor[:, -1]):
-        return 0.0
-    return residual_norm
+@dataclass(frozen=True)
+class GaussPredictor:
+    """Classical studentized prediction intervals, full line before step K+3.
 
-
-def _solve_and_leverage(factor: np.ndarray, new_row: np.ndarray) -> tuple[np.ndarray, float]:
-    """Least-squares coefficients and the leverage of ``new_row`` from the
-    triangle R of [design | responses]: b solves R_D b = r_y on R's leading
-    block R_D and its response column, and the leverage is ||R_D^-T z||^2.
-
-    LAPACK reads R_D as the top block of R's leading columns, which are
-    contiguous in a Fortran-ordered R, so no copy of it is made.
+    Exact under the linear-Gaussian model.  Below step K + 3 the residual
+    scale has no degrees of freedom, so the predictor abstains with the whole
+    line; from K + 3 on the intervals invert the Student t pivot.  A zero
+    estimated scale (perfectly interpolated history) collapses the interval
+    to the point prediction, which alone has p-value one.
     """
-    cols = new_row.size
-    leading = factor[:, :cols]
-    coefficients, _ = lapack.dtrtrs(leading, factor[:cols, cols])
-    whitened, _ = lapack.dtrtrs(leading, new_row, trans=1)
-    return coefficients, float(whitened @ whitened)
 
+    def step(self, history: History, x_new) -> GaussFit | None:
+        """The least-squares fit of the step, or None before step K + 3."""
+        if not self.can_bound(len(history) + 1, history.feature_count, ()):
+            return None
+        return gauss_fit(history, x_new)
 
-def _gauss_step(history: History, x_new) -> GaussFit | None:
-    """The pivot predictor's step: the fit, or None before step K + 3."""
-    if len(history) + 1 < history.feature_count + 3:
-        return None
-    return gauss_fit(history, x_new)
+    def predict(self, step, levels) -> list[PredictionInterval]:
+        levels = validate_levels(levels)
+        if step is None:
+            return _full_lines(len(levels))
+        point = step.point_prediction
+        if step.sigma_hat == 0.0:
+            return [PredictionInterval(point, point) for _ in levels]
+        spread = step.spread
+        dist = StudentT(step.degrees_of_freedom)
+        out = []
+        for eps in levels:
+            half = dist.upper_quantile(eps / 2.0) * spread
+            out.append(PredictionInterval(point - half, point + half))
+        return out
 
+    def pvalue(self, step, response: float, tie_break: float = 1.0) -> float:
+        if step is None:
+            return 1.0
+        if step.sigma_hat == 0.0:
+            return 1.0 if response == step.point_prediction else 0.0
+        # the lower tail: 1 - cdf(|t|) loses the tail to rounding
+        return 2.0 * StudentT(step.degrees_of_freedom).cdf(-abs(step.pivot(response)))
 
-def _pivot_intervals(fit: GaussFit | None, levels) -> list[PredictionInterval]:
-    levels = validate_levels(levels)
-    if fit is None:
-        return _full_lines(len(levels))
-    if fit.sigma_hat == 0.0:
-        return [
-            PredictionInterval(fit.point_prediction, fit.point_prediction)
-            for _ in levels
-        ]
-    spread = fit.sigma_hat * sqrt(1.0 + fit.leverage)
-    dist = StudentT(fit.degrees_of_freedom)
-    out = []
-    for eps in levels:
-        half = dist.upper_quantile(eps / 2.0) * spread
-        out.append(
-            PredictionInterval(fit.point_prediction - half, fit.point_prediction + half)
-        )
-    return out
+    def can_bound(self, n: int, feature_count: int, levels) -> bool:
+        """Whether step n can give a bounded interval: n >= K + 3, the first
+        step whose residual scale has a degree of freedom, at any level."""
+        return n >= feature_count + 3
 
 
 def gauss_predict(history: History, x_new, levels) -> list[PredictionInterval]:
-    """Classical studentized prediction intervals, full line before step K+3.
-
-    Below step K + 3 the residual scale has no degrees of freedom, so the
-    predictor abstains with the whole line; from K + 3 on the intervals are
-    exact under the linear-Gaussian model.  A zero estimated scale (perfectly
-    interpolated history) collapses the interval to the point prediction.
-    """
-    return _pivot_intervals(_gauss_step(history, x_new), levels)
+    """The intervals of ``GaussPredictor()`` at one step."""
+    predictor = GaussPredictor()
+    return predictor.predict(predictor.step(history, x_new), levels)
 
 
 @dataclass(frozen=True, eq=False)
@@ -515,30 +561,24 @@ def gauss_score(summary: RegressionSummary, observation: Observation) -> float:
 
     Equals |y - yhat| / (sigma_hat * sqrt(1 + leverage)) computed from the
     raw history; requires at least K + 2 summarized observations so the
-    residual scale has a positive number of degrees of freedom.  The fit and
-    the leverage come from the summary's triangle as in ``gauss_fit``, under
-    the same least-squares rank rule, and sigma_hat from its last diagonal
-    entry, the root of the residual energy.  Where ``gauss_fit`` gives
-    sigma_hat = 0 (a residual energy at or below the least-squares cut-off
-    relative to the responses' own: a perfectly interpolated history), this
-    raises ``DegenerateFitError``.
+    residual scale has a positive number of degrees of freedom.  The fit is
+    the one ``gauss_fit`` reads from the same triangle, under the same
+    least-squares rank rule, and the score is its ``pivot``.  Where
+    ``gauss_fit`` gives sigma_hat = 0 (a residual energy at or below the
+    least-squares cut-off relative to the responses' own: a perfectly
+    interpolated history), this raises ``DegenerateFitError``.
     """
     factor = summary.factor
     cols = factor.shape[0] - 1
     x = _new_row(observation.explanatory, cols - 1)
-    dof = summary.count - cols
-    if dof < 1:
+    if summary.count - cols < 1:
         raise ValueError(f"need more than {cols} summarized observations")
     if not _passes_rank_rule(factor[:cols, :cols], summary.count):
         raise RankDeficiencyError("summarized design is rank deficient")
-    residual_norm = _residual_norm(factor, summary.count)
-    if residual_norm == 0.0:
+    fit = GaussFit.from_factor(factor, summary.count, x)
+    if fit.sigma_hat == 0.0:
         raise DegenerateFitError("summarized history is perfectly interpolated")
-    row = np.concatenate([[1.0], x])
-    coefficients, leverage = _solve_and_leverage(factor, row)
-    sigma_hat = residual_norm / sqrt(dof)
-    prediction = float(coefficients @ row)
-    return abs(observation.response - prediction) / (sigma_hat * sqrt(1.0 + leverage))
+    return abs(fit.pivot(observation.response))
 
 
 # ---------------------------------------------------------------------------
@@ -650,55 +690,21 @@ def centered_residual_score(residuals) -> float:
     return float((residuals[-1] - head_mean) / sqrt(spread))
 
 
-def _mva_step(history, x_new, ridge, schedule) -> RidgeStep | None:
-    """The centered-residual predictor's step; None before step 3."""
-    return _ridge_step(history, x_new, ridge, schedule, 3)
+def _centered_statistic(residuals) -> float | None:
+    """|sqrt((n - 1)(n - 2) / n) * score| of the n residuals, Student t with
+    n - 2 degrees of freedom under Gaussian noise, where the score is
+    ``centered_residual_score``; None when the earlier residuals have zero
+    spread, where the statistic is 0/0."""
+    n = len(residuals)
+    try:
+        score = centered_residual_score(residuals)
+    except DegenerateFitError:
+        return None
+    return abs(sqrt((n - 1) * (n - 2) / n) * score)
 
 
-def _mva_intervals(step: RidgeStep | None, levels) -> list[PredictionInterval]:
-    levels = validate_levels(levels)
-    if step is None or step.interpolates:
-        # every residual is identically zero: the statistic is 0/0 everywhere
-        return _full_lines(len(levels))
-    n = step.count
-    projector, decomposition = step.projector, step.decomposition
-    dist = StudentT(n - 2)
-    if projector.ridge == 0.0 and n == projector.column_count + 1:
-        # offset and slope both lie on the residual direction; either may vanish
-        offset, slope = decomposition.offset, decomposition.slope
-        direction = offset if np.linalg.norm(offset) >= np.linalg.norm(slope) else slope
-        try:
-            score = centered_residual_score(direction)
-        except DegenerateFitError:
-            return _full_lines(len(levels))
-        statistic = sqrt((n - 1) * (n - 2) / n) * abs(score)
-        return [
-            PredictionInterval.full_line()
-            if statistic < dist.upper_quantile(eps / 2.0)
-            else PredictionInterval.empty()
-            for eps in levels
-        ]
-    return [
-        _shifted(
-            mva_hull(
-                decomposition.offset,
-                decomposition.slope,
-                n,
-                dist.upper_quantile(eps / 2.0),
-            ),
-            decomposition.reference,
-        )
-        for eps in levels
-    ]
-
-
-def mva_predict(
-    history: History,
-    x_new,
-    levels,
-    ridge: float = 0.0,
-    schedule: FeatureSchedule | None = None,
-) -> list[PredictionInterval]:
+@dataclass(frozen=True)
+class MvaPredictor:
     """Prediction intervals from the studentized last centered ridge residual.
 
     Valid whenever the noise is Gaussian, whatever the explanatory vectors
@@ -720,7 +726,77 @@ def mva_predict(
     once from that direction rather than from the sign of a discriminant that
     is exactly zero and only rounding makes positive.
     """
-    return _mva_intervals(_mva_step(history, x_new, ridge, schedule), levels)
+
+    ridge: float = 0.0
+    schedule: FeatureSchedule | None = None
+
+    def step(self, history: History, x_new) -> RidgeStep | None:
+        """The ridge fit of the step; None before step 3."""
+        return _ridge_step(history, x_new, self.ridge, self.schedule, 3)
+
+    def predict(self, step, levels) -> list[PredictionInterval]:
+        levels = validate_levels(levels)
+        if step is None or step.interpolates:
+            # every residual is identically zero: the statistic is 0/0 everywhere
+            return _full_lines(len(levels))
+        n = step.count
+        projector, decomposition = step.projector, step.decomposition
+        dist = StudentT(n - 2)
+        if projector.ridge == 0.0 and n == projector.column_count + 1:
+            # offset and slope both lie on the residual direction; either may vanish
+            offset, slope = decomposition.offset, decomposition.slope
+            direction = offset if np.linalg.norm(offset) >= np.linalg.norm(slope) else slope
+            statistic = _centered_statistic(direction)
+            if statistic is None:
+                return _full_lines(len(levels))
+            return [
+                PredictionInterval.full_line()
+                if statistic < dist.upper_quantile(eps / 2.0)
+                else PredictionInterval.empty()
+                for eps in levels
+            ]
+        return [
+            _shifted(
+                mva_hull(
+                    decomposition.offset,
+                    decomposition.slope,
+                    n,
+                    dist.upper_quantile(eps / 2.0),
+                ),
+                decomposition.reference,
+            )
+            for eps in levels
+        ]
+
+    def pvalue(self, step, response: float, tie_break: float = 1.0) -> float:
+        if step is None or step.interpolates:
+            # every residual is identically zero: no evidence either way
+            return 1.0
+        statistic = _centered_statistic(step.residuals(response))
+        if statistic is None:
+            return 1.0
+        return 2.0 * StudentT(step.count - 2).cdf(-statistic)
+
+    def can_bound(self, n: int, feature_count: int, levels) -> bool:
+        """Whether step n can give a bounded interval: n >= 3 with a positive
+        ridge, and n >= active + 2 with ridge 0 (``active`` the features the
+        schedule lets the fit see at n), where the output is the empty set or
+        the whole line."""
+        if self.ridge != 0.0:
+            return n >= 3
+        return n >= _active_features(self.schedule, n, feature_count) + 2
+
+
+def mva_predict(
+    history: History,
+    x_new,
+    levels,
+    ridge: float = 0.0,
+    schedule: FeatureSchedule | None = None,
+) -> list[PredictionInterval]:
+    """The intervals of ``MvaPredictor(ridge, schedule)`` at one step."""
+    predictor = MvaPredictor(ridge, schedule)
+    return predictor.predict(predictor.step(history, x_new), levels)
 
 
 def mva_score(
@@ -951,122 +1027,21 @@ class IidGaussStep:
         )
 
 
-def _mc_machinery(
-    history: History,
-    x: np.ndarray,
-    ridge: float,
-    schedule: FeatureSchedule | None,
-    mc: MonteCarloConfig,
-) -> IidGaussStep | None:
-    """The IID-Gauss step at n = len(history) + 1.
-
-    Returns the step's draws, the observed last residual and the radius
-    terms; returns None while the conditional law is degenerate (fewer than
-    K + 2 total observations, or no samples requested).
-
-    A draw permutes the rows, but the truncated fit and the fitted vectors do
-    not change under row permutations, so no permuted copy of the design is
-    formed: the fitted vectors' truncated residuals are computed once and read
-    at each draw's last row, and the observed one at the new row.  A draw's
-    direction is orthogonal to every design column, so its truncated fit is
-    zero and its last residual is its own last entry.  The fits are
-    orthogonal projections through QR factors of the design, so the design's
-    conditioning is not squared.
-    """
-    k = history.feature_count
-    n = len(history) + 1
-    if n < k + 2 or mc.samples < 1:
-        return None
-    x = _new_row(x, k)
-
-    # The draws must depend on the history only through its bag of rows
-    # (permuting past observations must not change the output), so the
-    # design is taken in a canonical lexicographic row order.  Past the
-    # constant ones column the first feature decides it unless it has ties.
-    design = np.empty((n, k + 1))
-    design[: n - 1] = history.design_matrix
-    design[-1, 0] = 1.0
-    design[-1, 1:] = x
-    first = design[:, min(k, 1)]  # the ones column itself when K = 0
-    canonical = np.argsort(first)
-    if (first[canonical[1:]] == first[canonical[:-1]]).any():
-        canonical = np.lexsort(design.T[::-1])
-    ordered = design[canonical]
-    basis, upper = np.linalg.qr(ordered)
-    if not _passes_rank_rule(upper, n):
-        raise RankDeficiencyError("augmented design is rank deficient")
-
-    # Fitted vectors of the fixed responses (new response 0) and of the new
-    # row's unit vector, in canonical order.
-    new_at = int(np.flatnonzero(canonical == n - 1)[0])
-    fixed = np.append(history.responses, 0.0)[canonical]
-    fixed_fit = basis @ (basis.T @ fixed)
-    unit_fit = basis @ basis[new_at]
-
-    rng = np.random.default_rng(mc.seed)
-    orderings = random_orderings(rng, mc.samples, n)
-    directions = complement_directions(rng, ordered, orderings, (upper, False))
-
-    # Once y is appended the full fit leaves residual fixed - fixed_fit +
-    # y * (unit - unit_fit), whose energy is least at the history's own
-    # prediction, center, where it is the history's residual energy rss.
-    # Both are read off these vectors, so nothing cancels when the responses
-    # sit far from zero.
-    weight = 1.0 - float(basis[new_at] @ basis[new_at])
-    center = float(fixed_fit[new_at]) / weight if weight > 0.0 else 0.0
-    if n == k + 2:
-        # One residual dimension: the history's K + 1 rows are interpolated,
-        # and the draws whose last row is the new row tie (see IidGaussStep).
-        rss, ties = 0.0, orderings[:, -1] == new_at
-    else:
-        resid = fixed - fixed_fit - center * unit_fit
-        resid[new_at] += center
-        rss, ties = float(resid @ resid), np.zeros(mc.samples, dtype=bool)
-    draw_dir = directions[:, -1]
-
-    active = schedule.active_features(n) if schedule is not None else k
-    if active > k:
-        raise ValueError(f"schedule asks for {active} features but only {k} exist")
-    reflected = ridge == 0.0 and active == k
-    if reflected:
-        # The truncated fit is the full fit: it leaves nothing of the fitted
-        # vectors, and the observed last residual is weight * (y - center).
-        draw_const = draw_lin = np.zeros(mc.samples)
-        observed_const, observed_lin = -weight * center, weight
-    else:
-        # the ridge fit projects onto the leading rows of the orthogonal
-        # factor of the truncated design stacked on sqrt(ridge) I
-        cols = active + 1
-        stacked = np.vstack([ordered[:, :cols], sqrt(ridge) * np.eye(cols)])
-        trunc_basis, trunc_upper = np.linalg.qr(stacked)
-        if not _passes_rank_rule(trunc_upper, n, ridge):
-            raise RankDeficiencyError("truncated design is rank deficient")
-        trunc_basis = trunc_basis[:n]
-        fits = np.column_stack([fixed_fit, unit_fit])
-        fit_resid = fits - trunc_basis @ (trunc_basis.T @ fits)
-        draw_const, draw_lin = fit_resid[orderings[:, -1]].T
-        # the observed sequence's own last residual: its new row
-        trunc_row = trunc_basis[new_at]
-        observed_const = -float(trunc_row @ (trunc_basis.T @ fixed))
-        observed_lin = 1.0 - float(trunc_row @ trunc_row)
-    return IidGaussStep(
-        draw_const, draw_lin, draw_dir, observed_const, observed_lin,
-        rss, weight, center, ties, reflected,
-    )
-
-
-def iidgauss_predict(step: IidGaussStep | None, levels) -> list[PredictionInterval]:
+@dataclass(frozen=True)
+class IidGaussPredictor:
     """Monte-Carlo prediction intervals under the Gaussian response model.
 
-    For each candidate response, appending it to the history fixes the
-    sufficient summary (feature bag, response moments); the candidate's
-    p-value is the chance that a fresh sequence drawn from the conditional
-    law given that summary has a last ridge residual at least as large as
-    the observed one.  The chance is estimated by the step's common draws:
-    the bag orderings and sphere directions are drawn once per step and
-    reused for every candidate, so each draw's score is an explicit affine
-    function of the candidate plus a radius term.  ``IidGaussPredictor.step``
-    builds the step, in O(samples * n * K) GEMMs and O(samples * n) memory.
+    Valid when the responses follow the Gaussian linear model and the
+    explanatory vectors are exchangeable.  For each candidate response,
+    appending it to the history fixes the sufficient summary (feature bag,
+    response moments); the candidate's p-value is the chance that a fresh
+    sequence drawn from the conditional law given that summary has a last
+    ridge residual at least as large as the observed one.  The chance is
+    estimated by the step's common draws: the bag orderings and sphere
+    directions are drawn once per step and reused for every candidate, so
+    each draw's score is an explicit affine function of the candidate plus a
+    radius term.  ``step`` builds them in O(samples * n * K) GEMMs and
+    O(samples * n) memory.
 
     The estimate is a step function of the candidate whose jumps are solved
     in closed form (``IidGaussStep.sweep``), so the reported interval is the
@@ -1074,9 +1049,130 @@ def iidgauss_predict(step: IidGaussStep | None, levels) -> list[PredictionInterv
     one O(samples log samples) sweep for all levels: no search bound, no
     bisection, and no assumption that the survivor set is an interval.  An
     unbounded end cell gives a ray.  The only approximation left is the
-    Monte-Carlo noise of the estimate.  A step of None (fewer than K + 2
-    total observations, where the conditional law is degenerate, or no
-    samples) gives full lines.
+    Monte-Carlo noise of the estimate.  Before step K + 2, where the
+    conditional law is degenerate, or with no samples, the step is None and
+    the intervals are full lines.
+    """
+
+    ridge: float = 0.0
+    schedule: FeatureSchedule | None = None
+    mc: MonteCarloConfig = MonteCarloConfig()
+
+    def step(self, history: History, x_new) -> IidGaussStep | None:
+        """The step's draws, the observed last residual and the radius terms;
+        None while the conditional law is degenerate (fewer than K + 2 total
+        observations, or no samples requested).
+
+        A draw permutes the rows, but the truncated fit and the fitted
+        vectors do not change under row permutations, so no permuted copy of
+        the design is formed: the fitted vectors' truncated residuals are
+        computed once and read at each draw's last row, and the observed one
+        at the new row.  A draw's direction is orthogonal to every design
+        column, so its truncated fit is zero and its last residual is its own
+        last entry.  The fits are orthogonal projections through QR factors
+        of the design, so the design's conditioning is not squared.
+        """
+        ridge, schedule, mc = self.ridge, self.schedule, self.mc
+        k = history.feature_count
+        n = len(history) + 1
+        if n < k + 2 or mc.samples < 1:
+            return None
+        x = _new_row(x_new, k)
+
+        # The draws must depend on the history only through its bag of rows
+        # (permuting past observations must not change the output), so the
+        # design is taken in a canonical lexicographic row order.  Past the
+        # constant ones column the first feature decides it unless it has ties.
+        design = np.empty((n, k + 1))
+        design[: n - 1] = history.design_matrix
+        design[-1, 0] = 1.0
+        design[-1, 1:] = x
+        first = design[:, min(k, 1)]  # the ones column itself when K = 0
+        canonical = np.argsort(first)
+        if (first[canonical[1:]] == first[canonical[:-1]]).any():
+            canonical = np.lexsort(design.T[::-1])
+        ordered = design[canonical]
+        basis, upper = np.linalg.qr(ordered)
+        if not _passes_rank_rule(upper, n):
+            raise RankDeficiencyError("augmented design is rank deficient")
+
+        # Fitted vectors of the fixed responses (new response 0) and of the new
+        # row's unit vector, in canonical order.
+        new_at = int(np.flatnonzero(canonical == n - 1)[0])
+        fixed = np.append(history.responses, 0.0)[canonical]
+        fixed_fit = basis @ (basis.T @ fixed)
+        unit_fit = basis @ basis[new_at]
+
+        rng = np.random.default_rng(mc.seed)
+        orderings = random_orderings(rng, mc.samples, n)
+        directions = complement_directions(rng, ordered, orderings, (upper, False))
+
+        # Once y is appended the full fit leaves residual fixed - fixed_fit +
+        # y * (unit - unit_fit), whose energy is least at the history's own
+        # prediction, center, where it is the history's residual energy rss.
+        # Both are read off these vectors, so nothing cancels when the responses
+        # sit far from zero.
+        weight = 1.0 - float(basis[new_at] @ basis[new_at])
+        center = float(fixed_fit[new_at]) / weight if weight > 0.0 else 0.0
+        if n == k + 2:
+            # One residual dimension: the history's K + 1 rows are interpolated,
+            # and the draws whose last row is the new row tie (see IidGaussStep).
+            rss, ties = 0.0, orderings[:, -1] == new_at
+        else:
+            resid = fixed - fixed_fit - center * unit_fit
+            resid[new_at] += center
+            rss, ties = float(resid @ resid), np.zeros(mc.samples, dtype=bool)
+        draw_dir = directions[:, -1]
+
+        active = _active_features(schedule, n, k)
+        reflected = ridge == 0.0 and active == k
+        if reflected:
+            # The truncated fit is the full fit: it leaves nothing of the fitted
+            # vectors, and the observed last residual is weight * (y - center).
+            draw_const = draw_lin = np.zeros(mc.samples)
+            observed_const, observed_lin = -weight * center, weight
+        else:
+            # the ridge fit projects onto the leading rows of the orthogonal
+            # factor of the truncated design stacked on sqrt(ridge) I
+            cols = active + 1
+            stacked = np.vstack([ordered[:, :cols], sqrt(ridge) * np.eye(cols)])
+            trunc_basis, trunc_upper = np.linalg.qr(stacked)
+            if not _passes_rank_rule(trunc_upper, n, ridge):
+                raise RankDeficiencyError("truncated design is rank deficient")
+            trunc_basis = trunc_basis[:n]
+            fits = np.column_stack([fixed_fit, unit_fit])
+            fit_resid = fits - trunc_basis @ (trunc_basis.T @ fits)
+            draw_const, draw_lin = fit_resid[orderings[:, -1]].T
+            # the observed sequence's own last residual: its new row
+            trunc_row = trunc_basis[new_at]
+            observed_const = -float(trunc_row @ (trunc_basis.T @ fixed))
+            observed_lin = 1.0 - float(trunc_row @ trunc_row)
+        return IidGaussStep(
+            draw_const, draw_lin, draw_dir, observed_const, observed_lin,
+            rss, weight, center, ties, reflected,
+        )
+
+    def predict(self, step, levels) -> list[PredictionInterval]:
+        return iidgauss_predict(step, levels)
+
+    def pvalue(self, step, response: float, tie_break: float = 1.0) -> float:
+        return iidgauss_pvalue(step, response)
+
+    def can_bound(self, n: int, feature_count: int, levels) -> bool:
+        """Whether step n can give a bounded interval: n >= K + 2, where the
+        conditional law first has a residual dimension.  The p-value is a
+        Monte-Carlo estimate over that law, not a rank among n residuals, so
+        it is not held above 1/n and the rule does not wait for step
+        ceil(1 / epsilon)."""
+        return n >= feature_count + 2
+
+
+def iidgauss_predict(step: IidGaussStep | None, levels) -> list[PredictionInterval]:
+    """The intervals of ``IidGaussPredictor`` read from one of its steps.
+
+    Each is the exact hull of the candidates whose estimated p-value exceeds
+    its level, from one sweep over the draws' crossing points
+    (``IidGaussStep.sweep``) for all levels; a step of None gives full lines.
     """
     levels = validate_levels(levels)
     if step is None:
@@ -1097,3 +1193,22 @@ def iidgauss_pvalue(step: IidGaussStep | None, response: float) -> float:
     if step is None:
         return 1.0
     return step.pvalue(float(response))
+
+
+# ---------------------------------------------------------------------------
+# Reference predictor that never commits
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class FullLinePredictor:
+    """Degenerate baseline that never commits to anything."""
+
+    def step(self, history: History, x_new) -> None:
+        return None
+
+    def predict(self, step, levels) -> list[PredictionInterval]:
+        return _full_lines(len(validate_levels(levels)))
+
+    def pvalue(self, step, response: float, tie_break: float = 1.0) -> float:
+        return 1.0

@@ -4,7 +4,9 @@
 at each step the predictor sees the history and the new explanatory vector,
 commits to one interval per significance level, and only then learns the
 response.  The returned ledger records hits, misses and interval lengths per
-level, plus the realized p-values when the run is smoothed.
+level, plus the realized p-values when the run is smoothed.  The predictors
+it drives are the classes of ``predictors``, each of which owns its step,
+intervals, p-value and onset rule; they are importable from here too.
 
 The diagnostics quantify what validity should look like on such a ledger:
 error frequencies inside a central binomial band (``binomial_band``,
@@ -23,35 +25,18 @@ from typing import Protocol
 
 import numpy as np
 
-from .base import (
-    DegenerateFitError,
-    FeatureSchedule,
-    History,
-    PredictionInterval,
-    Stream,
-    validate_levels,
-)
+from .base import History, PredictionInterval, Stream, validate_levels
 from .numerics import StudentT
+# the predictor classes live in ``predictors``; ``run_online`` drives them
 from .predictors import (
-    GaussFit,
-    IidGaussStep,
-    MonteCarloConfig,
-    RidgeStep,
-    _gauss_step,
-    _iid_intervals,
-    _iid_step,
-    _mc_machinery,
-    _mva_intervals,
-    _mva_step,
-    _pivot_intervals,
-    centered_residual_score,
-    iid_pvalue,
-    iidgauss_predict,
-    iidgauss_pvalue,
+    FullLinePredictor,
+    GaussPredictor,
+    IidGaussPredictor,
+    IidPredictor,
+    MvaPredictor,
 )
 
 DEFAULT_SEED = 1729
-
 
 class OnlinePredictor(Protocol):
     """What ``run_online`` needs from a predictor.
@@ -60,7 +45,8 @@ class OnlinePredictor(Protocol):
     history and the new explanatory vector, before the response is seen;
     ``predict`` reads the committed intervals from that step and ``pvalue``
     the realized p-value once the response arrives.  Both answers come from
-    the same step, which is built once per observation.
+    the same step, which is built once per observation.  The predictor
+    classes in ``predictors`` implement it.
     """
 
     def step(self, history: History, x_new): ...
@@ -68,106 +54,6 @@ class OnlinePredictor(Protocol):
     def predict(self, step, levels) -> list[PredictionInterval]: ...
 
     def pvalue(self, step, response: float, tie_break: float) -> float: ...
-
-
-@dataclass(frozen=True)
-class IidPredictor:
-    """Rank-based predictor: valid for any exchangeable data source."""
-
-    ridge: float = 0.0
-    schedule: FeatureSchedule | None = None
-
-    def step(self, history, x_new) -> RidgeStep | None:
-        return _iid_step(history, x_new, self.ridge, self.schedule)
-
-    def predict(self, step, levels):
-        return _iid_intervals(step, levels)
-
-    def pvalue(self, step, response, tie_break=1.0):
-        if step is None or step.interpolates:
-            # Every score ties with the last: zero larger, all equal.
-            return tie_break
-        return iid_pvalue(np.abs(step.residuals(response)), tie_break)
-
-
-@dataclass(frozen=True)
-class GaussPredictor:
-    """Studentized-pivot predictor: exact under the linear-Gaussian model."""
-
-    def step(self, history, x_new) -> GaussFit | None:
-        return _gauss_step(history, x_new)
-
-    def predict(self, step, levels):
-        return _pivot_intervals(step, levels)
-
-    def pvalue(self, step, response, tie_break=1.0):
-        if step is None:
-            return 1.0
-        if step.sigma_hat == 0.0:
-            return 1.0 if response == step.point_prediction else 0.0
-        pivot = (response - step.point_prediction) / (
-            step.sigma_hat * sqrt(1.0 + step.leverage)
-        )
-        # the lower tail: 1 - cdf(|t|) loses the tail to rounding
-        return 2.0 * StudentT(step.degrees_of_freedom).cdf(-abs(pivot))
-
-
-@dataclass(frozen=True)
-class MvaPredictor:
-    """Centered-residual predictor: valid for Gaussian noise, any design."""
-
-    ridge: float = 0.0
-    schedule: FeatureSchedule | None = None
-
-    def step(self, history, x_new) -> RidgeStep | None:
-        return _mva_step(history, x_new, self.ridge, self.schedule)
-
-    def predict(self, step, levels):
-        return _mva_intervals(step, levels)
-
-    def pvalue(self, step, response, tie_break=1.0):
-        if step is None or step.interpolates:
-            # every residual is identically zero: no evidence either way
-            return 1.0
-        n = step.count
-        try:
-            score = centered_residual_score(step.residuals(response))
-        except DegenerateFitError:
-            return 1.0
-        statistic = sqrt((n - 1) * (n - 2) / n) * score
-        return 2.0 * StudentT(n - 2).cdf(-abs(statistic))
-
-
-@dataclass(frozen=True)
-class IidGaussPredictor:
-    """Monte-Carlo predictor: Gaussian responses, exchangeable explanatories."""
-
-    ridge: float = 0.0
-    schedule: FeatureSchedule | None = None
-    mc: MonteCarloConfig = MonteCarloConfig()
-
-    def step(self, history, x_new) -> IidGaussStep | None:
-        return _mc_machinery(history, x_new, self.ridge, self.schedule, self.mc)
-
-    def predict(self, step, levels):
-        return iidgauss_predict(step, levels)
-
-    def pvalue(self, step, response, tie_break=1.0):
-        return iidgauss_pvalue(step, response)
-
-
-@dataclass(frozen=True)
-class FullLinePredictor:
-    """Degenerate baseline that never commits to anything."""
-
-    def step(self, history, x_new) -> None:
-        return None
-
-    def predict(self, step, levels):
-        return [PredictionInterval.full_line() for _ in validate_levels(levels)]
-
-    def pvalue(self, step, response, tie_break=1.0):
-        return 1.0
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,8 +1,8 @@
 """Independent reference implementations used to fix expected test values.
 
 Nothing here imports from the package's predictor internals: regions are
-assembled set-by-set or by grid scanning, projections go through explicit
-matrix solves, and quantiles come from closed forms or scipy.stats.  The
+assembled set-by-set or by grid scanning, projections are explicit n x n
+matrices, and quantiles come from closed forms or scipy.stats.  The
 point is that a bookkeeping bug in the fast implementations cannot cancel
 out here.
 """
@@ -24,11 +24,19 @@ from scipy.special import erfinv
 
 
 def projection_matrix(design: np.ndarray, ridge: float) -> np.ndarray:
-    """The explicit residual projector I - U (U'U + aI)^-1 U'."""
+    """The explicit residual projector I - U (U'U + aI)^-1 U'.
+
+    With [U; sqrt(a) I] = QR, U'U + aI = R'R and U = Q_top R for the top n
+    rows Q_top of Q, so the projector is I - Q_top Q_top'.  Formed from
+    numpy's QR rather than a solve with U'U + aI, whose conditioning is the
+    square of the design's and loses the projector on an ill-conditioned
+    design.
+    """
     design = np.asarray(design, dtype=float)
     n, cols = design.shape
-    gram = design.T @ design + ridge * np.eye(cols)
-    return np.eye(n) - design @ np.linalg.solve(gram, design.T)
+    basis, _ = np.linalg.qr(np.vstack([design, sqrt(ridge) * np.eye(cols)]))
+    top = basis[:n]
+    return np.eye(n) - top @ top.T
 
 
 def residuals_direct(design, ridge, responses) -> np.ndarray:

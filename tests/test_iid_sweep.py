@@ -19,7 +19,6 @@ from olreg import (
     residual_decomposition,
     sweep_hull,
 )
-from olreg.predictors import iid_bounded_threshold
 from olreg.protocol import IidGaussPredictor, IidPredictor
 
 # Worked example, expected bounds fixed by the set-by-set brute-force
@@ -147,8 +146,10 @@ def test_first_step_is_the_full_line():
 
 
 def test_unbounded_before_the_sample_size_threshold():
-    assert iid_bounded_threshold(0.05) == 20
-    assert iid_bounded_threshold(0.5) == 2
+    predictor = IidPredictor()
+    for epsilon, onset in ((0.05, 20), (0.5, 2)):
+        assert predictor.can_bound(onset, 1, (epsilon,))
+        assert not predictor.can_bound(onset - 1, 1, (epsilon,))
     rng = np.random.default_rng(8)
     history = History(1)
     for step in range(12):

@@ -18,7 +18,6 @@ from olreg import (
     iidgauss_predict,
     iidgauss_pvalue,
 )
-from olreg.predictors import _mc_machinery
 from olreg.protocol import IidGaussPredictor
 from olreg.sampler import complement_directions, random_orderings
 
@@ -193,8 +192,9 @@ def test_draws_match_the_gathered_oracle(k, extra, ridge, switch, seed):
     schedule = None if switch is None else FeatureSchedule(1, switch, k)
     active = k if schedule is None else schedule.active_features(n)
     mc = MonteCarloConfig(samples=samples, seed=seed)
-    step = _mc_machinery(history_of(features[:-1], responses[:-1]), features[-1], ridge,
-                         schedule, mc)
+    step = IidGaussPredictor(ridge, schedule, mc).step(
+        history_of(features[:-1], responses[:-1]), features[-1]
+    )
     draws = oracles.mc_draws_gathered(features, responses[:-1], ridge, active, samples, seed)
     for got, want in zip((step.draw_const, step.draw_lin, step.draw_dir), draws):
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
@@ -284,8 +284,9 @@ def test_sweep_contains_the_bisection_and_meets_it_at_its_ends(
     features = rng.normal(size=(n, k))
     responses = features @ rng.normal(size=k) + rng.normal(size=n)
     schedule = None if switch is None else FeatureSchedule(1, switch, k)
-    step = _mc_machinery(history_of(features[:-1], responses[:-1]), features[-1], ridge,
-                         schedule, MonteCarloConfig(samples=99, seed=seed))
+    step = IidGaussPredictor(ridge, schedule, MonteCarloConfig(samples=99, seed=seed)).step(
+        history_of(features[:-1], responses[:-1]), features[-1]
+    )
     scale = max(math.sqrt(step.rss / max(n - k - 1, 1)), 1e-3 * (1.0 + abs(step.center)), 1e-6)
     for eps, got in zip(levels, iidgauss_predict(step, levels)):
         lower, upper = oracles.mc_bisection_interval(step, eps, scale, search_bound=1e9)

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -210,6 +210,10 @@ def test_decomposition_is_affine_in_the_candidate(n, k, ridge, seed):
     st.booleans(),
     st.integers(min_value=0, max_value=2**32 - 1),
 )
+# ill-conditioned ridge-0 designs at n = cols, where an oracle that solves
+# with the Gram matrix loses the 1e-9 gate
+@example(k=4, ridge=0.0, scheduled=True, seed=578384)
+@example(k=2, ridge=0.0, scheduled=True, seed=3205787700)
 def test_history_factor_projector_matches_direct_residuals(k, ridge, scheduled, seed):
     # one history grows row by row and is asked for its factor at every
     # step, as in an on-line run; the schedule (if any) switches from one

@@ -35,7 +35,7 @@ from olreg import (
 )
 from olreg.base import DegenerateFitError
 from olreg.numerics import StudentT
-from olreg.predictors import GaussFit, _mc_machinery, _step_projector
+from olreg.predictors import GaussFit, _step_projector
 from olreg.protocol import PValueTrace
 
 
@@ -326,7 +326,7 @@ def one_off_pvalue(predictor, history, observation, tie_break):
     n = len(history) + 1
     x, y = observation.explanatory, observation.response
     if isinstance(predictor, IidGaussPredictor):
-        step = _mc_machinery(history, x, predictor.ridge, predictor.schedule, predictor.mc)
+        step = predictor.step(history, x)
         return (1.0 if step is None else step.pvalue(y)), False
     if isinstance(predictor, GaussPredictor):
         if n < history.feature_count + 3:
