@@ -5,7 +5,7 @@ ever forming an n-by-n matrix or the Gram matrix U'U: it solves with
 U'U + aI through one upper-triangular factor, so coefficients cost two
 O(k^2) triangular solves and a residual vector one O(n k) product for k
 regressor columns.  A projector built from a design alone QR-factors it
-once, O(n k^2).  An on-line step instead starts from the triangular factor
+once, O(n k^2).  An on-line IID step instead starts from the triangular factor
 that ``History`` keeps for the ridge coefficient, truncated to the
 scheduled columns, and absorbs the one new row into a copy, O(k^2); the
 step costs O(k^2 + n k) in all, and the design's conditioning is never
@@ -16,15 +16,19 @@ takes no O(k^2) norm either.
 Because candidate responses enter the augmented response vector linearly, the
 residual vector of (y_1, ..., y_{n-1}, y) is an affine function of y.  The
 ``residual_decomposition`` helper materializes that affine map once per
-prediction step around a reference candidate y0 (the predictors use the
-mean of the past responses, so the map does not cancel when responses sit
-far from zero); the predictors then scan candidate responses at O(1) per
+prediction step around a reference candidate y0 (the IID predictor uses
+the mean of the past responses, so the map does not cancel when responses
+sit far from zero); its sweep then scans candidate responses at O(1) per
 residual component instead of re-solving.
 
-The Gauss predictor needs no projector: its least-squares fit is read from
-the ridge-0 factor of [design | responses] that ``History`` keeps, by two
-LAPACK triangular solves, and its residual scale from that factor's last
-diagonal entry, so a Gauss step is O(k^2) with no pass over the rows.
+The Gauss and MVA predictors need no projector.  Gauss reads its
+least-squares fit from the ridge-0 factor of [design | responses] that
+``History`` keeps, by two LAPACK triangular solves, and its residual scale
+from that factor's last diagonal entry.  MVA reads its ridge fit of the
+step from the kept ridge factor by the same solves, and the sum and the
+centered energy of the earlier residuals from the kept ridge-0 factor,
+which the history keeps beside the ridge one when the ridge is positive.
+Both steps are O(k^2) with no pass over the rows and no residual vector.
 """
 
 from __future__ import annotations
@@ -262,3 +266,11 @@ class StudentT:
         if not 0.0 < tail < 1.0:
             raise ValueError("tail must lie strictly inside (0, 1)")
         return -float(stdtrit(self.degrees_of_freedom, tail))
+
+
+def two_sided_quantiles(degrees_of_freedom: int, levels) -> list[float]:
+    """For each level epsilon the point t with P(|T| > t) = epsilon, T
+    Student t with ``degrees_of_freedom``: one elementwise ``stdtrit`` call
+    for the whole ladder, each entry equal to
+    ``StudentT(degrees_of_freedom).upper_quantile(epsilon / 2)``."""
+    return (-stdtrit(degrees_of_freedom, np.multiply(levels, 0.5))).tolist()

@@ -29,6 +29,12 @@ step n a bounded interval (the empty set included) is possible at all.
   points per draw where the draw's score crosses the candidate's.
 * ``FullLinePredictor`` is the degenerate reference that never commits.
 
+Only the IID step forms residual vectors, through a ``RidgeProjector``.
+The Gauss and MVA steps need no projector: each is O(K^2), read by
+triangular solves from the factors of [design | responses] that ``History``
+keeps, with five numbers for an MVA step (``MvaStep``) solved in the
+distance from the history's own prediction.
+
 ``iid_predict``, ``gauss_predict`` and ``mva_predict`` are one-step
 shortcuts that take the history directly.  ``wilks_predict`` is the
 model-free order-statistic predictor used as a baseline: it needs no
@@ -44,9 +50,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import ceil, inf, sqrt
+from numbers import Integral
 
 import numpy as np
-from scipy.linalg import lapack, solve_triangular
+from scipy.linalg import lapack
 
 from .base import (
     DegenerateFitError,
@@ -66,6 +73,7 @@ from .numerics import (
     RidgeProjector,
     StudentT,
     residual_decomposition,
+    two_sided_quantiles,
 )
 from .sampler import complement_directions, random_orderings
 
@@ -265,7 +273,7 @@ def sweep_hull(state: SweepState, count: int, epsilon: float) -> PredictionInter
 
 @dataclass(frozen=True, eq=False)
 class RidgeStep:
-    """One IID or MVA step: the ridge fit shared by its intervals and p-value.
+    """One IID step: the ridge fit shared by its intervals and p-value.
 
     ``projector`` fits the history rows plus the new one, truncated to the
     scheduled columns, with the mean past response as the new row's
@@ -290,24 +298,6 @@ class RidgeStep:
     def residuals(self, response: float) -> np.ndarray:
         """The n residuals once ``response`` is revealed, solved by the projector."""
         return self.projector.residuals(np.append(self.responses, response))
-
-
-def _ridge_step(
-    history: History,
-    x_new,
-    ridge: float,
-    schedule: FeatureSchedule | None,
-    minimum: int,
-) -> RidgeStep | None:
-    """The step at n = len(history) + 1, or None when n is below ``minimum``."""
-    if len(history) + 1 < minimum:
-        return None
-    projector = _step_projector(
-        history, x_new, ridge, schedule, float(history.responses.mean())
-    )
-    return RidgeStep(
-        history.responses, projector, residual_decomposition(projector, history.responses)
-    )
 
 
 def iid_pvalue(scores, tie_break: float) -> float:
@@ -354,7 +344,13 @@ class IidPredictor:
 
     def step(self, history: History, x_new) -> RidgeStep | None:
         """The ridge fit of the step; None on an empty history."""
-        return _ridge_step(history, x_new, self.ridge, self.schedule, 2)
+        if len(history) == 0:
+            return None
+        responses = history.responses
+        projector = _step_projector(
+            history, x_new, self.ridge, self.schedule, float(responses.mean())
+        )
+        return RidgeStep(responses, projector, residual_decomposition(projector, responses))
 
     def predict(self, step, levels) -> list[PredictionInterval]:
         levels = validate_levels(levels)
@@ -510,12 +506,10 @@ class GaussPredictor:
         if step.sigma_hat == 0.0:
             return [PredictionInterval(point, point) for _ in levels]
         spread = step.spread
-        dist = StudentT(step.degrees_of_freedom)
-        out = []
-        for eps in levels:
-            half = dist.upper_quantile(eps / 2.0) * spread
-            out.append(PredictionInterval(point - half, point + half))
-        return out
+        return [
+            PredictionInterval(point - quantile * spread, point + quantile * spread)
+            for quantile in two_sided_quantiles(step.degrees_of_freedom, levels)
+        ]
 
     def pvalue(self, step, response: float, tie_break: float = 1.0) -> float:
         if step is None:
@@ -629,46 +623,165 @@ class QuadraticRegion:
         )
 
 
-def _centered_region(
-    a: np.ndarray, b: np.ndarray, count: int, t_value: float
-) -> QuadraticRegion:
-    """Quadratic form of the studentized-last-centered-residual inequality.
+@dataclass(frozen=True)
+class MvaStep:
+    """One MVA step: five numbers that fix the statistic at every candidate.
 
-    ``a`` and ``b`` decompose the n ridge residuals as affine functions of
-    the candidate response, both already centered by the mean of their first
-    n-1 components.  A candidate survives when
-
-        sqrt((n-1)/n) |a_n + y b_n| < t * sqrt(sum_{i<n} (a_i + y b_i)^2 / (n-2)),
-
-    which after squaring is the region carried by the returned coefficients.
+    With u = y - ``center``, the last residual centered by the mean of the
+    n - 1 earlier residuals is ``last_offset + u * last_slope``, and the
+    earlier residuals' centered energy is ``head_energy(u)`` = ``head_aa`` +
+    2 u ``head_ab`` + u^2 ``head_bb``.  ``count`` is n.  ``center`` is the
+    candidate at which the centered last residual vanishes, so
+    ``last_offset`` is 0 unless ``last_slope`` is: at ridge 0 it is the
+    history's own prediction at the new row, and with ridge > 0 that
+    prediction moved by the ridge's pull on the intercept.
     """
-    scale = float((count - 1) * (count - 2))
-    weight = t_value * t_value * count
-    head_a, head_b = a[:-1], b[:-1]
-    return QuadraticRegion(
-        lead=scale * float(b[-1] * b[-1]) - weight * float(head_b @ head_b),
-        cross=scale * float(a[-1] * b[-1]) - weight * float(head_a @ head_b),
-        constant=scale * float(a[-1] * a[-1]) - weight * float(head_a @ head_a),
+
+    count: int
+    center: float
+    last_offset: float
+    last_slope: float
+    head_aa: float
+    head_ab: float
+    head_bb: float
+
+    @property
+    def interpolates(self) -> bool:
+        """Every centered earlier residual is zero whatever the candidate, so
+        the statistic is 0/0 everywhere: ridge 0 on as many rows as columns,
+        where the fit interpolates, or a history that the fit reproduces up
+        to a constant."""
+        return self.head_aa == 0.0 and self.head_bb == 0.0
+
+    def head_energy(self, u: float) -> float:
+        return self.head_aa + u * (2.0 * self.head_ab + u * self.head_bb)
+
+
+def _mva_step(
+    ridge_factor: np.ndarray,
+    zero_factor: np.ndarray,
+    count: int,
+    row: np.ndarray,
+    ridge: float,
+    inverse_norm: float | None = None,
+    design_norm: float | None = None,
+) -> MvaStep:
+    """The step of a history of ``count`` rows at the new design row ``row``.
+
+    ``ridge_factor`` is the history's triangle R_a of [design | responses]
+    with ``ridge`` (``History.triangular_factor(ridge, cols)``), and
+    ``zero_factor`` its triangle R_0 at ridge 0 (R_a itself at ridge 0).
+    With g = R_aD^-T row and h = ||g||^2, the history's coefficients c_h,
+    its prediction yhat = row . c_h and u = y - yhat, the step's ridge
+    coefficients are c(y) = c_h + R_aD^-1 g u / (1 + h) and its last
+    residual is u / (1 + h).  With w(y) = R_0 [-c(y); 1] the earlier
+    residuals are Q w(y) for R_0's orthogonal factor Q, whose first column
+    is the ones column over R_0[0, 0]: they sum to R_0[0, 0] w[0] and their
+    centered energy is ||w[1:]||^2, with no column sums formed and no
+    difference of energies that could cancel.  At ridge 0, R_0 = R_a and
+    w(y) = [-g u / (1 + h); rho] exactly, rho = R_0[-1, -1] the history's
+    residual norm, and the centered last residual u n / ((n - 1)(1 + h))
+    vanishes at yhat.  With ridge > 0 it vanishes elsewhere, and the forms
+    are moved there from w(yhat) and dw/du (see ``MvaStep``).  Two
+    triangular solves, and for ridge > 0 a third and two products with R_0:
+    O(K^2), with no n-vector.  A rho at or below the least-squares cut-off
+    relative to the responses' own root energy (an exactly linear history)
+    is taken as 0, the rule ``GaussFit`` applies to its residual scale.
+
+    The ridge fit's rank rule is decided on the history's design block
+    R_aD, from ``inverse_norm`` and ``design_norm`` when given (the
+    certificate and the norm ``History`` carries for that factor).  Ridge 0
+    has two structural cases.  With as many rows as columns the fit
+    interpolates: every residual is zero, the step has every number zero,
+    and only the rank of the n rows is decided, on the triangle with the
+    new row absorbed.  With one row more the residual space is one
+    direction: the history is interpolated, so rho is rounding residue and
+    is set to 0, and the statistic does not depend on u.
+    """
+    cols = row.size
+    n = count + 1
+    if ridge == 0.0 and n == cols:
+        triangle = absorb_rows(zero_factor, np.append(row, 0.0)[None, :])
+        if not _passes_rank_rule(triangle[:cols, :cols], n):
+            raise RankDeficiencyError("design is rank deficient; use a positive ridge")
+        return MvaStep(n, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+    if not _passes_rank_rule(
+        ridge_factor[:cols, :cols], count, ridge, inverse_norm, design_norm
+    ):
+        raise RankDeficiencyError(
+            "design is rank deficient; use a positive ridge coefficient"
+            if ridge == 0.0
+            else "ridge normal matrix is numerically singular"
+        )
+    # LAPACK reads R_aD as the top block of R_a's leading columns, which are
+    # contiguous in a Fortran-ordered R_a, so no copy of it is made
+    leading = ridge_factor[:, :cols]
+    whitened, _ = lapack.dtrtrs(leading, row, trans=1)
+    coefficients, _ = lapack.dtrtrs(leading, ridge_factor[:cols, cols])
+    shrink = 1.0 / (1.0 + float(whitened @ whitened))
+    center = float(row @ coefficients)
+    mean_weight = float(zero_factor[0, 0]) / count
+    # R_0's last row is [0, rho], so rho is w's last entry whatever c(y)
+    responses = zero_factor[:, cols]
+    rho = float(responses[cols])
+    if (ridge == 0.0 and n == cols + 1) or abs(rho) <= _rank_tolerance(
+        count, cols + 1
+    ) * sqrt(float(responses @ responses)):
+        rho = 0.0
+    if ridge == 0.0:
+        # w0 = [0; rho] and w1 = [-g; 0] / (1 + h): no product with R_0
+        tail = whitened[1:]
+        return MvaStep(
+            n, center, 0.0, shrink * (1.0 + mean_weight * float(whitened[0])),
+            rho * rho, 0.0, shrink * shrink * float(tail @ tail),
+        )
+    direction, _ = lapack.dtrtrs(leading, whitened)
+    design_block = zero_factor[:, :cols]
+    w0 = responses - design_block @ coefficients
+    w0[cols] = rho
+    w1 = -shrink * (design_block @ direction)
+    offset = -mean_weight * float(w0[0])
+    slope = shrink - mean_weight * float(w1[0])
+    if slope != 0.0:
+        # the ridge's pull on the intercept can leave the centered last
+        # residual far from zero at yhat when the responses sit far from
+        # zero, and the region's coefficients would then cancel
+        shift = -offset / slope
+        w0 += shift * w1
+        center, offset = center + shift, 0.0
+    head0, head1 = w0[1:], w1[1:]
+    return MvaStep(
+        n, center, offset, slope,
+        float(head0 @ head0), float(head0 @ head1), float(head1 @ head1),
     )
 
 
-def _centered(values) -> np.ndarray:
-    values = np.asarray(values, dtype=float)
-    return values - values[:-1].mean()
-
-
-def mva_hull(offset, slope, count: int, t_value: float) -> PredictionInterval:
+def mva_hull(step: MvaStep, t_value: float) -> PredictionInterval:
     """Hull of the studentized-centered-residual region for one t threshold.
 
-    When every centered residual of the first n-1 observations is exactly
-    zero at every candidate (offset and slope heads all zero), the statistic
-    is 0/0 and carries no evidence against any candidate, so the full line is
-    returned rather than the empty set the raw algebra would give.
+    A candidate survives when
+
+        sqrt((n-1)(n-2)/n) |e(u)| < t * sqrt(E(u) / (n-2)),
+
+    e(u) the step's centered last residual and E(u) the earlier residuals'
+    centered energy; squared, that is a quadratic inequality in u, solved
+    in O(1) and moved by the step's center.  When every centered earlier
+    residual is zero at every candidate the statistic is 0/0 and carries no
+    evidence against any candidate, so the full line is returned rather
+    than the empty set the raw algebra would give.
     """
-    a, b = _centered(offset), _centered(slope)
-    if not a[:-1].any() and not b[:-1].any():
+    if step.interpolates:
         return PredictionInterval.full_line()
-    return _centered_region(a, b, count, t_value).hull()
+    n = step.count
+    scale = float((n - 1) * (n - 2))
+    weight = float(t_value) * float(t_value) * n
+    offset, slope = step.last_offset, step.last_slope
+    region = QuadraticRegion(
+        lead=scale * slope * slope - weight * step.head_bb,
+        cross=scale * offset * slope - weight * step.head_ab,
+        constant=scale * offset * offset - weight * step.head_aa,
+    )
+    return _shifted(region.hull(), step.center)
 
 
 def centered_residual_score(residuals) -> float:
@@ -690,19 +803,6 @@ def centered_residual_score(residuals) -> float:
     return float((residuals[-1] - head_mean) / sqrt(spread))
 
 
-def _centered_statistic(residuals) -> float | None:
-    """|sqrt((n - 1)(n - 2) / n) * score| of the n residuals, Student t with
-    n - 2 degrees of freedom under Gaussian noise, where the score is
-    ``centered_residual_score``; None when the earlier residuals have zero
-    spread, where the statistic is 0/0."""
-    n = len(residuals)
-    try:
-        score = centered_residual_score(residuals)
-    except DegenerateFitError:
-        return None
-    return abs(sqrt((n - 1) * (n - 2) / n) * score)
-
-
 @dataclass(frozen=True)
 class MvaPredictor:
     """Prediction intervals from the studentized last centered ridge residual.
@@ -712,9 +812,19 @@ class MvaPredictor:
     K + 3 on with ridge 0 (K the number of active features).  Residuals come
     from one ridge fit of all n rows, so the candidate response enters every
     residual and the survivor set is a quadratic region classified exactly
-    (no search).  The region is solved in the distance from the mean past
-    response, so its coefficients do not grow with the responses' distance
-    from zero.
+    (no search).
+
+    A step costs O(K^2) from the factors the history keeps: the ridge fit
+    of the n rows from the history's ridge factor by triangular solves, and
+    the sum and centered energy of the earlier residuals from its ridge-0
+    factor, which the history keeps beside the ridge one when ridge > 0
+    (see ``_mva_step``).  No residual vector is formed.  The region is
+    solved in the distance from the history's own prediction at the new
+    row (with ridge > 0, from where the centered last residual vanishes),
+    so its coefficients do not grow with the responses' distance from
+    zero.  At ridge 0 the rank rule is decided on the history's design
+    block, as for ``GaussPredictor``: a history that only the new row would
+    make full rank raises ``RankDeficiencyError``.
 
     With ridge 0 at n = K + 1 the fit interpolates: every residual is zero
     whatever the candidate, so the statistic is 0/0 and the whole line is
@@ -723,59 +833,60 @@ class MvaPredictor:
     candidate's residual vector is a multiple of one direction, so the
     statistic does not depend on y (apart from the single candidate where it
     is 0/0).  The interval is then the empty set or the whole line, decided
-    once from that direction rather than from the sign of a discriminant that
-    is exactly zero and only rounding makes positive.
+    from that structure rather than from the sign of a discriminant that is
+    exactly zero and only rounding makes positive.
     """
 
     ridge: float = 0.0
     schedule: FeatureSchedule | None = None
 
-    def step(self, history: History, x_new) -> RidgeStep | None:
-        """The ridge fit of the step; None before step 3."""
-        return _ridge_step(history, x_new, self.ridge, self.schedule, 3)
+    def step(self, history: History, x_new) -> MvaStep | None:
+        """The five numbers of the step; None before step 3."""
+        count = len(history)
+        if count + 1 < 3:
+            return None
+        k = history.feature_count
+        x = _new_row(x_new, k)
+        cols = _active_features(self.schedule, count + 1, k) + 1
+        row = np.empty(cols)
+        row[0] = 1.0
+        row[1:] = x[: cols - 1]
+        ridge = float(self.ridge)
+        zero_factor = history.triangular_factor(0.0, cols)
+        ridge_factor = zero_factor if ridge == 0.0 else history.triangular_factor(ridge, cols)
+        return _mva_step(
+            ridge_factor,
+            zero_factor,
+            count,
+            row,
+            ridge,
+            history.design_inverse_norm(ridge),
+            history.design_norm(ridge, cols),
+        )
 
     def predict(self, step, levels) -> list[PredictionInterval]:
         levels = validate_levels(levels)
         if step is None or step.interpolates:
-            # every residual is identically zero: the statistic is 0/0 everywhere
+            # every centered residual is identically zero: 0/0 everywhere
             return _full_lines(len(levels))
-        n = step.count
-        projector, decomposition = step.projector, step.decomposition
-        dist = StudentT(n - 2)
-        if projector.ridge == 0.0 and n == projector.column_count + 1:
-            # offset and slope both lie on the residual direction; either may vanish
-            offset, slope = decomposition.offset, decomposition.slope
-            direction = offset if np.linalg.norm(offset) >= np.linalg.norm(slope) else slope
-            statistic = _centered_statistic(direction)
-            if statistic is None:
-                return _full_lines(len(levels))
-            return [
-                PredictionInterval.full_line()
-                if statistic < dist.upper_quantile(eps / 2.0)
-                else PredictionInterval.empty()
-                for eps in levels
-            ]
         return [
-            _shifted(
-                mva_hull(
-                    decomposition.offset,
-                    decomposition.slope,
-                    n,
-                    dist.upper_quantile(eps / 2.0),
-                ),
-                decomposition.reference,
-            )
-            for eps in levels
+            mva_hull(step, t_value)
+            for t_value in two_sided_quantiles(step.count - 2, levels)
         ]
 
     def pvalue(self, step, response: float, tie_break: float = 1.0) -> float:
         if step is None or step.interpolates:
-            # every residual is identically zero: no evidence either way
+            # every centered residual is identically zero: no evidence either way
             return 1.0
-        statistic = _centered_statistic(step.residuals(response))
-        if statistic is None:
+        u = response - step.center
+        energy = step.head_energy(u)
+        if energy <= 0.0:
             return 1.0
-        return 2.0 * StudentT(step.count - 2).cdf(-statistic)
+        n = step.count
+        statistic = abs(
+            sqrt((n - 1) * (n - 2) / n) * (step.last_offset + u * step.last_slope)
+        ) / sqrt(energy)
+        return 2.0 * StudentT(n - 2).cdf(-statistic)
 
     def can_bound(self, n: int, feature_count: int, levels) -> bool:
         """Whether step n can give a bounded interval: n >= 3 with a positive
@@ -810,20 +921,18 @@ def mva_score(
     The score is signed: (e_n - mean of earlier residuals) divided by the
     root of the summed squared deviations of the earlier residuals, all read
     from the summary's triangle.  ``active_count`` truncates the regression
-    to the first features, mirroring a feature schedule.  With ridge 0 it
-    raises ``RankDeficiencyError`` under the least-squares rank rule, as
-    ``gauss_score`` does, and ``DegenerateFitError`` at n = active + 1,
-    where the fit interpolates and every residual is zero.  A centered
-    spread at the least-squares cut-off relative to the past responses' own
-    energy (an exactly linear history) is ``DegenerateFitError`` too.
+    to the first features, mirroring a feature schedule.  It raises
+    ``RankDeficiencyError`` under the least-squares rank rule of
+    ``MvaPredictor``, and with ridge 0 ``DegenerateFitError`` at
+    n = active + 1, where the fit interpolates and every residual is zero.
+    A centered spread at the least-squares cut-off relative to the past
+    responses' own energy (an exactly linear history) is
+    ``DegenerateFitError`` too.
 
-    The head triangle R of [1 | x | y] is truncated to the active columns,
-    and sqrt(ridge) I and the new row [1, x, y] are absorbed into a copy of
-    it to solve for the ridge coefficients c.  With w = R [-c, 1] the head
-    residuals are Q w for R's orthogonal factor Q, whose first column is the
-    ones column over R[0, 0] = +-sqrt(count): so the head residuals sum to
-    R[0, 0] w[0] and their centered energy is ||w[1:]||^2, with no column
-    sums formed and no difference of energies that could cancel.
+    The score is the predictor's step (``_mva_step``) evaluated at the
+    observation's response.  The summary's triangle, truncated to the
+    active columns, is the ridge-0 factor; for ridge > 0, sqrt(ridge) I is
+    absorbed into a copy of it for the ridge factor.
     """
     k = summary.factor.shape[0] - 2
     x = _new_row(observation.explanatory, k)
@@ -831,31 +940,22 @@ def mva_score(
     if not 0 <= active <= k:
         raise ValueError(f"active_count must lie in [0, {k}]")
     head = summary.count
-    n = head + 1
-    if n < 3:
+    if head + 1 < 3:
         raise ValueError("need at least three observations in total")
 
     cols = active + 1
-    factor = _leading_factor(summary.factor, cols)
-    new_row = np.concatenate([[1.0], x[:active]])
-    rows = np.append(new_row, observation.response)[None, :]
+    zero_factor = _leading_factor(summary.factor, cols)
+    ridge_factor = zero_factor
     if ridge > 0.0:
-        rows = np.vstack([sqrt(ridge) * np.eye(cols, cols + 1), rows])
-    full = absorb_rows(factor, rows)
-    if ridge == 0.0:
-        if not _passes_rank_rule(full[:cols, :cols], n):
-            raise RankDeficiencyError("design is rank deficient; use a positive ridge")
-        if n == cols:
-            raise DegenerateFitError("the fit interpolates: every residual is zero")
-    coefficients = solve_triangular(full[:cols, :cols], full[:cols, -1], check_finite=False)
-
-    last_residual = observation.response - float(new_row @ coefficients)
-    weights = factor @ np.append(-coefficients, 1.0)
-    head_mean = float(factor[0, 0] * weights[0]) / head
-    spread = float(np.linalg.norm(weights[1:]))
-    if spread <= _rank_tolerance(head, cols + 1) * np.linalg.norm(factor[:, -1]):
+        ridge_factor = absorb_rows(zero_factor, sqrt(ridge) * np.eye(cols, cols + 1))
+    row = np.concatenate([[1.0], x[:active]])
+    step = _mva_step(ridge_factor, zero_factor, head, row, ridge)
+    u = observation.response - step.center
+    spread = sqrt(max(step.head_energy(u), 0.0))
+    if spread <= _rank_tolerance(head, cols + 1) * np.linalg.norm(zero_factor[:, -1]):
+        # an interpolating fit's step has every number zero, so it lands here
         raise DegenerateFitError("earlier residuals have zero spread")
-    return (last_residual - head_mean) / spread
+    return (step.last_offset + u * step.last_slope) / spread
 
 
 # ---------------------------------------------------------------------------
@@ -904,11 +1004,17 @@ class MonteCarloConfig:
     Setting up the draws of one step costs O(samples * n * K) in two GEMMs
     and O(samples * n) memory; after that a p-value costs O(samples) and
     the survivor sets of every level one O(samples log samples) sweep, with
-    no search bound and no bisection.
+    no search bound and no bisection.  ``samples`` must be a nonnegative
+    integer; zero draws give full lines.
     """
 
     samples: int = 999
     seed: object = 0
+
+    def __post_init__(self):
+        samples = self.samples
+        if isinstance(samples, bool) or not isinstance(samples, Integral) or samples < 0:
+            raise ValueError(f"samples must be a nonnegative integer, got {samples!r}")
 
 
 @dataclass(frozen=True, eq=False)

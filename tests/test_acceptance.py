@@ -140,8 +140,10 @@ def test_criterion_04_smoothed_pvalues_uniform(capfd):
 
 
 def test_criterion_05_quadratic_oracle_equivalence(capfd):
-    # Closed-form quadratic classification vs a dense grid scan of the
-    # studentized-centered-residual inequality, endpoints to 1e-5.
+    # Closed-form quadratic classification of a step read from the
+    # history's kept factors vs a dense grid scan of the
+    # studentized-centered-residual inequality over the projector's
+    # residual decomposition, endpoints to 1e-5.
     start = time.perf_counter()
     rng = np.random.default_rng(41)
     checked = trials = 0
@@ -158,7 +160,8 @@ def test_criterion_05_quadratic_oracle_equivalence(capfd):
         epsilon = float(rng.choice([0.05, 0.1, 0.2]))
         t_value = float(stats.t.ppf(1.0 - epsilon / 2.0, n - 2))
         decomposition = residual_decomposition(RidgeProjector(design, ridge), fixed)
-        mine = mva_hull(decomposition.offset, decomposition.slope, n, t_value)
+        history = History.from_arrays(design[:-1, 1:], fixed)
+        mine = mva_hull(MvaPredictor(ridge).step(history, design[-1, 1:]), t_value)
         reference = oracles.quadratic_region_grid_hull(
             decomposition.offset, decomposition.slope, n, t_value, refine=1e-7
         )

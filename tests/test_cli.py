@@ -175,6 +175,31 @@ def test_bad_schedule_flag_is_a_usage_error(tmp_path, capsys):
     assert "schedule" in capsys.readouterr().err
 
 
+def test_negative_mc_samples_is_a_usage_error_before_any_output(tmp_path, capsys):
+    data = tmp_path / "data.csv"
+    run(["gen", "--seed", 4, "--n", 30, "--k", 2, "--out", data])
+    test = tmp_path / "test.csv"
+    test.write_text("x1,x2\n0.5,-0.5\n")
+    predict = ["predict", "--model", "iidgauss", "--train", data, "--test", test,
+               "--out", tmp_path / "bounds"]
+    online = ["online", "--model", "iidgauss", "--data", data,
+              "--out-prefix", tmp_path / "run"]
+    for argv in (predict, online):
+        assert run(argv + ["--mc-samples", "-5"]) == 2
+        captured = capsys.readouterr()
+        assert "samples must be a nonnegative integer" in captured.err
+        assert captured.out == ""
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["data.csv", "test.csv"]
+
+
+def test_monte_carlo_samples_must_be_a_nonnegative_integer():
+    for samples in (-1, 2.5, 10.0, True, "9"):
+        with pytest.raises(ValueError, match="nonnegative integer"):
+            olreg.MonteCarloConfig(samples=samples)
+    assert olreg.MonteCarloConfig(samples=np.int64(7)).samples == 7
+    assert olreg.MonteCarloConfig(samples=0).samples == 0
+
+
 def test_unknown_model_exits_through_the_parser(tmp_path, capsys):
     with pytest.raises(SystemExit) as info:
         run(["predict", "--model", "cauchy", "--train", "x", "--test", "y", "--out", "z"])

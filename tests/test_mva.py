@@ -22,7 +22,11 @@ from olreg import (
     wilks_level,
     wilks_predict,
 )
-from olreg.predictors import QuadraticRegion
+import olreg.numerics
+import olreg.predictors
+from olreg import RankDeficiencyError, run_online
+from olreg.numerics import StudentT
+from olreg.predictors import QuadraticRegion, _step_projector
 from olreg.protocol import MvaPredictor
 
 # Worked example (same data as the rank-region one), bounds fixed by the
@@ -89,9 +93,16 @@ def test_region_membership_matches_hull_endpoints():
 
 
 def test_degenerate_centered_heads_give_the_full_line():
-    # offset and slope whose centered values vanish identically
-    hull = mva_hull(np.array([1.0, 1.0, 1.0]), np.array([2.0, 2.0, 2.0]), 3, 4.3)
-    assert (hull.lower, hull.upper) == (-math.inf, math.inf)
+    # an intercept-only fit of equal past responses: every centered earlier
+    # residual vanishes whatever the candidate, so the statistic is 0/0
+    for ridge in (0.0, 0.01):
+        for value in (0.0, 1.0, 7.5):
+            history = history_of(np.zeros((2, 0)), [value, value])
+            predictor = MvaPredictor(ridge)
+            step = predictor.step(history, np.zeros(0))
+            hull = mva_hull(step, 4.3)
+            assert (hull.lower, hull.upper) == (-math.inf, math.inf)
+            assert predictor.pvalue(step, value + 5.0, 0.5) == 1.0
 
 
 def test_too_few_observations_give_full_lines():
@@ -114,7 +125,8 @@ def test_hull_against_grid_oracle_on_random_instances():
         eps = float(rng.choice([0.05, 0.1, 0.2]))
         t_value = float(stats.t.ppf(1.0 - eps / 2.0, n - 2))
         dec = residual_decomposition(RidgeProjector(design, ridge), fixed)
-        mine = mva_hull(dec.offset, dec.slope, n, t_value)
+        history = History.from_arrays(design[:-1, 1:], fixed)
+        mine = mva_hull(MvaPredictor(ridge).step(history, design[-1, 1:]), t_value)
         reference = oracles.quadratic_region_grid_hull(dec.offset, dec.slope, n, t_value)
         finite = [v for v in (mine.lower, mine.upper, reference.lower, reference.upper)
                   if np.isfinite(v)]
@@ -268,6 +280,148 @@ def test_interpolating_ridge_zero_step_gives_full_lines_and_pvalue_one(seed):
         assert predictor.pvalue(step, scale * responses[2], 0.5) == 1.0
         intervals = mva_predict(history, features[2], levels, ridge=0.0)
         assert all((i.lower, i.upper) == (-math.inf, math.inf) for i in intervals)
+
+
+def vector_route(history, x, response, predictor, levels):
+    """Intervals and realized p-value of an MVA step from its residual
+    vectors: the step's ridge projector, the residual decomposition around
+    the mean past response and ``centered_residual_score``, with the
+    ridge-0 structure decided on those vectors."""
+    n = len(history) + 1
+    reference = float(history.responses.mean())
+    projector = _step_projector(history, x, predictor.ridge, predictor.schedule, reference)
+    full = [(-math.inf, math.inf)] * len(levels)
+    if predictor.ridge == 0.0 and n == projector.column_count:
+        return full, 1.0
+    dec = residual_decomposition(projector, history.responses)
+    t_values = [StudentT(n - 2).upper_quantile(eps / 2.0) for eps in levels]
+    factor = math.sqrt((n - 1) * (n - 2) / n)
+
+    def statistic(residuals):
+        try:
+            return abs(factor * centered_residual_score(residuals))
+        except DegenerateFitError:
+            return None
+
+    realized = statistic(projector.residuals(np.append(history.responses, response)))
+    if predictor.ridge == 0.0 and n == projector.column_count + 1:
+        # one residual direction: the statistic does not depend on y
+        big_offset = np.linalg.norm(dec.offset) >= np.linalg.norm(dec.slope)
+        fixed = statistic(dec.offset if big_offset else dec.slope)
+        if fixed is None:
+            return full, 1.0
+        bounds = [(-math.inf, math.inf) if fixed < t else (math.inf, -math.inf) for t in t_values]
+        return bounds, 2.0 * StudentT(n - 2).cdf(-fixed)
+    a = dec.offset - dec.offset[:-1].mean()
+    b = dec.slope - dec.slope[:-1].mean()
+    bounds = []
+    for t in t_values:
+        if not a[:-1].any() and not b[:-1].any():
+            bounds.append((-math.inf, math.inf))
+            continue
+        weight, scale = t * t * n, float((n - 1) * (n - 2))
+        hull = QuadraticRegion(
+            scale * b[-1] ** 2 - weight * float(b[:-1] @ b[:-1]),
+            scale * a[-1] * b[-1] - weight * float(a[:-1] @ b[:-1]),
+            scale * a[-1] ** 2 - weight * float(a[:-1] @ a[:-1]),
+        ).hull()
+        bounds.append((hull.lower + reference, hull.upper + reference))
+    pvalue = 1.0 if realized is None else 2.0 * StudentT(n - 2).cdf(-realized)
+    return bounds, pvalue
+
+
+def shape_of(lower, upper):
+    if (lower, upper) == (math.inf, -math.inf):
+        return "empty"
+    if math.isinf(lower) and math.isinf(upper):
+        return "full"
+    return "ray" if math.isinf(lower) or math.isinf(upper) else "bounded"
+
+
+def test_step_from_the_kept_factors_matches_the_vector_route():
+    # endpoints within the tolerance times the width (for a ray, times the
+    # distance from the step's center), and p-values within the tolerance
+    levels = (0.2, 0.05, 0.01)
+    shifts = ((0.0, 0.0, 1e-9), (1e9, 0.0, 1e-6), (0.0, 1e3, 1e-6))
+    compared = {"empty": 0, "full": 0, "ray": 0, "bounded": 0, "raised": 0}
+    for k in range(6):
+        rng = np.random.default_rng(500 + k)
+        features = rng.normal(size=(k + 12, k))
+        responses = features @ rng.normal(size=k) + rng.normal(size=k + 12)
+        schedules = [None] + ([FeatureSchedule(max(1, k // 2), k + 4, k)] if k else [])
+        for ridge in (0.0, 0.01, 0.5):
+            for schedule in schedules:
+                predictor = MvaPredictor(ridge, schedule)
+                for y_shift, x_shift, tolerance in shifts:
+                    for n in range(3, k + 13):
+                        history = history_of(features[: n - 1] + x_shift, responses[: n - 1] + y_shift)
+                        x, y = features[n - 1] + x_shift, responses[n - 1] + y_shift
+                        try:
+                            want, want_p = vector_route(history, x, y, predictor, levels)
+                        except RankDeficiencyError:
+                            with pytest.raises(RankDeficiencyError):
+                                predictor.step(history, x)
+                            compared["raised"] += 1
+                            continue
+                        step = predictor.step(history, x)
+                        got = predictor.predict(step, levels)
+                        case = (k, ridge, schedule, y_shift, x_shift, n)
+                        for interval, (lower, upper) in zip(got, want):
+                            shape = shape_of(lower, upper)
+                            assert shape_of(interval.lower, interval.upper) == shape, (case, interval, want)
+                            compared[shape] += 1
+                            if shape == "bounded":
+                                scale = upper - lower
+                            elif shape == "ray":
+                                scale = 1.0 + abs((lower if math.isfinite(lower) else upper) - step.center)
+                            else:
+                                continue
+                            for mine, theirs in ((interval.lower, lower), (interval.upper, upper)):
+                                if math.isfinite(theirs):
+                                    assert abs(mine - theirs) <= tolerance * scale, (case, interval, want)
+                        # under a shift the responses' own rounding (1e9 * eps) moves
+                        # the statistic on either route, so p gets the shift's tolerance
+                        got_p = predictor.pvalue(step, y, 0.5)
+                        assert got_p == pytest.approx(want_p, abs=tolerance), case
+    # a ray needs a leading coefficient of exactly zero, which random data
+    # does not give; every other outcome is met
+    assert all(compared[shape] for shape in ("empty", "full", "bounded", "raised")), compared
+
+
+def test_mva_run_forms_no_residual_vector(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the MVA path formed a residual vector")
+
+    for module in (olreg.predictors, olreg.numerics):
+        monkeypatch.setattr(module, "residual_decomposition", refuse)
+        monkeypatch.setattr(module, "RidgeProjector", refuse)
+    for k, ridge in ((2, 0.0), (2, 0.01), (12, 0.01)):
+        rng = np.random.default_rng(k)
+        features = rng.normal(size=(40, k))
+        stream = [Observation(row, float(row.sum() + rng.normal())) for row in features]
+        predictor = MvaPredictor(ridge, FeatureSchedule.for_feature_count(k))
+        for smoothed in (False, True):
+            ledger = run_online(predictor, stream, (0.1, 0.05), smoothed=smoothed)
+            assert ledger.step_count == 40
+
+
+def test_ridge_zero_rank_is_decided_on_the_history_design():
+    # x2 = x1 in every past row, so the history's design has rank 2 of 3;
+    # the new row alone would make the step's rows full rank, but the rank
+    # rule reads the history's design block, as GaussPredictor does
+    rng = np.random.default_rng(12)
+    first = rng.normal(size=8)
+    features = np.column_stack([first, first])
+    responses = first + rng.normal(size=8)
+    history = history_of(features, responses)
+    x = np.array([0.3, -1.2])
+    with pytest.raises(RankDeficiencyError):
+        MvaPredictor().step(history, x)
+    with pytest.raises(RankDeficiencyError):
+        mva_score(RegressionSummary.from_history(history), Observation(x, 0.5))
+    # a positive ridge keeps the step, and the new row's rank does not matter
+    step = MvaPredictor(ridge=0.01).step(history, x)
+    assert all(i.lower < i.upper for i in MvaPredictor(ridge=0.01).predict(step, (0.1,)))
 
 
 # ---------------------------------------------------------------------------

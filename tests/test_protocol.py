@@ -415,11 +415,14 @@ def test_mva_pvalue_is_exact_in_the_far_tail():
     for observation in feature_stream(rng, 498, 2):
         history.append(observation)
     predictor = MvaPredictor(ridge=0.01)
-    step = predictor.step(history, rng.normal(size=2))
+    x = rng.normal(size=2)
+    step = predictor.step(history, x)
     n = step.count
+    # the reference statistic: residual vectors of the step's ridge projector
+    projector = _step_projector(history, x, 0.01, None, float(history.responses.mean()))
 
     def statistic(y):
-        score = centered_residual_score(step.residuals(y))
+        score = centered_residual_score(projector.residuals(np.append(history.responses, y)))
         return math.sqrt((n - 1) * (n - 2) / n) * score
 
     center = optimize.brentq(statistic, -100.0, 100.0)
