@@ -30,7 +30,6 @@ from .predictors import (
     MvaPredictor,
     RegressionSummary,
     build_sweep,
-    centered_residual_score,
     gauss_fit,
     gauss_predict,
     gauss_score,
@@ -95,7 +94,6 @@ __all__ = [
     "batch_predict",
     "binomial_band",
     "build_sweep",
-    "centered_residual_score",
     "emit_series",
     "fisher_verify",
     "gauss_fit",

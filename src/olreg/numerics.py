@@ -1,25 +1,29 @@
 """Linear-algebra and Student-t primitives shared by the interval predictors.
 
 The residual projector applies ``e = y - U (U'U + aI)^{-1} U' y`` without
-ever forming an n-by-n matrix or the Gram matrix U'U: it solves with
-U'U + aI through one upper-triangular factor, so coefficients cost two
-O(k^2) triangular solves and a residual vector one O(n k) product for k
-regressor columns.  A projector built from a design alone QR-factors it
-once, O(n k^2).  An on-line IID step instead starts from the triangular factor
-that ``History`` keeps for the ridge coefficient, truncated to the
-scheduled columns, and absorbs the one new row into a copy, O(k^2); the
-step costs O(k^2 + n k) in all, and the design's conditioning is never
-squared.  Its rank check reads the certificate and the Frobenius norm that
-the history carries for that factor, so it forms no triangular inverse and
-takes no O(k^2) norm either.
+ever forming an n-by-n matrix or the Gram matrix U'U: it solves through
+upper-triangular factors, so coefficients cost O(k^2) triangular solves and
+a residual vector one O(n k) product for k regressor columns.  A projector
+built from a design alone QR-factors all but its last row once, O(n k^2).
+An on-line IID step instead starts from the triangular factor that
+``History`` keeps for the ridge coefficient, truncated to the scheduled
+columns, and does not absorb the new row into it: three triangular solves
+with the factor's design block give the history's fit and the new row's
+leverage, and the row update of Gill, Golub, Murray & Saunders (1974) turns
+them into the n residuals, with no step triangle.  The step costs
+O(k^2 + n k) in all, and the design's conditioning is never squared.  Its
+rank check reads the certificate and the Frobenius norm that the history
+carries for that factor, so it forms no triangular inverse and takes no
+O(k^2) norm either.
 
 Because candidate responses enter the augmented response vector linearly, the
 residual vector of (y_1, ..., y_{n-1}, y) is an affine function of y.  The
 ``residual_decomposition`` helper materializes that affine map once per
 prediction step around a reference candidate y0 (the IID predictor uses
-the mean of the past responses, so the map does not cancel when responses
-sit far from zero); its sweep then scans candidate responses at O(1) per
-residual component instead of re-solving.
+the history's own prediction at the new row, so the map does not cancel
+when responses sit far from zero); its sweep then scans candidate responses
+at O(1) per residual component instead of re-solving, and the realized
+residuals of the step are read off the same map in O(n).
 
 The Gauss and MVA predictors need no projector.  Gauss reads its
 least-squares fit from the ridge-0 factor of [design | responses] that
@@ -40,34 +44,52 @@ import numpy as np
 from scipy.linalg import lapack
 from scipy.special import stdtr, stdtrit
 
-from .base import RankDeficiencyError, _passes_rank_rule, absorb_rows
+from .base import RankDeficiencyError, _passes_rank_rule, _settles, absorb_rows
 
 
 class RidgeProjector:
-    """Residual map of a ridge regression, applied through one triangular factor.
+    """Residual map of a ridge regression, read from the factor of all but its last row.
 
     The design U has n rows: the rows of ``design``, then ``new_row`` when
     it is given; v = (responses, reference) is a reference response vector.
-    Solves with U'U + aI take two O(k^2) triangular solves; v is fitted
-    through the factor's response column (the QR least-squares route, which
-    does not square the design's conditioning) and any other vector as a
-    correction to v's fit.
+    A ``reference`` of None takes yhat below, the design rows' own
+    prediction at the new row (their mean response where yhat is not read).
+    ``factor`` is the triangle R of [design | responses] stacked on
+    [sqrt(a) I | 0] (as ``History.triangular_factor`` returns it), with
+    design block R_D and response column r.  The new row x is not absorbed
+    into it.  Three triangular solves give g = R_D^-T x, h = ||g||^2, the
+    design rows' own coefficients c_h = R_D^-1 r, their prediction
+    yhat = x . c_h and q = R_D^-1 g, O(k^2).  A response y of the new row
+    then has the coefficients c_h + q u / (1 + h) and the residuals
+    [e - D q u / (1 + h); u / (1 + h)], where u = y - yhat and e are the
+    design rows' own residuals (the row update of Gill, Golub, Murray &
+    Saunders 1974), so no step triangle is formed.  ``residual_decomposition``
+    reads that affine map by one O(n k) product, and ``residuals`` reads it
+    in O(n) when only the new row's response differs from ``responses``.
 
-    Given alone, the design is QR-factored here, O(n k^2), and v is zero.
-    With ``new_row``, ``factor`` is the triangle T of [design | responses]
-    stacked on [sqrt(a) I | 0] (as ``History.triangular_factor`` returns
-    it), and the row is absorbed into a copy of T, O(k^2).  The shapes of
-    ``factor``, ``new_row`` and ``responses`` are checked against the
-    design; the factor's entries are trusted to match it.
+    Given alone, the design's rows but the last are QR-factored here,
+    O(n k^2), the last is the new row, and the responses and the reference
+    are zero.  The shapes of ``factor``, ``new_row`` and ``responses`` are
+    checked against the design; the factor's entries are trusted to match
+    it.
 
-    Raises ``RankDeficiencyError`` when the factor of U'U + aI fails the
-    rule sigma_min > eps * max(n, k) * sigma_max.  ``inverse_norm`` is an
-    upper bound on the inverse's Frobenius norm for that factor, such as
-    ``History.design_inverse_norm`` carries for ``factor``; when it settles
-    the rule no inverse is formed.  ``design_norm``, when given, is the
-    Frobenius norm of ``factor``'s design block (``History.design_norm``);
-    the new row's squared norm is added to it for the step triangle, so the
-    rule reads no norm off the triangle either.
+    Raises ``RankDeficiencyError`` when the step triangle T, the factor of
+    U'U + aI, fails the rule sigma_min > eps * max(n, k) * sigma_max.
+    ``inverse_norm`` is an upper bound on ||R_D^-1||_F, such as
+    ``History.design_inverse_norm`` carries for ``factor``, and so on
+    ||T^-1||_F too; ``design_norm`` is ||R_D||_F (``History.design_norm``;
+    taken from R_D when not given), and sqrt(design_norm^2 + ||x||^2) is
+    ||T||_F.  When that norm settles the rule by the sqrt(a) shortcut or
+    with the certificate, it settles it for R_D as well, and T is not
+    formed.  Otherwise T is formed and the full rule run on it; when R_D
+    then fails the rule though T passes (design rows that only the new row
+    makes full rank), the map is read from T instead.
+
+    The general-vector methods ``solve``, ``coefficients``, ``fitted`` and
+    ``apply`` fit any response vector through T, formed on their first
+    call, O(k^2): v through T's response column (the QR least-squares
+    route, which does not square the design's conditioning) and any other
+    vector as a correction to v's fit.
     """
 
     def __init__(
@@ -78,7 +100,7 @@ class RidgeProjector:
         new_row=None,
         factor=None,
         responses=None,
-        reference: float = 0.0,
+        reference: float | None = 0.0,
         inverse_norm: float | None = None,
         design_norm: float | None = None,
     ):
@@ -110,29 +132,58 @@ class RidgeProjector:
             if np.shape(responses) != (design.shape[0],):
                 raise ValueError(f"expected {design.shape[0]} responses for the design rows")
         rows = design.shape[0] + 1
-        row = np.empty((1, cols + 1))
-        row[0, :cols] = new_row
-        row[0, cols] = reference
-        triangle = absorb_rows(factor, row)
-        frobenius = None
-        if design_norm is not None:
-            frobenius = sqrt(design_norm * design_norm + float(row[0, :cols] @ row[0, :cols]))
-        if not _passes_rank_rule(
-            triangle[:cols, :cols], rows, ridge, inverse_norm, frobenius
-        ):
-            raise RankDeficiencyError(
-                "design is rank deficient; use a positive ridge coefficient"
-                if ridge == 0.0
-                else "ridge normal matrix is numerically singular"
-            )
+        x = np.asarray(new_row, dtype=float)
         self._head = design
-        self._last = row[0, :cols]
-        self._reference = np.append(responses, reference)
+        self._last = x
+        self._responses = np.asarray(responses, dtype=float)
         self.ridge = ridge
-        # T's leading columns of a Fortran-ordered (k+1)-square array are
-        # contiguous, so LAPACK reads T as their top block without a copy.
-        self._columns = triangle[:, :cols]
-        self._reference_coefficients = self._back_solve(triangle[:cols, cols])
+        self._factor = factor
+        self._triangle = None
+        self._decomposition = None
+        block = factor[:cols, :cols]
+        if design_norm is None:
+            design_norm = float(np.linalg.norm(block))
+        step_norm = sqrt(design_norm * design_norm + float(x @ x))
+        settled = _settles(step_norm, cols, rows, ridge, inverse_norm)
+        from_history = settled or _passes_rank_rule(
+            block, rows - 1, ridge, inverse_norm, design_norm
+        )
+        if from_history:
+            # LAPACK reads R_D as the top block of R's leading columns, which
+            # are contiguous in a Fortran-ordered R, so no copy of it is made
+            leading = factor[:, :cols]
+            whitened, _ = lapack.dtrtrs(leading, x, trans=1)
+            own, _ = lapack.dtrtrs(leading, factor[:cols, cols])
+            direction, _ = lapack.dtrtrs(leading, whitened)
+            prediction = float(x @ own)
+            if reference is None:
+                reference = prediction
+        elif reference is None:
+            reference = float(self._responses.mean()) if rows > 1 else 0.0
+        self._reference = float(reference)
+        if not settled:
+            columns, _ = self._step_triangle()
+            if not _passes_rank_rule(columns[:cols], rows, ridge, inverse_norm, step_norm):
+                raise RankDeficiencyError(
+                    "design is rank deficient; use a positive ridge coefficient"
+                    if ridge == 0.0
+                    else "ridge normal matrix is numerically singular"
+                )
+        # The map's numbers: (U'U + aI)^-1 x, the new row's slope 1 / (1 + h),
+        # the coefficients of v, and the new row's residual at v.
+        if from_history:
+            shrink = 1.0 / (1.0 + float(whitened @ whitened))
+            direction *= shrink
+            distance = self._reference - prediction
+            self._coefficients = own + distance * direction
+            self._last_offset = distance * shrink
+        else:
+            direction = self.solve(x)
+            shrink = 1.0 - float(x @ direction)
+            self._coefficients = self._step_triangle()[1]
+            self._last_offset = self._reference - float(x @ self._coefficients)
+        self._direction = direction
+        self._shrink = shrink
 
     @property
     def row_count(self) -> int:
@@ -149,32 +200,45 @@ class RidgeProjector:
     @property
     def reference(self) -> float:
         """The last entry of the reference response vector."""
-        return float(self._reference[-1])
+        return self._reference
 
-    def _back_solve(self, values: np.ndarray) -> np.ndarray:
-        solution, _ = lapack.dtrtrs(self._columns, values)
-        return solution
+    def _step_triangle(self) -> tuple[np.ndarray, np.ndarray]:
+        """T's leading columns and v's coefficients, T formed on first use.
+
+        T's leading columns of a Fortran-ordered (k+1)-square array are
+        contiguous, so LAPACK reads T as their top block without a copy.
+        """
+        if self._triangle is None:
+            cols = self._last.size
+            triangle = absorb_rows(self._factor, np.append(self._last, self._reference)[None])
+            columns = triangle[:, :cols]
+            coefficients, _ = lapack.dtrtrs(columns, triangle[:cols, cols])
+            self._triangle = (columns, coefficients)
+        return self._triangle
 
     def solve(self, moments: np.ndarray) -> np.ndarray:
-        """(U'U + aI)^{-1} moments, by two triangular solves."""
-        whitened, _ = lapack.dtrtrs(self._columns, moments, trans=1)
-        return self._back_solve(whitened)
+        """(U'U + aI)^{-1} moments, by two triangular solves with T."""
+        columns, _ = self._step_triangle()
+        whitened, _ = lapack.dtrtrs(columns, moments, trans=1)
+        solution, _ = lapack.dtrtrs(columns, whitened)
+        return solution
 
     def coefficients(self, responses: np.ndarray) -> np.ndarray:
-        """Ridge coefficient estimate (U'U + aI)^{-1} U' y.
+        """Ridge coefficient estimate (U'U + aI)^{-1} U' y, through T.
 
         Solved as a correction to the reference vector's fit.  When only the
         new row's response differs from the reference, as for a step's
         realized residuals, the O(nk) product with the other rows is skipped.
         """
-        shift = np.asarray(responses, dtype=float) - self._reference
+        shift = np.asarray(responses, dtype=float) - np.append(self._responses, self._reference)
+        _, reference_coefficients = self._step_triangle()
         if shift[:-1].any():
             moments = self._head.T @ shift[:-1] + shift[-1] * self._last
         elif shift[-1] != 0.0:
             moments = shift[-1] * self._last
         else:
-            return self._reference_coefficients
-        return self._reference_coefficients + self.solve(moments)
+            return reference_coefficients
+        return reference_coefficients + self.solve(moments)
 
     def fitted(self, coefficients: np.ndarray) -> np.ndarray:
         """U @ coefficients, for a coefficient vector or a matrix of columns."""
@@ -188,11 +252,19 @@ class RidgeProjector:
         return values - self.fitted(self.coefficients(values))
 
     def residuals(self, responses: np.ndarray) -> np.ndarray:
+        """The residuals of ``responses``: an O(n) read of the decomposition
+        of the design rows' own responses (``residual_decomposition``, which
+        keeps it on the projector) when only the last response differs from
+        theirs, and ``apply`` otherwise."""
         responses = np.asarray(responses, dtype=float)
         if responses.shape != (self.row_count,):
             raise ValueError(
                 f"expected {self.row_count} responses, got shape {responses.shape}"
             )
+        fixed = self._responses
+        if np.array_equal(responses[:-1], fixed):
+            decomposition = self._decomposition or residual_decomposition(self, fixed)
+            return decomposition.residuals_at(responses[-1])
         return self.apply(responses)
 
 
@@ -218,8 +290,12 @@ def residual_decomposition(
     reference response in the last place and ``slope`` the projected last
     unit vector, so that ``offset + (y - reference) * slope`` equals
     ``projector.residuals`` of the completed response vector up to
-    rounding.  Both come from one O(nk) product with the two coefficient
-    vectors.
+    rounding.  Both come from one O(nk) product of the design rows with the
+    reference vector's coefficients and (U'U + aI)^-1 x, which the projector
+    holds; the new row's entries are the projector's own numbers.  Fixed
+    responses other than the projector's move the coefficients by one more
+    O(nk) product and a solve with the step triangle; the decomposition of
+    the projector's own is kept on it for ``RidgeProjector.residuals``.
     """
     fixed_responses = np.asarray(fixed_responses, dtype=float)
     n = projector.row_count
@@ -227,14 +303,22 @@ def residual_decomposition(
         raise ValueError(
             f"expected {n - 1} fixed responses, got shape {fixed_responses.shape}"
         )
-    completed = np.append(fixed_responses, projector.reference)
-    coefficients = np.column_stack(
-        [projector.coefficients(completed), projector.solve(projector.last_row)]
+    coefficients, last_offset = projector._coefficients, projector._last_offset
+    shift = fixed_responses - projector._responses
+    own = not shift.any()
+    if not own:
+        moved = projector.solve(projector._head.T @ shift)
+        coefficients = coefficients + moved
+        last_offset -= float(projector.last_row @ moved)
+    fitted = projector._head @ np.column_stack([coefficients, projector._direction])
+    decomposition = ResidualDecomposition(
+        np.append(fixed_responses - fitted[:, 0], last_offset),
+        np.append(-fitted[:, 1], projector._shrink),
+        projector.reference,
     )
-    fitted = projector.fitted(coefficients)
-    slope = -fitted[:, 1]
-    slope[-1] += 1.0
-    return ResidualDecomposition(completed - fitted[:, 0], slope, projector.reference)
+    if own:
+        projector._decomposition = decomposition
+    return decomposition
 
 
 @dataclass(frozen=True)

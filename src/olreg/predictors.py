@@ -29,11 +29,14 @@ step n a bounded interval (the empty set included) is possible at all.
   points per draw where the draw's score crosses the candidate's.
 * ``FullLinePredictor`` is the degenerate reference that never commits.
 
-Only the IID step forms residual vectors, through a ``RidgeProjector``.
-The Gauss and MVA steps need no projector: each is O(K^2), read by
-triangular solves from the factors of [design | responses] that ``History``
-keeps, with five numbers for an MVA step (``MvaStep``) solved in the
-distance from the history's own prediction.
+The IID, Gauss and MVA steps read the factors of [design | responses] that
+``History`` keeps by triangular solves, and absorb the new row into no copy
+of them where the carried rank certificate settles the rank rule.  The IID
+step (``RidgeProjector``) takes three solves and one O(nK) product for the
+residuals' offset and slope, after which a p-value is an O(n) read.  The
+Gauss and MVA steps form no residual vector: each is O(K^2), with five
+numbers for an MVA step (``MvaStep``) solved in the distance from the
+history's own prediction.
 
 ``iid_predict``, ``gauss_predict`` and ``mva_predict`` are one-step
 shortcuts that take the history directly.  ``wilks_predict`` is the
@@ -104,17 +107,19 @@ def _step_projector(
     x_new,
     ridge: float,
     schedule: FeatureSchedule | None,
-    reference: float,
+    reference: float | None,
 ) -> RidgeProjector:
     """Ridge projector of the history rows plus the new one, truncated to the
-    scheduled column count, with ``reference`` as the new row's response.
+    scheduled column count, with ``reference`` as the new row's response
+    (None: the history's own prediction at the new row).
 
-    Built from the history's kept factor for ``ridge`` plus the new row:
-    O(K^2) on top of the history's own O(K^2) per appended row, one O(n)
-    reference vector, and no copy of the design.  The new row only raises
-    the smallest singular value, so the rank certificate the history carries
-    for that factor settles the projector's rank rule without an inverse,
-    and the carried ``design_norm`` gives the step triangle's norm in O(K).
+    Built from the history's kept factor for ``ridge`` and the new row by
+    three triangular solves, O(K^2) on top of the history's own O(K^2) per
+    appended row, with no copy of the design or the responses and no step
+    triangle.  The new row only raises the smallest singular value,
+    so the rank certificate the history carries for that factor settles the
+    projector's rank rule without an inverse, and the carried
+    ``design_norm`` gives the step triangle's norm in O(K).
     """
     k = history.feature_count
     x = _new_row(x_new, k)
@@ -276,10 +281,12 @@ class RidgeStep:
     """One IID step: the ridge fit shared by its intervals and p-value.
 
     ``projector`` fits the history rows plus the new one, truncated to the
-    scheduled columns, with the mean past response as the new row's
-    reference; ``decomposition`` writes every residual as an affine function
-    of the candidate response around that reference.  ``responses`` are the
-    history's.
+    scheduled columns, from the history's kept ridge factor without a step
+    triangle, with the history's own prediction at the new row as that
+    row's reference; ``decomposition`` writes every residual as an affine
+    function of the candidate response around that reference, and the
+    projector keeps it.
+    ``responses`` are the history's.
     """
 
     responses: np.ndarray
@@ -290,13 +297,9 @@ class RidgeStep:
     def count(self) -> int:
         return self.projector.row_count
 
-    @property
-    def interpolates(self) -> bool:
-        """Ridge 0 with as many rows as columns: every residual is identically zero."""
-        return self.projector.ridge == 0.0 and self.count == self.projector.column_count
-
     def residuals(self, response: float) -> np.ndarray:
-        """The n residuals once ``response`` is revealed, solved by the projector."""
+        """The n residuals once ``response`` is revealed: the projector reads
+        them off the decomposition in O(n), with no solve and no product."""
         return self.projector.residuals(np.append(self.responses, response))
 
 
@@ -332,29 +335,33 @@ class IidPredictor:
     tie-break instead.
 
     With an empty history every candidate is maximally typical, so the full
-    line is returned at any level.  So it is at ridge 0 with as many rows as
-    columns: the fit interpolates and every residual is zero whatever the
-    candidate, which that structure decides rather than rounding residue.
-    The residuals are decomposed around the mean past response, and the
-    sweep runs in the distance from it.
+    line is returned at any level.  So it is at ridge 0 with no more rows
+    than columns: the fit interpolates and every residual is zero whatever
+    the candidate, which that structure decides rather than rounding residue
+    (or the rank of too few rows), and the p-value is the tie-break.
+    The residuals are decomposed around the history's own prediction at the
+    new row, and the sweep runs in the distance from it, so it does not
+    cancel when the responses sit far from zero.
     """
 
     ridge: float = 0.0
     schedule: FeatureSchedule | None = None
 
     def step(self, history: History, x_new) -> RidgeStep | None:
-        """The ridge fit of the step; None on an empty history."""
-        if len(history) == 0:
+        """The ridge fit of the step; None on an empty history, and at ridge
+        0 while n <= active + 1 (``active`` the features the schedule lets
+        the fit see at n), where the fit interpolates."""
+        n = len(history) + 1
+        k = history.feature_count
+        if n == 1 or (self.ridge == 0.0 and n <= _active_features(self.schedule, n, k) + 1):
             return None
         responses = history.responses
-        projector = _step_projector(
-            history, x_new, self.ridge, self.schedule, float(responses.mean())
-        )
+        projector = _step_projector(history, x_new, self.ridge, self.schedule, None)
         return RidgeStep(responses, projector, residual_decomposition(projector, responses))
 
     def predict(self, step, levels) -> list[PredictionInterval]:
         levels = validate_levels(levels)
-        if step is None or step.interpolates:
+        if step is None:
             # every residual ties with the candidate's, whatever the candidate
             return _full_lines(len(levels))
         decomposition = step.decomposition
@@ -365,7 +372,7 @@ class IidPredictor:
         ]
 
     def pvalue(self, step, response: float, tie_break: float = 1.0) -> float:
-        if step is None or step.interpolates:
+        if step is None:
             # Every score ties with the last: zero larger, all equal.
             return tie_break
         return iid_pvalue(np.abs(step.residuals(response)), tie_break)
@@ -691,19 +698,15 @@ def _mva_step(
     The ridge fit's rank rule is decided on the history's design block
     R_aD, from ``inverse_norm`` and ``design_norm`` when given (the
     certificate and the norm ``History`` carries for that factor).  Ridge 0
-    has two structural cases.  With as many rows as columns the fit
-    interpolates: every residual is zero, the step has every number zero,
-    and only the rank of the n rows is decided, on the triangle with the
-    new row absorbed.  With one row more the residual space is one
-    direction: the history is interpolated, so rho is rounding residue and
-    is set to 0, and the statistic does not depend on u.
+    has two structural cases.  With no more rows than columns the fit
+    interpolates: every residual is zero whatever the rows' rank, and the
+    step has every number zero.  With one row more the residual space is
+    one direction: the history is interpolated, so rho is rounding residue
+    and is set to 0, and the statistic does not depend on u.
     """
     cols = row.size
     n = count + 1
-    if ridge == 0.0 and n == cols:
-        triangle = absorb_rows(zero_factor, np.append(row, 0.0)[None, :])
-        if not _passes_rank_rule(triangle[:cols, :cols], n):
-            raise RankDeficiencyError("design is rank deficient; use a positive ridge")
+    if ridge == 0.0 and n <= cols:
         return MvaStep(n, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
     if not _passes_rank_rule(
         ridge_factor[:cols, :cols], count, ridge, inverse_norm, design_norm
@@ -784,25 +787,6 @@ def mva_hull(step: MvaStep, t_value: float) -> PredictionInterval:
     return _shifted(region.hull(), step.center)
 
 
-def centered_residual_score(residuals) -> float:
-    """Last residual centered by the earlier mean, over the centered spread.
-
-    The raw-data route to the same score that ``mva_score`` computes from a
-    ``RegressionSummary``: with residuals e_1 ... e_n, returns
-    (e_n - mean(e_1..e_{n-1})) / sqrt(sum_{i<n} (e_i - mean)^2), keeping the
-    sign.  Zero spread among the earlier residuals is a degenerate fit.
-    """
-    residuals = np.asarray(residuals, dtype=float).ravel()
-    if residuals.size < 3:
-        raise ValueError("need at least three residuals")
-    head = residuals[:-1]
-    head_mean = head.mean()
-    spread = float(((head - head_mean) ** 2).sum())
-    if spread == 0.0:
-        raise DegenerateFitError("earlier residuals have zero spread")
-    return float((residuals[-1] - head_mean) / sqrt(spread))
-
-
 @dataclass(frozen=True)
 class MvaPredictor:
     """Prediction intervals from the studentized last centered ridge residual.
@@ -826,9 +810,10 @@ class MvaPredictor:
     block, as for ``GaussPredictor``: a history that only the new row would
     make full rank raises ``RankDeficiencyError``.
 
-    With ridge 0 at n = K + 1 the fit interpolates: every residual is zero
+    With ridge 0 at n <= K + 1 the fit interpolates: every residual is zero
     whatever the candidate, so the statistic is 0/0 and the whole line is
-    returned, decided by that structure rather than by rounding residue.
+    returned (p = 1), decided by that structure rather than by rounding
+    residue or by the rank of too few rows.
     With ridge 0 at n = K + 2 the residual space is one-dimensional: every
     candidate's residual vector is a multiple of one direction, so the
     statistic does not depend on y (apart from the single candidate where it
@@ -924,7 +909,7 @@ def mva_score(
     to the first features, mirroring a feature schedule.  It raises
     ``RankDeficiencyError`` under the least-squares rank rule of
     ``MvaPredictor``, and with ridge 0 ``DegenerateFitError`` at
-    n = active + 1, where the fit interpolates and every residual is zero.
+    n <= active + 1, where the fit interpolates and every residual is zero.
     A centered spread at the least-squares cut-off relative to the past
     responses' own energy (an exactly linear history) is
     ``DegenerateFitError`` too.

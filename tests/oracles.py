@@ -17,6 +17,8 @@ from scipy import stats
 from scipy.linalg import cho_factor, cho_solve, solve_triangular
 from scipy.special import erfinv
 
+from olreg.base import DegenerateFitError
+
 
 # ---------------------------------------------------------------------------
 # Projection and residual references
@@ -519,6 +521,25 @@ def hulls_match(mine_lower, mine_upper, ref_lower, ref_upper, atol=1e-5) -> bool
         return abs(a - b) <= atol
 
     return side_matches(mine_lower, ref_lower) and side_matches(mine_upper, ref_upper)
+
+
+def centered_residual_score(residuals) -> float:
+    """Last residual centered by the earlier mean, over the centered spread.
+
+    The raw-data route to the same score that ``mva_score`` computes from a
+    ``RegressionSummary``: with residuals e_1 ... e_n, returns
+    (e_n - mean(e_1..e_{n-1})) / sqrt(sum_{i<n} (e_i - mean)^2), keeping the
+    sign.  Zero spread among the earlier residuals is a degenerate fit.
+    """
+    residuals = np.asarray(residuals, dtype=float).ravel()
+    if residuals.size < 3:
+        raise ValueError("need at least three residuals")
+    head = residuals[:-1]
+    head_mean = head.mean()
+    spread = float(((head - head_mean) ** 2).sum())
+    if spread == 0.0:
+        raise DegenerateFitError("earlier residuals have zero spread")
+    return float((residuals[-1] - head_mean) / sqrt(spread))
 
 
 def centered_score_direct(design, ridge, responses) -> float:

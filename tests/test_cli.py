@@ -281,6 +281,24 @@ def test_online_writes_series_and_ledger(tmp_path):
     assert ledger["pvalues"] is None
 
 
+@pytest.mark.parametrize("model", ["iid", "mva"])
+@pytest.mark.parametrize("schedule", ["auto", "none"])
+def test_ridge_zero_online_run_completes(tmp_path, capsys, model, schedule):
+    # the first steps have no more rows than columns: they abstain with
+    # full lines instead of ending the run as rank deficient (exit 11)
+    data = tmp_path / "data.csv"
+    run(["gen", "--seed", 5, "--n", 30, "--k", 4, "--out", data])
+    prefix = tmp_path / "run"
+    code = run(
+        ["online", "--model", model, "--data", data, "--ridge", "0",
+         "--schedule", schedule, "--smoothed", "--out-prefix", prefix]
+    )
+    assert code == 0, capsys.readouterr().err
+    ledger = json.loads((tmp_path / "run_ledger.json").read_text())
+    assert len(ledger["errors"][0]) == 30
+    assert all(row[:5] == ["inf"] * 5 for row in ledger["lengths"])
+
+
 def test_online_smoothed_run_is_reproducible(tmp_path):
     data = tmp_path / "data.csv"
     run(["gen", "--seed", 6, "--n", 25, "--k", 1, "--out", data])

@@ -14,7 +14,6 @@ from olreg import (
     Observation,
     RegressionSummary,
     RidgeProjector,
-    centered_residual_score,
     mva_hull,
     mva_predict,
     mva_score,
@@ -140,11 +139,11 @@ def test_hull_against_grid_oracle_on_random_instances():
 
 
 def test_raw_score_examples():
-    assert centered_residual_score(np.array([-1.0, 1.0, 0.0])) == pytest.approx(0.0)
+    assert oracles.centered_residual_score(np.array([-1.0, 1.0, 0.0])) == pytest.approx(0.0)
     with pytest.raises(DegenerateFitError):
-        centered_residual_score(np.array([1.0, 1.0, 5.0]))
+        oracles.centered_residual_score(np.array([1.0, 1.0, 5.0]))
     with pytest.raises(ValueError):
-        centered_residual_score(np.array([1.0, 2.0]))
+        oracles.centered_residual_score(np.array([1.0, 2.0]))
 
 
 def test_summary_score_matches_raw_computation():
@@ -285,21 +284,24 @@ def test_interpolating_ridge_zero_step_gives_full_lines_and_pvalue_one(seed):
 def vector_route(history, x, response, predictor, levels):
     """Intervals and realized p-value of an MVA step from its residual
     vectors: the step's ridge projector, the residual decomposition around
-    the mean past response and ``centered_residual_score``, with the
-    ridge-0 structure decided on those vectors."""
+    the mean past response and ``oracles.centered_residual_score``, with the
+    ridge-0 structure decided on those vectors.  A ridge-0 fit of no more
+    rows than columns interpolates, whatever the rows' rank: full lines."""
     n = len(history) + 1
+    schedule = predictor.schedule
+    active = schedule.active_features(n) if schedule is not None else history.feature_count
+    full = [(-math.inf, math.inf)] * len(levels)
+    if predictor.ridge == 0.0 and n <= active + 1:
+        return full, 1.0
     reference = float(history.responses.mean())
     projector = _step_projector(history, x, predictor.ridge, predictor.schedule, reference)
-    full = [(-math.inf, math.inf)] * len(levels)
-    if predictor.ridge == 0.0 and n == projector.column_count:
-        return full, 1.0
     dec = residual_decomposition(projector, history.responses)
     t_values = [StudentT(n - 2).upper_quantile(eps / 2.0) for eps in levels]
     factor = math.sqrt((n - 1) * (n - 2) / n)
 
     def statistic(residuals):
         try:
-            return abs(factor * centered_residual_score(residuals))
+            return abs(factor * oracles.centered_residual_score(residuals))
         except DegenerateFitError:
             return None
 
@@ -343,7 +345,7 @@ def test_step_from_the_kept_factors_matches_the_vector_route():
     # distance from the step's center), and p-values within the tolerance
     levels = (0.2, 0.05, 0.01)
     shifts = ((0.0, 0.0, 1e-9), (1e9, 0.0, 1e-6), (0.0, 1e3, 1e-6))
-    compared = {"empty": 0, "full": 0, "ray": 0, "bounded": 0, "raised": 0}
+    compared = {"empty": 0, "full": 0, "ray": 0, "bounded": 0, "raised": 0, "interpolated": 0}
     for k in range(6):
         rng = np.random.default_rng(500 + k)
         features = rng.normal(size=(k + 12, k))
@@ -366,6 +368,7 @@ def test_step_from_the_kept_factors_matches_the_vector_route():
                         step = predictor.step(history, x)
                         got = predictor.predict(step, levels)
                         case = (k, ridge, schedule, y_shift, x_shift, n)
+                        compared["interpolated"] += ridge == 0.0 and step.interpolates
                         for interval, (lower, upper) in zip(got, want):
                             shape = shape_of(lower, upper)
                             assert shape_of(interval.lower, interval.upper) == shape, (case, interval, want)
@@ -384,8 +387,12 @@ def test_step_from_the_kept_factors_matches_the_vector_route():
                         got_p = predictor.pvalue(step, y, 0.5)
                         assert got_p == pytest.approx(want_p, abs=tolerance), case
     # a ray needs a leading coefficient of exactly zero, which random data
-    # does not give; every other outcome is met
-    assert all(compared[shape] for shape in ("empty", "full", "bounded", "raised")), compared
+    # does not give, and full-rank random histories raise nothing (the
+    # rank rule is met in test_ridge_zero_rank_is_decided_on_the_history_design);
+    # every other outcome is met
+    assert all(
+        compared[shape] for shape in ("empty", "full", "bounded", "interpolated")
+    ), compared
 
 
 def test_mva_run_forms_no_residual_vector(monkeypatch):

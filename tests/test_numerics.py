@@ -15,6 +15,7 @@ from olreg import (
     residual_decomposition,
 )
 from olreg.numerics import StudentT
+from olreg.predictors import _step_projector
 
 
 def ones_design(n):
@@ -270,3 +271,41 @@ def test_shift_of_the_last_response_alone_gives_the_full_product(ridge):
         moments = history.design_matrix.T @ shift[:-1] + shift[-1] * row
         expected = base + projector.solve(moments)
         assert np.array_equal(projector.coefficients(np.append(responses, y)), expected)
+
+
+@pytest.mark.parametrize("ridge", [0.0, 1e-8, 0.01, 1.0])
+@pytest.mark.parametrize("shift", [0.0, 1e6])
+def test_step_decomposition_matches_the_explicit_projector(ridge, shift):
+    # the IID step's map, read from the history's kept factor by three
+    # triangular solves and centred at the history's own prediction,
+    # against the explicit n x n projector; a schedule truncates the width
+    # for the early steps, and the responses may sit far from zero
+    k = 4
+    rng = np.random.default_rng(int(ridge * 1e8) + int(shift))
+    features = rng.normal(size=(k + 16, k))
+    responses = features @ rng.normal(size=k) + rng.normal(size=k + 16) + shift
+    schedule = FeatureSchedule(2, k + 5, k)
+    history = History(k)
+    checked = 0
+    for n in range(2, k + 17):
+        history.append(Observation(features[n - 2], responses[n - 2]))
+        cols = schedule.active_features(n) + 1
+        if ridge == 0.0 and n <= cols:
+            continue  # the fit interpolates; the predictor abstains here
+        projector = _step_projector(history, features[n - 1], ridge, schedule, None)
+        dec = residual_decomposition(projector, history.responses)
+        design = np.column_stack([np.ones(n), features[:n, : cols - 1]])
+        _, slope = oracles.affine_residuals(design, ridge, history.responses)
+        np.testing.assert_allclose(dec.slope, slope, rtol=0, atol=1e-9)
+        assert dec.offset[-1] == 0.0  # centred at the prediction yhat
+        for u in (-2.0, 0.0, 1.5):
+            y = dec.reference + u
+            expected = oracles.residuals_direct(design, ridge, np.append(history.responses, y))
+            # the explicit projector rounds at eps * n * |responses| itself
+            atol = 1e-9 + 1e-14 * shift
+            np.testing.assert_allclose(dec.residuals_at(y), expected, rtol=0, atol=atol)
+            np.testing.assert_allclose(
+                projector.residuals(np.append(history.responses, y)), expected, rtol=0, atol=atol
+            )
+        checked += 1
+    assert checked >= 10

@@ -18,8 +18,10 @@ from olreg import (
     IidPredictor,
     MonteCarloConfig,
     MvaPredictor,
+    Observation,
     RankDeficiencyError,
     batch_predict,
+    run_online,
 )
 
 LEVELS = (0.25, 0.1)
@@ -101,3 +103,32 @@ def test_iidgauss_bounds_at_k_plus_two_before_the_rank_onset():
     assert (result.lower[0, 0], result.upper[0, 0]) == (interval.lower, interval.upper)
     assert interval.lower == pytest.approx(-1.023, abs=1e-3)
     assert interval.upper == pytest.approx(1.733, abs=1e-3)
+
+
+@pytest.mark.parametrize("model", ["iid", "mva"])
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("scheduled", [False, True])
+def test_ridge_zero_runs_abstain_while_the_fit_interpolates(model, k, scheduled):
+    # with no more rows than active columns a ridge-0 fit interpolates:
+    # the step abstains with full lines instead of raising, and a smoothed
+    # IID p-value there is the tie-break itself (MVA's is one)
+    schedule = FeatureSchedule.for_feature_count(k, 1) if scheduled else None
+    predictor = make_predictor(model, 0.0, schedule)
+    features, responses = draw(k, 3 * k + 12, k)
+    stream = [Observation(x, float(y)) for x, y in zip(features, responses)]
+    for smoothed in (False, True):
+        ledger = run_online(predictor, stream, LEVELS, smoothed=smoothed, seed=k)
+        assert ledger.step_count == len(stream)
+        for n in range(1, len(stream) + 1):
+            active = schedule.active_features(n) if scheduled else k
+            abstains = n <= active + 1
+            if abstains or not predictor.can_bound(n, k, LEVELS):
+                assert np.all(ledger.lengths[:, n - 1] == math.inf), (n, ledger.lengths[:, n - 1])
+            if smoothed and abstains:
+                tie_break = ledger.trace.tie_breaks[n - 1]
+                p = tie_break if model == "iid" else 1.0
+                assert ledger.trace.pvalues[n - 1] == p
+                bits = [int(p <= eps) for eps in LEVELS]
+                np.testing.assert_array_equal(ledger.errors[:, n - 1], bits)
+        # past the interpolating steps the ridge-0 fit bounds some interval
+        assert np.isfinite(ledger.lengths[:, -1]).any()

@@ -23,8 +23,8 @@ from olreg import (
     OnlineLedger,
     PredictionInterval,
     SyntheticConfig,
+    batch_predict,
     binomial_band,
-    centered_residual_score,
     fisher_verify,
     gauss_fit,
     gen_synthetic,
@@ -300,9 +300,9 @@ def test_smoothed_runs_build_one_step_per_observation(predictor, monkeypatch):
     assert built == list(range(30))
 
 
-def test_smoothed_iid_absorbs_two_rows_per_step(monkeypatch):
-    # one row into the history's kept factor and one into the step's copy;
-    # building the step a second time for the p-value would make it three
+def test_smoothed_iid_absorbs_one_row_per_step(monkeypatch):
+    # one row into the history's kept factor; the step reads that factor
+    # and absorbs the new row into no copy of it
     absorbed = []
     absorb = olreg.base.absorb_rows
 
@@ -315,7 +315,39 @@ def test_smoothed_iid_absorbs_two_rows_per_step(monkeypatch):
     stream = gen_synthetic(SyntheticConfig(seed=3, observation_count=60, feature_count=100))
     predictor = IidPredictor(ridge=0.01, schedule=FeatureSchedule.for_feature_count(100))
     run_online(predictor, stream, (0.05, 0.01), smoothed=True)
-    assert len(absorbed) == 2 * (len(stream) - 1)
+    assert absorbed == [1] * (len(stream) - 1)
+
+
+def test_iid_forms_no_step_triangle(monkeypatch):
+    # the step reads the history's kept factor: an on-line run with a
+    # positive ridge and a ridge-0 batch prediction absorb the new row into
+    # no triangle, and give the intervals and p-values they gave before
+    def refuse(*args, **kwargs):
+        raise AssertionError("the IID step formed a step triangle")
+
+    stream = gen_synthetic(SyntheticConfig(seed=7, observation_count=80, feature_count=12))
+    predictor = IidPredictor(ridge=0.01, schedule=FeatureSchedule.for_feature_count(12))
+    features = np.array([o.explanatory for o in stream])
+    responses = np.array([o.response for o in stream])
+
+    def outputs():
+        ledgers = [
+            run_online(predictor, stream, (0.1, 0.05), smoothed=smoothed)
+            for smoothed in (False, True)
+        ]
+        batch = batch_predict(features[:60], responses[:60], features[60:], (0.1, 0.05))
+        return ledgers, batch
+
+    (deterministic, smoothed), batch = outputs()
+    monkeypatch.setattr(olreg.numerics, "absorb_rows", refuse)
+    (deterministic_again, smoothed_again), batch_again = outputs()
+    assert batch.code == batch_again.code == 0
+    np.testing.assert_array_equal(batch_again.lower, batch.lower)
+    np.testing.assert_array_equal(batch_again.upper, batch.upper)
+    for ledger, again in ((deterministic, deterministic_again), (smoothed, smoothed_again)):
+        np.testing.assert_array_equal(again.lengths, ledger.lengths)
+        np.testing.assert_array_equal(again.errors, ledger.errors)
+    np.testing.assert_array_equal(smoothed_again.trace.pvalues, smoothed.trace.pvalues)
 
 
 def one_off_pvalue(predictor, history, observation, tie_break):
@@ -352,7 +384,7 @@ def one_off_pvalue(predictor, history, observation, tie_break):
         near_tie = bool(np.any((gaps > 0.0) & (gaps <= 1e-12)))
         return iid_pvalue(scores, tie_break), near_tie
     try:
-        score = centered_residual_score(residuals)
+        score = oracles.centered_residual_score(residuals)
     except DegenerateFitError:
         return 1.0, False
     statistic = np.sqrt((n - 1) * (n - 2) / n) * score
@@ -422,7 +454,7 @@ def test_mva_pvalue_is_exact_in_the_far_tail():
     projector = _step_projector(history, x, 0.01, None, float(history.responses.mean()))
 
     def statistic(y):
-        score = centered_residual_score(projector.residuals(np.append(history.responses, y)))
+        score = oracles.centered_residual_score(projector.residuals(np.append(history.responses, y)))
         return math.sqrt((n - 1) * (n - 2) / n) * score
 
     center = optimize.brentq(statistic, -100.0, 100.0)
