@@ -125,10 +125,17 @@ def batch_predict(
 ) -> BatchResult:
     """Predict each test point from the full training set as its history.
 
-    Each test row is one independent prediction step: history = the whole
-    training set, so n = N_train + 1 throughout.  Level columns follow the
-    ladder (decreasing) order.  Code 2 is returned where the predictor's own
-    onset rule (``can_bound``) says that no level can be bounded at that n.
+    Every test row is a prediction step after the same history, the whole
+    training set, so n = N_train + 1 throughout, and no test row sees
+    another.  The IID model takes the test rows in blocks of
+    ``predictors.BLOCK_ROWS``, one step per block with one many-column
+    triangular solve, one GEMM and one sweep along the block's rows
+    (``IidPredictor.predict_rows``); the other models take one step per
+    row.  Level columns follow the ladder (decreasing) order.  Code 2 is
+    returned where the predictor's own onset rule (``can_bound``) says that
+    no level can be bounded at that n: for IID with ridge 0, also while
+    n <= active + 1, where the fit interpolates and every interval would be
+    the whole line.
     """
     if model not in BATCH_MODELS:
         raise ValueError(f"unknown batch model {model!r}")
@@ -149,6 +156,8 @@ def batch_predict(
         return BatchResult(-full, full, 2)
 
     history = History.from_arrays(train_features, train_responses)
+    if model == "iid":
+        return BatchResult(*predictor.predict_rows(history, test_features, levels), 0)
     lower = np.empty((test_count, level_count))
     upper = np.empty((test_count, level_count))
     for i in range(test_count):

@@ -14,16 +14,21 @@ them into the n residuals, with no step triangle.  The step costs
 O(k^2 + n k) in all, and the design's conditioning is never squared.  Its
 rank check reads the certificate and the Frobenius norm that the history
 carries for that factor, so it forms no triangular inverse and takes no
-O(k^2) norm either.
+O(k^2) norm either.  A batch IID step does the same for a block of m new
+rows after one history: the three solves take the block as a many-column
+right side, the history's own coefficients are solved once, and one GEMM
+of the design rows with those coefficients and the m solved directions
+gives every row's map; the on-line step is the block of one row.
 
 Because candidate responses enter the augmented response vector linearly, the
 residual vector of (y_1, ..., y_{n-1}, y) is an affine function of y.  The
 ``residual_decomposition`` helper materializes that affine map once per
 prediction step around a reference candidate y0 (the IID predictor uses
 the history's own prediction at the new row, so the map does not cancel
-when responses sit far from zero); its sweep then scans candidate responses
-at O(1) per residual component instead of re-solving, and the realized
-residuals of the step are read off the same map in O(n).
+when responses sit far from zero, and the history's offsets are shared by
+every row of a block); its sweep then scans candidate responses at O(1)
+per residual component instead of re-solving, and the realized residuals
+of the step are read off the same map in O(n).
 
 The Gauss and MVA predictors need no projector.  Gauss reads its
 least-squares fit from the ridge-0 factor of [design | responses] that
@@ -48,24 +53,28 @@ from .base import RankDeficiencyError, _passes_rank_rule, _settles, absorb_rows
 
 
 class RidgeProjector:
-    """Residual map of a ridge regression, read from the factor of all but its last row.
+    """Residual maps of ridge regressions that share all rows but the last.
 
-    The design U has n rows: the rows of ``design``, then ``new_row`` when
-    it is given; v = (responses, reference) is a reference response vector.
-    A ``reference`` of None takes yhat below, the design rows' own
-    prediction at the new row (their mean response where yhat is not read).
+    The design U has n rows: the rows of ``design``, then a new row x_j.
+    ``new_row`` is one row x (shape (k,)) or a block of m rows (shape
+    (m, k)), each with the same design rows before it; a one-row projector
+    is the one-row block.  v_j = (responses, reference_j) is a reference
+    response vector.  A ``reference`` of None takes yhat_j below, the design
+    rows' own prediction at x_j (their mean response where yhat is not read).
     ``factor`` is the triangle R of [design | responses] stacked on
     [sqrt(a) I | 0] (as ``History.triangular_factor`` returns it), with
-    design block R_D and response column r.  The new row x is not absorbed
-    into it.  Three triangular solves give g = R_D^-T x, h = ||g||^2, the
-    design rows' own coefficients c_h = R_D^-1 r, their prediction
-    yhat = x . c_h and q = R_D^-1 g, O(k^2).  A response y of the new row
-    then has the coefficients c_h + q u / (1 + h) and the residuals
-    [e - D q u / (1 + h); u / (1 + h)], where u = y - yhat and e are the
-    design rows' own residuals (the row update of Gill, Golub, Murray &
+    design block R_D and response column r.  No new row is absorbed into it.
+    Three triangular solves, each with the block's m rows as a many-column
+    right side, give G = R_D^-T X', h_j = ||g_j||^2, the design rows' own
+    coefficients c_h = R_D^-1 r (once per block), their predictions
+    yhat_j = x_j . c_h and Q = R_D^-1 G, O(k^2 m).  A response y of row j
+    then has the coefficients c_h + q_j u / (1 + h_j) and the residuals
+    [e - D q_j u / (1 + h_j); u / (1 + h_j)], where u = y - yhat_j and e are
+    the design rows' own residuals (the row update of Gill, Golub, Murray &
     Saunders 1974), so no step triangle is formed.  ``residual_decomposition``
-    reads that affine map by one O(n k) product, and ``residuals`` reads it
-    in O(n) when only the new row's response differs from ``responses``.
+    reads those affine maps by one O(n k (m + 1)) product, and ``residuals``
+    reads a one-row map in O(n) when only the new row's response differs
+    from ``responses``.
 
     Given alone, the design's rows but the last are QR-factored here,
     O(n k^2), the last is the new row, and the responses and the reference
@@ -73,23 +82,23 @@ class RidgeProjector:
     checked against the design; the factor's entries are trusted to match
     it.
 
-    Raises ``RankDeficiencyError`` when the step triangle T, the factor of
-    U'U + aI, fails the rule sigma_min > eps * max(n, k) * sigma_max.
+    Raises ``RankDeficiencyError`` when a step triangle T_j, the factor of
+    U_j'U_j + aI, fails the rule sigma_min > eps * max(n, k) * sigma_max.
     ``inverse_norm`` is an upper bound on ||R_D^-1||_F, such as
     ``History.design_inverse_norm`` carries for ``factor``, and so on
-    ||T^-1||_F too; ``design_norm`` is ||R_D||_F (``History.design_norm``;
-    taken from R_D when not given), and sqrt(design_norm^2 + ||x||^2) is
-    ||T||_F.  When that norm settles the rule by the sqrt(a) shortcut or
-    with the certificate, it settles it for R_D as well, and T is not
-    formed.  Otherwise T is formed and the full rule run on it; when R_D
-    then fails the rule though T passes (design rows that only the new row
-    makes full rank), the map is read from T instead.
+    ||T_j^-1||_F too; ``design_norm`` is ||R_D||_F (``History.design_norm``;
+    taken from R_D when not given), and sqrt(design_norm^2 + ||x_j||^2) is
+    ||T_j||_F.  The rule runs row by row: where that norm settles it by the
+    sqrt(a) shortcut or with the certificate, it settles it for R_D as well,
+    and T_j is not formed.  Otherwise T_j is formed and the full rule run on
+    it; when R_D then fails the rule though the T_j pass (design rows that
+    only a new row makes full rank), each row's map is read from its T_j.
 
     The general-vector methods ``solve``, ``coefficients``, ``fitted`` and
-    ``apply`` fit any response vector through T, formed on their first
-    call, O(k^2): v through T's response column (the QR least-squares
-    route, which does not square the design's conditioning) and any other
-    vector as a correction to v's fit.
+    ``apply`` fit any response vector of a one-row projector through T,
+    formed on their first call, O(k^2): v through T's response column (the
+    QR least-squares route, which does not square the design's
+    conditioning) and any other vector as a correction to v's fit.
     """
 
     def __init__(
@@ -125,63 +134,100 @@ class RidgeProjector:
             if factor is None or responses is None:
                 raise ValueError("new_row needs the factor and responses of the other rows")
             cols = design.shape[1]
-            if np.shape(new_row) != (cols,) or np.shape(factor) != (cols + 1, cols + 1):
+            shape = np.shape(new_row)
+            if (
+                len(shape) not in (1, 2)
+                or shape[-1] != cols
+                or 0 in shape
+                or np.shape(factor) != (cols + 1, cols + 1)
+            ):
                 raise ValueError(
-                    f"new_row must have {cols} entries and factor shape {(cols + 1, cols + 1)}"
+                    f"new_row must have {cols} entries per row"
+                    f" and factor shape {(cols + 1, cols + 1)}"
                 )
             if np.shape(responses) != (design.shape[0],):
                 raise ValueError(f"expected {design.shape[0]} responses for the design rows")
         rows = design.shape[0] + 1
-        x = np.asarray(new_row, dtype=float)
+        # A one-row projector keeps its row 1-d and its numbers scalar, so
+        # that the on-line step pays no block overhead; ``_block`` views the
+        # rows as a block either way.
+        block = np.asarray(new_row, dtype=float)
+        self._one_row = block.ndim == 1
+        self._block = block.reshape(-1, cols)
         self._head = design
-        self._last = x
         self._responses = np.asarray(responses, dtype=float)
         self.ridge = ridge
         self._factor = factor
-        self._triangle = None
+        self._triangles = {}
         self._decomposition = None
-        block = factor[:cols, :cols]
+        leading_block = factor[:cols, :cols]
         if design_norm is None:
-            design_norm = float(np.linalg.norm(block))
-        step_norm = sqrt(design_norm * design_norm + float(x @ x))
-        settled = _settles(step_norm, cols, rows, ridge, inverse_norm)
-        from_history = settled or _passes_rank_rule(
-            block, rows - 1, ridge, inverse_norm, design_norm
+            design_norm = float(np.linalg.norm(leading_block))
+        # The rule's bound grows with the norm, and no row's ||x_j||^2 exceeds
+        # the block's sum of squares: when that sum settles the rule for the
+        # step norm, every row's does, and the rows are not taken one by one.
+        total = float(np.vdot(block, block))
+        if _settles(sqrt(design_norm * design_norm + total), cols, rows, ridge, inverse_norm):
+            unsettled = []
+        else:
+            step_norms = [sqrt(design_norm * design_norm + float(x @ x)) for x in self._block]
+            unsettled = [
+                j for j, norm in enumerate(step_norms)
+                if not _settles(norm, cols, rows, ridge, inverse_norm)
+            ]
+        from_history = not unsettled or _passes_rank_rule(
+            leading_block, rows - 1, ridge, inverse_norm, design_norm
         )
+        own_reference = reference is None
         if from_history:
             # LAPACK reads R_D as the top block of R's leading columns, which
             # are contiguous in a Fortran-ordered R, so no copy of it is made
             leading = factor[:, :cols]
-            whitened, _ = lapack.dtrtrs(leading, x, trans=1)
+            whitened, _ = lapack.dtrtrs(leading, block.T, trans=1)
             own, _ = lapack.dtrtrs(leading, factor[:cols, cols])
             direction, _ = lapack.dtrtrs(leading, whitened)
-            prediction = float(x @ own)
-            if reference is None:
-                reference = prediction
-        elif reference is None:
+            predictions = block @ own
+            if own_reference:
+                reference = predictions
+        elif own_reference:
             reference = float(self._responses.mean()) if rows > 1 else 0.0
-        self._reference = float(reference)
-        if not settled:
-            columns, _ = self._step_triangle()
-            if not _passes_rank_rule(columns[:cols], rows, ridge, inverse_norm, step_norm):
+        if not (from_history and own_reference):
+            reference = np.full(block.shape[:-1], float(reference))
+        self._reference = reference
+        for j in unsettled:
+            columns, _ = self._step_triangle(j)
+            if not _passes_rank_rule(columns[:cols], rows, ridge, inverse_norm, step_norms[j]):
                 raise RankDeficiencyError(
                     "design is rank deficient; use a positive ridge coefficient"
                     if ridge == 0.0
                     else "ridge normal matrix is numerically singular"
                 )
-        # The map's numbers: (U'U + aI)^-1 x, the new row's slope 1 / (1 + h),
-        # the coefficients of v, and the new row's residual at v.
+        # Each row's map, one column per row: (U_j'U_j + aI)^-1 x_j, the new
+        # row's slope 1 / (1 + h_j), the coefficients of v_j (one shared
+        # column where every v_j is fitted by the design rows' own c_h),
+        # and the new row's residual at v_j.
         if from_history:
-            shrink = 1.0 / (1.0 + float(whitened @ whitened))
+            shrink = 1.0 / (1.0 + (whitened * whitened).sum(axis=0))
             direction *= shrink
-            distance = self._reference - prediction
-            self._coefficients = own + distance * direction
-            self._last_offset = distance * shrink
+            if own_reference:
+                coefficients, last_offset = own, 0.0 * shrink
+            else:
+                # c_h + (reference_j - yhat_j) q_j / (1 + h_j), row by row
+                distance = reference - predictions
+                coefficients = (own + (distance * direction).T).T
+                last_offset = distance * shrink
         else:
-            direction = self.solve(x)
-            shrink = 1.0 - float(x @ direction)
-            self._coefficients = self._step_triangle()[1]
-            self._last_offset = self._reference - float(x @ self._coefficients)
+            # each row's numbers from its own step triangle
+            directions = [self._solve(j, x) for j, x in enumerate(self._block)]
+            fits = [self._step_triangle(j)[1] for j in range(len(self._block))]
+            direction = np.column_stack(directions).reshape(block.T.shape)
+            coefficients = np.column_stack(fits).reshape(block.T.shape)
+            shrink = 1.0 - np.array([x @ d for x, d in zip(self._block, directions)])
+            last_offset = np.ravel(reference) - [x @ c for x, c in zip(self._block, fits)]
+            shrink = shrink.reshape(block.shape[:-1])
+            last_offset = last_offset.reshape(block.shape[:-1])
+        self._coefficients = coefficients
+        self._last_offset = last_offset
         self._direction = direction
         self._shrink = shrink
 
@@ -191,37 +237,48 @@ class RidgeProjector:
 
     @property
     def column_count(self) -> int:
-        return self._last.size
+        return self._block.shape[1]
 
     @property
-    def last_row(self) -> np.ndarray:
-        return self._last
+    def reference(self) -> float | np.ndarray:
+        """The last entry of the reference response vector; one per row of a block."""
+        return float(self._reference) if self._one_row else self._reference
 
-    @property
-    def reference(self) -> float:
-        """The last entry of the reference response vector."""
-        return self._reference
+    def _new_row(self) -> np.ndarray:
+        """The new row of a one-row projector.  The general-vector methods fit
+        one response vector through one step triangle, so a block has no such
+        fit; its maps come from ``residual_decomposition``."""
+        if not self._one_row:
+            raise ValueError("a block projector fits no single response vector")
+        return self._block[0]
 
-    def _step_triangle(self) -> tuple[np.ndarray, np.ndarray]:
-        """T's leading columns and v's coefficients, T formed on first use.
+    def _step_triangle(self, row: int = 0) -> tuple[np.ndarray, np.ndarray]:
+        """T's leading columns and v's coefficients for one new row, T formed
+        on first use.
 
         T's leading columns of a Fortran-ordered (k+1)-square array are
         contiguous, so LAPACK reads T as their top block without a copy.
         """
-        if self._triangle is None:
-            cols = self._last.size
-            triangle = absorb_rows(self._factor, np.append(self._last, self._reference)[None])
-            columns = triangle[:, :cols]
-            coefficients, _ = lapack.dtrtrs(columns, triangle[:cols, cols])
-            self._triangle = (columns, coefficients)
-        return self._triangle
+        triangle = self._triangles.get(row)
+        if triangle is None:
+            cols = self._block.shape[1]
+            stacked = np.append(self._block[row], np.ravel(self._reference)[row])[None]
+            factor = absorb_rows(self._factor, stacked)
+            columns = factor[:, :cols]
+            coefficients, _ = lapack.dtrtrs(columns, factor[:cols, cols])
+            triangle = self._triangles[row] = (columns, coefficients)
+        return triangle
 
-    def solve(self, moments: np.ndarray) -> np.ndarray:
-        """(U'U + aI)^{-1} moments, by two triangular solves with T."""
-        columns, _ = self._step_triangle()
+    def _solve(self, row: int, moments: np.ndarray) -> np.ndarray:
+        columns, _ = self._step_triangle(row)
         whitened, _ = lapack.dtrtrs(columns, moments, trans=1)
         solution, _ = lapack.dtrtrs(columns, whitened)
         return solution
+
+    def solve(self, moments: np.ndarray) -> np.ndarray:
+        """(U'U + aI)^{-1} moments, by two triangular solves with T."""
+        self._new_row()
+        return self._solve(0, moments)
 
     def coefficients(self, responses: np.ndarray) -> np.ndarray:
         """Ridge coefficient estimate (U'U + aI)^{-1} U' y, through T.
@@ -230,20 +287,21 @@ class RidgeProjector:
         new row's response differs from the reference, as for a step's
         realized residuals, the O(nk) product with the other rows is skipped.
         """
+        last = self._new_row()
         shift = np.asarray(responses, dtype=float) - np.append(self._responses, self._reference)
         _, reference_coefficients = self._step_triangle()
         if shift[:-1].any():
-            moments = self._head.T @ shift[:-1] + shift[-1] * self._last
+            moments = self._head.T @ shift[:-1] + shift[-1] * last
         elif shift[-1] != 0.0:
-            moments = shift[-1] * self._last
+            moments = shift[-1] * last
         else:
             return reference_coefficients
-        return reference_coefficients + self.solve(moments)
+        return reference_coefficients + self._solve(0, moments)
 
     def fitted(self, coefficients: np.ndarray) -> np.ndarray:
         """U @ coefficients, for a coefficient vector or a matrix of columns."""
         return np.concatenate(
-            [self._head @ coefficients, (self._last @ coefficients)[None]]
+            [self._head @ coefficients, (self._new_row() @ coefficients)[None]]
         )
 
     def apply(self, values: np.ndarray) -> np.ndarray:
@@ -256,6 +314,7 @@ class RidgeProjector:
         of the design rows' own responses (``residual_decomposition``, which
         keeps it on the projector) when only the last response differs from
         theirs, and ``apply`` otherwise."""
+        self._new_row()
         responses = np.asarray(responses, dtype=float)
         if responses.shape != (self.row_count,):
             raise ValueError(
@@ -270,11 +329,15 @@ class RidgeProjector:
 
 @dataclass(frozen=True)
 class ResidualDecomposition:
-    """Residuals of (fixed responses..., y) as offset + (y - reference) * slope."""
+    """Residuals of (fixed responses..., y) as offset + (y - reference) * slope.
+
+    One row's map has n-vectors and a float reference; a block's has one row
+    of ``offset`` and ``slope`` (m x n) and one reference per new row.
+    """
 
     offset: np.ndarray
     slope: np.ndarray
-    reference: float = 0.0
+    reference: float | np.ndarray = 0.0
 
     def residuals_at(self, response: float) -> np.ndarray:
         return self.offset + (response - self.reference) * self.slope
@@ -283,19 +346,23 @@ class ResidualDecomposition:
 def residual_decomposition(
     projector: RidgeProjector, fixed_responses: np.ndarray
 ) -> ResidualDecomposition:
-    """Split the residual map over the last response into offset and slope parts.
+    """Split each residual map over the last response into offset and slope parts.
 
     ``fixed_responses`` are the first n-1 responses; the n-th is left
     symbolic.  ``offset`` is the residual vector with the projector's
     reference response in the last place and ``slope`` the projected last
     unit vector, so that ``offset + (y - reference) * slope`` equals
     ``projector.residuals`` of the completed response vector up to
-    rounding.  Both come from one O(nk) product of the design rows with the
-    reference vector's coefficients and (U'U + aI)^-1 x, which the projector
-    holds; the new row's entries are the projector's own numbers.  Fixed
-    responses other than the projector's move the coefficients by one more
-    O(nk) product and a solve with the step triangle; the decomposition of
-    the projector's own is kept on it for ``RidgeProjector.residuals``.
+    rounding; a block projector gives one such row per new row.  All of
+    them come from one GEMM of the design rows with the reference vectors'
+    coefficients and the columns (U_j'U_j + aI)^-1 x_j, which the projector
+    holds: n k (m + 1) for a block of m rows decomposed around their own
+    predictions, whose coefficients are the design rows' own, so that the
+    first n-1 offsets are shared.  The new rows' entries are the
+    projector's own numbers.  Fixed responses other than the projector's
+    move a one-row projector's coefficients by one more O(nk) product and a
+    solve with the step triangle; the decomposition of the projector's own
+    is kept on it for ``RidgeProjector.residuals``.
     """
     fixed_responses = np.asarray(fixed_responses, dtype=float)
     n = projector.row_count
@@ -309,13 +376,18 @@ def residual_decomposition(
     if not own:
         moved = projector.solve(projector._head.T @ shift)
         coefficients = coefficients + moved
-        last_offset -= float(projector.last_row @ moved)
+        last_offset = last_offset - float(projector._block[0] @ moved)
     fitted = projector._head @ np.column_stack([coefficients, projector._direction])
-    decomposition = ResidualDecomposition(
-        np.append(fixed_responses - fitted[:, 0], last_offset),
-        np.append(-fitted[:, 1], projector._shrink),
-        projector.reference,
-    )
+    count = len(projector._block)
+    offset = np.empty(n if projector._one_row else (count, n))
+    slope = np.empty_like(offset)
+    # block views of one row's vectors, so that every write below fits both
+    block_offset, block_slope = offset.reshape(count, n), slope.reshape(count, n)
+    np.subtract(fixed_responses, fitted[:, :-count].T, out=block_offset[:, :-1])
+    block_offset[:, -1] = last_offset
+    np.negative(fitted[:, -count:].T, out=block_slope[:, :-1])
+    block_slope[:, -1] = projector._shrink
+    decomposition = ResidualDecomposition(offset, slope, projector.reference)
     if own:
         projector._decomposition = decomposition
     return decomposition

@@ -16,7 +16,10 @@ step n a bounded interval (the empty set included) is possible at all.
 * ``IidPredictor`` assumes exchangeability only.  A candidate survives when
   the rank of its ridge residual magnitude among all n residual magnitudes is
   not extreme; the exact survivor set is found by a sweep over the at most
-  2n - 2 points where two residual magnitudes cross.
+  2n - 2 points where two residual magnitudes cross.  Batch prediction
+  (``IidPredictor.predict_rows``) takes the test rows ``BLOCK_ROWS`` at a
+  time: one step and one sweep per block, row-vectorized, of which the
+  on-line step and its sweep are the one-row case.
 * ``GaussPredictor`` assumes the full linear-Gaussian model and inverts the
   classical studentized prediction pivot.
 * ``MvaPredictor`` assumes Gaussian noise but nothing about the explanatory
@@ -33,10 +36,11 @@ The IID, Gauss and MVA steps read the factors of [design | responses] that
 ``History`` keeps by triangular solves, and absorb the new row into no copy
 of them where the carried rank certificate settles the rank rule.  The IID
 step (``RidgeProjector``) takes three solves and one O(nK) product for the
-residuals' offset and slope, after which a p-value is an O(n) read.  The
-Gauss and MVA steps form no residual vector: each is O(K^2), with five
-numbers for an MVA step (``MvaStep``) solved in the distance from the
-history's own prediction.
+residuals' offset and slope, after which a p-value is an O(n) read; a
+block of m rows takes the same three solves with m right sides and one
+GEMM.  The Gauss and MVA steps form no residual vector: each is O(K^2),
+with five numbers for an MVA step (``MvaStep``) solved in the distance
+from the history's own prediction.
 
 ``iid_predict``, ``gauss_predict`` and ``mva_predict`` are one-step
 shortcuts that take the history directly.  ``wilks_predict`` is the
@@ -52,7 +56,7 @@ candidates gives the full line) instead of empty output.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ceil, inf, sqrt
+from math import ceil, inf, nan, sqrt
 from numbers import Integral
 
 import numpy as np
@@ -79,6 +83,14 @@ from .numerics import (
     two_sided_quantiles,
 )
 from .sampler import complement_directions, random_orderings
+
+
+# Test rows per step of a batch IID prediction (``IidPredictor.predict_rows``).
+# For 200 test rows at n = 601 and K = 100 on one BLAS thread, blocks of 8 to
+# 12 rows took 22-24 ms (median), 16 to 24 rows 28-31 ms, and one step per
+# row 45-70 ms.  A block's arrays take a few (rows x 2n) doubles, so memory
+# does not grow with the number of test rows.
+BLOCK_ROWS = 12
 
 
 def _full_lines(count: int) -> list[PredictionInterval]:
@@ -111,26 +123,30 @@ def _step_projector(
 ) -> RidgeProjector:
     """Ridge projector of the history rows plus the new one, truncated to the
     scheduled column count, with ``reference`` as the new row's response
-    (None: the history's own prediction at the new row).
+    (None: the history's own prediction at the new row).  ``x_new`` is one
+    explanatory row, or a block of them (m x K, checked by the caller), each
+    a new row after the same history.
 
-    Built from the history's kept factor for ``ridge`` and the new row by
-    three triangular solves, O(K^2) on top of the history's own O(K^2) per
-    appended row, with no copy of the design or the responses and no step
-    triangle.  The new row only raises the smallest singular value,
-    so the rank certificate the history carries for that factor settles the
-    projector's rank rule without an inverse, and the carried
-    ``design_norm`` gives the step triangle's norm in O(K).
+    Built from the history's kept factor for ``ridge`` and the new rows by
+    three triangular solves, O(K^2) per row on top of the history's own
+    O(K^2) per appended row, with no copy of the design or the responses
+    and no step triangle.  A new row only raises the smallest singular
+    value, so the rank certificate the history carries for that factor
+    settles the projector's rank rule without an inverse, and the carried
+    ``design_norm`` gives each step triangle's norm in O(K).
     """
     k = history.feature_count
-    x = _new_row(x_new, k)
+    x = np.asarray(x_new, dtype=float)
+    if x.ndim != 2:
+        x = _new_row(x, k)
     cols = _active_features(schedule, len(history) + 1, k) + 1
-    row = np.empty(cols)
-    row[0] = 1.0
-    row[1:] = x[: cols - 1]
+    rows = np.empty(x.shape[:-1] + (cols,))
+    rows[..., 0] = 1.0
+    rows[..., 1:] = x[..., : cols - 1]
     return RidgeProjector(
         history.design_matrix[:, :cols],
         ridge,
-        new_row=row,
+        new_row=rows,
         factor=history.triangular_factor(ridge, cols),
         responses=history.responses,
         reference=reference,
@@ -144,6 +160,11 @@ def _shifted(interval: PredictionInterval, by: float) -> PredictionInterval:
     return PredictionInterval(interval.lower + by, interval.upper + by)
 
 
+def _intervals(lower: np.ndarray, upper: np.ndarray) -> list[PredictionInterval]:
+    """One interval per level from arrays of lower and upper ends."""
+    return [PredictionInterval(lo, hi) for lo, hi in zip(lower.tolist(), upper.tolist())]
+
+
 # ---------------------------------------------------------------------------
 # Rank-counting predictor for exchangeable data (the "IID" predictor)
 # ---------------------------------------------------------------------------
@@ -153,48 +174,75 @@ def _shifted(interval: PredictionInterval, by: float) -> PredictionInterval:
 class SweepState:
     """Sorted crossing points with membership deltas and boundary counts.
 
-    ``points`` starts at -inf and ends at +inf; ``deltas`` aligns with it,
-    and ``counts``, its running prefix sum, equals n * p(y) for y in the
-    half-open cell that starts at the corresponding point, where p(y) is the
-    fraction of the n residual magnitudes at least as large as the
-    candidate's own.  ``left_count`` and ``right_count`` tally the
-    comparison sets that are unbounded to the left and to the right.
+    One row of ``points`` starts at -inf and ends at +inf, followed by any
+    padding (NaN with delta 0) that a block's row does not use; ``deltas``
+    aligns with it, and ``counts``, its running prefix sum, equals n * p(y)
+    for y in the half-open cell that starts at the corresponding point,
+    where p(y) is the fraction of the n residual magnitudes at least as
+    large as the candidate's own.  Padding sorts after +inf, where the count
+    is 0, so it changes no hull.  ``left_count`` and ``right_count`` tally
+    the comparison sets that are unbounded to the left and to the right.
+    A state of one row holds 1-d arrays and integer tallies; a block's
+    holds m-row arrays and one tally per row.
     """
 
     points: np.ndarray
     deltas: np.ndarray
     counts: np.ndarray
-    left_count: int
-    right_count: int
+    left_count: int | np.ndarray
+    right_count: int | np.ndarray
 
     @classmethod
-    def from_crossings(cls, points, deltas, left: int, right: int) -> "SweepState":
-        """Sort the crossing points (lists of arrays) between the infinite sentinels.
+    def from_crossings(cls, points, deltas, left, right) -> "SweepState":
+        """Sort each row's crossing points between the infinite sentinels.
 
-        The sentinels carry ``left`` + 1 and -``right`` - 1: the candidate's
-        own score is always counted.  One ``argsort`` orders the points; only
-        when two of them are equal does a stable ``lexsort`` on (point,
-        -delta) replace it, so that at a tie the +1 entries come first and
-        the prefix peak at a point equals the membership count there.
-        Entries that tie on both keys are equal (at most the sign of a zero
-        differs), so the order in which they are emitted does not matter.
-        Without ties both sorts give the one ascending order.
+        ``points`` and ``deltas`` are one row (1-d) or a block (m x p), with
+        ``left`` and ``right`` an integer or one per row.  The sentinels
+        carry ``left`` + 1 and -``right`` - 1: the candidate's own score is
+        always counted.  One ``argsort`` along the rows orders the points;
+        only for the rows where two of them are equal does a stable
+        ``lexsort`` on (point, -delta) replace it, so that at a tie the +1
+        entries come first and the prefix peak at a point equals the
+        membership count there.  Entries that tie on both keys are equal (at
+        most the sign of a zero differs), so the order in which they are
+        emitted does not matter.  Without ties both sorts give the one
+        ascending order.
         """
-        all_points = np.concatenate([[-inf], *points, [inf]])
-        all_deltas = np.concatenate([[left + 1], *deltas, [-right - 1]], dtype=np.int64)
-        order = np.argsort(all_points)
-        sorted_points = all_points[order]
-        if (sorted_points[1:] == sorted_points[:-1]).any():
-            order = np.lexsort((-all_deltas, all_points))
-            sorted_points = all_points[order]
-        sorted_deltas = all_deltas[order]
-        return cls(sorted_points, sorted_deltas, np.cumsum(sorted_deltas), left, right)
+        points = np.asarray(points, dtype=float)
+        shape = points.shape[:-1] + (points.shape[-1] + 2,)
+        all_points = np.empty(shape)
+        all_points[..., 0], all_points[..., -1] = -inf, inf
+        all_points[..., 1:-1] = points
+        all_deltas = np.empty(shape, dtype=np.int64)
+        all_deltas[..., 0] = left + 1
+        all_deltas[..., -1] = -1 - right
+        all_deltas[..., 1:-1] = deltas
+        # each row's order, moved to that row's place in the flat arrays
+        starts = np.arange(0, all_points.size, shape[-1])[:, None]
+        order = np.argsort(all_points, axis=-1)
+        if points.ndim == 2:
+            order += starts
+        sorted_points = all_points.take(order)
+        repeats = sorted_points[..., 1:] == sorted_points[..., :-1]
+        if repeats.any():
+            # rows of 2-d views, which write through to a single row's arrays
+            views = np.atleast_2d(all_points, all_deltas, order, sorted_points)
+            block_points, block_deltas, block_order, block_sorted = views
+            tied = np.flatnonzero(np.atleast_2d(repeats).any(axis=1))
+            block_order[tied] = (
+                np.lexsort((-block_deltas[tied], block_points[tied]), axis=1) + starts[tied]
+            )
+            block_sorted[tied] = all_points.take(block_order[tied])
+        sorted_deltas = all_deltas.take(order)
+        return cls(sorted_points, sorted_deltas, np.cumsum(sorted_deltas, axis=-1), left, right)
 
 
 def build_sweep(offset: np.ndarray, slope: np.ndarray) -> SweepState:
     """Locate every candidate response where two residual magnitudes cross.
 
-    The i-th residual is the affine function offset_i + y * slope_i, and the
+    ``offset`` and ``slope`` are one residual map (n-vectors) or a block of
+    them (m x n), one row per new row; every row is handled at once.  The
+    i-th residual is the affine function offset_i + y * slope_i, and the
     comparison set S_i = {y : |e_i(y)| >= |e_n(y)|} is closed: an interval, a
     point, one ray, two rays, the whole line, or empty.  Each bounded
     transition contributes a crossing point carrying +1 where S_i begins and
@@ -203,77 +251,120 @@ def build_sweep(offset: np.ndarray, slope: np.ndarray) -> SweepState:
     of floats is the event the case analysis is about, and near-coincident
     slopes simply produce a far-away crossing point that the infinite
     sentinels absorb.
+
+    Each earlier residual owns two slots per row; a slot it does not fill
+    (a tangency from above, a single ray, a set without transitions) holds
+    NaN with delta 0.  A one-row map drops those slots before sorting; a
+    block keeps them, and they sort after +inf (see ``SweepState``).  The
+    divisions run only where they are defined, so none of them warns.
     """
     offset = np.asarray(offset, dtype=float)
     slope = np.asarray(slope, dtype=float)
-    if offset.shape != slope.shape or offset.ndim != 1 or offset.size < 1:
-        raise ValueError("offset and slope must be 1-d arrays of equal positive length")
-    # Normalize signs so every slope is nonnegative; |e_i| is unchanged.
-    flip = slope < 0.0
-    offset = np.negative(offset, out=offset.copy(), where=flip)
-    slope = np.negative(slope, out=slope.copy(), where=flip)
-    a, b = offset[:-1], slope[:-1]
-    last_offset, last_slope = offset[-1], slope[-1]
+    if offset.shape != slope.shape or offset.ndim not in (1, 2) or 0 in offset.shape:
+        raise ValueError("offset and slope must be 1-d or 2-d arrays of equal nonempty shape")
+    # Normalize signs so every slope is nonnegative; |e_i| is unchanged (a
+    # slope of -0 flips too, which only swaps the two crossings it has).
+    offset = offset * np.copysign(1.0, slope)
+    slope = np.abs(slope)
+    a, b = offset[..., :-1], slope[..., :-1]
+    last_offset, last_slope = offset[..., -1:], slope[..., -1:]
 
     # Unequal slopes: both magnitudes cross twice (counting multiplicity),
     # where the difference and where the sum of the two affine maps vanish.
     differ = b != last_slope
-    a_d, b_d = a[differ], b[differ]
-    first = np.subtract(a_d, last_offset)
-    np.negative(first, out=first)
-    first /= b_d - last_slope
-    second = np.add(a_d, last_offset)
-    np.negative(second, out=second)
-    second /= b_d + last_slope
-    ordered = first <= second
+    unequal = differ.all()
+    divisible = True if unequal else differ
+    # -(a - last_offset) / (b - last_slope) and -(a + last_offset) /
+    # (b + last_slope), with the minus signs moved into the denominators,
+    # which changes no bit
+    first = np.subtract(a, last_offset)
+    np.divide(first, last_slope - b, out=first, where=divisible)
+    second = np.add(a, last_offset)
+    np.divide(second, -last_slope - b, out=second, where=divisible)
     # A smaller slope makes S_i the closed interval [lo, hi] (a single point
     # when they coincide); a larger one makes it the two closed rays past lo
     # and hi, or the whole line at a tangency from above (lo == hi), which
     # adds no points.
-    inside = b_d < last_slope
-    kept = inside | (first != second)
-    starts = np.where(inside[kept], 1, -1)
-    points = [np.where(ordered, first, second)[kept], np.where(ordered, second, first)[kept]]
-    deltas = [starts, -starts]
-    left = right = int(inside.size - np.count_nonzero(inside))
+    inside = b < last_slope
+    outside = differ & ~inside
+    tangent = first == second
+    tangent &= outside
+    starts = np.where(inside, 1, -1)
+    # the lower and the upper crossing; where they are equal, which one is
+    # taken shows only in the sign of a zero
+    width = a.shape[-1]
+    points = np.empty(a.shape[:-1] + (2 * width,))
+    np.minimum(first, second, out=points[..., :width])
+    np.maximum(first, second, out=points[..., width:])
+    deltas = np.concatenate([starts, -starts], axis=-1)
+    left = right = outside.sum(axis=-1)
+    padded = not unequal or tangent.any()
+    if padded:
+        kept = inside | outside & ~tangent
+        unused = np.concatenate([~kept, ~kept], axis=-1)
+        points[unused] = nan
+        deltas[unused] = 0
 
-    same_slope = a[~differ]
-    if same_slope.size:
-        same = same_slope == last_offset  # identical magnitudes: the whole line
-        if last_slope != 0.0:
-            # Equal nonzero slopes: one crossing, S_i is a single ray.
-            moving = same_slope[~same]
-            points.append(-(moving + last_offset) / (2.0 * last_slope))
-            rightward = moving > last_offset
-            deltas.append(np.where(rightward, 1, -1))
-            right_rays = int(np.count_nonzero(rightward))
-            left += moving.size - right_rays
-            right += right_rays
-            covering = int(np.count_nonzero(same))
-        else:
-            # Both magnitudes constant: S_i is everything or nothing.
-            covering = int(np.count_nonzero(same | (np.abs(same_slope) >= abs(last_offset))))
-        left += covering
-        right += covering
+    if not unequal:
+        # Equal slopes: identical magnitudes cover the whole line.  Equal
+        # nonzero slopes cross once, at -(a + last_offset) / (2 last_slope),
+        # where S_i becomes a single ray; with both magnitudes constant S_i
+        # is everything or nothing.
+        equal = ~differ
+        same = equal & (a == last_offset)
+        moving = equal & ~same & (last_slope != 0.0)
+        rightward = moving & (a > last_offset)
+        leftward = moving & ~rightward
+        covering = same | (equal & (last_slope == 0.0) & (np.abs(a) >= np.abs(last_offset)))
+        np.divide(second, -2.0 * last_slope, out=points[..., :width], where=moving)
+        single_deltas = deltas[..., :width]
+        single_deltas[rightward] = 1
+        single_deltas[leftward] = -1
+        covered = covering.sum(axis=-1)
+        left = left + covered + leftward.sum(axis=-1)
+        right = right + covered + rightward.sum(axis=-1)
 
+    if offset.ndim == 1:
+        left, right = int(left), int(right)
+        if padded:
+            used = deltas != 0
+            points, deltas = points[used], deltas[used]
     return SweepState.from_crossings(points, deltas, left, right)
 
 
-def sweep_hull(state: SweepState, count: int, epsilon: float) -> PredictionInterval:
-    """Convex hull of the candidates whose rank fraction exceeds ``epsilon``.
+def sweep_hull(state: SweepState, count: int, epsilon):
+    """Convex hulls of the candidates whose rank fraction exceeds each level.
 
     The state's prefix counts give count * p(y) per cell; a cell or point
-    qualifies when p(y) = counts / count > epsilon, so no sum is taken
-    again per level.  The hull runs from the first qualifying position to
-    the point just after the last one: qualifying sets are closed, so the
-    supremum of a qualifying open cell is itself a member.
+    qualifies when p(y) = counts / count > epsilon, with counts / count
+    worked out once for every level and row.  A hull runs from the first
+    qualifying position to the point just after the last one: qualifying
+    sets are closed, so the supremum of a qualifying open cell is itself a
+    member.  ``epsilon`` is one level or a sequence of them.  One level on
+    a one-row state gives a ``PredictionInterval``; otherwise the lower and
+    upper ends come as arrays, one row per state row and one column per
+    level, with the empty set as (inf, -inf).
     """
-    qualifying = np.flatnonzero(state.counts / count > epsilon)
-    if qualifying.size == 0:
-        return PredictionInterval.empty()
-    return PredictionInterval(
-        state.points[qualifying[0]], state.points[qualifying[-1] + 1]
-    )
+    levels = np.asarray(epsilon, dtype=float)
+    qualifying = (state.counts / count)[..., None, :] > levels.reshape(-1, 1)
+    found = qualifying.any(axis=-1)
+    first = qualifying.argmax(axis=-1)
+    # one past the last qualifying position; kept in range where none is
+    after = qualifying.shape[-1] - qualifying[..., ::-1].argmax(axis=-1)
+    np.minimum(after, qualifying.shape[-1] - 1, out=after)
+    points = state.points
+    if points.ndim == 2:
+        rows = np.arange(len(points))[:, None]
+        lower, upper = points[rows, first], points[rows, after]
+    else:
+        lower, upper = points[first], points[after]
+    lower = np.where(found, lower, inf)
+    upper = np.where(found, upper, -inf)
+    if levels.ndim == 0:
+        lower, upper = lower[..., 0], upper[..., 0]
+        if lower.ndim == 0:
+            return PredictionInterval(lower, upper)
+    return lower, upper
 
 
 @dataclass(frozen=True, eq=False)
@@ -285,7 +376,8 @@ class RidgeStep:
     triangle, with the history's own prediction at the new row as that
     row's reference; ``decomposition`` writes every residual as an affine
     function of the candidate response around that reference, and the
-    projector keeps it.
+    projector keeps it.  A batch step holds a block of new rows after the
+    same history, one decomposition row per new row, and has no p-value.
     ``responses`` are the history's.
     """
 
@@ -300,7 +392,7 @@ class RidgeStep:
     def residuals(self, response: float) -> np.ndarray:
         """The n residuals once ``response`` is revealed: the projector reads
         them off the decomposition in O(n), with no solve and no product."""
-        return self.projector.residuals(np.append(self.responses, response))
+        return self.projector.residuals(np.concatenate([self.responses, [response]]))
 
 
 def iid_pvalue(scores, tie_break: float) -> float:
@@ -338,7 +430,8 @@ class IidPredictor:
     line is returned at any level.  So it is at ridge 0 with no more rows
     than columns: the fit interpolates and every residual is zero whatever
     the candidate, which that structure decides rather than rounding residue
-    (or the rank of too few rows), and the p-value is the tie-break.
+    (or the rank of too few rows), and the p-value is the tie-break;
+    ``can_bound`` says no there, so batch prediction returns code 2.
     The residuals are decomposed around the history's own prediction at the
     new row, and the sweep runs in the distance from it, so it does not
     cancel when the responses sit far from zero.
@@ -351,25 +444,59 @@ class IidPredictor:
         """The ridge fit of the step; None on an empty history, and at ridge
         0 while n <= active + 1 (``active`` the features the schedule lets
         the fit see at n), where the fit interpolates."""
+        return self._step(history, np.ravel(x_new))
+
+    def _step(self, history: History, rows: np.ndarray) -> RidgeStep | None:
+        """The step of one row, or of a checked block of them (m x K)."""
         n = len(history) + 1
-        k = history.feature_count
-        if n == 1 or (self.ridge == 0.0 and n <= _active_features(self.schedule, n, k) + 1):
+        if n == 1 or self._interpolates(n, history.feature_count):
             return None
         responses = history.responses
-        projector = _step_projector(history, x_new, self.ridge, self.schedule, None)
+        projector = _step_projector(history, rows, self.ridge, self.schedule, None)
         return RidgeStep(responses, projector, residual_decomposition(projector, responses))
 
     def predict(self, step, levels) -> list[PredictionInterval]:
-        levels = validate_levels(levels)
+        return _intervals(*self._bounds(step, validate_levels(levels)))
+
+    def _bounds(self, step, levels: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray]:
+        """Lower and upper ends at each level: one column per level, and one
+        row per new row of a block step.  A step of None gives full lines:
+        every residual ties with the candidate's, whatever the candidate."""
         if step is None:
-            # every residual ties with the candidate's, whatever the candidate
-            return _full_lines(len(levels))
+            full = np.full(len(levels), inf)
+            return -full, full
         decomposition = step.decomposition
         state = build_sweep(decomposition.offset, decomposition.slope)
-        return [
-            _shifted(sweep_hull(state, step.count, eps), decomposition.reference)
-            for eps in levels
-        ]
+        lower, upper = sweep_hull(state, step.count, levels)
+        reference = decomposition.reference
+        if isinstance(reference, np.ndarray):
+            reference = reference[:, None]
+        return lower + reference, upper + reference
+
+    def predict_rows(self, history: History, features, levels) -> tuple[np.ndarray, np.ndarray]:
+        """The intervals of each row of ``features`` as the next step after
+        ``history``, the batch setting: lower and upper ends, one row per
+        feature row and one column per level.
+
+        The rows are taken ``BLOCK_ROWS`` at a time.  A block is one step:
+        three triangular solves with the block as their right side, one
+        GEMM for every row's residual map, and one sweep along the rows,
+        each row's numbers those of its own one-row step up to rounding.
+        The block size bounds the memory, a few (BLOCK_ROWS x 2n) arrays,
+        whatever the number of rows.
+        """
+        levels = validate_levels(levels)
+        features = np.asarray(features, dtype=float)
+        if features.ndim != 2 or features.shape[1] != history.feature_count:
+            raise ValueError(f"features must be a matrix of {history.feature_count} columns")
+        if not np.all(np.isfinite(features)):
+            raise ValueError("explanatory components must be finite")
+        lower = np.empty((len(features), len(levels)))
+        upper = np.empty_like(lower)
+        for start in range(0, len(features), BLOCK_ROWS):
+            block = slice(start, start + BLOCK_ROWS)
+            lower[block], upper[block] = self._bounds(self._step(history, features[block]), levels)
+        return lower, upper
 
     def pvalue(self, step, response: float, tie_break: float = 1.0) -> float:
         if step is None:
@@ -378,12 +505,20 @@ class IidPredictor:
         return iid_pvalue(np.abs(step.residuals(response)), tie_break)
 
     def can_bound(self, n: int, feature_count: int, levels) -> bool:
-        """Whether step n can give a bounded interval: n >= ceil(1 / max epsilon).
+        """Whether step n can give a bounded interval: n >= ceil(1 / max
+        epsilon), and with ridge 0 also n >= active + 2 (``active`` the
+        features the schedule lets the fit see at n).
 
-        Below that the candidate's own rank fraction 1/n alone exceeds every
-        level, so every candidate survives.
+        Below the first the candidate's own rank fraction 1/n alone exceeds
+        every level, so every candidate survives; below the second the fit
+        interpolates and the step abstains (see ``step``).
         """
-        return n >= ceil(1.0 / max(levels))
+        return not self._interpolates(n, feature_count) and n >= ceil(1.0 / max(levels))
+
+    def _interpolates(self, n: int, feature_count: int) -> bool:
+        """Ridge 0 on no more rows than active columns: the fit reproduces
+        every response, so every residual is zero whatever the candidate."""
+        return self.ridge == 0.0 and n <= _active_features(self.schedule, n, feature_count) + 1
 
 
 def iid_predict(
@@ -1114,7 +1249,7 @@ class IidGaussStep:
         left = int(np.count_nonzero(strange[:, 0]))
         right = int(np.count_nonzero(strange[np.arange(roots.shape[0]), known.sum(axis=1)]))
         return SweepState.from_crossings(
-            [roots[changes]], [np.where(after[changes], 1, -1)], left, right
+            roots[changes], np.where(after[changes], 1, -1), left, right
         )
 
 
@@ -1268,9 +1403,8 @@ def iidgauss_predict(step: IidGaussStep | None, levels) -> list[PredictionInterv
     levels = validate_levels(levels)
     if step is None:
         return _full_lines(len(levels))
-    state = step.sweep()
-    count = step.draw_dir.size + 1
-    return [_shifted(sweep_hull(state, count, eps), step.center) for eps in levels]
+    lower, upper = sweep_hull(step.sweep(), step.draw_dir.size + 1, levels)
+    return _intervals(lower + step.center, upper + step.center)
 
 
 def iidgauss_pvalue(step: IidGaussStep | None, response: float) -> float:

@@ -252,6 +252,69 @@ def sweep_loop(offset, slope):
     return all_points[order], all_deltas[order], left, right
 
 
+def sweep_one_row(offset, slope):
+    """The one-row sweep as the package had it before its block route.
+
+    Compacted arrays (no padding) of the crossing points between the
+    infinite sentinels, their deltas and prefix counts, sorted by one
+    ``argsort``, or by a stable ``lexsort`` on (point, -delta) when two
+    points are equal.  Returns (points, deltas, counts, left, right).
+    """
+    offset = np.asarray(offset, dtype=float)
+    slope = np.asarray(slope, dtype=float)
+    flip = slope < 0.0
+    offset = np.negative(offset, out=offset.copy(), where=flip)
+    slope = np.negative(slope, out=slope.copy(), where=flip)
+    a, b = offset[:-1], slope[:-1]
+    last_offset, last_slope = offset[-1], slope[-1]
+
+    differ = b != last_slope
+    a_d, b_d = a[differ], b[differ]
+    first = -(a_d - last_offset) / (b_d - last_slope)
+    second = -(a_d + last_offset) / (b_d + last_slope)
+    ordered = first <= second
+    inside = b_d < last_slope
+    kept = inside | (first != second)
+    starts = np.where(inside, 1, -1)
+    points = [np.where(ordered, first, second)[kept], np.where(ordered, second, first)[kept]]
+    deltas = [starts[kept], -starts[kept]]
+    left = right = int(inside.size - np.count_nonzero(inside))
+
+    same_slope = a[~differ]
+    if same_slope.size:
+        same = same_slope == last_offset
+        if last_slope != 0.0:
+            moving = same_slope[~same]
+            points.append(-(moving + last_offset) / (2.0 * last_slope))
+            rightward = moving > last_offset
+            deltas.append(np.where(rightward, 1, -1))
+            right_rays = int(np.count_nonzero(rightward))
+            left += moving.size - right_rays
+            right += right_rays
+            covering = int(np.count_nonzero(same))
+        else:
+            covering = int(np.count_nonzero(same | (np.abs(same_slope) >= abs(last_offset))))
+        left += covering
+        right += covering
+
+    all_points = np.concatenate([[-inf], *points, [inf]])
+    all_deltas = np.concatenate([[left + 1], *deltas, [-right - 1]]).astype(np.int64)
+    order = np.argsort(all_points)
+    if (all_points[order][1:] == all_points[order][:-1]).any():
+        order = np.lexsort((-all_deltas, all_points))
+    sorted_deltas = all_deltas[order]
+    return all_points[order], sorted_deltas, np.cumsum(sorted_deltas), left, right
+
+
+def sweep_hull_one_row(points, counts, count: int, epsilon: float) -> tuple[float, float]:
+    """Hull of the cells whose rank fraction counts / count exceeds
+    ``epsilon``, one level at a time; the empty set is (inf, -inf)."""
+    qualifying = np.flatnonzero(np.asarray(counts) / count > epsilon)
+    if qualifying.size == 0:
+        return (inf, -inf)
+    return (float(points[qualifying[0]]), float(points[qualifying[-1] + 1]))
+
+
 # ---------------------------------------------------------------------------
 # Monte-Carlo draws of the IID-Gauss predictor, in permuted row order
 # ---------------------------------------------------------------------------

@@ -146,10 +146,13 @@ def test_first_step_is_the_full_line():
 
 
 def test_unbounded_before_the_sample_size_threshold():
-    predictor = IidPredictor()
+    predictor = IidPredictor(ridge=0.01)
     for epsilon, onset in ((0.05, 20), (0.5, 2)):
         assert predictor.can_bound(onset, 1, (epsilon,))
         assert not predictor.can_bound(onset - 1, 1, (epsilon,))
+    # at ridge 0 two rows interpolate one feature: the step abstains there
+    assert not IidPredictor().can_bound(2, 1, (0.5,))
+    assert IidPredictor().can_bound(3, 1, (0.5,))
     rng = np.random.default_rng(8)
     history = History(1)
     for step in range(12):
