@@ -20,7 +20,6 @@ from .base import (
     Stream,
     SummaryMismatchError,
 )
-from .numerics import RidgeProjector, residual_decomposition
 from .predictors import (
     FullLinePredictor,
     GaussPredictor,
@@ -87,7 +86,6 @@ __all__ = [
     "PredictionInterval",
     "RankDeficiencyError",
     "RegressionSummary",
-    "RidgeProjector",
     "Stream",
     "SummaryMismatchError",
     "SyntheticConfig",
@@ -111,7 +109,6 @@ __all__ = [
     "mva_score",
     "observations_from_arrays",
     "observations_to_arrays",
-    "residual_decomposition",
     "run_online",
     "sample_conditional",
     "save_matrix",

@@ -136,8 +136,7 @@ class History:
     absorbed, updated in O(K) per absorbed row and started again by a wider
     refactor.  R'R = D'D + aI gives ||R_D||_F = sqrt(a c + sum_{j<c} s_j)
     for any leading c-block (``design_norm``), so no rank rule reads R for
-    its norm, and a step triangle that adds a row z has norm
-    sqrt(||R_D||_F^2 + ||z||^2).
+    its norm.
     """
 
     def __init__(self, feature_count: int):
@@ -148,7 +147,7 @@ class History:
         self._responses = np.empty(16)
         self._n = 0
         self._factors: dict[float, _KeptFactor] = {}
-        self._full_rank: bool | None = None
+        self._full_rank: dict[tuple[float, int], bool] = {}
 
     @classmethod
     def from_observations(cls, observations: Iterable[Observation]) -> "History":
@@ -199,7 +198,7 @@ class History:
         self._design[self._n, 1:] = observation.explanatory
         self._responses[self._n] = observation.response
         self._n += 1
-        self._full_rank = None
+        self._full_rank.clear()
 
     def __len__(self) -> int:
         return self._n
@@ -276,11 +275,10 @@ class History:
         """The rank certificate kept with ``ridge``'s factor.
 
         ||R_D^-1||_F of the factor's design block as it was when last taken,
-        which bounds ||T^-1||_F for the current block, for any truncation of
-        it and for any step triangle built on either (see the class
-        docstring).  It is taken again, by one triangular inverse of the
-        current block, only when it no longer settles the rank rule for that
-        block.  An exactly singular block gives inf; None means that the
+        which bounds ||T^-1||_F for the current block and for any
+        truncation of it (see the class docstring).  It is taken again, by
+        one triangular inverse of the current block, only when it no longer
+        settles the rank rule for that block.  An exactly singular block gives inf; None means that the
         sqrt(ridge) shortcut settles the rule without it.
         """
         ridge = float(ridge)
@@ -295,35 +293,46 @@ class History:
             entry.certified_rows = self._n
         return entry.inverse_norm
 
-    def design_has_full_rank(self) -> bool:
-        """Least-squares rank rule for the design, cached until the next append.
+    def design_has_full_rank(self, ridge: float = 0.0, columns: int | None = None) -> bool:
+        """Least-squares rank rule for the leading ``columns``-block of
+        ``ridge``'s factor (default: all K+1 columns), over the history's n
+        rows; each answer is cached until the next append.
 
-        The design is rank deficient when sigma_min <= eps * max(n, K+1) *
+        The block is rank deficient when sigma_min <= eps * max(n, columns) *
         sigma_max, the default cut-off of LAPACK's SVD least-squares solver.
-        The singular values of the design are those of the leading block of
-        ``triangular_factor``, so the rule is evaluated there, with the
-        certificate of ``design_inverse_norm``: appended rows only raise the
-        design's smallest singular value, so an on-line run settles the rule
-        from the inverse it formed at an earlier step, and forms a new one
-        only when ||R||_F times the carried norm no longer lies far below
-        the cut-off.  A certificate that does not settle the rule is that
-        fresh one, the block's own ||R^-1||_F, so the exact singular values
-        decide without a second inverse of the same block.
+        At ridge 0 its singular values are the design's, and fewer rows than
+        columns fail at once.  The rule reads the certificate of
+        ``design_inverse_norm`` and the norm of ``design_norm``: appended
+        rows only raise the smallest singular value, so an on-line run
+        settles the rule from the inverse it formed at an earlier step, and
+        forms a new one only when ||R||_F times the carried norm no longer
+        lies far below the cut-off.  For the full kept width a certificate
+        that does not settle the rule is that fresh one, the block's own
+        ||R^-1||_F, so the exact singular values decide without a second
+        inverse of the same block; a narrower block gets its own inverse
+        first (``_passes_rank_rule``).  Every predictor that fits the
+        history (IID, Gauss and MVA) decides its rank here.
         """
-        if self._full_rank is None:
-            cols = self._k + 1
-            if self._n < cols:
-                self._full_rank = False
+        ridge = float(ridge)
+        columns = self._k + 1 if columns is None else columns
+        key = (ridge, columns)
+        if key not in self._full_rank:
+            if ridge == 0.0 and self._n < columns:
+                full_rank = False
             else:
-                # the full width first: a wider factor starts without a certificate
-                entry = self._kept_factor(0.0, cols)
-                inverse_norm = self.design_inverse_norm()
-                frobenius = entry.design_norm(cols)
-                self._full_rank = _settles(frobenius, cols, self._n, 0.0, inverse_norm) or (
-                    inverse_norm < inf
-                    and _spectrum_passes(entry.triangle[:cols, :cols], self._n)
-                )
-        return self._full_rank
+                # the asked width first: a wider factor starts without a certificate
+                entry = self._kept_factor(ridge, columns)
+                inverse_norm = self.design_inverse_norm(ridge)
+                frobenius = entry.design_norm(columns)
+                block = entry.triangle[:columns, :columns]
+                if columns < entry.triangle.shape[0] - 1:
+                    full_rank = _passes_rank_rule(block, self._n, ridge, inverse_norm, frobenius)
+                else:
+                    full_rank = _settles(frobenius, columns, self._n, ridge, inverse_norm) or (
+                        inverse_norm < inf and _spectrum_passes(block, self._n)
+                    )
+            self._full_rank[key] = full_rank
+        return self._full_rank[key]
 
 
 @dataclass(eq=False)

@@ -34,9 +34,11 @@ step n a bounded interval (the empty set included) is possible at all.
 
 The IID, Gauss and MVA steps read the factors of [design | responses] that
 ``History`` keeps by triangular solves, and absorb the new row into no copy
-of them where the carried rank certificate settles the rank rule.  The IID
-step (``RidgeProjector``) takes three solves and one O(nK) product for the
-residuals' offset and slope, after which a p-value is an O(n) read; a
+of them.  Each decides rank in one place, the history's design block
+(``History.design_has_full_rank``, through ``_require_full_rank``), from
+the certificate the history carries, so the new row never decides it.  The
+IID step (``RidgeProjector``) takes three solves and one O(nK) product for
+the residuals' offset and slope, after which a p-value is an O(n) read; a
 block of m rows takes the same three solves with m right sides and one
 GEMM.  The Gauss and MVA steps form no residual vector: each is O(K^2),
 with five numbers for an MVA step (``MvaStep``) solved in the distance
@@ -114,44 +116,49 @@ def _active_features(schedule: FeatureSchedule | None, n: int, k: int) -> int:
     return active
 
 
+def _require_full_rank(history: History, ridge: float, columns: int) -> None:
+    """Raise ``RankDeficiencyError`` unless the leading ``columns``-block of
+    the history's factor for ``ridge`` passes the least-squares rank rule
+    (``History.design_has_full_rank``): the one rank decision of the IID,
+    Gauss and MVA steps."""
+    if not history.design_has_full_rank(ridge, columns):
+        raise RankDeficiencyError(
+            "design is rank deficient; use a positive ridge coefficient"
+            if ridge == 0.0
+            else "ridge normal matrix is numerically singular"
+        )
+
+
 def _step_projector(
-    history: History,
-    x_new,
-    ridge: float,
-    schedule: FeatureSchedule | None,
-    reference: float | None,
+    history: History, x_new, ridge: float, schedule: FeatureSchedule | None
 ) -> RidgeProjector:
     """Ridge projector of the history rows plus the new one, truncated to the
-    scheduled column count, with ``reference`` as the new row's response
-    (None: the history's own prediction at the new row).  ``x_new`` is one
-    explanatory row, or a block of them (m x K, checked by the caller), each
-    a new row after the same history.
+    scheduled column count, around the history's own prediction at the new
+    row.  ``x_new`` is one explanatory row, or a block of them (m x K,
+    checked by the caller), each a new row after the same history.
 
-    Built from the history's kept factor for ``ridge`` and the new rows by
-    three triangular solves, O(K^2) per row on top of the history's own
-    O(K^2) per appended row, with no copy of the design or the responses
-    and no step triangle.  A new row only raises the smallest singular
-    value, so the rank certificate the history carries for that factor
-    settles the projector's rank rule without an inverse, and the carried
-    ``design_norm`` gives each step triangle's norm in O(K).
+    The history's design block decides the rank first
+    (``_require_full_rank``), from the certificate the history carries for
+    its factor, so neither a new row nor a block of them changes the
+    decision.  The projector is then built from that kept factor and the
+    new rows by three triangular solves, O(K^2) per row on top of the
+    history's own O(K^2) per appended row, with no copy of the design or
+    the responses and no step triangle.
     """
     k = history.feature_count
     x = np.asarray(x_new, dtype=float)
     if x.ndim != 2:
         x = _new_row(x, k)
     cols = _active_features(schedule, len(history) + 1, k) + 1
+    _require_full_rank(history, ridge, cols)
     rows = np.empty(x.shape[:-1] + (cols,))
     rows[..., 0] = 1.0
     rows[..., 1:] = x[..., : cols - 1]
     return RidgeProjector(
         history.design_matrix[:, :cols],
-        ridge,
-        new_row=rows,
-        factor=history.triangular_factor(ridge, cols),
-        responses=history.responses,
-        reference=reference,
-        inverse_norm=history.design_inverse_norm(ridge),
-        design_norm=history.design_norm(ridge, cols),
+        rows,
+        history.triangular_factor(ridge, cols),
+        history.responses,
     )
 
 
@@ -374,14 +381,13 @@ class RidgeStep:
     ``projector`` fits the history rows plus the new one, truncated to the
     scheduled columns, from the history's kept ridge factor without a step
     triangle, with the history's own prediction at the new row as that
-    row's reference; ``decomposition`` writes every residual as an affine
-    function of the candidate response around that reference, and the
-    projector keeps it.  A batch step holds a block of new rows after the
-    same history, one decomposition row per new row, and has no p-value.
-    ``responses`` are the history's.
+    row's reference; ``decomposition``, which the sweep reads, writes every
+    residual as an affine function of the candidate response around that
+    reference, and the projector keeps it for the p-value.  A batch step
+    holds a block of new rows after the same history, one decomposition row
+    per new row, and has no p-value.
     """
 
-    responses: np.ndarray
     projector: RidgeProjector
     decomposition: ResidualDecomposition
 
@@ -392,7 +398,7 @@ class RidgeStep:
     def residuals(self, response: float) -> np.ndarray:
         """The n residuals once ``response`` is revealed: the projector reads
         them off the decomposition in O(n), with no solve and no product."""
-        return self.projector.residuals(np.concatenate([self.responses, [response]]))
+        return self.projector.residuals(response)
 
 
 def iid_pvalue(scores, tie_break: float) -> float:
@@ -432,9 +438,12 @@ class IidPredictor:
     the candidate, which that structure decides rather than rounding residue
     (or the rank of too few rows), and the p-value is the tie-break;
     ``can_bound`` says no there, so batch prediction returns code 2.
-    The residuals are decomposed around the history's own prediction at the
-    new row, and the sweep runs in the distance from it, so it does not
-    cancel when the responses sit far from zero.
+    Otherwise the rank is decided on the history's design block, as for
+    ``GaussPredictor`` and ``MvaPredictor``: a history that only the new
+    row would make full rank raises ``RankDeficiencyError``.  The residuals
+    are decomposed around the history's own prediction at the new row, and
+    the sweep runs in the distance from it, so it does not cancel when the
+    responses sit far from zero.
     """
 
     ridge: float = 0.0
@@ -443,7 +452,9 @@ class IidPredictor:
     def step(self, history: History, x_new) -> RidgeStep | None:
         """The ridge fit of the step; None on an empty history, and at ridge
         0 while n <= active + 1 (``active`` the features the schedule lets
-        the fit see at n), where the fit interpolates."""
+        the fit see at n), where the fit interpolates.  Raises
+        ``RankDeficiencyError`` where the history's design block fails the
+        rank rule."""
         return self._step(history, np.ravel(x_new))
 
     def _step(self, history: History, rows: np.ndarray) -> RidgeStep | None:
@@ -451,9 +462,8 @@ class IidPredictor:
         n = len(history) + 1
         if n == 1 or self._interpolates(n, history.feature_count):
             return None
-        responses = history.responses
-        projector = _step_projector(history, rows, self.ridge, self.schedule, None)
-        return RidgeStep(responses, projector, residual_decomposition(projector, responses))
+        projector = _step_projector(history, rows, self.ridge, self.schedule)
+        return RidgeStep(projector, residual_decomposition(projector))
 
     def predict(self, step, levels) -> list[PredictionInterval]:
         return _intervals(*self._bounds(step, validate_levels(levels)))
@@ -618,8 +628,7 @@ def gauss_fit(history: History, x_new) -> GaussFit:
         raise RankDeficiencyError(
             f"need more than {cols} observations to estimate the residual scale"
         )
-    if not history.design_has_full_rank():
-        raise RankDeficiencyError("history design matrix is rank deficient")
+    _require_full_rank(history, 0.0, cols)
     return GaussFit.from_factor(history.triangular_factor(), rows, x)
 
 
@@ -805,8 +814,6 @@ def _mva_step(
     count: int,
     row: np.ndarray,
     ridge: float,
-    inverse_norm: float | None = None,
-    design_norm: float | None = None,
 ) -> MvaStep:
     """The step of a history of ``count`` rows at the new design row ``row``.
 
@@ -830,27 +837,18 @@ def _mva_step(
     relative to the responses' own root energy (an exactly linear history)
     is taken as 0, the rule ``GaussFit`` applies to its residual scale.
 
-    The ridge fit's rank rule is decided on the history's design block
-    R_aD, from ``inverse_norm`` and ``design_norm`` when given (the
-    certificate and the norm ``History`` carries for that factor).  Ridge 0
-    has two structural cases.  With no more rows than columns the fit
-    interpolates: every residual is zero whatever the rows' rank, and the
-    step has every number zero.  With one row more the residual space is
-    one direction: the history is interpolated, so rho is rounding residue
-    and is set to 0, and the statistic does not depend on u.
+    The caller decides the rank of R_aD first, except where the fit
+    interpolates.  Ridge 0 has two structural cases.  With no more rows
+    than columns the fit interpolates: every residual is zero whatever the
+    rows' rank, and the step has every number zero.  With one row more the
+    residual space is one direction: the history is interpolated, so rho is
+    rounding residue and is set to 0, and the statistic does not depend on
+    u.
     """
     cols = row.size
     n = count + 1
     if ridge == 0.0 and n <= cols:
         return MvaStep(n, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-    if not _passes_rank_rule(
-        ridge_factor[:cols, :cols], count, ridge, inverse_norm, design_norm
-    ):
-        raise RankDeficiencyError(
-            "design is rank deficient; use a positive ridge coefficient"
-            if ridge == 0.0
-            else "ridge normal matrix is numerically singular"
-        )
     # LAPACK reads R_aD as the top block of R_a's leading columns, which are
     # contiguous in a Fortran-ordered R_a, so no copy of it is made
     leading = ridge_factor[:, :cols]
@@ -941,9 +939,10 @@ class MvaPredictor:
     solved in the distance from the history's own prediction at the new
     row (with ridge > 0, from where the centered last residual vanishes),
     so its coefficients do not grow with the responses' distance from
-    zero.  At ridge 0 the rank rule is decided on the history's design
-    block, as for ``GaussPredictor``: a history that only the new row would
-    make full rank raises ``RankDeficiencyError``.
+    zero.  The rank rule is decided on the history's design block
+    (``History.design_has_full_rank``), as for ``GaussPredictor`` and
+    ``IidPredictor``: a history that only the new row would make full rank
+    raises ``RankDeficiencyError``.
 
     With ridge 0 at n <= K + 1 the fit interpolates: every residual is zero
     whatever the candidate, so the statistic is 0/0 and the whole line is
@@ -974,15 +973,9 @@ class MvaPredictor:
         ridge = float(self.ridge)
         zero_factor = history.triangular_factor(0.0, cols)
         ridge_factor = zero_factor if ridge == 0.0 else history.triangular_factor(ridge, cols)
-        return _mva_step(
-            ridge_factor,
-            zero_factor,
-            count,
-            row,
-            ridge,
-            history.design_inverse_norm(ridge),
-            history.design_norm(ridge, cols),
-        )
+        if ridge > 0.0 or count >= cols:  # an interpolating fit has no rank to decide
+            _require_full_rank(history, ridge, cols)
+        return _mva_step(ridge_factor, zero_factor, count, row, ridge)
 
     def predict(self, step, levels) -> list[PredictionInterval]:
         levels = validate_levels(levels)
@@ -1042,8 +1035,8 @@ def mva_score(
     root of the summed squared deviations of the earlier residuals, all read
     from the summary's triangle.  ``active_count`` truncates the regression
     to the first features, mirroring a feature schedule.  It raises
-    ``RankDeficiencyError`` under the least-squares rank rule of
-    ``MvaPredictor``, and with ridge 0 ``DegenerateFitError`` at
+    ``RankDeficiencyError`` when the summary's design block fails the
+    least-squares rank rule, and with ridge 0 ``DegenerateFitError`` at
     n <= active + 1, where the fit interpolates and every residual is zero.
     A centered spread at the least-squares cut-off relative to the past
     responses' own energy (an exactly linear history) is
@@ -1068,6 +1061,10 @@ def mva_score(
     ridge_factor = zero_factor
     if ridge > 0.0:
         ridge_factor = absorb_rows(zero_factor, sqrt(ridge) * np.eye(cols, cols + 1))
+    if (ridge > 0.0 or head >= cols) and not _passes_rank_rule(
+        ridge_factor[:cols, :cols], head, ridge
+    ):
+        raise RankDeficiencyError("summarized design is rank deficient")
     row = np.concatenate([[1.0], x[:active]])
     step = _mva_step(ridge_factor, zero_factor, head, row, ridge)
     u = observation.response - step.center

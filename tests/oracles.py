@@ -45,15 +45,31 @@ def residuals_direct(design, ridge, responses) -> np.ndarray:
     return projection_matrix(design, ridge) @ np.asarray(responses, dtype=float)
 
 
-def affine_residuals(design, ridge, fixed_responses):
-    """Offset and slope of each residual as a function of the last response."""
-    n = design.shape[0]
+def affine_residuals(design, ridge, fixed_responses, reference: float = 0.0):
+    """Offset and slope of each residual as a function of the last response
+    y: the residuals are offset + (y - reference) * slope.
+
+    The responses are centred on ``reference`` before they are projected,
+    so that the offset does not cancel when they sit far from zero, and the
+    reference times the residual of the ones column (the design's first) is
+    added back.  That residual is a U (U'U + aI)^-1 e_1, exactly zero
+    without a ridge, and is solved through the triangle of [U; sqrt(a) I]
+    rather than as a difference of the ones column and its fit.
+    """
+    n, cols = design.shape
     padded = np.zeros(n)
-    padded[:-1] = np.asarray(fixed_responses, dtype=float)
+    padded[:-1] = np.asarray(fixed_responses, dtype=float) - reference
     unit = np.zeros(n)
     unit[-1] = 1.0
     matrix = projection_matrix(design, ridge)
-    return matrix @ padded, matrix @ unit
+    offset = matrix @ padded
+    if reference != 0.0 and ridge > 0.0:
+        _, upper = np.linalg.qr(np.vstack([design, sqrt(ridge) * np.eye(cols)]))
+        first = np.zeros(cols)
+        first[0] = 1.0
+        whitened = solve_triangular(upper, first, trans="T")
+        offset += reference * ridge * (design @ solve_triangular(upper, whitened))
+    return offset, matrix @ unit
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,6 @@ from olreg import (
     run_online,
     wilks_predict,
 )
-from olreg.numerics import RidgeProjector, residual_decomposition
 from olreg.predictors import (
     MonteCarloConfig,
     RegressionSummary,
@@ -159,12 +158,10 @@ def test_criterion_05_quadratic_oracle_equivalence(capfd):
         fixed = rng.normal(size=n - 1)
         epsilon = float(rng.choice([0.05, 0.1, 0.2]))
         t_value = float(stats.t.ppf(1.0 - epsilon / 2.0, n - 2))
-        decomposition = residual_decomposition(RidgeProjector(design, ridge), fixed)
+        offset, slope = oracles.affine_residuals(design, ridge, fixed)
         history = History.from_arrays(design[:-1, 1:], fixed)
         mine = mva_hull(MvaPredictor(ridge).step(history, design[-1, 1:]), t_value)
-        reference = oracles.quadratic_region_grid_hull(
-            decomposition.offset, decomposition.slope, n, t_value, refine=1e-7
-        )
+        reference = oracles.quadratic_region_grid_hull(offset, slope, n, t_value, refine=1e-7)
         endpoints = [
             v for v in (mine.lower, mine.upper, reference.lower, reference.upper)
             if np.isfinite(v)
@@ -198,9 +195,9 @@ def test_criterion_06_sweep_oracle_equivalence(capfd):
         if trial % 5 == 0 and n > 3:
             fixed[1] = fixed[0]  # provoke exact residual ties
         epsilon = float(rng.choice([0.05, 0.1, 0.25, 0.5, 0.8]))
-        decomposition = residual_decomposition(RidgeProjector(design, ridge), fixed)
-        hull = sweep_hull(build_sweep(decomposition.offset, decomposition.slope), n, epsilon)
-        low, high = oracles.rank_region_hull(decomposition.offset, decomposition.slope, epsilon)
+        offset, slope = oracles.affine_residuals(design, ridge, fixed)
+        hull = sweep_hull(build_sweep(offset, slope), n, epsilon)
+        low, high = oracles.rank_region_hull(offset, slope, epsilon)
         assert close_or_equal(hull.lower, low, 1e-9), (trial, hull, low, high)
         assert close_or_equal(hull.upper, high, 1e-9), (trial, hull, low, high)
     elapsed = time.perf_counter() - start

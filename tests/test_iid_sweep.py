@@ -12,11 +12,9 @@ from olreg import (
     History,
     MonteCarloConfig,
     Observation,
-    RidgeProjector,
     build_sweep,
     iid_predict,
     iid_pvalue,
-    residual_decomposition,
     sweep_hull,
 )
 from olreg.protocol import IidGaussPredictor, IidPredictor
@@ -36,11 +34,6 @@ def history_from_columns(features, responses):
     return History.from_observations(
         Observation(np.atleast_1d(x), float(y)) for x, y in zip(features, responses)
     )
-
-
-def decomposition_for(design, fixed, ridge):
-    proj = RidgeProjector(design, ridge)
-    return residual_decomposition(proj, fixed)
 
 
 def test_dominating_past_residual_covers_the_line():
@@ -120,10 +113,10 @@ def test_hull_against_brute_force_random_instances():
         fixed = rng.normal(size=n - 1)
         if trial % 5 == 0 and n > 3:
             fixed[1] = fixed[0]  # provoke exact residual ties
-        dec = decomposition_for(design, fixed, ridge)
+        offset, slope = oracles.affine_residuals(design, ridge, fixed)
         eps = float(rng.choice([0.05, 0.1, 0.25, 0.5, 0.8]))
-        hull = sweep_hull(build_sweep(dec.offset, dec.slope), n, eps)
-        low, high = oracles.rank_region_hull(dec.offset, dec.slope, eps)
+        hull = sweep_hull(build_sweep(offset, slope), n, eps)
+        low, high = oracles.rank_region_hull(offset, slope, eps)
         assert hull.lower == pytest.approx(low, abs=1e-9)
         assert hull.upper == pytest.approx(high, abs=1e-9)
 
@@ -183,7 +176,9 @@ def test_score_is_last_absolute_residual():
     design = np.column_stack([np.ones(6), rng.normal(size=(6, 2))])
     responses = rng.normal(size=6)
     expected = abs(oracles.residuals_direct(design, 0.01, responses)[-1])
-    score = abs(RidgeProjector(design, 0.01).residuals(responses)[-1])
+    history = History.from_arrays(design[:-1, 1:], responses[:-1])
+    step = IidPredictor(0.01).step(history, design[-1, 1:])
+    score = abs(step.residuals(responses[-1])[-1])
     assert score == pytest.approx(expected, abs=1e-12)
 
 
@@ -198,8 +193,7 @@ def test_nested_levels_produce_nested_hulls():
     rng = np.random.default_rng(14)
     design = np.column_stack([np.ones(9), rng.normal(size=(9, 2))])
     fixed = rng.normal(size=8)
-    dec = decomposition_for(design, fixed, 0.01)
-    state = build_sweep(dec.offset, dec.slope)
+    state = build_sweep(*oracles.affine_residuals(design, 0.01, fixed))
     previous = None
     for eps in (0.8, 0.5, 0.3, 0.1):
         hull = sweep_hull(state, 9, eps)

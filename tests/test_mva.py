@@ -13,11 +13,9 @@ from olreg import (
     History,
     Observation,
     RegressionSummary,
-    RidgeProjector,
     mva_hull,
     mva_predict,
     mva_score,
-    residual_decomposition,
     wilks_level,
     wilks_predict,
 )
@@ -25,7 +23,7 @@ import olreg.numerics
 import olreg.predictors
 from olreg import RankDeficiencyError, run_online
 from olreg.numerics import StudentT
-from olreg.predictors import QuadraticRegion, _step_projector
+from olreg.predictors import QuadraticRegion
 from olreg.protocol import MvaPredictor
 
 # Worked example (same data as the rank-region one), bounds fixed by the
@@ -123,10 +121,10 @@ def test_hull_against_grid_oracle_on_random_instances():
         fixed = rng.normal(size=n - 1)
         eps = float(rng.choice([0.05, 0.1, 0.2]))
         t_value = float(stats.t.ppf(1.0 - eps / 2.0, n - 2))
-        dec = residual_decomposition(RidgeProjector(design, ridge), fixed)
+        offset, slope = oracles.affine_residuals(design, ridge, fixed)
         history = History.from_arrays(design[:-1, 1:], fixed)
         mine = mva_hull(MvaPredictor(ridge).step(history, design[-1, 1:]), t_value)
-        reference = oracles.quadratic_region_grid_hull(dec.offset, dec.slope, n, t_value)
+        reference = oracles.quadratic_region_grid_hull(offset, slope, n, t_value)
         finite = [v for v in (mine.lower, mine.upper, reference.lower, reference.upper)
                   if np.isfinite(v)]
         if any(abs(v) > 5000.0 for v in finite):
@@ -283,19 +281,25 @@ def test_interpolating_ridge_zero_step_gives_full_lines_and_pvalue_one(seed):
 
 def vector_route(history, x, response, predictor, levels):
     """Intervals and realized p-value of an MVA step from its residual
-    vectors: the step's ridge projector, the residual decomposition around
-    the mean past response and ``oracles.centered_residual_score``, with the
-    ridge-0 structure decided on those vectors.  A ridge-0 fit of no more
-    rows than columns interpolates, whatever the rows' rank: full lines."""
+    vectors: the explicit residual map around the mean past response
+    (``oracles.affine_residuals``) and ``oracles.centered_residual_score``,
+    with the ridge-0 structure decided on those vectors.  A ridge-0 fit of
+    no more rows than columns interpolates, whatever the rows' rank: full
+    lines.  Otherwise a ridge-0 history design of lower rank
+    (``matrix_rank``) raises."""
     n = len(history) + 1
     schedule = predictor.schedule
     active = schedule.active_features(n) if schedule is not None else history.feature_count
+    cols = active + 1
     full = [(-math.inf, math.inf)] * len(levels)
-    if predictor.ridge == 0.0 and n <= active + 1:
+    if predictor.ridge == 0.0 and n <= cols:
         return full, 1.0
+    head = history.design_matrix[:, :cols]
+    if predictor.ridge == 0.0 and np.linalg.matrix_rank(head) < cols:
+        raise RankDeficiencyError("history design is rank deficient")
     reference = float(history.responses.mean())
-    projector = _step_projector(history, x, predictor.ridge, predictor.schedule, reference)
-    dec = residual_decomposition(projector, history.responses)
+    design = np.vstack([head, np.append(1.0, x[:active])])
+    offset, slope = oracles.affine_residuals(design, predictor.ridge, history.responses, reference)
     t_values = [StudentT(n - 2).upper_quantile(eps / 2.0) for eps in levels]
     factor = math.sqrt((n - 1) * (n - 2) / n)
 
@@ -305,17 +309,17 @@ def vector_route(history, x, response, predictor, levels):
         except DegenerateFitError:
             return None
 
-    realized = statistic(projector.residuals(np.append(history.responses, response)))
-    if predictor.ridge == 0.0 and n == projector.column_count + 1:
+    realized = statistic(offset + (response - reference) * slope)
+    if predictor.ridge == 0.0 and n == cols + 1:
         # one residual direction: the statistic does not depend on y
-        big_offset = np.linalg.norm(dec.offset) >= np.linalg.norm(dec.slope)
-        fixed = statistic(dec.offset if big_offset else dec.slope)
+        big_offset = np.linalg.norm(offset) >= np.linalg.norm(slope)
+        fixed = statistic(offset if big_offset else slope)
         if fixed is None:
             return full, 1.0
         bounds = [(-math.inf, math.inf) if fixed < t else (math.inf, -math.inf) for t in t_values]
         return bounds, 2.0 * StudentT(n - 2).cdf(-fixed)
-    a = dec.offset - dec.offset[:-1].mean()
-    b = dec.slope - dec.slope[:-1].mean()
+    a = offset - offset[:-1].mean()
+    b = slope - slope[:-1].mean()
     bounds = []
     for t in t_values:
         if not a[:-1].any() and not b[:-1].any():

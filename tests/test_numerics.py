@@ -6,15 +6,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from olreg import (
-    FeatureSchedule,
-    History,
-    Observation,
-    RankDeficiencyError,
-    RidgeProjector,
-    residual_decomposition,
-)
-from olreg.numerics import StudentT
+from olreg import FeatureSchedule, History, Observation, RankDeficiencyError
+from olreg.numerics import RidgeProjector, StudentT, residual_decomposition
 from olreg.predictors import _step_projector
 
 
@@ -22,31 +15,41 @@ def ones_design(n):
     return np.ones((n, 1))
 
 
+def step_projector(design, fixed, ridge):
+    """The IID step's projector for the rows of ``design`` (ones column
+    first): a history of all rows but the last, with the ``fixed``
+    responses, and the last row as the new one."""
+    history = History.from_arrays(design[:-1, 1:], fixed)
+    return _step_projector(history, design[-1, 1:], ridge, None)
+
+
 def test_ones_column_residuals_center_the_responses():
-    proj = RidgeProjector(ones_design(2), 0.0)
-    assert np.allclose(proj.residuals([1.0, 1.0]), [0.0, 0.0])
-    assert np.allclose(proj.residuals([0.0, 2.0]), [-1.0, 1.0])
+    proj = step_projector(ones_design(2), [1.0], 0.0)
+    assert np.allclose(proj.residuals(1.0), [0.0, 0.0])
+    proj = step_projector(ones_design(2), [0.0], 0.0)
+    assert np.allclose(proj.residuals(2.0), [-1.0, 1.0])
 
 
 def test_single_row_with_ridge_keeps_part_of_the_response():
-    proj = RidgeProjector(ones_design(1), 1.0)
+    proj = step_projector(ones_design(1), [], 1.0)
     # I - 1/(1+1) = 1/2, applied to y = 2
-    assert np.allclose(proj.residuals([2.0]), [1.0])
+    assert np.allclose(proj.residuals(2.0), [1.0])
 
 
 def test_decomposition_on_two_ones_rows():
-    proj = RidgeProjector(ones_design(2), 0.0)
-    dec = residual_decomposition(proj, [4.0])
-    assert np.allclose(dec.offset, [2.0, -2.0])
+    dec = residual_decomposition(step_projector(ones_design(2), [4.0], 0.0))
+    # centred at the history's own prediction, where the new residual is 0
+    assert dec.reference == 4.0
+    assert np.allclose(dec.offset, [0.0, 0.0])
     assert np.allclose(dec.slope, [-0.5, 0.5])
+    assert np.allclose(dec.residuals_at(0.0), [2.0, -2.0])
 
 
 def test_decomposition_reconstructs_direct_residuals():
     rng = np.random.default_rng(11)
     design = np.column_stack([np.ones(6), rng.normal(size=(6, 2))])
     fixed = rng.normal(size=5)
-    proj = RidgeProjector(design, 0.01)
-    dec = residual_decomposition(proj, fixed)
+    dec = residual_decomposition(step_projector(design, fixed, 0.01))
     for y in (-3.0, 0.0, 7.0):
         direct = oracles.residuals_direct(design, 0.01, np.append(fixed, y))
         assert np.allclose(dec.residuals_at(y), direct, atol=1e-10)
@@ -57,9 +60,9 @@ def test_projector_matches_explicit_matrix():
     for ridge in (0.0, 0.01, 1.0, 100.0):
         design = np.column_stack([np.ones(8), rng.normal(size=(8, 3))])
         matrix = oracles.projection_matrix(design, ridge)
-        proj = RidgeProjector(design, ridge)
         probe = rng.normal(size=8)
-        assert np.allclose(proj.apply(probe), matrix @ probe, atol=1e-10)
+        proj = step_projector(design, probe[:-1], ridge)
+        assert np.allclose(proj.residuals(probe[-1]), matrix @ probe, atol=1e-10)
 
 
 def test_projection_is_symmetric_and_idempotent_without_ridge():
@@ -74,25 +77,19 @@ def test_ridge_shrinks_fitted_values_monotonically():
     rng = np.random.default_rng(9)
     design = np.column_stack([np.ones(12), rng.normal(size=(12, 3))])
     responses = rng.normal(size=12)
-    norms = []
-    for ridge in (0.0, 0.01, 1.0, 100.0):
-        proj = RidgeProjector(design, ridge)
-        fitted = responses - proj.residuals(responses)
-        norms.append(float(np.linalg.norm(design @ proj.coefficients(responses) - fitted)))
-        # fitted values computed two ways must agree
-        assert norms[-1] < 1e-8
     lengths = []
     for ridge in (0.0, 0.01, 1.0, 100.0):
-        proj = RidgeProjector(design, ridge)
-        lengths.append(float(np.linalg.norm(design @ proj.coefficients(responses))))
+        proj = step_projector(design, responses[:-1], ridge)
+        fitted = responses - proj.residuals(responses[-1])
+        lengths.append(float(np.linalg.norm(fitted)))
     assert all(a >= b - 1e-12 for a, b in zip(lengths, lengths[1:]))
 
 
 def test_rank_deficiency_detected_only_without_ridge():
     design = np.column_stack([np.ones(5), np.arange(5.0), 2.0 * np.arange(5.0)])
     with pytest.raises(RankDeficiencyError):
-        RidgeProjector(design, 0.0)
-    RidgeProjector(design, 0.01)  # ridge regularizes the same matrix
+        step_projector(design, np.zeros(4), 0.0)
+    step_projector(design, np.zeros(4), 0.01)  # ridge regularizes the same matrix
 
 
 def test_underflow_ridge_still_reports_deficiency():
@@ -102,15 +99,15 @@ def test_underflow_ridge_still_reports_deficiency():
     rng = np.random.default_rng(2)
     design = np.column_stack([np.ones(2), rng.normal(size=(2, 2))])
     with pytest.raises(RankDeficiencyError):
-        RidgeProjector(design, 5e-95)
+        step_projector(design, np.zeros(1), 5e-95)
 
 
 def test_wide_design_needs_ridge():
     rng = np.random.default_rng(2)
     design = np.column_stack([np.ones(3), rng.normal(size=(3, 10))])
     with pytest.raises(RankDeficiencyError):
-        RidgeProjector(design, 0.0)
-    proj = RidgeProjector(design, 0.01)
+        step_projector(design, np.zeros(2), 0.0)
+    proj = step_projector(design, np.zeros(2), 0.01)
     assert proj.row_count == 3
 
 
@@ -125,14 +122,14 @@ def test_step_arguments_must_fit_the_design():
         factor=history.triangular_factor(0.01),
         responses=history.responses,
     )
-    RidgeProjector(head, 0.01, **good)
+    RidgeProjector(head, **good)
     for name, bad in (
         ("new_row", np.array([1.0, 0.5])),
         ("factor", history.triangular_factor(0.01, 2)),
         ("responses", history.responses[:-1]),
     ):
         with pytest.raises(ValueError):
-            RidgeProjector(head, 0.01, **{**good, name: bad})
+            RidgeProjector(head, **{**good, name: bad})
 
 
 def test_row_in_a_direction_the_others_lack_keeps_full_accuracy():
@@ -145,7 +142,7 @@ def test_row_in_a_direction_the_others_lack_keeps_full_accuracy():
             design = np.column_stack([np.ones(3), rng.normal(size=(3, 3))])
             design[:2, 3] = 0.0
             fixed = rng.normal(size=2)
-            dec = residual_decomposition(RidgeProjector(design, ridge), fixed)
+            dec = residual_decomposition(step_projector(design, fixed, ridge))
             for y in (-2.0, 0.0, 1.5):
                 expected = oracles.residuals_direct(design, ridge, np.append(fixed, y))
                 np.testing.assert_allclose(dec.residuals_at(y), expected, rtol=0, atol=1e-9)
@@ -197,11 +194,10 @@ def test_decomposition_is_affine_in_the_candidate(n, k, ridge, seed):
     if ridge == 0.0 and n <= k + 1:
         ridge = 0.5
     fixed = rng.normal(size=n - 1)
-    proj = RidgeProjector(design, ridge)
-    dec = residual_decomposition(proj, fixed)
+    dec = residual_decomposition(step_projector(design, fixed, ridge))
     for y in (-2.0, 0.0, 1.5):
         expected = oracles.residuals_direct(design, ridge, np.append(fixed, y))
-        assert np.allclose(dec.offset + y * dec.slope, expected, atol=1e-9)
+        assert np.allclose(dec.offset + (y - dec.reference) * dec.slope, expected, atol=1e-9)
 
 
 @settings(deadline=None, max_examples=60)
@@ -211,7 +207,7 @@ def test_decomposition_is_affine_in_the_candidate(n, k, ridge, seed):
     st.booleans(),
     st.integers(min_value=0, max_value=2**32 - 1),
 )
-# ill-conditioned ridge-0 designs at n = cols, where an oracle that solves
+# ill-conditioned ridge-0 designs near n = cols, where an oracle that solves
 # with the Gram matrix loses the 1e-9 gate
 @example(k=4, ridge=0.0, scheduled=True, seed=578384)
 @example(k=2, ridge=0.0, scheduled=True, seed=3205787700)
@@ -229,48 +225,18 @@ def test_history_factor_projector_matches_direct_residuals(k, ridge, scheduled, 
         cols = (schedule.active_features(n) if schedule else k) + 1
         row = np.concatenate([[1.0], features[n - 1, : cols - 1]])
         design = np.vstack([history.design_matrix[:, :cols], row])
-        arguments = dict(
-            new_row=row,
-            factor=history.triangular_factor(ridge, cols),
-            responses=history.responses,
-            reference=float(history.responses.mean()),
-        )
-        if ridge == 0.0 and n < cols:
+        if ridge == 0.0 and n <= cols:
+            # the history's n - 1 rows cannot have rank cols
             with pytest.raises(RankDeficiencyError):
-                RidgeProjector(history.design_matrix[:, :cols], ridge, **arguments)
+                _step_projector(history, features[n - 1], ridge, schedule)
             continue
-        projector = RidgeProjector(history.design_matrix[:, :cols], ridge, **arguments)
-        dec = residual_decomposition(projector, history.responses)
+        projector = _step_projector(history, features[n - 1], ridge, schedule)
+        dec = residual_decomposition(projector)
         for y in (-2.0, 0.0, 1.5):
             completed = np.append(history.responses, y)
             expected = oracles.residuals_direct(design, ridge, completed)
             np.testing.assert_allclose(dec.residuals_at(y), expected, rtol=0, atol=1e-9)
-            np.testing.assert_allclose(projector.residuals(completed), expected, rtol=0, atol=1e-9)
-
-
-@pytest.mark.parametrize("ridge", [0.0, 0.5])
-def test_shift_of_the_last_response_alone_gives_the_full_product(ridge):
-    # a step's realized residuals move only the new row's response away from
-    # the reference; the coefficients skip the product with the other rows
-    # and must equal the ones the full product gives
-    rng = np.random.default_rng(9)
-    features, responses = rng.normal(size=(30, 4)), rng.normal(size=30)
-    history = History.from_observations(
-        Observation(x, y) for x, y in zip(features, responses)
-    )
-    row = np.concatenate([[1.0], rng.normal(size=4)])
-    reference = float(responses.mean())
-    projector = RidgeProjector(
-        history.design_matrix, ridge, new_row=row,
-        factor=history.triangular_factor(ridge), responses=responses, reference=reference,
-    )
-    base = projector.coefficients(np.append(responses, reference))
-    for y in (-3.0, reference + 1e-9, 7.5):
-        shift = np.zeros(31)
-        shift[-1] = y - reference
-        moments = history.design_matrix.T @ shift[:-1] + shift[-1] * row
-        expected = base + projector.solve(moments)
-        assert np.array_equal(projector.coefficients(np.append(responses, y)), expected)
+            np.testing.assert_allclose(projector.residuals(y), expected, rtol=0, atol=1e-9)
 
 
 @pytest.mark.parametrize("ridge", [0.0, 1e-8, 0.01, 1.0])
@@ -292,8 +258,8 @@ def test_step_decomposition_matches_the_explicit_projector(ridge, shift):
         cols = schedule.active_features(n) + 1
         if ridge == 0.0 and n <= cols:
             continue  # the fit interpolates; the predictor abstains here
-        projector = _step_projector(history, features[n - 1], ridge, schedule, None)
-        dec = residual_decomposition(projector, history.responses)
+        projector = _step_projector(history, features[n - 1], ridge, schedule)
+        dec = residual_decomposition(projector)
         design = np.column_stack([np.ones(n), features[:n, : cols - 1]])
         _, slope = oracles.affine_residuals(design, ridge, history.responses)
         np.testing.assert_allclose(dec.slope, slope, rtol=0, atol=1e-9)
@@ -304,8 +270,6 @@ def test_step_decomposition_matches_the_explicit_projector(ridge, shift):
             # the explicit projector rounds at eps * n * |responses| itself
             atol = 1e-9 + 1e-14 * shift
             np.testing.assert_allclose(dec.residuals_at(y), expected, rtol=0, atol=atol)
-            np.testing.assert_allclose(
-                projector.residuals(np.append(history.responses, y)), expected, rtol=0, atol=atol
-            )
+            np.testing.assert_allclose(projector.residuals(y), expected, rtol=0, atol=atol)
         checked += 1
     assert checked >= 10

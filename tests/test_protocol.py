@@ -8,7 +8,7 @@ from scipy import optimize, stats
 
 import oracles
 import olreg.base
-import olreg.numerics
+import olreg.predictors
 from olreg import (
     DEFAULT_SEED,
     FeatureSchedule,
@@ -311,7 +311,7 @@ def test_smoothed_iid_absorbs_one_row_per_step(monkeypatch):
         return absorb(triangle, rows)
 
     monkeypatch.setattr(olreg.base, "absorb_rows", counted)
-    monkeypatch.setattr(olreg.numerics, "absorb_rows", counted)
+    monkeypatch.setattr(olreg.predictors, "absorb_rows", counted)
     stream = gen_synthetic(SyntheticConfig(seed=3, observation_count=60, feature_count=100))
     predictor = IidPredictor(ridge=0.01, schedule=FeatureSchedule.for_feature_count(100))
     run_online(predictor, stream, (0.05, 0.01), smoothed=True)
@@ -321,7 +321,15 @@ def test_smoothed_iid_absorbs_one_row_per_step(monkeypatch):
 def test_iid_forms_no_step_triangle(monkeypatch):
     # the step reads the history's kept factor: an on-line run with a
     # positive ridge and a ridge-0 batch prediction absorb the new row into
-    # no triangle, and give the intervals and p-values they gave before
+    # no triangle (only the history absorbs, each row once), and give the
+    # intervals and p-values they gave before
+    absorbed = []
+    absorb = olreg.base.absorb_rows
+
+    def counted(triangle, rows):
+        absorbed.append(len(rows))
+        return absorb(triangle, rows)
+
     def refuse(*args, **kwargs):
         raise AssertionError("the IID step formed a step triangle")
 
@@ -339,8 +347,15 @@ def test_iid_forms_no_step_triangle(monkeypatch):
         return ledgers, batch
 
     (deterministic, smoothed), batch = outputs()
-    monkeypatch.setattr(olreg.numerics, "absorb_rows", refuse)
+    monkeypatch.setattr(olreg.base, "absorb_rows", counted)
+    monkeypatch.setattr(olreg.predictors, "absorb_rows", refuse)
     (deterministic_again, smoothed_again), batch_again = outputs()
+    # one row per step of each on-line run, except that the switch to all
+    # features refactors the history's rows at once; then the 60 training
+    # rows at once
+    switch = predictor.schedule.switch_step
+    run = [1] * (switch - 2) + [switch - 1] + [1] * (len(stream) - switch)
+    assert absorbed == run * 2 + [60]
     assert batch.code == batch_again.code == 0
     np.testing.assert_array_equal(batch_again.lower, batch.lower)
     np.testing.assert_array_equal(batch_again.upper, batch.upper)
@@ -376,8 +391,9 @@ def one_off_pvalue(predictor, history, observation, tie_break):
         return tie_break, False
     if isinstance(predictor, MvaPredictor) and n < 3:
         return 1.0, False
-    projector = _step_projector(history, x, predictor.ridge, predictor.schedule, y)
-    residuals = projector.residuals(np.append(history.responses, y))
+    cols = predictor.schedule.active_features(n) + 1 if predictor.schedule else len(x) + 1
+    design = np.vstack([history.design_matrix[:, :cols], np.append(1.0, x[: cols - 1])])
+    residuals = oracles.residuals_direct(design, predictor.ridge, np.append(history.responses, y))
     if isinstance(predictor, IidPredictor):
         scores = np.abs(residuals)
         gaps = np.abs(scores[:-1] - scores[-1])
@@ -451,10 +467,10 @@ def test_mva_pvalue_is_exact_in_the_far_tail():
     step = predictor.step(history, x)
     n = step.count
     # the reference statistic: residual vectors of the step's ridge projector
-    projector = _step_projector(history, x, 0.01, None, float(history.responses.mean()))
+    projector = _step_projector(history, x, 0.01, None)
 
     def statistic(y):
-        score = oracles.centered_residual_score(projector.residuals(np.append(history.responses, y)))
+        score = oracles.centered_residual_score(projector.residuals(y))
         return math.sqrt((n - 1) * (n - 2) / n) * score
 
     center = optimize.brentq(statistic, -100.0, 100.0)

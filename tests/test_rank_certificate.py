@@ -1,9 +1,12 @@
-"""The rank certificate a history carries across appended rows.
+"""The rank rule on the history's design block, and the certificate it reads.
 
 ``History`` keeps ||R_D^-1||_F of a kept factor's design block from the last
 triangular inverse it formed, and settles later rank rules from it.  These
 tests check that no rank decision moves because of that, and that an on-line
 run or a batch prediction no longer forms one inverse per step or per row.
+The IID, Gauss and MVA steps all decide rank by that one rule on the
+history's design block, so a history that only the new row would make full
+rank raises for each of them.
 """
 
 import numpy as np
@@ -21,10 +24,10 @@ from olreg import (
     SyntheticConfig,
     gen_synthetic,
 )
-from olreg.base import _passes_rank_rule, absorb_rows
-from olreg.cli import batch_predict
+from olreg.base import _passes_rank_rule
+from olreg.cli import batch_predict, main
 from olreg.predictors import _step_projector
-from olreg.protocol import GaussPredictor, run_online
+from olreg.protocol import GaussPredictor, IidPredictor, MvaPredictor, run_online
 
 
 def stream_rows(rng, k, count, delta, repeated):
@@ -39,18 +42,19 @@ def stream_rows(rng, k, count, delta, repeated):
     return features, responses
 
 
-def parent_step_rule(history, x, ridge, schedule):
-    """The rank rule on the step triangle, formed from a freshly built
-    history and decided by its own inverse and singular values."""
+def fresh_block_rule(history, ridge, schedule):
+    """The rank rule on the design block of a freshly built history, over
+    its own n - 1 rows, decided by the block's own inverse and singular
+    values; fewer rows than columns fail at ridge 0."""
     fresh = History.from_observations(
         Observation(row, y) for row, y in zip(history.features, history.responses)
     )
     n = len(history) + 1
     active = schedule.active_features(n) if schedule is not None else history.feature_count
     cols = active + 1
-    row = np.concatenate([[1.0], x[:active], [0.0]])[None]
-    triangle = absorb_rows(fresh.triangular_factor(ridge, cols), row)
-    return _passes_rank_rule(triangle[:cols, :cols], n, ridge)
+    if ridge == 0.0 and n - 1 < cols:
+        return False
+    return _passes_rank_rule(fresh.triangular_factor(ridge, cols)[:cols, :cols], n - 1, ridge)
 
 
 @settings(deadline=None, max_examples=80)
@@ -76,9 +80,9 @@ def test_carried_certificate_keeps_every_rank_decision(k, delta, deficient, ridg
         )
         assert history.design_has_full_rank() == fresh.design_has_full_rank(), i
         x = features[i + 1]
-        expected = parent_step_rule(history, x, ridge, schedule)
+        expected = fresh_block_rule(history, ridge, schedule)
         try:
-            _step_projector(history, x, ridge, schedule, float(history.responses.mean()))
+            _step_projector(history, x, ridge, schedule)
         except RankDeficiencyError:
             assert not expected, i
         else:
@@ -145,3 +149,72 @@ def test_rank_deficient_design_is_inverted_once_per_check(monkeypatch):
         calls.clear()
         assert not history.design_has_full_rank()
         assert len(calls) == (1 if i >= 4 else 0), i
+
+
+def collinear_split():
+    """20 training rows with x2 = x1 and 15 test rows with x2 != x1: each
+    test row alone would make the step's rows full rank at ridge 0."""
+    rng = np.random.default_rng(0)
+    first = rng.normal(size=20)
+    responses = first + rng.normal(size=20)
+    return np.column_stack([first, first]), responses, rng.normal(size=(15, 2))
+
+
+@pytest.mark.parametrize("model", ["iid", "mva", "gauss"])
+def test_history_that_only_the_new_row_makes_full_rank_raises(model):
+    train, responses, test = collinear_split()
+    with pytest.raises(RankDeficiencyError):
+        batch_predict(train, responses, test, (0.1, 0.05), model=model)
+    # a positive ridge keeps every row's step
+    if model != "gauss":
+        result = batch_predict(train, responses, test, (0.1, 0.05), model=model, ridge=0.01)
+        assert result.code == 0 and np.isfinite(result.upper).all()
+
+
+def test_iid_predict_on_such_a_history_exits_11(tmp_path, capsys):
+    train, responses, test = collinear_split()
+    train_path, test_path = tmp_path / "train.csv", tmp_path / "test.csv"
+    np.savetxt(train_path, np.column_stack([train, responses]), delimiter=",",
+               header="x1,x2,y", comments="")
+    np.savetxt(test_path, test, delimiter=",", header="x1,x2", comments="")
+    code = main(
+        ["predict", "--model", "iid", "--ridge", "0", "--train", str(train_path),
+         "--test", str(test_path), "--out", str(tmp_path / "bounds")]
+    )
+    assert code == 11
+    assert "rank deficient" in capsys.readouterr().err
+    assert not (tmp_path / "bounds_lower.csv").exists()
+
+
+@settings(deadline=None, max_examples=80)
+@given(
+    st.integers(min_value=2, max_value=5),
+    st.integers(min_value=3, max_value=14),
+    st.sampled_from(["collinear", "repeated", "well-posed"]),
+    st.sampled_from([0.0, 0.01]),
+    st.booleans(),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_iid_step_raises_exactly_when_the_mva_step_does(k, n, kind, ridge, scheduled, seed):
+    # the new row never joins the history's rank: in a collinear history
+    # x2 = x1 in every row but the new one, and in a repeated one every
+    # history row is the first
+    rng = np.random.default_rng(seed)
+    features = rng.normal(size=(n, k))
+    if kind == "collinear":
+        features[:-1, 1] = features[:-1, 0]
+    elif kind == "repeated":
+        features[:-1] = features[0]
+    responses = features.sum(axis=1) + rng.normal(size=n)
+    schedule = FeatureSchedule(1, int(rng.integers(2, n + 2)), k) if scheduled else None
+    raised = []
+    for predictor in (IidPredictor(ridge, schedule), MvaPredictor(ridge, schedule)):
+        # each its own history, so that no cached decision is shared
+        history = History.from_arrays(features[:-1], responses[:-1])
+        try:
+            predictor.step(history, features[-1])
+        except RankDeficiencyError:
+            raised.append(True)
+        else:
+            raised.append(False)
+    assert raised[0] == raised[1], raised
