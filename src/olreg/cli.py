@@ -127,11 +127,11 @@ def batch_predict(
 
     Every test row is a prediction step after the same history, the whole
     training set, so n = N_train + 1 throughout, and no test row sees
-    another.  The IID model takes the test rows in blocks of
-    ``predictors.BLOCK_ROWS``, one step per block with one many-column
-    triangular solve, one GEMM and one sweep along the block's rows
-    (``IidPredictor.predict_rows``); the other models take one step per
-    row.  Level columns follow the ladder (decreasing) order.  Code 2 is
+    another.  Each model's ``predict_rows`` gives the bounds: IID, Gauss
+    and MVA take the test rows in blocks of ``predictors.BLOCK_ROWS``, one
+    step per block with the history's coefficients solved once and one
+    many-column triangular solve, and IID-Gauss takes one step per row.
+    Level columns follow the ladder (decreasing) order.  Code 2 is
     returned where the predictor's own onset rule (``can_bound``) says that
     no level can be bounded at that n: for IID with ridge 0, also while
     n <= active + 1, where the fit interpolates and every interval would be
@@ -147,24 +147,13 @@ def batch_predict(
     if train_features.shape[1] != test_features.shape[1] or train_features.shape[0] == 0:
         return BatchResult(np.empty((0, 0)), np.empty((0, 0)), 1)
 
-    test_count = test_features.shape[0]
-    level_count = len(levels)
     n, feature_count = train_features.shape[0] + 1, train_features.shape[1]
     predictor = _make_predictor(model, ridge, schedule, mc or MonteCarloConfig())
     if not predictor.can_bound(n, feature_count, levels):
-        full = np.full((test_count, level_count), inf)
+        full = np.full((test_features.shape[0], len(levels)), inf)
         return BatchResult(-full, full, 2)
-
     history = History.from_arrays(train_features, train_responses)
-    if model == "iid":
-        return BatchResult(*predictor.predict_rows(history, test_features, levels), 0)
-    lower = np.empty((test_count, level_count))
-    upper = np.empty((test_count, level_count))
-    for i in range(test_count):
-        intervals = predictor.predict(predictor.step(history, test_features[i]), levels)
-        lower[i] = [interval.lower for interval in intervals]
-        upper[i] = [interval.upper for interval in intervals]
-    return BatchResult(lower, upper, 0)
+    return BatchResult(*predictor.predict_rows(history, test_features, levels), 0)
 
 
 def _split_train_matrix(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -32,7 +32,13 @@ from that factor's last diagonal entry.  MVA reads its ridge fit of the
 step from the kept ridge factor by the same solves, and the sum and the
 centered energy of the earlier residuals from the kept ridge-0 factor,
 which the history keeps beside the ridge one when the ridge is positive.
-Both steps are O(k^2) with no pass over the rows and no residual vector.
+Both steps are O(k^2) per new row with no pass over the rows and no
+residual vector, and take a block of new rows after one history as the
+IID step does: the history's coefficients solved once, the block's rows
+the many-column right side of the triangular solves, and, for a positive
+ridge, one product of MVA's solved directions with the ridge-0 factor.
+Every quantile of a ladder comes from one ``stdtrit`` call
+(``two_sided_quantiles``).
 """
 
 from __future__ import annotations
@@ -201,9 +207,9 @@ class StudentT:
         return -float(stdtrit(self.degrees_of_freedom, tail))
 
 
-def two_sided_quantiles(degrees_of_freedom: int, levels) -> list[float]:
+def two_sided_quantiles(degrees_of_freedom: int, levels) -> np.ndarray:
     """For each level epsilon the point t with P(|T| > t) = epsilon, T
     Student t with ``degrees_of_freedom``: one elementwise ``stdtrit`` call
     for the whole ladder, each entry equal to
     ``StudentT(degrees_of_freedom).upper_quantile(epsilon / 2)``."""
-    return (-stdtrit(degrees_of_freedom, np.multiply(levels, 0.5))).tolist()
+    return -stdtrit(degrees_of_freedom, np.multiply(levels, 0.5))

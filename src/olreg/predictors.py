@@ -16,10 +16,7 @@ step n a bounded interval (the empty set included) is possible at all.
 * ``IidPredictor`` assumes exchangeability only.  A candidate survives when
   the rank of its ridge residual magnitude among all n residual magnitudes is
   not extreme; the exact survivor set is found by a sweep over the at most
-  2n - 2 points where two residual magnitudes cross.  Batch prediction
-  (``IidPredictor.predict_rows``) takes the test rows ``BLOCK_ROWS`` at a
-  time: one step and one sweep per block, row-vectorized, of which the
-  on-line step and its sweep are the one-row case.
+  2n - 2 points where two residual magnitudes cross.
 * ``GaussPredictor`` assumes the full linear-Gaussian model and inverts the
   classical studentized prediction pivot.
 * ``MvaPredictor`` assumes Gaussian noise but nothing about the explanatory
@@ -32,6 +29,16 @@ step n a bounded interval (the empty set included) is possible at all.
   points per draw where the draw's score crosses the candidate's.
 * ``FullLinePredictor`` is the degenerate reference that never commits.
 
+Batch prediction (``predict_rows``) gives the intervals of many test rows
+after one history.  IID, Gauss and MVA take the rows ``BLOCK_ROWS`` at a
+time through one loop (``_BlockPredictor.predict_rows``): their ``step``
+takes a block of rows as well as one row, with the history's own numbers
+solved once and the block's rows the many-column right side of the step's
+triangular solves, and ``_bounds`` reads the ends of every row and level
+at once.  The on-line step is the one-row block of the same code, with
+scalar numbers.  IID-Gauss takes one step per row, since each row's draws
+need the design in its own canonical order and its own QR factors.
+
 The IID, Gauss and MVA steps read the factors of [design | responses] that
 ``History`` keeps by triangular solves, and absorb the new row into no copy
 of them.  Each decides rank in one place, the history's design block
@@ -40,9 +47,10 @@ the certificate the history carries, so the new row never decides it.  The
 IID step (``RidgeProjector``) takes three solves and one O(nK) product for
 the residuals' offset and slope, after which a p-value is an O(n) read; a
 block of m rows takes the same three solves with m right sides and one
-GEMM.  The Gauss and MVA steps form no residual vector: each is O(K^2),
-with five numbers for an MVA step (``MvaStep``) solved in the distance
-from the history's own prediction.
+GEMM.  The Gauss and MVA steps form no residual vector: each is O(K^2) per
+row, with five numbers for an MVA step (``MvaStep``) solved in the
+distance from the history's own prediction, and one copy of the MVA
+region's branch rules (``QuadraticRegion.ends``) for every row and level.
 
 ``iid_predict``, ``gauss_predict`` and ``mva_predict`` are one-step
 shortcuts that take the history directly.  ``wilks_predict`` is the
@@ -87,11 +95,12 @@ from .numerics import (
 from .sampler import complement_directions, random_orderings
 
 
-# Test rows per step of a batch IID prediction (``IidPredictor.predict_rows``).
-# For 200 test rows at n = 601 and K = 100 on one BLAS thread, blocks of 8 to
-# 12 rows took 22-24 ms (median), 16 to 24 rows 28-31 ms, and one step per
-# row 45-70 ms.  A block's arrays take a few (rows x 2n) doubles, so memory
-# does not grow with the number of test rows.
+# Test rows per step of a batch IID, Gauss or MVA prediction
+# (``_BlockPredictor.predict_rows``).  For 200 IID test rows at n = 601 and
+# K = 100 on one BLAS thread, blocks of 8 to 12 rows took 22-24 ms (median),
+# 16 to 24 rows 28-31 ms, and one step per row 45-70 ms.  A block's arrays
+# take a few (rows x 2n) doubles for IID and a few (rows x K) for Gauss and
+# MVA, so memory does not grow with the number of test rows.
 BLOCK_ROWS = 12
 
 
@@ -99,13 +108,51 @@ def _full_lines(count: int) -> list[PredictionInterval]:
     return [PredictionInterval.full_line() for _ in range(count)]
 
 
-def _new_row(x_new, feature_count: int) -> np.ndarray:
-    x = np.asarray(x_new, dtype=float).ravel()
-    if x.size != feature_count:
-        raise ValueError(f"expected {feature_count} features, got {x.size}")
+def _new_row(x_new, feature_count: int, block: bool = False) -> np.ndarray:
+    """One explanatory row, checked: 1-d, unless ``block`` keeps a 2-d
+    input of several rows as a block (m x K) after the same history.  A
+    block of one row is that row, so that its step is the one-row step."""
+    x = np.asarray(x_new, dtype=float)
+    if not (block and x.ndim == 2 and len(x) > 1):
+        x = x.ravel()
+    if x.shape[-1] != feature_count:
+        raise ValueError(f"expected {feature_count} features, got {x.shape[-1]}")
     if x.size and not np.all(np.isfinite(x)):
         raise ValueError("explanatory components must be finite")
     return x
+
+
+def _design_rows(x: np.ndarray, cols: int) -> np.ndarray:
+    """[1 | the first cols - 1 features] of one row, or of each row of a block."""
+    rows = np.empty(x.shape[:-1] + (cols,))
+    rows[..., 0] = 1.0
+    rows[..., 1:] = x[..., : cols - 1]
+    return rows
+
+
+def _column_dots(a: np.ndarray, b: np.ndarray):
+    """a . b: a float for vectors, by the BLAS dot the one-row steps have
+    always taken, and one dot per column pair for blocks."""
+    if a.ndim == 1:
+        return float(a @ b)
+    return np.einsum("ij,ij->j", a, b)
+
+
+def _choose(condition, chosen, otherwise):
+    """``chosen`` where ``condition`` holds and ``otherwise`` elsewhere: a
+    plain choice for a scalar condition, so that one-row steps pay no array
+    overhead, and ``np.where`` for a block's conditions."""
+    if isinstance(condition, (bool, np.bool_)):
+        return chosen if condition else otherwise
+    return np.where(condition, chosen, otherwise)
+
+
+def _feature_matrix(features, feature_count: int) -> np.ndarray:
+    """The test rows of a batch prediction as a matrix of K columns."""
+    features = np.asarray(features, dtype=float)
+    if features.ndim != 2 or features.shape[1] != feature_count:
+        raise ValueError(f"features must be a matrix of {feature_count} columns")
+    return features
 
 
 def _active_features(schedule: FeatureSchedule | None, n: int, k: int) -> int:
@@ -134,8 +181,8 @@ def _step_projector(
 ) -> RidgeProjector:
     """Ridge projector of the history rows plus the new one, truncated to the
     scheduled column count, around the history's own prediction at the new
-    row.  ``x_new`` is one explanatory row, or a block of them (m x K,
-    checked by the caller), each a new row after the same history.
+    row.  ``x_new`` is one explanatory row, or a block of them (m x K),
+    each a new row after the same history.
 
     The history's design block decides the rank first
     (``_require_full_rank``), from the certificate the history carries for
@@ -146,30 +193,54 @@ def _step_projector(
     the responses and no step triangle.
     """
     k = history.feature_count
-    x = np.asarray(x_new, dtype=float)
-    if x.ndim != 2:
-        x = _new_row(x, k)
+    x = _new_row(x_new, k, block=True)
     cols = _active_features(schedule, len(history) + 1, k) + 1
     _require_full_rank(history, ridge, cols)
-    rows = np.empty(x.shape[:-1] + (cols,))
-    rows[..., 0] = 1.0
-    rows[..., 1:] = x[..., : cols - 1]
     return RidgeProjector(
         history.design_matrix[:, :cols],
-        rows,
+        _design_rows(x, cols),
         history.triangular_factor(ridge, cols),
         history.responses,
     )
 
 
-def _shifted(interval: PredictionInterval, by: float) -> PredictionInterval:
-    """The interval moved by ``by``; the empty set and infinite ends stay."""
-    return PredictionInterval(interval.lower + by, interval.upper + by)
-
-
 def _intervals(lower: np.ndarray, upper: np.ndarray) -> list[PredictionInterval]:
     """One interval per level from arrays of lower and upper ends."""
     return [PredictionInterval(lo, hi) for lo, hi in zip(lower.tolist(), upper.tolist())]
+
+
+def _full_bounds(levels: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """The ends of the whole line at each level."""
+    full = np.full(len(levels), inf)
+    return -full, full
+
+
+class _BlockPredictor:
+    """Batch prediction for the models whose ``step`` takes a block of rows
+    after one history, and whose ``_bounds(step, levels)`` reads the lower
+    and upper ends from a step: one column per level, and one row per new
+    row of a block step."""
+
+    def predict_rows(self, history: History, features, levels) -> tuple[np.ndarray, np.ndarray]:
+        """The intervals of each row of ``features`` as the next step after
+        ``history``, the batch setting: lower and upper ends, one row per
+        feature row and one column per level.
+
+        The rows are taken ``BLOCK_ROWS`` at a time, and a block is one
+        step: the history's own numbers solved once, the block's rows the
+        many-column right side of the step's triangular solves, and the
+        ends of every row and level read at once, each row's numbers those
+        of its own one-row step up to rounding.  The block size bounds the
+        memory whatever the number of rows.
+        """
+        levels = validate_levels(levels)
+        features = _feature_matrix(features, history.feature_count)
+        lower = np.empty((len(features), len(levels)))
+        upper = np.empty_like(lower)
+        for start in range(0, len(features), BLOCK_ROWS):
+            block = slice(start, start + BLOCK_ROWS)
+            lower[block], upper[block] = self._bounds(self.step(history, features[block]), levels)
+        return lower, upper
 
 
 # ---------------------------------------------------------------------------
@@ -420,7 +491,7 @@ def iid_pvalue(scores, tie_break: float) -> float:
 
 
 @dataclass(frozen=True)
-class IidPredictor:
+class IidPredictor(_BlockPredictor):
     """Distribution-free prediction intervals from ridge residual ranks.
 
     Valid for any exchangeable data source.  A candidate response y survives
@@ -450,19 +521,15 @@ class IidPredictor:
     schedule: FeatureSchedule | None = None
 
     def step(self, history: History, x_new) -> RidgeStep | None:
-        """The ridge fit of the step; None on an empty history, and at ridge
-        0 while n <= active + 1 (``active`` the features the schedule lets
-        the fit see at n), where the fit interpolates.  Raises
-        ``RankDeficiencyError`` where the history's design block fails the
-        rank rule."""
-        return self._step(history, np.ravel(x_new))
-
-    def _step(self, history: History, rows: np.ndarray) -> RidgeStep | None:
-        """The step of one row, or of a checked block of them (m x K)."""
+        """The ridge fit of the step, for one row or a block of them (m x
+        K); None on an empty history, and at ridge 0 while n <= active + 1
+        (``active`` the features the schedule lets the fit see at n), where
+        the fit interpolates.  Raises ``RankDeficiencyError`` where the
+        history's design block fails the rank rule."""
         n = len(history) + 1
         if n == 1 or self._interpolates(n, history.feature_count):
             return None
-        projector = _step_projector(history, rows, self.ridge, self.schedule)
+        projector = _step_projector(history, x_new, self.ridge, self.schedule)
         return RidgeStep(projector, residual_decomposition(projector))
 
     def predict(self, step, levels) -> list[PredictionInterval]:
@@ -473,8 +540,7 @@ class IidPredictor:
         row per new row of a block step.  A step of None gives full lines:
         every residual ties with the candidate's, whatever the candidate."""
         if step is None:
-            full = np.full(len(levels), inf)
-            return -full, full
+            return _full_bounds(levels)
         decomposition = step.decomposition
         state = build_sweep(decomposition.offset, decomposition.slope)
         lower, upper = sweep_hull(state, step.count, levels)
@@ -482,31 +548,6 @@ class IidPredictor:
         if isinstance(reference, np.ndarray):
             reference = reference[:, None]
         return lower + reference, upper + reference
-
-    def predict_rows(self, history: History, features, levels) -> tuple[np.ndarray, np.ndarray]:
-        """The intervals of each row of ``features`` as the next step after
-        ``history``, the batch setting: lower and upper ends, one row per
-        feature row and one column per level.
-
-        The rows are taken ``BLOCK_ROWS`` at a time.  A block is one step:
-        three triangular solves with the block as their right side, one
-        GEMM for every row's residual map, and one sweep along the rows,
-        each row's numbers those of its own one-row step up to rounding.
-        The block size bounds the memory, a few (BLOCK_ROWS x 2n) arrays,
-        whatever the number of rows.
-        """
-        levels = validate_levels(levels)
-        features = np.asarray(features, dtype=float)
-        if features.ndim != 2 or features.shape[1] != history.feature_count:
-            raise ValueError(f"features must be a matrix of {history.feature_count} columns")
-        if not np.all(np.isfinite(features)):
-            raise ValueError("explanatory components must be finite")
-        lower = np.empty((len(features), len(levels)))
-        upper = np.empty_like(lower)
-        for start in range(0, len(features), BLOCK_ROWS):
-            block = slice(start, start + BLOCK_ROWS)
-            lower[block], upper[block] = self._bounds(self._step(history, features[block]), levels)
-        return lower, upper
 
     def pvalue(self, step, response: float, tie_break: float = 1.0) -> float:
         if step is None:
@@ -550,56 +591,65 @@ def iid_predict(
 
 @dataclass(frozen=True)
 class GaussFit:
-    """Least-squares fit of the history plus the geometry of one new point.
+    """Least-squares fit of the history plus the geometry of new points.
 
-    ``sigma_hat`` is read from the history's triangular factor, and is
-    exactly zero when the residual energy lies at or below the least-squares
-    cut-off (see ``from_factor``).
+    ``coefficients``, ``sigma_hat`` and ``degrees_of_freedom`` belong to the
+    history; ``leverage`` and ``point_prediction`` to the new explanatory
+    vector, floats for one row and one entry per row for a block of them
+    after the same history.  ``sigma_hat`` is read from the history's
+    triangular factor, and is exactly zero when the residual energy lies at
+    or below the least-squares cut-off (see ``from_factor``).
     """
 
     coefficients: np.ndarray
     sigma_hat: float
-    leverage: float
-    point_prediction: float
+    leverage: float | np.ndarray
+    point_prediction: float | np.ndarray
     degrees_of_freedom: int
 
     @classmethod
     def from_factor(cls, factor: np.ndarray, count: int, x: np.ndarray) -> "GaussFit":
         """The fit that the triangle R of [1 | x | y] over ``count`` rows
-        carries, at the new explanatory vector ``x``.
+        carries, at the new explanatory vector ``x``, or at each row of a
+        block of them (m x K).
 
         The coefficients solve R_D b = r_y on R's leading block and its
-        response column, the leverage is ||R_D^-T z||^2 (no Gram matrix is
-        formed, so its conditioning is not squared), and ``sigma_hat`` is
-        |R[-1, -1]|, the root of the residual energy, over sqrt(dof): exactly
-        zero at or below the least-squares cut-off relative to the responses'
-        own root energy ||R[:, -1]||.  Two O(K^2) triangular solves and no
-        pass over the rows.
+        response column, once for every row; the leverage of a row z is
+        ||R_D^-T z||^2 (no Gram matrix is formed, so its conditioning is
+        not squared), from one triangular solve with the block's rows as
+        its right sides; and ``sigma_hat`` is |R[-1, -1]|, the root of the
+        residual energy, over sqrt(dof): exactly zero at or below the
+        least-squares cut-off relative to the responses' own root energy
+        ||R[:, -1]||.  Two triangular solves, O(K^2) per row, and no pass
+        over the history's rows.
         """
-        new_row = np.concatenate([[1.0], x])
-        cols = new_row.size
+        cols = x.shape[-1] + 1
+        rows = _design_rows(x, cols)
         leading = factor[:, :cols]
         # LAPACK reads R_D as the top block of R's leading columns, which are
         # contiguous in a Fortran-ordered R, so no copy of it is made
         coefficients, _ = lapack.dtrtrs(leading, factor[:cols, cols])
-        whitened, _ = lapack.dtrtrs(leading, new_row, trans=1)
+        whitened, _ = lapack.dtrtrs(leading, rows.T, trans=1)
         residual_norm = abs(float(factor[-1, -1]))
+        responses = factor[:, -1]
         tolerance = _rank_tolerance(count, factor.shape[0])
-        if residual_norm <= tolerance * np.linalg.norm(factor[:, -1]):
+        if residual_norm <= tolerance * sqrt(float(responses @ responses)):
             residual_norm = 0.0
         dof = count - cols
+        point = rows @ coefficients
         return cls(
             coefficients=coefficients,
             sigma_hat=residual_norm / sqrt(dof),
-            leverage=float(whitened @ whitened),
-            point_prediction=float(coefficients @ new_row),
+            leverage=_column_dots(whitened, whitened),
+            point_prediction=float(point) if x.ndim == 1 else point,
             degrees_of_freedom=dof,
         )
 
     @property
-    def spread(self) -> float:
+    def spread(self) -> float | np.ndarray:
         """sigma_hat * sqrt(1 + leverage), the scale of the prediction error."""
-        return self.sigma_hat * sqrt(1.0 + self.leverage)
+        root = np.sqrt if isinstance(self.leverage, np.ndarray) else sqrt
+        return self.sigma_hat * root(1.0 + self.leverage)
 
     def pivot(self, response: float) -> float:
         """(y - point_prediction) / spread, Student t with ``degrees_of_freedom``
@@ -608,7 +658,8 @@ class GaussFit:
 
 
 def gauss_fit(history: History, x_new) -> GaussFit:
-    """Fit the history by least squares and studentize the new design point.
+    """Fit the history by least squares and studentize the new design point,
+    or each row of a block of them (m x K) after the same history.
 
     ``sigma_hat`` is the usual unbiased residual scale estimate and
     ``leverage`` the quadratic form z'(Z'Z)^{-1}z of the new design row; the
@@ -620,9 +671,10 @@ def gauss_fit(history: History, x_new) -> GaussFit:
     or below the least-squares cut-off relative to the responses' own (a
     perfectly interpolated history) gives sigma_hat exactly zero, by the rule
     ``gauss_score`` applies to the same triangle.  With the factor up to date
-    a call costs two O(K^2) triangular solves and no pass over the rows.
+    a call costs two O(K^2) triangular solves per row, with the history's
+    coefficients solved once for a block, and no pass over the rows.
     """
-    x = _new_row(x_new, history.feature_count)
+    x = _new_row(x_new, history.feature_count, block=True)
     rows, cols = len(history), history.feature_count + 1
     if rows <= cols:
         raise RankDeficiencyError(
@@ -632,8 +684,16 @@ def gauss_fit(history: History, x_new) -> GaussFit:
     return GaussFit.from_factor(history.triangular_factor(), rows, x)
 
 
+def _pivot_ends(point, spread, quantile):
+    """The ends point -/+ quantile * spread of the inverted Student t pivot:
+    floats, or arrays for arrays of quantiles or of rows.  A zero sigma_hat
+    has a zero spread, so the interval is the point itself."""
+    half = quantile * spread
+    return point - half, point + half
+
+
 @dataclass(frozen=True)
-class GaussPredictor:
+class GaussPredictor(_BlockPredictor):
     """Classical studentized prediction intervals, full line before step K+3.
 
     Exact under the linear-Gaussian model.  Below step K + 3 the residual
@@ -644,23 +704,33 @@ class GaussPredictor:
     """
 
     def step(self, history: History, x_new) -> GaussFit | None:
-        """The least-squares fit of the step, or None before step K + 3."""
+        """The least-squares fit of the step, for one row or a block of them
+        (m x K), or None before step K + 3."""
         if not self.can_bound(len(history) + 1, history.feature_count, ()):
             return None
         return gauss_fit(history, x_new)
 
     def predict(self, step, levels) -> list[PredictionInterval]:
+        """The inverted pivot at each level (``_pivot_ends``), one level at a
+        time on the step's scalar numbers; full lines for a step of None."""
         levels = validate_levels(levels)
         if step is None:
             return _full_lines(len(levels))
-        point = step.point_prediction
-        if step.sigma_hat == 0.0:
-            return [PredictionInterval(point, point) for _ in levels]
-        spread = step.spread
+        point, spread = step.point_prediction, step.spread
         return [
-            PredictionInterval(point - quantile * spread, point + quantile * spread)
-            for quantile in two_sided_quantiles(step.degrees_of_freedom, levels)
+            PredictionInterval(*_pivot_ends(point, spread, quantile))
+            for quantile in two_sided_quantiles(step.degrees_of_freedom, levels).tolist()
         ]
+
+    def _bounds(self, step, levels: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray]:
+        """``predict``'s ends, every level at once: one column per level, and
+        one row per new row of a block step."""
+        if step is None:
+            return _full_bounds(levels)
+        spread, point = step.spread, step.point_prediction
+        if isinstance(point, np.ndarray):
+            spread, point = spread[:, None], point[:, None]
+        return _pivot_ends(point, spread, two_sided_quantiles(step.degrees_of_freedom, levels))
 
     def pvalue(self, step, response: float, tie_break: float = 1.0) -> float:
         if step is None:
@@ -747,7 +817,15 @@ class QuadraticRegion:
         return (self.lead * value + 2.0 * self.cross) * value + self.constant < 0.0
 
     def hull(self) -> PredictionInterval:
-        """Convex hull of the region.
+        """Convex hull of the region (see ``ends``)."""
+        return PredictionInterval(*self.ends(self.lead, self.cross, self.constant))
+
+    @staticmethod
+    def ends(lead: float, cross: float, constant: float) -> tuple[float, float]:
+        """Lower and upper ends of the convex hull of the region with these
+        coefficients, with the empty set as (inf, -inf): the one copy of the
+        branch rules, which ``hull`` and every row and level of ``mva_hull``
+        take.
 
         A negative leading coefficient means the region reaches both
         infinities (its complement is at most an interval), so the hull is
@@ -755,23 +833,19 @@ class QuadraticRegion:
         line, or nothing; a positive one leaves an open interval between the
         roots or nothing.
         """
-        if self.lead < 0.0:
-            return PredictionInterval.full_line()
-        if self.lead == 0.0:
-            if self.cross > 0.0:
-                return PredictionInterval(-inf, -self.constant / (2.0 * self.cross))
-            if self.cross < 0.0:
-                return PredictionInterval(-self.constant / (2.0 * self.cross), inf)
-            if self.constant < 0.0:
-                return PredictionInterval.full_line()
-            return PredictionInterval.empty()
-        disc = self.discriminant
+        if lead < 0.0:
+            return -inf, inf
+        if lead == 0.0:
+            if cross > 0.0:
+                return -inf, -constant / (2.0 * cross)
+            if cross < 0.0:
+                return -constant / (2.0 * cross), inf
+            return (-inf, inf) if constant < 0.0 else (inf, -inf)
+        disc = cross * cross - lead * constant
         if disc <= 0.0:
-            return PredictionInterval.empty()
+            return inf, -inf
         root = sqrt(disc)
-        return PredictionInterval(
-            (-self.cross - root) / self.lead, (-self.cross + root) / self.lead
-        )
+        return (-cross - root) / lead, (-cross + root) / lead
 
 
 @dataclass(frozen=True)
@@ -786,23 +860,28 @@ class MvaStep:
     ``last_offset`` is 0 unless ``last_slope`` is: at ridge 0 it is the
     history's own prediction at the new row, and with ridge > 0 that
     prediction moved by the ridge's pull on the intercept.
+
+    A step of one new row holds floats.  A step of a block of new rows
+    after the same history holds one entry per row wherever the rows'
+    numbers differ, and a float where every row shares it (``head_aa`` and
+    ``head_ab`` at ridge 0, and every number of an interpolating fit).
     """
 
     count: int
-    center: float
-    last_offset: float
-    last_slope: float
-    head_aa: float
-    head_ab: float
-    head_bb: float
+    center: float | np.ndarray
+    last_offset: float | np.ndarray
+    last_slope: float | np.ndarray
+    head_aa: float | np.ndarray
+    head_ab: float | np.ndarray
+    head_bb: float | np.ndarray
 
     @property
-    def interpolates(self) -> bool:
+    def interpolates(self) -> bool | np.ndarray:
         """Every centered earlier residual is zero whatever the candidate, so
         the statistic is 0/0 everywhere: ridge 0 on as many rows as columns,
         where the fit interpolates, or a history that the fit reproduces up
-        to a constant."""
-        return self.head_aa == 0.0 and self.head_bb == 0.0
+        to a constant.  One flag per row of a block step."""
+        return (self.head_aa == 0.0) & (self.head_bb == 0.0)
 
     def head_energy(self, u: float) -> float:
         return self.head_aa + u * (2.0 * self.head_ab + u * self.head_bb)
@@ -812,10 +891,11 @@ def _mva_step(
     ridge_factor: np.ndarray,
     zero_factor: np.ndarray,
     count: int,
-    row: np.ndarray,
+    rows: np.ndarray,
     ridge: float,
 ) -> MvaStep:
-    """The step of a history of ``count`` rows at the new design row ``row``.
+    """The step of a history of ``count`` rows at the new design row
+    ``rows``, or at each row of a block of them (m x cols).
 
     ``ridge_factor`` is the history's triangle R_a of [design | responses]
     with ``ridge`` (``History.triangular_factor(ridge, cols)``), and
@@ -831,11 +911,15 @@ def _mva_step(
     w(y) = [-g u / (1 + h); rho] exactly, rho = R_0[-1, -1] the history's
     residual norm, and the centered last residual u n / ((n - 1)(1 + h))
     vanishes at yhat.  With ridge > 0 it vanishes elsewhere, and the forms
-    are moved there from w(yhat) and dw/du (see ``MvaStep``).  Two
-    triangular solves, and for ridge > 0 a third and two products with R_0:
-    O(K^2), with no n-vector.  A rho at or below the least-squares cut-off
-    relative to the responses' own root energy (an exactly linear history)
-    is taken as 0, the rule ``GaussFit`` applies to its residual scale.
+    are moved there from w(yhat) and dw/du (see ``MvaStep``).
+
+    c_h, w(yhat) and rho belong to the history and are solved once; G =
+    R_aD^-T X' takes one triangular solve with the rows as its right
+    sides, and for ridge > 0 R_aD^-1 G a second and R_0 times it one
+    product with R_0's design block.  That is O(K^2) per row, with no
+    n-vector.  A rho at or below the least-squares cut-off relative to the
+    responses' own root energy (an exactly linear history) is taken as 0,
+    the rule ``GaussFit`` applies to its residual scale.
 
     The caller decides the rank of R_aD first, except where the fit
     interpolates.  Ridge 0 has two structural cases.  With no more rows
@@ -845,17 +929,17 @@ def _mva_step(
     rounding residue and is set to 0, and the statistic does not depend on
     u.
     """
-    cols = row.size
+    cols = rows.shape[-1]
     n = count + 1
     if ridge == 0.0 and n <= cols:
         return MvaStep(n, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
     # LAPACK reads R_aD as the top block of R_a's leading columns, which are
     # contiguous in a Fortran-ordered R_a, so no copy of it is made
     leading = ridge_factor[:, :cols]
-    whitened, _ = lapack.dtrtrs(leading, row, trans=1)
+    whitened, _ = lapack.dtrtrs(leading, rows.T, trans=1)
     coefficients, _ = lapack.dtrtrs(leading, ridge_factor[:cols, cols])
-    shrink = 1.0 / (1.0 + float(whitened @ whitened))
-    center = float(row @ coefficients)
+    shrink = 1.0 / (1.0 + _column_dots(whitened, whitened))
+    center = rows @ coefficients
     mean_weight = float(zero_factor[0, 0]) / count
     # R_0's last row is [0, rho], so rho is w's last entry whatever c(y)
     responses = zero_factor[:, cols]
@@ -867,61 +951,88 @@ def _mva_step(
     if ridge == 0.0:
         # w0 = [0; rho] and w1 = [-g; 0] / (1 + h): no product with R_0
         tail = whitened[1:]
-        return MvaStep(
-            n, center, 0.0, shrink * (1.0 + mean_weight * float(whitened[0])),
-            rho * rho, 0.0, shrink * shrink * float(tail @ tail),
-        )
-    direction, _ = lapack.dtrtrs(leading, whitened)
-    design_block = zero_factor[:, :cols]
-    w0 = responses - design_block @ coefficients
-    w0[cols] = rho
-    w1 = -shrink * (design_block @ direction)
-    offset = -mean_weight * float(w0[0])
-    slope = shrink - mean_weight * float(w1[0])
-    if slope != 0.0:
+        offset, slope = 0.0, shrink * (1.0 + mean_weight * whitened[0])
+        forms = rho * rho, 0.0, shrink * shrink * _column_dots(tail, tail)
+    else:
+        direction, _ = lapack.dtrtrs(leading, whitened)
+        design_block = zero_factor[:, :cols]
+        w0 = responses - design_block @ coefficients
+        w0[cols] = rho
+        w1 = -shrink * (design_block @ direction)
+        offset = -mean_weight * float(w0[0])
+        slope = shrink - mean_weight * w1[0]
         # the ridge's pull on the intercept can leave the centered last
         # residual far from zero at yhat when the responses sit far from
-        # zero, and the region's coefficients would then cancel
-        shift = -offset / slope
-        w0 += shift * w1
-        center, offset = center + shift, 0.0
-    head0, head1 = w0[1:], w1[1:]
-    return MvaStep(
-        n, center, offset, slope,
-        float(head0 @ head0), float(head0 @ head1), float(head1 @ head1),
-    )
+        # zero, and the region's coefficients would then cancel: each row
+        # with a slope is moved to where its centered last residual vanishes
+        moving = slope != 0.0
+        shift = -offset / _choose(moving, slope, inf)
+        w0 = (w0 if w1.ndim == 1 else w0[:, None]) + shift * w1
+        center = center + shift
+        offset = _choose(moving, 0.0, offset)
+        head0, head1 = w0[1:], w1[1:]
+        forms = (
+            _column_dots(head0, head0), _column_dots(head0, head1), _column_dots(head1, head1)
+        )
+    if rows.ndim == 1:
+        center, offset, slope = float(center), float(offset), float(slope)
+    return MvaStep(n, center, offset, slope, *forms)
 
 
-def mva_hull(step: MvaStep, t_value: float) -> PredictionInterval:
-    """Hull of the studentized-centered-residual region for one t threshold.
+def mva_hull(step: MvaStep, t_value):
+    """Hulls of the studentized-centered-residual region at t thresholds.
 
     A candidate survives when
 
         sqrt((n-1)(n-2)/n) |e(u)| < t * sqrt(E(u) / (n-2)),
 
     e(u) the step's centered last residual and E(u) the earlier residuals'
-    centered energy; squared, that is a quadratic inequality in u, solved
-    in O(1) and moved by the step's center.  When every centered earlier
-    residual is zero at every candidate the statistic is 0/0 and carries no
-    evidence against any candidate, so the full line is returned rather
-    than the empty set the raw algebra would give.
+    centered energy; squared, that is a quadratic inequality in u, whose
+    hull the branch rules of ``QuadraticRegion.ends`` read in O(1) and which is
+    moved by the step's center.  When every centered earlier residual is
+    zero at every candidate the statistic is 0/0 and carries no evidence
+    against any candidate, so the full line is returned rather than the
+    empty set the raw algebra would give.
+
+    ``t_value`` is one threshold or an array of them, and the step holds
+    one new row or a block of them.  The coefficients of every row and
+    threshold are formed at once, and each region takes the same branch
+    rules.  One threshold on a one-row step gives a ``PredictionInterval``
+    from the step's scalar numbers; otherwise the lower and upper ends come
+    as arrays, one row per row of a block step and one column per
+    threshold, with the empty set as (inf, -inf).
     """
-    if step.interpolates:
-        return PredictionInterval.full_line()
+    t = t_value if isinstance(t_value, np.ndarray) else float(t_value)
     n = step.count
     scale = float((n - 1) * (n - 2))
-    weight = float(t_value) * float(t_value) * n
-    offset, slope = step.last_offset, step.last_slope
-    region = QuadraticRegion(
-        lead=scale * slope * slope - weight * step.head_bb,
-        cross=scale * offset * slope - weight * step.head_ab,
-        constant=scale * offset * offset - weight * step.head_aa,
+    weight = t * t * n
+    numbers = (
+        step.center, step.last_offset, step.last_slope,
+        step.head_aa, step.head_ab, step.head_bb, step.interpolates,
     )
-    return _shifted(region.hull(), step.center)
+    if isinstance(step.center, np.ndarray) and np.ndim(t):
+        # a block's numbers as columns against an array of thresholds
+        numbers = [v[:, None] if isinstance(v, np.ndarray) else v for v in numbers]
+    center, offset, slope, aa, ab, bb, full = numbers
+    lead = scale * slope * slope - weight * bb
+    cross = scale * offset * slope - weight * ab
+    constant = scale * offset * offset - weight * aa
+    if not isinstance(lead, np.ndarray):
+        if full:
+            return PredictionInterval.full_line()
+        lower, upper = QuadraticRegion.ends(lead, cross, constant)
+        return PredictionInterval(lower + center, upper + center)
+    lead, cross, constant = np.broadcast_arrays(lead, cross, constant)
+    regions = zip(lead.ravel().tolist(), cross.ravel().tolist(), constant.ravel().tolist())
+    ends = np.array([QuadraticRegion.ends(*region) for region in regions])
+    ends = ends.reshape(lead.shape + (2,))
+    lower = np.where(full, -inf, ends[..., 0] + center)
+    upper = np.where(full, inf, ends[..., 1] + center)
+    return lower, upper
 
 
 @dataclass(frozen=True)
-class MvaPredictor:
+class MvaPredictor(_BlockPredictor):
     """Prediction intervals from the studentized last centered ridge residual.
 
     Valid whenever the noise is Gaussian, whatever the explanatory vectors
@@ -960,32 +1071,36 @@ class MvaPredictor:
     schedule: FeatureSchedule | None = None
 
     def step(self, history: History, x_new) -> MvaStep | None:
-        """The five numbers of the step; None before step 3."""
+        """The five numbers of the step, for one row or a block of them (m
+        x K); None before step 3."""
         count = len(history)
         if count + 1 < 3:
             return None
         k = history.feature_count
-        x = _new_row(x_new, k)
+        x = _new_row(x_new, k, block=True)
         cols = _active_features(self.schedule, count + 1, k) + 1
-        row = np.empty(cols)
-        row[0] = 1.0
-        row[1:] = x[: cols - 1]
         ridge = float(self.ridge)
         zero_factor = history.triangular_factor(0.0, cols)
         ridge_factor = zero_factor if ridge == 0.0 else history.triangular_factor(ridge, cols)
         if ridge > 0.0 or count >= cols:  # an interpolating fit has no rank to decide
             _require_full_rank(history, ridge, cols)
-        return _mva_step(ridge_factor, zero_factor, count, row, ridge)
+        return _mva_step(ridge_factor, zero_factor, count, _design_rows(x, cols), ridge)
 
     def predict(self, step, levels) -> list[PredictionInterval]:
+        """The hull at each level's t threshold (``mva_hull``), one level at
+        a time on the step's scalar numbers; full lines for a step of None
+        and for an interpolating one."""
         levels = validate_levels(levels)
-        if step is None or step.interpolates:
-            # every centered residual is identically zero: 0/0 everywhere
+        if step is None:
             return _full_lines(len(levels))
-        return [
-            mva_hull(step, t_value)
-            for t_value in two_sided_quantiles(step.count - 2, levels)
-        ]
+        return [mva_hull(step, t) for t in two_sided_quantiles(step.count - 2, levels).tolist()]
+
+    def _bounds(self, step, levels: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray]:
+        """``predict``'s hulls as lower and upper ends, every level at once:
+        one column per level, and one row per new row of a block step."""
+        if step is None:
+            return _full_bounds(levels)
+        return mva_hull(step, two_sided_quantiles(step.count - 2, levels))
 
     def pvalue(self, step, response: float, tie_break: float = 1.0) -> float:
         if step is None or step.interpolates:
@@ -1065,8 +1180,7 @@ def mva_score(
         ridge_factor[:cols, :cols], head, ridge
     ):
         raise RankDeficiencyError("summarized design is rank deficient")
-    row = np.concatenate([[1.0], x[:active]])
-    step = _mva_step(ridge_factor, zero_factor, head, row, ridge)
+    step = _mva_step(ridge_factor, zero_factor, head, _design_rows(x, cols), ridge)
     u = observation.response - step.center
     spread = sqrt(max(step.head_energy(u), 0.0))
     if spread <= _rank_tolerance(head, cols + 1) * np.linalg.norm(zero_factor[:, -1]):
@@ -1377,6 +1491,21 @@ class IidGaussPredictor:
 
     def predict(self, step, levels) -> list[PredictionInterval]:
         return iidgauss_predict(step, levels)
+
+    def predict_rows(self, history: History, features, levels) -> tuple[np.ndarray, np.ndarray]:
+        """The intervals of each row of ``features`` as the next step after
+        ``history``, as ``_BlockPredictor.predict_rows`` gives them, but
+        from one step and one ``predict`` per row: each row's draws need the
+        design in its own canonical order and its own QR factors."""
+        levels = validate_levels(levels)
+        features = _feature_matrix(features, history.feature_count)
+        lower = np.empty((len(features), len(levels)))
+        upper = np.empty_like(lower)
+        for i, row in enumerate(features):
+            intervals = self.predict(self.step(history, row), levels)
+            lower[i] = [interval.lower for interval in intervals]
+            upper[i] = [interval.upper for interval in intervals]
+        return lower, upper
 
     def pvalue(self, step, response: float, tie_break: float = 1.0) -> float:
         return iidgauss_pvalue(step, response)

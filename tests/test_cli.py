@@ -248,6 +248,40 @@ def test_predict_on_a_non_finite_training_value_is_an_error(tmp_path, capsys, ce
         assert not (tmp_path / "bounds_lower.csv").exists()
 
 
+@pytest.mark.parametrize("model", ["iid", "gauss", "mva", "iidgauss"])
+def test_batch_predict_of_no_test_rows(model):
+    rng = np.random.default_rng(21)
+    x = rng.normal(size=(30, 2))
+    y = x.sum(axis=1) + rng.normal(size=30)
+    result = batch_predict(x, y, np.empty((0, 2)), (0.2, 0.1, 0.05), model=model)
+    assert result.code == 0
+    assert result.lower.shape == result.upper.shape == (0, 3)
+
+
+@pytest.mark.parametrize("model", ["iid", "gauss", "mva", "iidgauss"])
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+def test_predict_on_a_non_finite_test_value_is_an_error(tmp_path, capsys, model, value):
+    # the bad value sits in the second block of test rows
+    rng = np.random.default_rng(22)
+    x = rng.normal(size=(30, 2))
+    y = x.sum(axis=1) + rng.normal(size=30)
+    test = rng.normal(size=(15, 2))
+    test[13, 1] = value
+    mc = olreg.MonteCarloConfig(samples=19)
+    with pytest.raises(ValueError, match="explanatory components must be finite"):
+        batch_predict(x, y, test, (0.2,), model=model, mc=mc)
+    train_path, test_path = tmp_path / "train.csv", tmp_path / "test.csv"
+    np.savetxt(train_path, np.column_stack([x, y]), delimiter=",", header="x1,x2,y", comments="")
+    np.savetxt(test_path, test, delimiter=",", header="x1,x2", comments="")
+    code = run(
+        ["predict", "--model", model, "--train", train_path, "--test", test_path,
+         "--epsilons", "0.2", "--mc-samples", 19, "--out", tmp_path / "bounds"]
+    )
+    assert code == 2
+    assert "explanatory components must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "bounds_lower.csv").exists()
+
+
 def test_batch_predict_columns_follow_the_ladder():
     rng = np.random.default_rng(13)
     x = rng.normal(size=(30, 2))

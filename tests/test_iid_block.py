@@ -1,8 +1,9 @@
-"""Batch IID prediction in row blocks against the one-row route.
+"""Batch prediction in row blocks against the one-row route.
 
 The block sweep is compared with the one-row sweep that ``oracles`` keeps,
-row by row, on random and on crafted residual maps; ``batch_predict`` is
-compared with one step and one ``predict`` per test row.
+row by row, on random and on crafted residual maps, and the block MVA hull
+with each of its rows' one-row hulls; ``batch_predict`` is compared, for
+IID, Gauss and MVA, with one step and one ``predict`` per test row.
 """
 
 import math
@@ -15,8 +16,10 @@ import pytest
 import oracles
 from olreg import (
     FeatureSchedule,
+    GaussPredictor,
     History,
     IidPredictor,
+    MvaPredictor,
     SyntheticConfig,
     batch_predict,
     build_sweep,
@@ -24,7 +27,7 @@ from olreg import (
     observations_to_arrays,
     sweep_hull,
 )
-from olreg.predictors import BLOCK_ROWS
+from olreg.predictors import BLOCK_ROWS, MvaStep, mva_hull
 
 LEVELS = (0.5, 0.2, 0.1, 0.05)
 
@@ -130,8 +133,12 @@ def pattern(lower, upper):
     return np.select([empty, full, ray], [0, 1, 2], 3)
 
 
-def one_row_route(features, responses, test, levels, ridge, schedule):
-    predictor = IidPredictor(ridge, schedule)
+def one_row_route(model, features, responses, test, levels, ridge, schedule):
+    predictor = {
+        "iid": IidPredictor(ridge, schedule),
+        "gauss": GaussPredictor(),
+        "mva": MvaPredictor(ridge, schedule),
+    }[model]
     history = History.from_arrays(features, responses)
     intervals = [predictor.predict(predictor.step(history, x), levels) for x in test]
     lower = np.array([[interval.lower for interval in row] for row in intervals])
@@ -139,38 +146,132 @@ def one_row_route(features, responses, test, levels, ridge, schedule):
     return lower.reshape(len(test), len(levels)), upper.reshape(len(test), len(levels))
 
 
-@pytest.mark.parametrize("ridge", [0.0, 0.01, 1.0])
-@pytest.mark.parametrize("scheduled", [False, True])
-@pytest.mark.parametrize("shift", [0.0, 1e6])
-@pytest.mark.parametrize(
-    "rows", [1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 3 * BLOCK_ROWS + 5]
-)
-def test_batch_blocks_match_one_step_per_row(ridge, scheduled, shift, rows):
+ROWS = (1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 3 * BLOCK_ROWS + 5)
+# The IID cases keep their ids.  Gauss and MVA add: an exactly linear
+# history ("exact": sigma_hat = 0, point intervals, for Gauss; empty sets or
+# full lines for MVA at ridge 0), every third test row far out ("far": MVA's
+# region is then often the whole line), and for MVA at ridge 0 a history of
+# K + 1 rows ("k+2", n = K + 2: the empty set or the whole line).  The
+# patterns each kind must show are listed with it.
+BATCH_CASES = [
+    pytest.param(
+        "iid", ridge, scheduled, shift, rows, "plain", id=f"{rows}-{shift}-{scheduled}-{ridge}"
+    )
+    for ridge in (0.0, 0.01, 1.0)
+    for scheduled in (False, True)
+    for shift in (0.0, 1e6)
+    for rows in ROWS
+] + [
+    pytest.param("gauss", 0.0, False, shift, rows, kind, id=f"gauss-{kind}-{rows}-{shift}")
+    for kind in ("plain", "exact", "far")
+    for shift in (0.0, 1e6)
+    for rows in (1, BLOCK_ROWS + 1, 3 * BLOCK_ROWS + 5)
+] + [
+    pytest.param("mva", ridge, scheduled, shift, rows, kind,
+                 id=f"mva-{kind}-{rows}-{shift}-{scheduled}-{ridge}")
+    for kind in ("plain", "exact", "far")
+    for ridge in (0.0, 0.01)
+    for scheduled in (False, True)
+    for shift in (0.0, 1e6)
+    for rows in (1, BLOCK_ROWS + 1, 3 * BLOCK_ROWS + 5)
+] + [
+    pytest.param("mva", 0.0, False, shift, rows, "k+2", id=f"mva-k+2-{rows}-{shift}")
+    for shift in (0.0, 1e6)
+    for rows in (BLOCK_ROWS + 1, 3 * BLOCK_ROWS + 5)
+]
+EMPTY, FULL, RAY, BOUNDED = range(4)
+
+
+def expected_patterns(model, ridge, scheduled, rows, kind):
+    """The patterns a case must show, beside any others.  The first test
+    row of a "far" case is a far one."""
+    if model != "mva" or kind == "plain":
+        return {BOUNDED}
+    if kind == "k+2":
+        return {EMPTY, FULL}
+    if kind == "far":
+        return {FULL, BOUNDED} if rows > 1 else {FULL}
+    if scheduled:
+        return {FULL, BOUNDED}
+    # an exactly linear history leaves the ridge-0 statistic no spread
+    return {EMPTY} if ridge == 0.0 else {BOUNDED}
+
+
+@pytest.mark.parametrize("model, ridge, scheduled, shift, rows, kind", BATCH_CASES)
+def test_batch_blocks_match_one_step_per_row(model, ridge, scheduled, shift, rows, kind):
     # with the schedule, a 13-row history on 12 features: the fit sees 10
     # of them at n = 14 < K + 3; without it, 40 rows on all 12
     k = 12
     rng = np.random.default_rng(rows + int(10 * ridge) + (100 if scheduled else 0))
-    train = 13 if scheduled else 40
+    train = k + 1 if kind == "k+2" else 13 if scheduled else 40
     features = rng.normal(size=(train + rows, k))
-    responses = features @ rng.normal(size=k) + rng.normal(size=train + rows) + shift
+    if kind == "far":
+        features[train::3] *= 30.0
+    noise = 0.0 if kind == "exact" else rng.normal(size=train + rows)
+    responses = features @ rng.normal(size=k) + noise + shift
     schedule = FeatureSchedule.for_feature_count(k) if scheduled else None
-    levels = (0.2, 0.1)
+    levels = (0.2, 0.1) if model == "iid" else (0.5, 0.1, 0.01)
     result = batch_predict(
         features[:train], responses[:train], features[train:], levels,
-        model="iid", ridge=ridge, schedule=schedule,
+        model=model, ridge=ridge, schedule=schedule,
     )
     assert result.code == 0
     lower, upper = one_row_route(
-        features[:train], responses[:train], features[train:], levels, ridge, schedule
+        model, features[:train], responses[:train], features[train:], levels, ridge, schedule
     )
-    np.testing.assert_array_equal(pattern(result.lower, result.upper), pattern(lower, upper))
-    bounded = np.isfinite(lower) & np.isfinite(upper)
-    assert bounded.any()
+    shapes = pattern(lower, upper)
+    np.testing.assert_array_equal(pattern(result.lower, result.upper), shapes)
+    assert expected_patterns(model, ridge, scheduled, rows, kind) <= set(shapes.ravel().tolist())
+    bounded = shapes == BOUNDED
+    if model == "gauss" and kind == "exact":
+        bounded &= lower < upper  # sigma_hat = 0: the points are gated below
     width = (upper - lower)[bounded]
     for mine, theirs in ((result.lower, lower), (result.upper, upper)):
         assert np.all(np.abs(mine[bounded] - theirs[bounded]) <= 1e-9 * width)
         rays = np.isfinite(theirs) & ~bounded
         np.testing.assert_allclose(mine[rays], theirs[rays], rtol=1e-12, atol=1e-9)
+    if model == "gauss" and kind == "exact":
+        # sigma_hat = 0: point intervals, at the one-row route's point up to
+        # the rounding of its product
+        assert np.all(result.lower == result.upper) and np.all(lower == upper)
+        np.testing.assert_allclose(result.lower, lower, rtol=1e-12, atol=1e-12)
+
+
+def test_mva_hull_block_matches_its_rows_on_crafted_steps():
+    # rows whose regions are the whole line (a negative lead, and a flat one
+    # with a negative constant), rays to either side (a flat lead with a
+    # cross term, which data gives only by accident), the empty set (a flat
+    # lead and a positive constant, and a positive lead without real
+    # roots), a bounded interval and an interpolating row, all in one block
+    # and read at once; each entry must be its one-row hull, bit for bit
+    rows = [
+        # center, last_offset, last_slope, head_aa, head_ab, head_bb
+        (0.5, 0.0, 0.1, 4.0, 0.0, 9.0),
+        (1.0, 0.0, 0.0, 3.0, 0.0, 0.0),
+        (-2.0, 1.0, 0.0, 1.0, 1.0, 0.0),
+        (3.0, 1.0, 0.0, 1.0, -1.0, 0.0),
+        (0.0, 5.0, 0.0, 1e-3, 0.0, 0.0),
+        (1e6, 0.0, 1.0, -1.0, 0.0, 1e-4),
+        (7.0, 0.0, 1.0, 2.0, 0.3, 0.05),
+        (0.0, 0.0, 1.0, 0.0, 0.0, 0.0),
+    ]
+    columns = [np.array(column) for column in zip(*rows)]
+    block = MvaStep(20, *columns)
+    t_values = np.array([0.5, 2.0, 4.0])
+    lower, upper = mva_hull(block, t_values)
+    seen = set()
+    for r, numbers in enumerate(rows):
+        step = MvaStep(20, *numbers)
+        for j, t_value in enumerate(t_values.tolist()):
+            hull = mva_hull(step, t_value)
+            assert (lower[r, j], upper[r, j]) == (hull.lower, hull.upper), (r, t_value)
+            seen.add(int(pattern(np.array(hull.lower), np.array(hull.upper))))
+        # the block's rows one threshold at a time, and every threshold of the row
+        one = mva_hull(block, t_values[1])
+        assert (one[0][r], one[1][r]) == (lower[r, 1], upper[r, 1])
+        row_lower, row_upper = mva_hull(step, t_values)
+        assert np.array_equal(row_lower, lower[r]) and np.array_equal(row_upper, upper[r])
+    assert seen == {EMPTY, FULL, RAY, BOUNDED}
 
 
 def test_ridge_zero_batch_onset_returns_code_two():
@@ -189,7 +290,8 @@ def test_ridge_zero_batch_onset_returns_code_two():
     assert result.code == 0
 
 
-def test_batch_memory_does_not_grow_with_the_test_rows():
+@pytest.mark.parametrize("model", ["iid", "gauss", "mva"])
+def test_batch_memory_does_not_grow_with_the_test_rows(model):
     features, responses = observations_to_arrays(gen_synthetic(SyntheticConfig()))
     test, _ = observations_to_arrays(
         gen_synthetic(SyntheticConfig(seed=11, observation_count=1000))
@@ -198,7 +300,7 @@ def test_batch_memory_does_not_grow_with_the_test_rows():
     for rows in (50, 1000):
         tracemalloc.start()
         try:
-            batch_predict(features, responses, test[:rows], (0.05, 0.01), model="iid")
+            batch_predict(features, responses, test[:rows], (0.05, 0.01), model=model)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()

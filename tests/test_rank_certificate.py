@@ -125,7 +125,7 @@ def test_gauss_run_forms_no_inverse_per_step(monkeypatch):
     assert len(calls) <= 2
 
 
-@pytest.mark.parametrize("model", ["iid", "mva"])
+@pytest.mark.parametrize("model", ["iid", "mva", "gauss"])
 def test_ridge_zero_batch_prediction_forms_no_inverse_per_row(monkeypatch, model):
     rng = np.random.default_rng(6)
     train = rng.normal(size=(120, 20))
