@@ -18,7 +18,6 @@ from .base import (
     PredictionInterval,
     RankDeficiencyError,
     Stream,
-    SummaryMismatchError,
 )
 from .predictors import (
     FullLinePredictor,
@@ -87,7 +86,6 @@ __all__ = [
     "RankDeficiencyError",
     "RegressionSummary",
     "Stream",
-    "SummaryMismatchError",
     "SyntheticConfig",
     "batch_predict",
     "binomial_band",

@@ -35,10 +35,6 @@ class DegenerateFitError(ValueError):
     """A score is undefined because the fitted residual spread is exactly zero."""
 
 
-class SummaryMismatchError(ValueError):
-    """Summary components are mutually inconsistent (negative residual energy)."""
-
-
 class MatrixParseError(ValueError):
     """A matrix file could not be parsed; carries the offending 1-based line number."""
 
@@ -240,15 +236,14 @@ class History:
         column as the last diagonal entry.  A feature schedule therefore
         pays for its narrow phase at the narrow width.
         """
-        ridge = float(ridge)
-        if not 0.0 <= ridge < inf:
-            raise ValueError("ridge must be nonnegative and finite")
         columns = self._k + 1 if columns is None else columns
         return _leading_factor(self._kept_factor(ridge, columns).triangle, columns)
 
     def _kept_factor(self, ridge: float, columns: int) -> "_KeptFactor":
         """The factor kept for ``ridge``, at least ``columns`` design columns
-        wide, with every appended row absorbed."""
+        wide, with every appended row absorbed; ``ridge`` must pass
+        ``validate_ridge``."""
+        ridge = validate_ridge(ridge)
         entry = self._factors.get(ridge)
         if entry is None or entry.triangle.shape[0] <= columns:
             start = np.zeros((columns + 1, columns + 1), order="F")
@@ -504,6 +499,16 @@ class PredictionInterval:
         if self.is_empty:
             return False
         return self.lower <= value <= self.upper
+
+
+def validate_ridge(ridge) -> float:
+    """A ridge coefficient as a float; ``ValueError`` unless it is
+    nonnegative and finite.  Every predictor and summary score that takes a
+    ridge checks it here, as does the history for each factor it keeps."""
+    ridge = float(ridge)
+    if not 0.0 <= ridge < inf:
+        raise ValueError("ridge must be nonnegative and finite")
+    return ridge
 
 
 def validate_levels(levels) -> tuple[float, ...]:

@@ -169,9 +169,6 @@ def save_matrix(matrix, path, header: list[str] | None = None) -> None:
             handle.write(",".join(f"{value:.17g}" for value in row) + "\n")
 
 
-SERIES_KINDS = ("cumulative_errors", "median_accuracy")
-
-
 def emit_series(ledger: OnlineLedger, kind: str, path) -> None:
     """Write one plot-ready series per level: a step column plus level columns.
 

@@ -84,6 +84,7 @@ from .base import (
     _rank_tolerance,
     absorb_rows,
     validate_levels,
+    validate_ridge,
 )
 from .numerics import (
     ResidualDecomposition,
@@ -520,6 +521,9 @@ class IidPredictor(_BlockPredictor):
     ridge: float = 0.0
     schedule: FeatureSchedule | None = None
 
+    def __post_init__(self):
+        validate_ridge(self.ridge)
+
     def step(self, history: History, x_new) -> RidgeStep | None:
         """The ridge fit of the step, for one row or a block of them (m x
         K); None on an empty history, and at ridge 0 while n <= active + 1
@@ -809,10 +813,6 @@ class QuadraticRegion:
     cross: float
     constant: float
 
-    @property
-    def discriminant(self) -> float:
-        return self.cross * self.cross - self.lead * self.constant
-
     def contains(self, value: float) -> bool:
         return (self.lead * value + 2.0 * self.cross) * value + self.constant < 0.0
 
@@ -1070,6 +1070,9 @@ class MvaPredictor(_BlockPredictor):
     ridge: float = 0.0
     schedule: FeatureSchedule | None = None
 
+    def __post_init__(self):
+        validate_ridge(self.ridge)
+
     def step(self, history: History, x_new) -> MvaStep | None:
         """The five numbers of the step, for one row or a block of them (m
         x K); None before step 3."""
@@ -1155,13 +1158,15 @@ def mva_score(
     n <= active + 1, where the fit interpolates and every residual is zero.
     A centered spread at the least-squares cut-off relative to the past
     responses' own energy (an exactly linear history) is
-    ``DegenerateFitError`` too.
+    ``DegenerateFitError`` too, and a negative or non-finite ridge is
+    ``ValueError``.
 
     The score is the predictor's step (``_mva_step``) evaluated at the
     observation's response.  The summary's triangle, truncated to the
     active columns, is the ridge-0 factor; for ridge > 0, sqrt(ridge) I is
     absorbed into a copy of it for the ridge factor.
     """
+    ridge = validate_ridge(ridge)
     k = summary.factor.shape[0] - 2
     x = _new_row(observation.explanatory, k)
     active = k if active_count is None else int(active_count)
@@ -1395,6 +1400,9 @@ class IidGaussPredictor:
     schedule: FeatureSchedule | None = None
     mc: MonteCarloConfig = MonteCarloConfig()
 
+    def __post_init__(self):
+        validate_ridge(self.ridge)
+
     def step(self, history: History, x_new) -> IidGaussStep | None:
         """The step's draws, the observed last residual and the radius terms;
         None while the conditional law is degenerate (fewer than K + 2 total
@@ -1442,7 +1450,7 @@ class IidGaussPredictor:
 
         rng = np.random.default_rng(mc.seed)
         orderings = random_orderings(rng, mc.samples, n)
-        directions = complement_directions(rng, ordered, orderings, (upper, False))
+        directions = complement_directions(rng, ordered, orderings, upper)
 
         # Once y is appended the full fit leaves residual fixed - fixed_fit +
         # y * (unit - unit_fit), whose energy is least at the history's own

@@ -9,13 +9,18 @@ determines the conditional distribution of the full ordered sample: the
 ordering of the bag is uniform, and given the ordering the response vector is
 uniform on the sphere
 
-    { fitted + r : r orthogonal to the design columns, |r|^2 = residual energy }
+    { fitted + r : r orthogonal to the design columns, |r| = residual norm }
 
-where ``fitted`` is the least-squares reconstruction of the summed moments and
-``residual energy = sum y_i^2 - fitted'fitted``.  The Gaussian density is
-constant on that sphere (it depends on a response vector only through the
-linear moments and the squared norm), which is what makes uniform sampling
-exact rather than approximate.
+where ``fitted`` is the least-squares fit of the responses on the design
+[1 | x].  The Gaussian density is constant on that sphere (it depends on a
+response vector only through the linear moments and the squared norm), which
+is what makes uniform sampling exact rather than approximate.
+
+The summary keeps these moments as the upper triangle R of [1 | x | y], the
+triangle ``History.triangular_factor`` keeps: R'R is the matrix of the
+moments, the fit is a triangular solve on its design block, and the residual
+norm is its last diagonal entry, so no energy difference is taken and the
+sphere stays accurate when the responses sit far from zero.
 
 Sampling therefore needs the design to have full column rank and the sphere to
 have positive dimension, i.e. at least K + 2 observations for K features.
@@ -24,21 +29,16 @@ have positive dimension, i.e. at least K + 2 observations for K features.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import sqrt
 from typing import Iterable
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
+from scipy.linalg import solve_triangular
 
-from .base import Observation, RankDeficiencyError, SummaryMismatchError, _passes_rank_rule
+from .base import History, Observation, RankDeficiencyError, _passes_rank_rule
 
 # Directions whose projection onto the orthogonal complement is shorter than
 # this are redrawn; normalizing them would amplify rounding noise.
 _DIRECTION_FLOOR = 1e-12
-
-# Tolerance for the consistency requirement square_sum >= fitted energy,
-# relative to the scale of square_sum.
-_ENERGY_SLACK = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
@@ -46,48 +46,28 @@ class IidGaussSummary:
     """Sufficient summary of an observation sequence for conditional sampling.
 
     ``features`` holds the bag of explanatory vectors, one row per
-    observation; the row order carries no information.
-
-    The summary keeps response moments by its public contract, so the
-    sampler's residual radius is the difference square_sum - m'b of the
-    response energy and the fitted energy (``_conditional_geometry``).  That
-    difference cancels when the responses sit far from zero relative to
-    their residual spread: at y'y near 1e15 it keeps only a few digits.
+    observation; the row order carries no information.  ``factor`` is the
+    upper triangle R of [1 | x | y] over those rows, a copy of
+    ``History.triangular_factor()`` as ``RegressionSummary`` keeps it: R'R
+    carries the paper's moments, read back as ``response_sum``,
+    ``cross_sum`` and ``square_sum`` from its last column.
     """
 
     features: np.ndarray
-    response_sum: float
-    cross_sum: np.ndarray
-    square_sum: float
+    factor: np.ndarray
 
     def __post_init__(self):
         features = np.atleast_2d(np.asarray(self.features, dtype=float))
-        cross = np.asarray(self.cross_sum, dtype=float).ravel()
-        if features.shape[1] != cross.size:
-            raise ValueError("cross_sum length must match the feature count")
+        factor = np.asarray(self.factor, dtype=float)
+        size = features.shape[1] + 2
+        if factor.shape != (size, size):
+            raise ValueError(f"factor must be {size} x {size} for {size - 2} features")
         object.__setattr__(self, "features", features)
-        object.__setattr__(self, "cross_sum", cross)
-        object.__setattr__(self, "response_sum", float(self.response_sum))
-        object.__setattr__(self, "square_sum", float(self.square_sum))
-
-    @classmethod
-    def empty(cls, feature_count: int) -> "IidGaussSummary":
-        return cls(
-            np.empty((0, feature_count)),
-            0.0,
-            np.zeros(feature_count),
-            0.0,
-        )
+        object.__setattr__(self, "factor", factor)
 
     @classmethod
     def from_stream(cls, observations: Iterable[Observation]) -> "IidGaussSummary":
-        observations = list(observations)
-        if not observations:
-            raise ValueError("cannot infer the feature count from an empty stream")
-        summary = cls.empty(observations[0].explanatory.size)
-        for obs in observations:
-            summary = update_summary(summary, obs)
-        return summary
+        return _summary_of(History.from_observations(observations))
 
     @property
     def count(self) -> int:
@@ -97,28 +77,28 @@ class IidGaussSummary:
     def feature_count(self) -> int:
         return self.features.shape[1]
 
+    @property
+    def response_sum(self) -> float:
+        """The summed responses sum y_i."""
+        return float(self.factor[:, 0] @ self.factor[:, -1])
+
+    @property
+    def cross_sum(self) -> np.ndarray:
+        """The summed products sum y_i x_i, one per feature."""
+        return self.factor[:, 1:-1].T @ self.factor[:, -1]
+
+    @property
+    def square_sum(self) -> float:
+        """The summed squared responses sum y_i^2."""
+        return float(self.factor[:, -1] @ self.factor[:, -1])
+
     def design_matrix(self) -> np.ndarray:
         return np.column_stack([np.ones(self.count), self.features])
 
-    def moment_vector(self) -> np.ndarray:
-        """The summed design moments (sum y_i, sum y_i x_i)."""
-        return np.concatenate([[self.response_sum], self.cross_sum])
 
-
-def update_summary(summary: IidGaussSummary, observation: Observation) -> IidGaussSummary:
-    """Fold one observation into the summary.  Pure; returns a new record."""
-    if observation.explanatory.size != summary.feature_count:
-        raise ValueError(
-            f"expected {summary.feature_count} features, "
-            f"got {observation.explanatory.size}"
-        )
-    y = observation.response
-    return IidGaussSummary(
-        np.vstack([summary.features, observation.explanatory]),
-        summary.response_sum + y,
-        summary.cross_sum + y * observation.explanatory,
-        summary.square_sum + y * y,
-    )
+def _summary_of(history: History) -> IidGaussSummary:
+    """The summary of a history's rows: its features and a copy of its triangle."""
+    return IidGaussSummary(np.array(history.features), np.array(history.triangular_factor()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,12 +110,7 @@ class ConditionalSample:
 
     def summary(self) -> IidGaussSummary:
         """Recompute the summary of this sample (should match the source)."""
-        return IidGaussSummary(
-            self.features,
-            float(self.responses.sum()),
-            self.features.T @ self.responses,
-            float(self.responses @ self.responses),
-        )
+        return _summary_of(History.from_arrays(self.features, self.responses))
 
 
 def random_orderings(rng: np.random.Generator, count: int, size: int) -> np.ndarray:
@@ -147,16 +122,15 @@ def complement_directions(
     rng: np.random.Generator,
     design: np.ndarray,
     orderings: np.ndarray,
-    gram_factor,
+    factor: np.ndarray,
 ) -> np.ndarray:
     """Unit vectors orthogonal to the columns of each row-permuted design.
 
     Row m of the output is a uniform unit direction of the orthogonal
     complement of ``design[orderings[m]]``, listed in the order
-    ``orderings[m]``.  ``gram_factor`` is a triangular factor of
-    design'design in the ``(factor, lower)`` form of ``scipy.linalg.cho_solve``,
-    for instance ``(R, False)`` with R from a QR factorization of the design;
-    the matrix is invariant under row permutations.
+    ``orderings[m]``.  ``factor`` is an upper triangle R with R'R =
+    design'design, for instance the R of a QR factorization of the design;
+    that matrix is invariant under row permutations.
 
     The stream: each round draws one block of standard normals, one row per
     pending direction, in the design's own row order.  A row is projected
@@ -173,10 +147,8 @@ def complement_directions(
     O(count * n) memory, with no permuted copy of the design.
     """
     count, n = orderings.shape
-    factor, lower = gram_factor
-    # the orthonormal basis design R^-1, transposed: R'^-1 design', where R
-    # is the factor, or its transpose when it is lower triangular
-    basis_t = solve_triangular(factor, design.T, trans=0 if lower else 1, lower=lower)
+    # the orthonormal basis design R^-1, transposed: R'^-1 design'
+    basis_t = solve_triangular(factor, design.T, trans=1)
     out = None
     pending = np.arange(count)
     for _ in range(64):
@@ -199,35 +171,6 @@ def complement_directions(
     raise RuntimeError("direction sampling failed to converge; is the complement trivial?")
 
 
-def _conditional_geometry(summary: IidGaussSummary):
-    """Shared setup: design, its triangular factor, fitted vector, residual radius.
-
-    The factor is the R of a QR factorization of the design, passed as
-    ``(R, False)`` wherever a Cholesky factor of design'design is expected:
-    R'R is that matrix, and deciding rank on R does not square the design's
-    conditioning.
-    """
-    n, k = summary.count, summary.feature_count
-    if n < k + 2:
-        raise ValueError(
-            f"need at least {k + 2} observations for {k} features; got {n}"
-        )
-    design = summary.design_matrix()
-    upper = np.linalg.qr(design, mode="r")
-    if not _passes_rank_rule(upper, n):
-        raise RankDeficiencyError("feature bag gives a rank-deficient design")
-    factor = (upper, False)
-    moments = summary.moment_vector()
-    solution = cho_solve(factor, moments)
-    energy = summary.square_sum - float(moments @ solution)
-    if energy < -_ENERGY_SLACK * max(abs(summary.square_sum), 1.0):
-        raise SummaryMismatchError(
-            f"square_sum falls short of the fitted energy by {-energy!r}"
-        )
-    radius = sqrt(max(energy, 0.0))
-    return design, factor, design @ solution, radius
-
-
 def sample_conditional(
     summary: IidGaussSummary, count: int, seed
 ) -> list[ConditionalSample]:
@@ -237,11 +180,24 @@ def sample_conditional(
     identical samples.  Each sample owns a private random stream derived
     from (seed, sample index), so any degree of parallel evaluation would
     reproduce the same output in index order.
+
+    Everything is read from the summary's triangle R of [1 | x | y]: its
+    design block R_D decides the rank and spans the complement, the fitted
+    vector is D R_D^-1 R[:-1, -1] and the sphere's radius is |R[-1, -1]|.
     """
     if count < 1:
         raise ValueError("count must be positive")
-    design, factor, fitted, radius = _conditional_geometry(summary)
-    n = summary.count
+    n, k = summary.count, summary.feature_count
+    if n < k + 2:
+        raise ValueError(
+            f"need at least {k + 2} observations for {k} features; got {n}"
+        )
+    factor = summary.factor[:-1, :-1]
+    if not _passes_rank_rule(factor, n):
+        raise RankDeficiencyError("feature bag gives a rank-deficient design")
+    design = summary.design_matrix()
+    fitted = design @ solve_triangular(factor, summary.factor[:-1, -1])
+    radius = abs(float(summary.factor[-1, -1]))
     out: list[ConditionalSample] = []
     for index in range(count):
         rng = np.random.default_rng(

@@ -192,6 +192,21 @@ def test_negative_mc_samples_is_a_usage_error_before_any_output(tmp_path, capsys
     assert sorted(path.name for path in tmp_path.iterdir()) == ["data.csv", "test.csv"]
 
 
+@pytest.mark.parametrize("ridge", ["-1", "inf", "nan"])
+@pytest.mark.parametrize("model", ["iid", "mva", "iidgauss"])
+def test_invalid_ridge_is_a_usage_error(tmp_path, capsys, model, ridge):
+    data = tmp_path / "data.csv"
+    run(["gen", "--seed", 4, "--n", 40, "--k", 3, "--out", data])
+    test = tmp_path / "test.csv"
+    test.write_text("x1,x2,x3\n0.5,-0.5,1\n")
+    predict = ["predict", "--model", model, "--train", data, "--test", test,
+               "--out", tmp_path / "bounds"]
+    online = ["online", "--model", model, "--data", data, "--out-prefix", tmp_path / "run"]
+    for argv in (predict, online):
+        assert run(argv + ["--ridge", ridge, "--mc-samples", 9]) == 2
+        assert "ridge must be nonnegative and finite" in capsys.readouterr().err
+
+
 def test_monte_carlo_samples_must_be_a_nonnegative_integer():
     for samples in (-1, 2.5, 10.0, True, "9"):
         with pytest.raises(ValueError, match="nonnegative integer"):

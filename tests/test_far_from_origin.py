@@ -164,6 +164,32 @@ def test_sampler_at_a_feature_shift_reproduces_the_summary():
         assert again.square_sum == pytest.approx(summary.square_sum, rel=1e-8)
 
 
+@pytest.mark.parametrize("shift,tolerance", [(1e6, 1e-9), (5e6, 1e-9), (1e8, 1e-7)])
+def test_sampler_at_a_response_shift_keeps_the_sphere(shift, tolerance):
+    # The sphere's radius is the summary triangle's last diagonal entry, so
+    # nothing cancels far from zero.  Each draw's residual norm about its own
+    # least-squares fit is taken after subtracting the shift (exact at these
+    # magnitudes) and compared with the unshifted stream's draw of the same
+    # seed.
+    features, responses, _, _ = instance(0)
+
+    def residual_norms(offset):
+        summary = IidGaussSummary.from_stream(
+            Observation(x, float(y)) for x, y in zip(features, responses + offset)
+        )
+        norms = []
+        for sample in sample_conditional(summary, 20, seed=9):
+            design = np.column_stack([np.ones(len(responses)), sample.features])
+            centered = sample.responses - offset
+            fit, *_ = np.linalg.lstsq(design, centered, rcond=None)
+            norms.append(np.linalg.norm(centered - design @ fit))
+        return np.array(norms)
+
+    base = residual_norms(0.0)
+    assert base.min() > 1.0
+    np.testing.assert_allclose(residual_norms(shift), base, rtol=tolerance, atol=0)
+
+
 def test_summary_centered_score_at_a_feature_shift_matches_the_unshifted_one():
     # x + 1e3 and x + 1e4 give design condition numbers near 5e6 and 5e8,
     # far inside the least-squares rank rule; read from the summary's

@@ -178,9 +178,12 @@ def test_draws_match_the_gathered_oracle(k, extra, ridge, switch, seed):
     samples = 64
 
     design = np.column_stack([np.ones(n), features])
-    factor = cho_factor(design.T @ design, lower=True)
+    factor = cho_factor(design.T @ design, lower=True)  # the oracle's Gram solve
     orderings = random_orderings(np.random.default_rng(seed + 1), samples, n)
-    directions = complement_directions(np.random.default_rng(seed), design, orderings, factor)
+    # the package takes the upper triangle L' of the same Gram matrix
+    directions = complement_directions(
+        np.random.default_rng(seed), design, orderings, np.triu(factor[0].T)
+    )
     expected = oracles.complement_directions_gathered(
         np.random.default_rng(seed), design, orderings, factor
     )
@@ -244,9 +247,10 @@ class ScriptedNormals:
 def test_directions_match_the_masked_loop_bitwise(n, k, samples, seed):
     rng = np.random.default_rng(seed)
     design = np.column_stack([np.ones(n), rng.normal(size=(n, k))])
-    factor = (np.linalg.qr(design, mode="r"), False)
+    upper = np.linalg.qr(design, mode="r")
+    factor = (upper, False)
     orderings = random_orderings(rng, samples, n)
-    got = complement_directions(np.random.default_rng(seed), design, orderings, factor)
+    got = complement_directions(np.random.default_rng(seed), design, orderings, upper)
     want = oracles.complement_directions_masked(
         np.random.default_rng(seed), design, orderings, factor
     )
@@ -255,7 +259,7 @@ def test_directions_match_the_masked_loop_bitwise(n, k, samples, seed):
     # intercept column in every third row
     first = np.random.default_rng(seed + 10).standard_normal((samples, n))
     first[::3] = 1.0
-    got = complement_directions(ScriptedNormals(first.copy(), seed), design, orderings, factor)
+    got = complement_directions(ScriptedNormals(first.copy(), seed), design, orderings, upper)
     want = oracles.complement_directions_masked(
         ScriptedNormals(first.copy(), seed), design, orderings, factor
     )

@@ -22,6 +22,7 @@ from olreg import (
     Observation,
     OnlineLedger,
     PredictionInterval,
+    RegressionSummary,
     SyntheticConfig,
     batch_predict,
     binomial_band,
@@ -30,6 +31,7 @@ from olreg import (
     gen_synthetic,
     iid_pvalue,
     median_accuracy,
+    mva_score,
     run_online,
     validity_report,
 )
@@ -73,6 +75,26 @@ def location_stream(rng, n):
 
 def feature_stream(rng, n, k):
     return [Observation(rng.normal(size=k), float(rng.normal())) for _ in range(n)]
+
+
+@pytest.mark.parametrize("ridge", [-1.0, math.inf, math.nan])
+def test_invalid_ridge_is_rejected_everywhere(ridge):
+    for predictor in (IidPredictor, MvaPredictor, IidGaussPredictor):
+        with pytest.raises(ValueError, match="ridge must be nonnegative and finite"):
+            predictor(ridge=ridge)
+    rng = np.random.default_rng(3)
+    history = History.from_arrays(rng.normal(size=(29, 3)), rng.normal(size=29))
+    summary = RegressionSummary.from_history(history)
+    with pytest.raises(ValueError, match="ridge must be nonnegative and finite"):
+        mva_score(summary, Observation(rng.normal(size=3), 0.5), ridge=ridge)
+    for method in (
+        history.triangular_factor,
+        history.design_has_full_rank,
+        history.design_norm,
+        history.design_inverse_norm,
+    ):
+        with pytest.raises(ValueError, match="ridge must be nonnegative and finite"):
+            method(ridge)
 
 
 def test_full_line_predictor_never_errs():

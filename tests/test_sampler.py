@@ -1,4 +1,4 @@
-"""Summary folding and exact conditional resampling."""
+"""The sampler's triangle summary and exact conditional resampling."""
 
 import numpy as np
 import pytest
@@ -8,10 +8,9 @@ from olreg import (
     ConditionalSample,
     IidGaussSummary,
     Observation,
-    SummaryMismatchError,
     sample_conditional,
 )
-from olreg.sampler import complement_directions, random_orderings, update_summary
+from olreg.sampler import complement_directions, random_orderings
 
 
 def stream_of(features, responses):
@@ -24,25 +23,14 @@ def random_stream(rng, n, k):
     return stream_of(features, responses)
 
 
-def test_fold_matches_batch_construction():
+def test_moments_read_from_the_triangle_match_the_raw_sums():
     rng = np.random.default_rng(51)
-    stream = random_stream(rng, 12, 3)
-    folded = IidGaussSummary.empty(3)
-    for obs in stream:
-        folded = update_summary(folded, obs)
-    batch = IidGaussSummary.from_stream(stream)
-    assert np.allclose(folded.features, batch.features, atol=1e-12)
-    assert folded.response_sum == pytest.approx(batch.response_sum, rel=1e-12)
-    assert np.allclose(folded.cross_sum, batch.cross_sum, rtol=1e-12)
-    assert folded.square_sum == pytest.approx(batch.square_sum, rel=1e-12)
-
-
-def test_fold_is_pure():
-    summary = IidGaussSummary.empty(2)
-    obs = Observation(np.array([1.0, 2.0]), 3.0)
-    update_summary(summary, obs)
-    assert summary.count == 0  # the input is untouched
-    assert update_summary(summary, obs).count == 1
+    features, responses = rng.normal(size=(12, 3)), rng.normal(size=12)
+    summary = IidGaussSummary.from_stream(stream_of(features, responses))
+    assert np.array_equal(summary.features, features)
+    assert summary.response_sum == pytest.approx(responses.sum(), rel=1e-12)
+    np.testing.assert_allclose(summary.cross_sum, features.T @ responses, rtol=1e-12)
+    assert summary.square_sum == pytest.approx(responses @ responses, rel=1e-12)
 
 
 def test_summary_reports_moments():
@@ -122,18 +110,13 @@ def test_minimal_count_uses_the_two_point_sphere():
     assert 1 < len(distinct) <= 12
 
 
-def test_inconsistent_summary_is_rejected():
+def test_factor_of_the_wrong_shape_is_rejected():
     rng = np.random.default_rng(56)
-    stream = random_stream(rng, 9, 2)
-    good = IidGaussSummary.from_stream(stream)
-    bad = IidGaussSummary(
-        good.features,
-        good.response_sum,
-        good.cross_sum,
-        0.0,  # impossible: nonzero moments with no response energy at all
-    )
-    with pytest.raises(SummaryMismatchError):
-        sample_conditional(bad, 1, seed=0)
+    good = IidGaussSummary.from_stream(random_stream(rng, 9, 2))
+    assert good.factor.shape == (4, 4)  # the triangle of [1 | x | y]
+    for factor in (good.factor[:-1, :-1], good.factor[:, :-1], np.eye(5)):
+        with pytest.raises(ValueError, match="factor must be 4 x 4"):
+            IidGaussSummary(good.features, factor)
 
 
 def test_too_few_observations_rejected():
@@ -185,7 +168,7 @@ def test_last_coordinate_follows_the_sphere_law(n, k, seed):
     leverage = np.einsum("ij,ij->i", basis, basis)
     samples = 4000
     orderings = random_orderings(rng, samples, n)
-    directions = complement_directions(rng, design, orderings, (upper, False))
+    directions = complement_directions(rng, design, orderings, upper)
     last = orderings[:, -1]
     u = directions[:, -1] / np.sqrt(1.0 - leverage[last])
     d = n - k - 1
