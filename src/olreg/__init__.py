@@ -29,14 +29,8 @@ from .predictors import (
     RegressionSummary,
     build_sweep,
     gauss_fit,
-    gauss_predict,
     gauss_score,
-    iid_predict,
-    iid_pvalue,
-    iidgauss_predict,
-    iidgauss_pvalue,
     mva_hull,
-    mva_predict,
     mva_score,
     sweep_hull,
     wilks_level,
@@ -93,17 +87,11 @@ __all__ = [
     "emit_series",
     "fisher_verify",
     "gauss_fit",
-    "gauss_predict",
     "gauss_score",
     "gen_synthetic",
-    "iid_predict",
-    "iid_pvalue",
-    "iidgauss_predict",
-    "iidgauss_pvalue",
     "load_matrix",
     "median_accuracy",
     "mva_hull",
-    "mva_predict",
     "mva_score",
     "observations_from_arrays",
     "observations_to_arrays",

@@ -40,6 +40,7 @@ from .base import (
     MatrixParseError,
     RankDeficiencyError,
     validate_levels,
+    validate_ridge,
 )
 from .data import (
     SyntheticConfig,
@@ -100,6 +101,9 @@ def _parse_schedule(text: str, feature_count: int) -> FeatureSchedule | None:
 
 
 def _make_predictor(model: str, ridge: float, schedule, mc: MonteCarloConfig):
+    # gauss and full take no ridge, but an invalid one is a usage error for
+    # every model
+    validate_ridge(ridge)
     if model == "iid":
         return IidPredictor(ridge=ridge, schedule=schedule)
     if model == "gauss":

@@ -602,6 +602,63 @@ def hulls_match(mine_lower, mine_upper, ref_lower, ref_upper, atol=1e-5) -> bool
     return side_matches(mine_lower, ref_lower) and side_matches(mine_upper, ref_upper)
 
 
+# ---------------------------------------------------------------------------
+# One level at a time: the Gauss and MVA ends of one step on Python floats
+# ---------------------------------------------------------------------------
+
+
+def quadratic_contains(lead, cross, constant, value: float) -> bool:
+    """Whether ``value`` lies in {y : lead y^2 + 2 cross y + constant < 0}."""
+    return (lead * value + 2.0 * cross) * value + constant < 0.0
+
+
+def quadratic_hull(lead: float, cross: float, constant: float) -> tuple[float, float]:
+    """Convex hull of {y : lead y^2 + 2 cross y + constant < 0}, the empty
+    set as (inf, -inf): the whole line for a negative lead, a ray, the line
+    or nothing for a vanishing one, and the open interval between the roots
+    or nothing for a positive one."""
+    if lead < 0.0:
+        return -inf, inf
+    if lead == 0.0:
+        if cross > 0.0:
+            return -inf, -constant / (2.0 * cross)
+        if cross < 0.0:
+            return -constant / (2.0 * cross), inf
+        return (-inf, inf) if constant < 0.0 else (inf, -inf)
+    disc = cross * cross - lead * constant
+    if disc <= 0.0:
+        return inf, -inf
+    root = sqrt(disc)
+    return (-cross - root) / lead, (-cross + root) / lead
+
+
+def centered_region_hull(count, center, offset, slope, aa, ab, bb, t_value) -> tuple[float, float]:
+    """The MVA region's hull of one step at one t threshold, from the step's
+    numbers as floats (see ``olreg.predictors.MvaStep``): the full line when
+    the centered earlier residuals vanish at every candidate, otherwise the
+    squared inequality's hull moved by the center."""
+    if aa == 0.0 and bb == 0.0:
+        return -inf, inf
+    scale = float((count - 1) * (count - 2))
+    weight = t_value * t_value * count
+    lower, upper = quadratic_hull(
+        scale * slope * slope - weight * bb,
+        scale * offset * slope - weight * ab,
+        scale * offset * offset - weight * aa,
+    )
+    return lower + center, upper + center
+
+
+def pivot_ends_per_level(point: float, spread: float, quantiles) -> list[tuple[float, float]]:
+    """The inverted Student t pivot point -/+ quantile * spread, one
+    quantile at a time."""
+    out = []
+    for quantile in quantiles:
+        half = quantile * spread
+        out.append((point - half, point + half))
+    return out
+
+
 def centered_residual_score(residuals) -> float:
     """Last residual centered by the earlier mean, over the centered spread.
 

@@ -160,16 +160,14 @@ def test_criterion_05_quadratic_oracle_equivalence(capfd):
         t_value = float(stats.t.ppf(1.0 - epsilon / 2.0, n - 2))
         offset, slope = oracles.affine_residuals(design, ridge, fixed)
         history = History.from_arrays(design[:-1, 1:], fixed)
-        mine = mva_hull(MvaPredictor(ridge).step(history, design[-1, 1:]), t_value)
+        lower, upper = mva_hull(MvaPredictor(ridge).step(history, design[-1, 1:]), t_value)
+        mine = (lower[0], upper[0])
         reference = oracles.quadratic_region_grid_hull(offset, slope, n, t_value, refine=1e-7)
-        endpoints = [
-            v for v in (mine.lower, mine.upper, reference.lower, reference.upper)
-            if np.isfinite(v)
-        ]
+        endpoints = [v for v in mine + (reference.lower, reference.upper) if np.isfinite(v)]
         if any(abs(v) > 5000.0 for v in endpoints):
             continue  # beyond the oracle grid's trustworthy range
         assert oracles.hulls_match(
-            mine.lower, mine.upper, reference.lower, reference.upper, atol=1e-5
+            *mine, reference.lower, reference.upper, atol=1e-5
         ), (n, k, ridge, epsilon, mine, reference)
         checked += 1
     elapsed = time.perf_counter() - start
@@ -196,10 +194,11 @@ def test_criterion_06_sweep_oracle_equivalence(capfd):
             fixed[1] = fixed[0]  # provoke exact residual ties
         epsilon = float(rng.choice([0.05, 0.1, 0.25, 0.5, 0.8]))
         offset, slope = oracles.affine_residuals(design, ridge, fixed)
-        hull = sweep_hull(build_sweep(offset, slope), n, epsilon)
+        lower, upper = sweep_hull(build_sweep(offset, slope), n, epsilon)
+        hull = (lower[0], upper[0])
         low, high = oracles.rank_region_hull(offset, slope, epsilon)
-        assert close_or_equal(hull.lower, low, 1e-9), (trial, hull, low, high)
-        assert close_or_equal(hull.upper, high, 1e-9), (trial, hull, low, high)
+        assert close_or_equal(hull[0], low, 1e-9), (trial, hull, low, high)
+        assert close_or_equal(hull[1], high, 1e-9), (trial, hull, low, high)
     elapsed = time.perf_counter() - start
     announce(capfd, 6, elapsed < 30.0, 30.0, elapsed, "200 instances matched to 1e-9")
     assert elapsed < 30.0

@@ -193,7 +193,7 @@ def test_negative_mc_samples_is_a_usage_error_before_any_output(tmp_path, capsys
 
 
 @pytest.mark.parametrize("ridge", ["-1", "inf", "nan"])
-@pytest.mark.parametrize("model", ["iid", "mva", "iidgauss"])
+@pytest.mark.parametrize("model", ["iid", "mva", "iidgauss", "gauss"])
 def test_invalid_ridge_is_a_usage_error(tmp_path, capsys, model, ridge):
     data = tmp_path / "data.csv"
     run(["gen", "--seed", 4, "--n", 40, "--k", 3, "--out", data])
@@ -205,6 +205,26 @@ def test_invalid_ridge_is_a_usage_error(tmp_path, capsys, model, ridge):
     for argv in (predict, online):
         assert run(argv + ["--ridge", ridge, "--mc-samples", 9]) == 2
         assert "ridge must be nonnegative and finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("model", ["gauss", "full"])
+def test_gauss_and_full_check_the_ridge_but_ignore_it(tmp_path, capsys, model):
+    # a valid ridge or schedule leaves the run as it is; an invalid ridge
+    # exits 2 before any file is written
+    data = tmp_path / "data.csv"
+    run(["gen", "--seed", 4, "--n", 40, "--k", 3, "--out", data])
+    ledgers = []
+    for i, flags in enumerate(([], ["--ridge", "0"], ["--ridge", "5", "--schedule", "none"])):
+        prefix = tmp_path / f"run{i}"
+        argv = ["online", "--model", model, "--data", data, "--out-prefix", prefix]
+        assert run(argv + flags) == 0
+        ledgers.append((tmp_path / f"run{i}_ledger.json").read_text())
+    assert ledgers[1:] == ledgers[:1] * 2
+    for ridge in ("-1", "nan"):
+        argv = ["online", "--model", model, "--data", data, "--out-prefix", tmp_path / "bad"]
+        assert run(argv + ["--ridge", ridge]) == 2
+        assert "ridge must be nonnegative and finite" in capsys.readouterr().err
+    assert not any(path.name.startswith("bad") for path in tmp_path.iterdir())
 
 
 def test_monte_carlo_samples_must_be_a_nonnegative_integer():

@@ -18,11 +18,9 @@ from olreg import (
     RegressionSummary,
     gauss_fit,
     gauss_score,
-    iid_predict,
-    iidgauss_predict,
-    mva_predict,
     mva_score,
 )
+from olreg.predictors import iid_predict, iidgauss_predict, mva_predict
 from olreg.sampler import IidGaussSummary, sample_conditional
 
 LEVELS = (0.05, 0.01)

@@ -14,9 +14,9 @@ from olreg import (
     RankDeficiencyError,
     RegressionSummary,
     gauss_fit,
-    gauss_predict,
     gauss_score,
 )
+from olreg.predictors import gauss_predict
 from olreg.protocol import GaussPredictor
 
 # Worked example: straight-line data, bounds fixed by the pseudoinverse

@@ -1,8 +1,9 @@
 """Batch prediction in row blocks against the one-row route.
 
 The block sweep is compared with the one-row sweep that ``oracles`` keeps,
-row by row, on random and on crafted residual maps, and the block MVA hull
-with each of its rows' one-row hulls; ``batch_predict`` is compared, for
+row by row, on random and on crafted residual maps, and the MVA hull of a
+block and of one-row steps, and the Gauss ends of one-row steps, with the
+per-level reads that ``oracles`` keeps; ``batch_predict`` is compared, for
 IID, Gauss and MVA, with one step and one ``predict`` per test row.
 """
 
@@ -27,6 +28,7 @@ from olreg import (
     observations_to_arrays,
     sweep_hull,
 )
+from olreg.numerics import two_sided_quantiles
 from olreg.predictors import BLOCK_ROWS, MvaStep, mva_hull
 
 LEVELS = (0.5, 0.2, 0.1, 0.05)
@@ -243,7 +245,8 @@ def test_mva_hull_block_matches_its_rows_on_crafted_steps():
     # cross term, which data gives only by accident), the empty set (a flat
     # lead and a positive constant, and a positive lead without real
     # roots), a bounded interval and an interpolating row, all in one block
-    # and read at once; each entry must be its one-row hull, bit for bit
+    # and read at once; each entry must be the per-level read of its row's
+    # numbers, bit for bit, and so must the row's own one-row step
     rows = [
         # center, last_offset, last_slope, head_aa, head_ab, head_bb
         (0.5, 0.0, 0.1, 4.0, 0.0, 9.0),
@@ -259,19 +262,61 @@ def test_mva_hull_block_matches_its_rows_on_crafted_steps():
     block = MvaStep(20, *columns)
     t_values = np.array([0.5, 2.0, 4.0])
     lower, upper = mva_hull(block, t_values)
+    assert lower.shape == upper.shape == (len(rows), len(t_values))
+    # the block's rows at one threshold: one column
+    one_lower, one_upper = mva_hull(block, t_values[1])
     seen = set()
     for r, numbers in enumerate(rows):
-        step = MvaStep(20, *numbers)
-        for j, t_value in enumerate(t_values.tolist()):
-            hull = mva_hull(step, t_value)
-            assert (lower[r, j], upper[r, j]) == (hull.lower, hull.upper), (r, t_value)
-            seen.add(int(pattern(np.array(hull.lower), np.array(hull.upper))))
-        # the block's rows one threshold at a time, and every threshold of the row
-        one = mva_hull(block, t_values[1])
-        assert (one[0][r], one[1][r]) == (lower[r, 1], upper[r, 1])
-        row_lower, row_upper = mva_hull(step, t_values)
-        assert np.array_equal(row_lower, lower[r]) and np.array_equal(row_upper, upper[r])
+        expected = [oracles.centered_region_hull(20, *numbers, t) for t in t_values.tolist()]
+        assert list(zip(lower[r].tolist(), upper[r].tolist())) == expected, r
+        row_lower, row_upper = mva_hull(MvaStep(20, *numbers), t_values)
+        assert list(zip(row_lower.tolist(), row_upper.tolist())) == expected, r
+        assert (one_lower[r, 0], one_upper[r, 0]) == expected[1]
+        seen.update(pattern(lower[r], upper[r]).tolist())
     assert seen == {EMPTY, FULL, RAY, BOUNDED}
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("kind", ["plain", "exact", "k+2", "far"])
+def test_one_row_gauss_and_mva_steps_match_the_per_level_reads(kind, seed):
+    # random histories: an exactly linear one ("exact": sigma_hat = 0 for
+    # Gauss, no spread for MVA), K + 1 rows ("k+2": n = K + 2, before the
+    # Gauss onset, and the empty set or the whole line for MVA at ridge 0)
+    # and responses 1e6 from zero ("far"); each level's ends must be the
+    # per-level read of the step's numbers, bit for bit
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(1, 6))
+    train = k + 1 if kind == "k+2" else int(rng.integers(k + 3, 40))
+    features = rng.normal(size=(train + 1, k))
+    noise = 0.0 if kind == "exact" else rng.normal(size=train)
+    shift = 1e6 if kind == "far" else 0.0
+    responses = features[:train] @ rng.normal(size=k) + noise + shift
+    history = History.from_arrays(features[:train], responses)
+    x = features[train]
+    levels = (0.5, 0.1, 0.01)
+
+    def ends(intervals):
+        return [(interval.lower, interval.upper) for interval in intervals]
+
+    gauss = GaussPredictor()
+    step = gauss.step(history, x)
+    if kind == "k+2":
+        assert step is None
+    else:
+        if kind == "exact":
+            assert step.sigma_hat == 0.0
+        quantiles = two_sided_quantiles(step.degrees_of_freedom, levels).tolist()
+        expected = oracles.pivot_ends_per_level(step.point_prediction, step.spread, quantiles)
+        assert ends(gauss.predict(step, levels)) == expected
+    for mva in (MvaPredictor(0.0), MvaPredictor(0.01, FeatureSchedule.for_feature_count(k))):
+        step = mva.step(history, x)
+        numbers = (step.center, step.last_offset, step.last_slope,
+                   step.head_aa, step.head_ab, step.head_bb)
+        expected = [
+            oracles.centered_region_hull(step.count, *numbers, t)
+            for t in two_sided_quantiles(step.count - 2, levels).tolist()
+        ]
+        assert ends(mva.predict(step, levels)) == expected, mva
 
 
 def test_ridge_zero_batch_onset_returns_code_two():

@@ -12,11 +12,11 @@ from olreg import (
     History,
     MonteCarloConfig,
     Observation,
+    PredictionInterval,
     build_sweep,
-    iid_predict,
-    iid_pvalue,
     sweep_hull,
 )
+from olreg.predictors import iid_predict, iid_pvalue
 from olreg.protocol import IidGaussPredictor, IidPredictor
 
 # Worked example, expected bounds fixed by the set-by-set brute-force
@@ -30,6 +30,12 @@ EXPECTED_AT_20PCT = {
 }
 
 
+def hull_at(state, count, epsilon) -> PredictionInterval:
+    """The sweep's hull at one level: element 0 of ``sweep_hull``'s ends."""
+    lower, upper = sweep_hull(state, count, epsilon)
+    return PredictionInterval(lower[0], upper[0])
+
+
 def history_from_columns(features, responses):
     return History.from_observations(
         Observation(np.atleast_1d(x), float(y)) for x, y in zip(features, responses)
@@ -39,7 +45,7 @@ def history_from_columns(features, responses):
 def test_dominating_past_residual_covers_the_line():
     # |2y| >= |y| for every y, so the single comparison set is all of R
     state = build_sweep(np.array([0.0, 0.0]), np.array([2.0, 1.0]))
-    hull = sweep_hull(state, 2, 0.3)
+    hull = hull_at(state, 2, 0.3)
     assert (hull.lower, hull.upper) == (-math.inf, math.inf)
 
 
@@ -49,10 +55,10 @@ def test_constant_past_residual_yields_a_symmetric_band():
     offset = np.array([2.0, 1.0])
     slope = np.array([0.0, 1.0])
     state = build_sweep(offset, slope)
-    hull = sweep_hull(state, 2, 0.6)
+    hull = hull_at(state, 2, 0.6)
     assert hull.lower == pytest.approx(-3.0)
     assert hull.upper == pytest.approx(1.0)
-    full = sweep_hull(state, 2, 0.3)
+    full = hull_at(state, 2, 0.3)
     assert (full.lower, full.upper) == (-math.inf, math.inf)
 
 
@@ -62,7 +68,7 @@ def test_point_region_survives():
     slope = np.array([0.0, 1.0])
     # |0| >= |1 + y| only at y = -1
     state = build_sweep(offset, slope)
-    hull = sweep_hull(state, 2, 0.6)
+    hull = hull_at(state, 2, 0.6)
     assert hull.lower == hull.upper == pytest.approx(-1.0)
 
 
@@ -115,7 +121,7 @@ def test_hull_against_brute_force_random_instances():
             fixed[1] = fixed[0]  # provoke exact residual ties
         offset, slope = oracles.affine_residuals(design, ridge, fixed)
         eps = float(rng.choice([0.05, 0.1, 0.25, 0.5, 0.8]))
-        hull = sweep_hull(build_sweep(offset, slope), n, eps)
+        hull = hull_at(build_sweep(offset, slope), n, eps)
         low, high = oracles.rank_region_hull(offset, slope, eps)
         assert hull.lower == pytest.approx(low, abs=1e-9)
         assert hull.upper == pytest.approx(high, abs=1e-9)
@@ -196,7 +202,7 @@ def test_nested_levels_produce_nested_hulls():
     state = build_sweep(*oracles.affine_residuals(design, 0.01, fixed))
     previous = None
     for eps in (0.8, 0.5, 0.3, 0.1):
-        hull = sweep_hull(state, 9, eps)
+        hull = hull_at(state, 9, eps)
         if previous is not None and not hull.is_empty:
             assert hull.lower <= previous.lower or previous.is_empty
             assert hull.upper >= previous.upper or previous.is_empty
@@ -213,7 +219,7 @@ def test_sweep_agrees_with_brute_force(n, eps, seed):
     rng = np.random.default_rng(seed)
     offset = np.round(rng.normal(size=n), 2)  # rounding manufactures ties
     slope = np.round(rng.normal(size=n), 1)
-    hull = sweep_hull(build_sweep(offset.copy(), slope.copy()), n, eps)
+    hull = hull_at(build_sweep(offset.copy(), slope.copy()), n, eps)
     low, high = oracles.rank_region_hull(offset, slope, eps)
     assert hull.lower == pytest.approx(low, abs=1e-9)
     assert hull.upper == pytest.approx(high, abs=1e-9)

@@ -15,9 +15,8 @@ from olreg import (
     History,
     MonteCarloConfig,
     Observation,
-    iidgauss_predict,
-    iidgauss_pvalue,
 )
+from olreg.predictors import iidgauss_predict, iidgauss_pvalue
 from olreg.protocol import IidGaussPredictor
 from olreg.sampler import complement_directions, random_orderings
 

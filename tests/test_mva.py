@@ -12,9 +12,9 @@ from olreg import (
     FeatureSchedule,
     History,
     Observation,
+    PredictionInterval,
     RegressionSummary,
     mva_hull,
-    mva_predict,
     mva_score,
     wilks_level,
     wilks_predict,
@@ -23,7 +23,7 @@ import olreg.numerics
 import olreg.predictors
 from olreg import RankDeficiencyError, run_online
 from olreg.numerics import StudentT
-from olreg.predictors import QuadraticRegion
+from olreg.predictors import mva_predict, quadratic_ends
 from olreg.protocol import MvaPredictor
 
 # Worked example (same data as the rank-region one), bounds fixed by the
@@ -38,6 +38,16 @@ EXPECTED = {
     (0.05, 15.0): (15.96110240125656, 16.038968020915988),
     (0.05, 25.0): (25.953479372501377, 26.09921009874344),
 }
+
+
+def hull_at(step, t_value) -> PredictionInterval:
+    """The step's hull at one threshold: element 0 of ``mva_hull``'s ends."""
+    lower, upper = mva_hull(step, t_value)
+    return PredictionInterval(lower[0], upper[0])
+
+
+def region_hull(lead, cross, constant) -> PredictionInterval:
+    return PredictionInterval(*quadratic_ends(lead, cross, constant))
 
 
 def history_of(features, responses):
@@ -58,35 +68,35 @@ def test_worked_example_bounds_fixed_by_grid_oracle():
 
 
 def test_quadratic_region_classification():
-    full = QuadraticRegion(-1.0, 0.0, -1.0).hull()
+    full = region_hull(-1.0, 0.0, -1.0)
     assert (full.lower, full.upper) == (-math.inf, math.inf)
 
-    left_ray = QuadraticRegion(0.0, 1.0, -4.0).hull()  # 2y - 4 < 0
+    left_ray = region_hull(0.0, 1.0, -4.0)  # 2y - 4 < 0
     assert left_ray.lower == -math.inf
     assert left_ray.upper == pytest.approx(2.0)
 
-    right_ray = QuadraticRegion(0.0, -1.0, -4.0).hull()  # -2y - 4 < 0
+    right_ray = region_hull(0.0, -1.0, -4.0)  # -2y - 4 < 0
     assert right_ray.lower == pytest.approx(-2.0)
     assert right_ray.upper == math.inf
 
-    assert QuadraticRegion(0.0, 0.0, -1.0).hull().is_bounded is False
-    assert QuadraticRegion(0.0, 0.0, 1.0).hull().is_empty
+    assert region_hull(0.0, 0.0, -1.0).is_bounded is False
+    assert region_hull(0.0, 0.0, 1.0).is_empty
 
-    empty = QuadraticRegion(1.0, 0.0, 1.0).hull()  # y^2 + 1 < 0
+    empty = region_hull(1.0, 0.0, 1.0)  # y^2 + 1 < 0
     assert empty.is_empty
 
-    segment = QuadraticRegion(1.0, 0.0, -4.0).hull()  # y^2 < 4
+    segment = region_hull(1.0, 0.0, -4.0)  # y^2 < 4
     assert segment.lower == pytest.approx(-2.0)
     assert segment.upper == pytest.approx(2.0)
 
 
 def test_region_membership_matches_hull_endpoints():
-    region = QuadraticRegion(2.0, -3.0, 1.0)
-    hull = region.hull()
+    region = (2.0, -3.0, 1.0)
+    hull = region_hull(*region)
     inside = 0.5 * (hull.lower + hull.upper)
-    assert region.contains(inside)
-    assert not region.contains(hull.upper + 1e-6)
-    assert not region.contains(hull.lower - 1e-6)
+    assert oracles.quadratic_contains(*region, inside)
+    assert not oracles.quadratic_contains(*region, hull.upper + 1e-6)
+    assert not oracles.quadratic_contains(*region, hull.lower - 1e-6)
 
 
 def test_degenerate_centered_heads_give_the_full_line():
@@ -97,7 +107,7 @@ def test_degenerate_centered_heads_give_the_full_line():
             history = history_of(np.zeros((2, 0)), [value, value])
             predictor = MvaPredictor(ridge)
             step = predictor.step(history, np.zeros(0))
-            hull = mva_hull(step, 4.3)
+            hull = hull_at(step, 4.3)
             assert (hull.lower, hull.upper) == (-math.inf, math.inf)
             assert predictor.pvalue(step, value + 5.0, 0.5) == 1.0
 
@@ -123,7 +133,7 @@ def test_hull_against_grid_oracle_on_random_instances():
         t_value = float(stats.t.ppf(1.0 - eps / 2.0, n - 2))
         offset, slope = oracles.affine_residuals(design, ridge, fixed)
         history = History.from_arrays(design[:-1, 1:], fixed)
-        mine = mva_hull(MvaPredictor(ridge).step(history, design[-1, 1:]), t_value)
+        mine = hull_at(MvaPredictor(ridge).step(history, design[-1, 1:]), t_value)
         reference = oracles.quadratic_region_grid_hull(offset, slope, n, t_value)
         finite = [v for v in (mine.lower, mine.upper, reference.lower, reference.upper)
                   if np.isfinite(v)]
@@ -326,12 +336,12 @@ def vector_route(history, x, response, predictor, levels):
             bounds.append((-math.inf, math.inf))
             continue
         weight, scale = t * t * n, float((n - 1) * (n - 2))
-        hull = QuadraticRegion(
+        lower, upper = oracles.quadratic_hull(
             scale * b[-1] ** 2 - weight * float(b[:-1] @ b[:-1]),
             scale * a[-1] * b[-1] - weight * float(a[:-1] @ b[:-1]),
             scale * a[-1] ** 2 - weight * float(a[:-1] @ a[:-1]),
-        ).hull()
-        bounds.append((hull.lower + reference, hull.upper + reference))
+        )
+        bounds.append((lower + reference, upper + reference))
     pvalue = 1.0 if realized is None else 2.0 * StudentT(n - 2).cdf(-realized)
     return bounds, pvalue
 

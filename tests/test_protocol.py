@@ -29,7 +29,6 @@ from olreg import (
     fisher_verify,
     gauss_fit,
     gen_synthetic,
-    iid_pvalue,
     median_accuracy,
     mva_score,
     run_online,
@@ -37,7 +36,7 @@ from olreg import (
 )
 from olreg.base import DegenerateFitError
 from olreg.numerics import StudentT
-from olreg.predictors import GaussFit, _step_projector
+from olreg.predictors import GaussFit, _step_projector, iid_pvalue
 from olreg.protocol import PValueTrace
 
 
