@@ -26,7 +26,6 @@ from .predictors import (
     IidPredictor,
     MonteCarloConfig,
     MvaPredictor,
-    RegressionSummary,
     build_sweep,
     gauss_fit,
     gauss_score,
@@ -36,7 +35,7 @@ from .predictors import (
     wilks_level,
     wilks_predict,
 )
-from .sampler import ConditionalSample, IidGaussSummary, sample_conditional
+from .sampler import ConditionalSample, sample_conditional
 from .protocol import (
     DEFAULT_SEED,
     OnlineLedger,
@@ -69,7 +68,6 @@ __all__ = [
     "GaussPredictor",
     "History",
     "IidGaussPredictor",
-    "IidGaussSummary",
     "IidPredictor",
     "MatrixParseError",
     "MonteCarloConfig",
@@ -78,7 +76,6 @@ __all__ = [
     "OnlineLedger",
     "PredictionInterval",
     "RankDeficiencyError",
-    "RegressionSummary",
     "Stream",
     "SyntheticConfig",
     "batch_predict",

@@ -114,6 +114,12 @@ class History:
     A fixed history is therefore triangularized once, an on-line run pays
     O(K^2) per step, and predictors that never ask for a factor pay nothing.
 
+    The rows and the ridge-0 factor are the sufficient summary of the
+    linear-Gaussian models: the bag of rows, and R'R, whose last column
+    holds sum y_i, sum y_i x_i and sum y_i^2.  The Gauss and MVA scores
+    and the conditional sampler read them from the history; no other
+    object keeps a copy.
+
     With each kept factor the history carries one rank certificate: the
     number ||R_D^-1||_F of the factor's design block R_D, taken from the
     last triangular inverse of that block (``design_inverse_norm``).
@@ -305,8 +311,8 @@ class History:
         that does not settle the rule is that fresh one, the block's own
         ||R^-1||_F, so the exact singular values decide without a second
         inverse of the same block; a narrower block gets its own inverse
-        first (``_passes_rank_rule``).  Every predictor that fits the
-        history (IID, Gauss and MVA) decides its rank here.
+        first (``_passes_rank_rule``).  Every predictor step, both scores
+        and the conditional sampler decide their rank here.
         """
         ridge = float(ridge)
         columns = self._k + 1 if columns is None else columns
@@ -503,8 +509,8 @@ class PredictionInterval:
 
 def validate_ridge(ridge) -> float:
     """A ridge coefficient as a float; ``ValueError`` unless it is
-    nonnegative and finite.  Every predictor and summary score that takes a
-    ridge checks it here, as does the history for each factor it keeps."""
+    nonnegative and finite.  Every predictor and score that takes a ridge
+    checks it here, as does the history for each factor it keeps."""
     ridge = float(ridge)
     if not 0.0 <= ridge < inf:
         raise ValueError("ridge must be nonnegative and finite")

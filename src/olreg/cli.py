@@ -131,10 +131,10 @@ def batch_predict(
 
     Every test row is a prediction step after the same history, the whole
     training set, so n = N_train + 1 throughout, and no test row sees
-    another.  Each model's ``predict_rows`` gives the bounds: IID, Gauss
-    and MVA take the test rows in blocks of ``predictors.BLOCK_ROWS``, one
-    step per block with the history's coefficients solved once and one
-    many-column triangular solve, and IID-Gauss takes one step per row.
+    another.  Each model's ``predict_rows`` gives the bounds, one step per
+    block of test rows: IID, Gauss and MVA take blocks of
+    ``predictors.BLOCK_ROWS``, with the history's coefficients solved once
+    and one many-column triangular solve, and IID-Gauss blocks of one row.
     Level columns follow the ladder (decreasing) order.  Code 2 is
     returned where the predictor's own onset rule (``can_bound``) says that
     no level can be bounded at that n: for IID with ridge 0, also while

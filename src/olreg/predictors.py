@@ -33,17 +33,21 @@ Every predictor reads the ends of its intervals in one place,
 ``_bounds(step, levels)``: one column per level and, for a block step, one
 row per new row.  ``predict`` makes them ``PredictionInterval`` objects.
 Batch prediction (``predict_rows``) gives the intervals of many test rows
-after one history.  IID, Gauss and MVA take the rows ``BLOCK_ROWS`` at a
-time through one loop (``_BlockPredictor.predict_rows``): their ``step``
-takes a block of rows as well as one row, with the history's own numbers
-solved once and the block's rows the many-column right side of the step's
-triangular solves.  The on-line step is the one-row block of the same
-code.  IID-Gauss takes one step per row, since each row's draws need the
-design in its own canonical order and its own QR factors.
+after one history, through one loop for every model
+(``_BlockPredictor.predict_rows``).  IID, Gauss and MVA take the rows
+``BLOCK_ROWS`` at a time: their ``step`` takes a block of rows as well as
+one row, with the history's own numbers solved once and the block's rows
+the many-column right side of the step's triangular solves.  The on-line
+step is the one-row block of the same code.  IID-Gauss takes blocks of one
+row, since each row's draws need the design in its own canonical order and
+its own QR factors.
 
-The IID, Gauss and MVA steps read the factors of [design | responses] that
-``History`` keeps by triangular solves, and absorb the new row into no copy
-of them.  Each decides rank in one place, the history's design block
+The history is the sufficient summary every model reads: its rows, and
+the factors of [design | responses] that ``History`` keeps, whose R'R
+carries the moments sum y, sum y x and sum y^2.  The IID, Gauss and MVA
+steps, and the scores ``gauss_score`` and ``mva_score``, read those factors
+by triangular solves and absorb the new row into no copy of them.  Every
+step decides rank in one place, the history's design block
 (``History.design_has_full_rank``, through ``_require_full_rank``), from
 the certificate the history carries, so the new row never decides it.  The
 IID step (``RidgeProjector``) takes three solves and one O(nK) product for
@@ -82,10 +86,7 @@ from .base import (
     PredictionInterval,
     Observation,
     RankDeficiencyError,
-    _leading_factor,
-    _passes_rank_rule,
     _rank_tolerance,
-    absorb_rows,
     validate_levels,
     validate_ridge,
 )
@@ -166,8 +167,8 @@ def _active_features(schedule: FeatureSchedule | None, n: int, k: int) -> int:
 def _require_full_rank(history: History, ridge: float, columns: int) -> None:
     """Raise ``RankDeficiencyError`` unless the leading ``columns``-block of
     the history's factor for ``ridge`` passes the least-squares rank rule
-    (``History.design_has_full_rank``): the one rank decision of the IID,
-    Gauss and MVA steps."""
+    (``History.design_has_full_rank``): the rank decision of the IID, Gauss
+    and MVA steps and of IID-Gauss's ridge fit."""
     if not history.design_has_full_rank(ridge, columns):
         raise RankDeficiencyError(
             "design is rank deficient; use a positive ridge coefficient"
@@ -216,17 +217,19 @@ def _full_bounds(levels: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray]:
 
 
 class _BlockPredictor:
-    """Batch prediction for the models whose ``step`` takes a block of rows
-    after one history, and whose ``_bounds(step, levels)`` reads the lower
-    and upper ends from a step: one column per level, and one row per new
-    row of a block step."""
+    """Batch prediction for the models whose ``step`` takes a block of up
+    to ``block_rows`` rows after one history, and whose ``_bounds(step,
+    levels)`` reads the lower and upper ends from a step: one column per
+    level, and one row per new row of a block step."""
+
+    block_rows = BLOCK_ROWS
 
     def predict_rows(self, history: History, features, levels) -> tuple[np.ndarray, np.ndarray]:
         """The intervals of each row of ``features`` as the next step after
         ``history``, the batch setting: lower and upper ends, one row per
         feature row and one column per level.
 
-        The rows are taken ``BLOCK_ROWS`` at a time, and a block is one
+        The rows are taken ``block_rows`` at a time, and a block is one
         step: the history's own numbers solved once, the block's rows the
         many-column right side of the step's triangular solves, and the
         ends of every row and level read at once, each row's numbers those
@@ -237,8 +240,8 @@ class _BlockPredictor:
         features = _feature_matrix(features, history.feature_count)
         lower = np.empty((len(features), len(levels)))
         upper = np.empty_like(lower)
-        for start in range(0, len(features), BLOCK_ROWS):
-            block = slice(start, start + BLOCK_ROWS)
+        for start in range(0, len(features), self.block_rows):
+            block = slice(start, start + self.block_rows)
             lower[block], upper[block] = self._bounds(self.step(history, features[block]), levels)
         return lower, upper
 
@@ -741,47 +744,21 @@ def gauss_predict(history: History, x_new, levels) -> list[PredictionInterval]:
     return predictor.predict(predictor.step(history, x_new), levels)
 
 
-@dataclass(frozen=True, eq=False)
-class RegressionSummary:
-    """Sufficient summary of a history for ``gauss_score`` and ``mva_score``.
-
-    ``factor`` is the upper triangle R of [1 | x | y] over the ``count``
-    summarized rows, a copy of ``History.triangular_factor()``: R'R is the
-    matrix of the rows' cross-moments, but no Gram matrix is formed, so a
-    score read from R by triangular solves keeps the design's conditioning
-    unsquared.
-    """
-
-    count: int
-    factor: np.ndarray
-
-    @classmethod
-    def from_history(cls, history: History) -> "RegressionSummary":
-        return cls(len(history), np.array(history.triangular_factor()))
-
-
-def gauss_score(summary: RegressionSummary, observation: Observation) -> float:
-    """Studentized residual magnitude of a new observation, from the summary.
+def gauss_score(history: History, observation: Observation) -> float:
+    """Studentized residual magnitude of a new observation after the history.
 
     Equals |y - yhat| / (sigma_hat * sqrt(1 + leverage)) computed from the
-    raw history; requires at least K + 2 summarized observations so the
-    residual scale has a positive number of degrees of freedom.  The fit is
-    the one ``gauss_fit`` reads from the same triangle, under the same
-    least-squares rank rule, and the score is its ``pivot``.  Where
-    ``gauss_fit`` gives sigma_hat = 0 (a residual energy at or below the
-    least-squares cut-off relative to the responses' own: a perfectly
-    interpolated history), this raises ``DegenerateFitError``.
+    raw history, and is the ``pivot`` of the fit ``gauss_fit`` reads from
+    the history's triangle, under the same rank rule and with the same
+    errors: at least K + 2 rows are needed so that the residual scale has a
+    degree of freedom.  Where that fit gives sigma_hat = 0 (a residual
+    energy at or below the least-squares cut-off relative to the responses'
+    own: a perfectly interpolated history), this raises
+    ``DegenerateFitError``.
     """
-    factor = summary.factor
-    cols = factor.shape[0] - 1
-    x = _new_row(observation.explanatory, cols - 1)
-    if summary.count - cols < 1:
-        raise ValueError(f"need more than {cols} summarized observations")
-    if not _passes_rank_rule(factor[:cols, :cols], summary.count):
-        raise RankDeficiencyError("summarized design is rank deficient")
-    fit = GaussFit.from_factor(factor, summary.count, x)
+    fit = gauss_fit(history, observation.explanatory)
     if fit.sigma_hat == 0.0:
-        raise DegenerateFitError("summarized history is perfectly interpolated")
+        raise DegenerateFitError("history is perfectly interpolated")
     return abs(fit.pivot(observation.response))
 
 
@@ -948,6 +925,21 @@ def _mva_step(
     return MvaStep(n, center, offset, slope, *forms)
 
 
+def _history_mva_step(history: History, rows: np.ndarray, ridge: float) -> MvaStep:
+    """The MVA step after ``history`` at the design row ``rows`` (or a
+    block of them) over its leading columns, read from the history's kept
+    factors at ridge 0 and at ``ridge``.  The history's design block decides
+    the rank (``_require_full_rank``), except where a ridge-0 fit
+    interpolates and has no rank to decide; ``MvaPredictor.step`` and
+    ``mva_score`` both take their step here."""
+    count, cols = len(history), rows.shape[-1]
+    zero_factor = history.triangular_factor(0.0, cols)
+    ridge_factor = zero_factor if ridge == 0.0 else history.triangular_factor(ridge, cols)
+    if ridge > 0.0 or count >= cols:
+        _require_full_rank(history, ridge, cols)
+    return _mva_step(ridge_factor, zero_factor, count, rows, ridge)
+
+
 def mva_hull(step: MvaStep, t_values) -> tuple[np.ndarray, np.ndarray]:
     """Hulls of the studentized-centered-residual region at t thresholds.
 
@@ -1052,12 +1044,7 @@ class MvaPredictor(_BlockPredictor):
         k = history.feature_count
         x = _new_row(x_new, k, block=True)
         cols = _active_features(self.schedule, count + 1, k) + 1
-        ridge = float(self.ridge)
-        zero_factor = history.triangular_factor(0.0, cols)
-        ridge_factor = zero_factor if ridge == 0.0 else history.triangular_factor(ridge, cols)
-        if ridge > 0.0 or count >= cols:  # an interpolating fit has no rank to decide
-            _require_full_rank(history, ridge, cols)
-        return _mva_step(ridge_factor, zero_factor, count, _design_rows(x, cols), ridge)
+        return _history_mva_step(history, _design_rows(x, cols), float(self.ridge))
 
     def predict(self, step, levels) -> list[PredictionInterval]:
         return _intervals(*self._bounds(step, validate_levels(levels)))
@@ -1107,7 +1094,7 @@ def mva_predict(
 
 
 def mva_score(
-    summary: RegressionSummary,
+    history: History,
     observation: Observation,
     ridge: float = 0.0,
     active_count: int | None = None,
@@ -1115,45 +1102,36 @@ def mva_score(
     """Last centered ridge residual over the root of the centered energy.
 
     The score is signed: (e_n - mean of earlier residuals) divided by the
-    root of the summed squared deviations of the earlier residuals, all read
-    from the summary's triangle.  ``active_count`` truncates the regression
-    to the first features, mirroring a feature schedule.  It raises
-    ``RankDeficiencyError`` when the summary's design block fails the
-    least-squares rank rule, and with ridge 0 ``DegenerateFitError`` at
+    root of the summed squared deviations of the earlier residuals, with
+    the observation appended to the history.  ``active_count`` truncates
+    the regression to the first features, mirroring a feature schedule.  It
+    raises ``RankDeficiencyError`` when the history's design block fails
+    the least-squares rank rule, and with ridge 0 ``DegenerateFitError`` at
     n <= active + 1, where the fit interpolates and every residual is zero.
     A centered spread at the least-squares cut-off relative to the past
     responses' own energy (an exactly linear history) is
     ``DegenerateFitError`` too, and a negative or non-finite ridge is
     ``ValueError``.
 
-    The score is the predictor's step (``_mva_step``) evaluated at the
-    observation's response.  The summary's triangle, truncated to the
-    active columns, is the ridge-0 factor; for ridge > 0, sqrt(ridge) I is
-    absorbed into a copy of it for the ridge factor.
+    The score is ``MvaPredictor``'s step (``_history_mva_step``) evaluated
+    at the observation's response.
     """
     ridge = validate_ridge(ridge)
-    k = summary.factor.shape[0] - 2
+    k = history.feature_count
     x = _new_row(observation.explanatory, k)
     active = k if active_count is None else int(active_count)
     if not 0 <= active <= k:
         raise ValueError(f"active_count must lie in [0, {k}]")
-    head = summary.count
+    head = len(history)
     if head + 1 < 3:
         raise ValueError("need at least three observations in total")
 
     cols = active + 1
-    zero_factor = _leading_factor(summary.factor, cols)
-    ridge_factor = zero_factor
-    if ridge > 0.0:
-        ridge_factor = absorb_rows(zero_factor, sqrt(ridge) * np.eye(cols, cols + 1))
-    if (ridge > 0.0 or head >= cols) and not _passes_rank_rule(
-        ridge_factor[:cols, :cols], head, ridge
-    ):
-        raise RankDeficiencyError("summarized design is rank deficient")
-    step = _mva_step(ridge_factor, zero_factor, head, _design_rows(x, cols), ridge)
+    step = _history_mva_step(history, _design_rows(x, cols), ridge)
     u = observation.response - step.center
     spread = sqrt(max(step.head_energy(u), 0.0))
-    if spread <= _rank_tolerance(head, cols + 1) * np.linalg.norm(zero_factor[:, -1]):
+    responses = history.triangular_factor(0.0, cols)[:, -1]
+    if spread <= _rank_tolerance(head, cols + 1) * np.linalg.norm(responses):
         # an interpolating fit's step has every number zero, so it lands here
         raise DegenerateFitError("earlier residuals have zero spread")
     return (step.last_offset + u * step.last_slope) / spread
@@ -1335,7 +1313,7 @@ class IidGaussStep:
 
 
 @dataclass(frozen=True)
-class IidGaussPredictor:
+class IidGaussPredictor(_BlockPredictor):
     """Monte-Carlo prediction intervals under the Gaussian response model.
 
     Valid when the responses follow the Gaussian linear model and the
@@ -1359,11 +1337,22 @@ class IidGaussPredictor:
     Monte-Carlo noise of the estimate.  Before step K + 2, where the
     conditional law is degenerate, or with no samples, the step is None and
     the intervals are full lines.
+
+    Rank is decided on the history's design block
+    (``History.design_has_full_rank``), as for the other predictors: at
+    ridge 0 over every column, which the conditional law needs, and at the
+    model's ridge over the active columns of a fit that is not the full
+    one.  A ridge-0 history that only the new row would make full rank
+    raises ``RankDeficiencyError``.
     """
 
     ridge: float = 0.0
     schedule: FeatureSchedule | None = None
     mc: MonteCarloConfig = MonteCarloConfig()
+
+    # each row's draws need the design in its own canonical order and its
+    # own QR factors, so a batch takes one step per row
+    block_rows = 1
 
     def __post_init__(self):
         validate_ridge(self.ridge)
@@ -1388,6 +1377,14 @@ class IidGaussPredictor:
         if n < k + 2 or mc.samples < 1:
             return None
         x = _new_row(x_new, k)
+        # the conditional law needs the whole design at full rank, whatever
+        # the ridge, as ``sample_conditional`` does
+        if not history.design_has_full_rank():
+            raise RankDeficiencyError("feature bag gives a rank-deficient design")
+        active = _active_features(schedule, n, k)
+        reflected = ridge == 0.0 and active == k
+        if not reflected:
+            _require_full_rank(history, ridge, active + 1)
 
         # The draws must depend on the history only through its bag of rows
         # (permuting past observations must not change the output), so the
@@ -1403,8 +1400,6 @@ class IidGaussPredictor:
             canonical = np.lexsort(design.T[::-1])
         ordered = design[canonical]
         basis, upper = np.linalg.qr(ordered)
-        if not _passes_rank_rule(upper, n):
-            raise RankDeficiencyError("augmented design is rank deficient")
 
         # Fitted vectors of the fixed responses (new response 0) and of the new
         # row's unit vector, in canonical order.
@@ -1434,8 +1429,6 @@ class IidGaussPredictor:
             rss, ties = float(resid @ resid), np.zeros(mc.samples, dtype=bool)
         draw_dir = directions[:, -1]
 
-        active = _active_features(schedule, n, k)
-        reflected = ridge == 0.0 and active == k
         if reflected:
             # The truncated fit is the full fit: it leaves nothing of the fitted
             # vectors, and the observed last residual is weight * (y - center).
@@ -1446,10 +1439,7 @@ class IidGaussPredictor:
             # factor of the truncated design stacked on sqrt(ridge) I
             cols = active + 1
             stacked = np.vstack([ordered[:, :cols], sqrt(ridge) * np.eye(cols)])
-            trunc_basis, trunc_upper = np.linalg.qr(stacked)
-            if not _passes_rank_rule(trunc_upper, n, ridge):
-                raise RankDeficiencyError("truncated design is rank deficient")
-            trunc_basis = trunc_basis[:n]
+            trunc_basis = np.linalg.qr(stacked)[0][:n]
             fits = np.column_stack([fixed_fit, unit_fit])
             fit_resid = fits - trunc_basis @ (trunc_basis.T @ fits)
             draw_const, draw_lin = fit_resid[orderings[:, -1]].T
@@ -1476,19 +1466,6 @@ class IidGaussPredictor:
             return _full_bounds(levels)
         lower, upper = sweep_hull(step.sweep(), step.draw_dir.size + 1, levels)
         return lower + step.center, upper + step.center
-
-    def predict_rows(self, history: History, features, levels) -> tuple[np.ndarray, np.ndarray]:
-        """The intervals of each row of ``features`` as the next step after
-        ``history``, as ``_BlockPredictor.predict_rows`` gives them, but
-        from one step per row: each row's draws need the design in its own
-        canonical order and its own QR factors."""
-        levels = validate_levels(levels)
-        features = _feature_matrix(features, history.feature_count)
-        lower = np.empty((len(features), len(levels)))
-        upper = np.empty_like(lower)
-        for i, row in enumerate(features):
-            lower[i], upper[i] = self._bounds(self.step(history, row), levels)
-        return lower, upper
 
     def pvalue(self, step, response: float, tie_break: float = 1.0) -> float:
         return iidgauss_pvalue(step, response)

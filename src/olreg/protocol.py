@@ -25,7 +25,7 @@ from typing import Protocol
 
 import numpy as np
 
-from .base import History, PredictionInterval, Stream, validate_levels
+from .base import EpsilonLadder, History, PredictionInterval, Stream
 from .numerics import StudentT
 # the predictor classes live in ``predictors``; ``run_online`` drives them
 from .predictors import (
@@ -175,8 +175,12 @@ def run_online(
     across levels, which makes the long-run error frequency exactly the
     significance level for a rank-based predictor; interval lengths are
     still those of the committed deterministic intervals.
+
+    The levels are validated once, here; each step's ``predict`` gets them
+    as an ``EpsilonLadder``, which it takes as validated.
     """
-    levels = validate_levels(levels)
+    ladder = EpsilonLadder(tuple(levels))
+    levels = ladder.levels
     observations = list(stream)
     if not observations:
         raise ValueError("stream must contain at least one observation")
@@ -193,7 +197,7 @@ def run_online(
     history = History(observations[0].explanatory.size)
     for index, observation in enumerate(observations):
         step = predictor.step(history, observation.explanatory)
-        intervals = predictor.predict(step, levels)
+        intervals = predictor.predict(step, ladder)
         if len(intervals) != level_count:
             raise RuntimeError("predictor returned the wrong number of intervals")
         _check_nested(intervals)

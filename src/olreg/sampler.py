@@ -16,11 +16,12 @@ where ``fitted`` is the least-squares fit of the responses on the design
 response vector only through the linear moments and the squared norm), which
 is what makes uniform sampling exact rather than approximate.
 
-The summary keeps these moments as the upper triangle R of [1 | x | y], the
-triangle ``History.triangular_factor`` keeps: R'R is the matrix of the
-moments, the fit is a triangular solve on its design block, and the residual
-norm is its last diagonal entry, so no energy difference is taken and the
-sphere stays accurate when the responses sit far from zero.
+A ``History`` is that summary: its rows are the bag, and the upper triangle
+R of [1 | x | y] that it keeps (``History.triangular_factor``) carries the
+moments, since R'R is their matrix.  The fit is a triangular solve on R's
+design block and the residual norm is its last diagonal entry, so no energy
+difference is taken and the sphere stays accurate when the responses sit far
+from zero.
 
 Sampling therefore needs the design to have full column rank and the sphere to
 have positive dimension, i.e. at least K + 2 observations for K features.
@@ -29,76 +30,15 @@ have positive dimension, i.e. at least K + 2 observations for K features.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from .base import History, Observation, RankDeficiencyError, _passes_rank_rule
+from .base import History, RankDeficiencyError
 
 # Directions whose projection onto the orthogonal complement is shorter than
 # this are redrawn; normalizing them would amplify rounding noise.
 _DIRECTION_FLOOR = 1e-12
-
-
-@dataclass(frozen=True, eq=False)
-class IidGaussSummary:
-    """Sufficient summary of an observation sequence for conditional sampling.
-
-    ``features`` holds the bag of explanatory vectors, one row per
-    observation; the row order carries no information.  ``factor`` is the
-    upper triangle R of [1 | x | y] over those rows, a copy of
-    ``History.triangular_factor()`` as ``RegressionSummary`` keeps it: R'R
-    carries the paper's moments, read back as ``response_sum``,
-    ``cross_sum`` and ``square_sum`` from its last column.
-    """
-
-    features: np.ndarray
-    factor: np.ndarray
-
-    def __post_init__(self):
-        features = np.atleast_2d(np.asarray(self.features, dtype=float))
-        factor = np.asarray(self.factor, dtype=float)
-        size = features.shape[1] + 2
-        if factor.shape != (size, size):
-            raise ValueError(f"factor must be {size} x {size} for {size - 2} features")
-        object.__setattr__(self, "features", features)
-        object.__setattr__(self, "factor", factor)
-
-    @classmethod
-    def from_stream(cls, observations: Iterable[Observation]) -> "IidGaussSummary":
-        return _summary_of(History.from_observations(observations))
-
-    @property
-    def count(self) -> int:
-        return self.features.shape[0]
-
-    @property
-    def feature_count(self) -> int:
-        return self.features.shape[1]
-
-    @property
-    def response_sum(self) -> float:
-        """The summed responses sum y_i."""
-        return float(self.factor[:, 0] @ self.factor[:, -1])
-
-    @property
-    def cross_sum(self) -> np.ndarray:
-        """The summed products sum y_i x_i, one per feature."""
-        return self.factor[:, 1:-1].T @ self.factor[:, -1]
-
-    @property
-    def square_sum(self) -> float:
-        """The summed squared responses sum y_i^2."""
-        return float(self.factor[:, -1] @ self.factor[:, -1])
-
-    def design_matrix(self) -> np.ndarray:
-        return np.column_stack([np.ones(self.count), self.features])
-
-
-def _summary_of(history: History) -> IidGaussSummary:
-    """The summary of a history's rows: its features and a copy of its triangle."""
-    return IidGaussSummary(np.array(history.features), np.array(history.triangular_factor()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,10 +47,6 @@ class ConditionalSample:
 
     features: np.ndarray
     responses: np.ndarray
-
-    def summary(self) -> IidGaussSummary:
-        """Recompute the summary of this sample (should match the source)."""
-        return _summary_of(History.from_arrays(self.features, self.responses))
 
 
 def random_orderings(rng: np.random.Generator, count: int, size: int) -> np.ndarray:
@@ -171,33 +107,34 @@ def complement_directions(
     raise RuntimeError("direction sampling failed to converge; is the complement trivial?")
 
 
-def sample_conditional(
-    summary: IidGaussSummary, count: int, seed
-) -> list[ConditionalSample]:
-    """Draw ``count`` exact samples from the conditional law of the summary.
+def sample_conditional(history: History, count: int, seed) -> list[ConditionalSample]:
+    """Draw ``count`` exact samples from the conditional law of the history's
+    summary: its bag of rows and the moments its triangle carries.
 
-    Determinism: the same (summary, count, seed) triple yields bitwise
+    Determinism: the same (history, count, seed) triple yields bitwise
     identical samples.  Each sample owns a private random stream derived
     from (seed, sample index), so any degree of parallel evaluation would
     reproduce the same output in index order.
 
-    Everything is read from the summary's triangle R of [1 | x | y]: its
-    design block R_D decides the rank and spans the complement, the fitted
-    vector is D R_D^-1 R[:-1, -1] and the sphere's radius is |R[-1, -1]|.
+    Everything is read from the history's triangle R of [1 | x | y]: its
+    design block R_D decides the rank (``History.design_has_full_rank``) and
+    spans the complement, the fitted vector is D R_D^-1 R[:-1, -1] and the
+    sphere's radius is |R[-1, -1]|.
     """
     if count < 1:
         raise ValueError("count must be positive")
-    n, k = summary.count, summary.feature_count
+    n, k = len(history), history.feature_count
     if n < k + 2:
         raise ValueError(
             f"need at least {k + 2} observations for {k} features; got {n}"
         )
-    factor = summary.factor[:-1, :-1]
-    if not _passes_rank_rule(factor, n):
+    if not history.design_has_full_rank():
         raise RankDeficiencyError("feature bag gives a rank-deficient design")
-    design = summary.design_matrix()
-    fitted = design @ solve_triangular(factor, summary.factor[:-1, -1])
-    radius = abs(float(summary.factor[-1, -1]))
+    triangle = history.triangular_factor()
+    factor = triangle[:-1, :-1]
+    design, features = history.design_matrix, history.features
+    fitted = design @ solve_triangular(factor, triangle[:-1, -1])
+    radius = abs(float(triangle[-1, -1]))
     out: list[ConditionalSample] = []
     for index in range(count):
         rng = np.random.default_rng(
@@ -209,7 +146,7 @@ def sample_conditional(
         )[0]
         out.append(
             ConditionalSample(
-                summary.features[ordering],
+                features[ordering],
                 fitted[ordering] + radius * direction,
             )
         )

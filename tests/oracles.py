@@ -336,6 +336,29 @@ def sweep_hull_one_row(points, counts, count: int, epsilon: float) -> tuple[floa
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class RawSummary:
+    """The conditional sampler's sufficient summary, summed from raw rows:
+    the bag of feature entries (sorted), sum y_i, sum y_i x_i and sum y_i^2."""
+
+    bag: np.ndarray
+    response_sum: float
+    cross_sum: np.ndarray
+    square_sum: float
+
+
+def raw_summary(features, responses) -> RawSummary:
+    """The ``RawSummary`` of the rows ``features`` (n x K) and ``responses``."""
+    responses = np.asarray(responses, dtype=float).ravel()
+    features = np.asarray(features, dtype=float).reshape(responses.size, -1)
+    return RawSummary(
+        np.sort(features.ravel()),
+        float(responses.sum()),
+        features.T @ responses,
+        float(responses @ responses),
+    )
+
+
 def complement_directions_gathered(rng, design, orderings, gram_factor) -> np.ndarray:
     """Unit complement directions computed on an explicit permuted copy of the design.
 
@@ -663,7 +686,7 @@ def centered_residual_score(residuals) -> float:
     """Last residual centered by the earlier mean, over the centered spread.
 
     The raw-data route to the same score that ``mva_score`` computes from a
-    ``RegressionSummary``: with residuals e_1 ... e_n, returns
+    ``History``'s triangle: with residuals e_1 ... e_n, returns
     (e_n - mean(e_1..e_{n-1})) / sqrt(sum_{i<n} (e_i - mean)^2), keeping the
     sign.  Zero spread among the earlier residuals is a degenerate fit.
     """

@@ -32,7 +32,6 @@ from olreg import (
 )
 from olreg.predictors import (
     MonteCarloConfig,
-    RegressionSummary,
     build_sweep,
     gauss_score,
     iidgauss_pvalue,
@@ -40,7 +39,7 @@ from olreg.predictors import (
     mva_score,
     sweep_hull,
 )
-from olreg.sampler import IidGaussSummary, sample_conditional
+from olreg.sampler import sample_conditional
 
 
 def announce(capfd, number: int, ok: bool, limit: float, elapsed: float, detail: str):
@@ -214,15 +213,12 @@ def test_criterion_07_sampler_exactness_and_coverage(capfd):
         k = int(srng.integers(0, 5))
         n = int(srng.integers(k + 2, 26))
         stream = [Observation(srng.normal(size=k), float(srng.normal())) for _ in range(n)]
-        summary = IidGaussSummary.from_stream(stream)
-        for sample in sample_conditional(summary, 500, seed=s):
-            again = sample.summary()
+        history = History.from_observations(stream)
+        summary = oracles.raw_summary(history.features, history.responses)
+        for sample in sample_conditional(history, 500, seed=s):
+            again = oracles.raw_summary(sample.features, sample.responses)
             exact = (
-                np.allclose(
-                    np.sort(again.features.ravel()),
-                    np.sort(summary.features.ravel()),
-                    atol=1e-12,
-                )
+                np.allclose(again.bag, summary.bag, atol=1e-12)
                 and close_or_equal(
                     again.response_sum, summary.response_sum,
                     1e-8 * max(1.0, abs(summary.response_sum)),
@@ -258,7 +254,7 @@ def test_criterion_07_sampler_exactness_and_coverage(capfd):
 
 
 def test_criterion_08_summary_scores_match_raw_paths(capfd):
-    # Scores computed from running summaries equal raw-data recomputation.
+    # Scores read from the history's triangle equal raw-data recomputation.
     start = time.perf_counter()
     worst_gauss = worst_mva = 0.0
     rng = np.random.default_rng(88)
@@ -271,8 +267,7 @@ def test_criterion_08_summary_scores_match_raw_paths(capfd):
         history = History.from_observations(
             Observation(x[i], float(y[i])) for i in range(n)
         )
-        summary = RegressionSummary.from_history(history)
-        mine = gauss_score(summary, observation)
+        mine = gauss_score(history, observation)
         reference = oracles.pivot_score_direct(
             x, y, observation.explanatory, observation.response
         )
@@ -281,7 +276,7 @@ def test_criterion_08_summary_scores_match_raw_paths(capfd):
             [np.ones(n + 1), np.vstack([x, observation.explanatory])]
         )
         full_y = np.concatenate([y, [observation.response]])
-        mine_mva = mva_score(summary, observation)
+        mine_mva = mva_score(history, observation)
         reference_mva = oracles.centered_score_direct(design, 0.0, full_y)
         worst_mva = max(worst_mva, abs(mine_mva - reference_mva) / abs(reference_mva))
     ok = worst_gauss < 1e-10 and worst_mva < 1e-10

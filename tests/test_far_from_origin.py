@@ -10,18 +10,18 @@ any difference is the predictor's own rounding.
 import numpy as np
 import pytest
 
+import oracles
 from olreg import (
     History,
     IidGaussPredictor,
     Observation,
     RankDeficiencyError,
-    RegressionSummary,
     gauss_fit,
     gauss_score,
     mva_score,
 )
 from olreg.predictors import iid_predict, iidgauss_predict, mva_predict
-from olreg.sampler import IidGaussSummary, sample_conditional
+from olreg.sampler import sample_conditional
 
 LEVELS = (0.05, 0.01)
 
@@ -31,10 +31,6 @@ RESPONSE_MAPS = [(1e-6, 0.0), (1e6, 0.0), (-3.0, 0.0), (1e6, 1e9)]
 
 def history_of(features, responses):
     return History.from_observations(Observation(x, float(y)) for x, y in zip(features, responses))
-
-
-def summary_of(features, responses):
-    return RegressionSummary.from_history(history_of(features, responses))
 
 
 def iidgauss_intervals(history, x, levels=LEVELS, ridge=0.0):
@@ -99,7 +95,7 @@ def test_summary_pivot_at_a_feature_shift_matches_the_factor_fit():
     observation = Observation(x + 1e3, y)
     fit = gauss_fit(history, observation.explanatory)
     pivot = abs(y - fit.point_prediction) / (fit.sigma_hat * np.sqrt(1.0 + fit.leverage))
-    score = gauss_score(RegressionSummary.from_history(history), observation)
+    score = gauss_score(history, observation)
     assert score == pytest.approx(pivot, rel=1e-6)
 
 
@@ -111,11 +107,11 @@ def test_summary_scores_follow_a_response_affine_map(scale, offset):
     features, responses, x, y = instance(0)
     moved = scale * responses + offset
     moved_new = Observation(x, scale * y + offset)
-    summary = summary_of(features, moved)
-    reference = summary_of(features, (moved - offset) / scale)
+    history = history_of(features, moved)
+    reference = history_of(features, (moved - offset) / scale)
     new = Observation(x, (moved_new.response - offset) / scale)
-    assert gauss_score(summary, moved_new) == pytest.approx(gauss_score(reference, new), rel=1e-6)
-    assert mva_score(summary, moved_new) == pytest.approx(
+    assert gauss_score(history, moved_new) == pytest.approx(gauss_score(reference, new), rel=1e-6)
+    assert mva_score(history, moved_new) == pytest.approx(
         np.sign(scale) * mva_score(reference, new), rel=1e-6
     )
 
@@ -152,11 +148,10 @@ def test_iidgauss_feature_shift_keeps_full_rank_and_the_interval():
 
 def test_sampler_at_a_feature_shift_reproduces_the_summary():
     features, responses, _, _ = instance(0)
-    summary = IidGaussSummary.from_stream(
-        Observation(x, float(y)) for x, y in zip(features + 1e3, responses)
-    )
-    for sample in sample_conditional(summary, 20, seed=9):
-        again = sample.summary()
+    history = history_of(features + 1e3, responses)
+    summary = oracles.raw_summary(history.features, history.responses)
+    for sample in sample_conditional(history, 20, seed=9):
+        again = oracles.raw_summary(sample.features, sample.responses)
         assert again.response_sum == pytest.approx(summary.response_sum, rel=1e-8)
         assert np.allclose(again.cross_sum, summary.cross_sum, rtol=1e-8, atol=1e-10)
         assert again.square_sum == pytest.approx(summary.square_sum, rel=1e-8)
@@ -164,7 +159,7 @@ def test_sampler_at_a_feature_shift_reproduces_the_summary():
 
 @pytest.mark.parametrize("shift,tolerance", [(1e6, 1e-9), (5e6, 1e-9), (1e8, 1e-7)])
 def test_sampler_at_a_response_shift_keeps_the_sphere(shift, tolerance):
-    # The sphere's radius is the summary triangle's last diagonal entry, so
+    # The sphere's radius is the history triangle's last diagonal entry, so
     # nothing cancels far from zero.  Each draw's residual norm about its own
     # least-squares fit is taken after subtracting the shift (exact at these
     # magnitudes) and compared with the unshifted stream's draw of the same
@@ -172,11 +167,8 @@ def test_sampler_at_a_response_shift_keeps_the_sphere(shift, tolerance):
     features, responses, _, _ = instance(0)
 
     def residual_norms(offset):
-        summary = IidGaussSummary.from_stream(
-            Observation(x, float(y)) for x, y in zip(features, responses + offset)
-        )
         norms = []
-        for sample in sample_conditional(summary, 20, seed=9):
+        for sample in sample_conditional(history_of(features, responses + offset), 20, seed=9):
             design = np.column_stack([np.ones(len(responses)), sample.features])
             centered = sample.responses - offset
             fit, *_ = np.linalg.lstsq(design, centered, rcond=None)
@@ -190,16 +182,16 @@ def test_sampler_at_a_response_shift_keeps_the_sphere(shift, tolerance):
 
 def test_summary_centered_score_at_a_feature_shift_matches_the_unshifted_one():
     # x + 1e3 and x + 1e4 give design condition numbers near 5e6 and 5e8,
-    # far inside the least-squares rank rule; read from the summary's
+    # far inside the least-squares rank rule; read from the history's
     # triangle the score keeps full accuracy, where a Cholesky factor of the
     # Gram moments refused the 1e4 shift
     features, responses, x, y = instance(0)
     for shift in (1e3, 1e4):
         shifted, x_shifted = features + shift, x + shift
         base = mva_score(
-            summary_of(shifted - shift, responses), Observation(x_shifted - shift, y)
+            history_of(shifted - shift, responses), Observation(x_shifted - shift, y)
         )
-        moved = mva_score(summary_of(shifted, responses), Observation(x_shifted, y))
+        moved = mva_score(history_of(shifted, responses), Observation(x_shifted, y))
         assert moved == pytest.approx(base, rel=1e-6)
 
 
@@ -208,7 +200,7 @@ def test_summary_centered_score_past_the_rank_cutoff_raises():
     features, responses, x, y = instance(0)
     features[:, 2] = features[:, 0] + features[:, 1]
     x[2] = x[0] + x[1]
-    summary = summary_of(features, responses)
+    history = history_of(features, responses)
     for score in (gauss_score, mva_score):
         with pytest.raises(RankDeficiencyError):
-            score(summary, Observation(x, y))
+            score(history, Observation(x, y))

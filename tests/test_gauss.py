@@ -12,7 +12,6 @@ from olreg import (
     History,
     Observation,
     RankDeficiencyError,
-    RegressionSummary,
     gauss_fit,
     gauss_score,
 )
@@ -130,8 +129,7 @@ def test_score_from_summary_matches_raw_computation():
         features = rng.normal(size=(n, k))
         responses = rng.normal(size=n)
         history = history_of(features[:-1], responses[:-1])
-        summary = RegressionSummary.from_history(history)
-        from_summary = gauss_score(summary, Observation(features[-1], responses[-1]))
+        from_summary = gauss_score(history, Observation(features[-1], responses[-1]))
         raw = oracles.pivot_score_direct(
             features[:-1], responses[:-1], features[-1], responses[-1]
         )
@@ -144,19 +142,19 @@ def test_score_zero_spread_is_degenerate():
     # cut-off relative to the responses' own
     features = np.array([[1.0], [2.0], [3.0], [4.0]])
     for responses in ([2.0, 4.0, 6.0, 8.0], 1e6 * (2.0 * features[:, 0] + 3.0) + 1e9):
-        summary = RegressionSummary.from_history(history_of(features, responses))
+        history = history_of(features, responses)
         with pytest.raises(DegenerateFitError):
-            gauss_score(summary, Observation(np.array([5.0]), 10.0))
+            gauss_score(history, Observation(np.array([5.0]), 10.0))
 
 
 def test_score_rejects_an_observation_of_another_width():
     rng = np.random.default_rng(35)
     features = rng.normal(size=(20, 3))
     responses = features @ np.array([1.0, -1.0, 0.5]) + rng.normal(size=20)
-    summary = RegressionSummary.from_history(history_of(features, responses))
+    history = history_of(features, responses)
     for width in (2, 4):
         with pytest.raises(ValueError, match=f"expected 3 features, got {width}"):
-            gauss_score(summary, Observation(rng.normal(size=width), 0.5))
+            gauss_score(history, Observation(rng.normal(size=width), 0.5))
 
 
 def test_pivot_law_matches_student_t():
@@ -211,7 +209,7 @@ def test_nearly_collinear_features_match_the_svd_reference():
 
 def test_summary_score_on_nearly_collinear_features_matches_the_fit():
     # design condition numbers near 2e6 (delta 1e-6), 2e8 and 2e10: the
-    # summary's triangle is the history's own, so its pivot is the fit's; a
+    # score reads the history's own triangle, so its pivot is the fit's; a
     # summary of Gram moments squares the condition and missed by 1.5e-4 at 2e6
     cases = [(1e-6, seed, 1e-9) for seed in (5, 0, 1, 2)]
     for delta, seed, tolerance in cases + [(1e-8, 5, 1e-6), (1e-10, 5, 1e-6)]:
@@ -225,7 +223,7 @@ def test_summary_score_on_nearly_collinear_features_matches_the_fit():
         pivot = abs(observation.response - fit.point_prediction) / (
             fit.sigma_hat * math.sqrt(1.0 + fit.leverage)
         )
-        score = gauss_score(RegressionSummary.from_history(history), observation)
+        score = gauss_score(history, observation)
         assert score == pytest.approx(pivot, rel=tolerance)
 
 
@@ -309,14 +307,13 @@ def test_fit_scale_is_the_summary_factor_corner():
         responses = features.sum(axis=1) + rng.normal(size=n)
         history = history_of(features[:-1], responses[:-1])
         fit = gauss_fit(history, features[-1])
-        summary = RegressionSummary.from_history(history)
         assert fit.sigma_hat * math.sqrt(fit.degrees_of_freedom) == pytest.approx(
-            abs(summary.factor[-1, -1]), rel=1e-12
+            abs(history.triangular_factor()[-1, -1]), rel=1e-12
         )
         pivot = abs(responses[-1] - fit.point_prediction) / (
             fit.sigma_hat * math.sqrt(1.0 + fit.leverage)
         )
-        score = gauss_score(summary, Observation(features[-1], responses[-1]))
+        score = gauss_score(history, Observation(features[-1], responses[-1]))
         assert pivot == pytest.approx(score, rel=1e-12)
 
 
@@ -333,4 +330,4 @@ def test_exactly_linear_history_is_decided_by_one_rule():
     (interval,) = gauss_predict(history, np.array([6.0]), (0.05,))
     assert interval.lower == interval.upper == fit.point_prediction
     with pytest.raises(DegenerateFitError):
-        gauss_score(RegressionSummary.from_history(history), Observation(np.array([6.0]), 1.0))
+        gauss_score(history, Observation(np.array([6.0]), 1.0))

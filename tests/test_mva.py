@@ -13,7 +13,6 @@ from olreg import (
     History,
     Observation,
     PredictionInterval,
-    RegressionSummary,
     mva_hull,
     mva_score,
     wilks_level,
@@ -165,9 +164,8 @@ def test_summary_score_matches_raw_computation():
         features = rng.normal(size=(n, k))
         responses = rng.normal(size=n)
         history = history_of(features[:-1], responses[:-1])
-        summary = RegressionSummary.from_history(history)
         obs = Observation(features[-1], responses[-1])
-        from_summary = mva_score(summary, obs, ridge=ridge)
+        from_summary = mva_score(history, obs, ridge=ridge)
         design = np.column_stack([np.ones(n), features])
         raw = oracles.centered_score_direct(design, ridge, responses)
         assert from_summary == pytest.approx(raw, rel=1e-10, abs=1e-12)
@@ -179,20 +177,20 @@ def test_summary_score_on_an_exactly_linear_history_is_degenerate():
     features = np.arange(1.0, 9.0)[:, None]
     for scale, offset in ((1.0, 0.0), (1e6, 1e9)):
         responses = scale * (2.0 * features[:, 0] + 3.0) + offset
-        summary = RegressionSummary.from_history(history_of(features, responses))
+        history = history_of(features, responses)
         with pytest.raises(DegenerateFitError):
-            mva_score(summary, Observation(np.array([9.0]), scale * 21.0 + offset))
+            mva_score(history, Observation(np.array([9.0]), scale * 21.0 + offset))
 
 
 def test_summary_score_rejects_an_observation_of_another_width():
     rng = np.random.default_rng(44)
     features = rng.normal(size=(20, 3))
     responses = features @ np.array([1.0, -1.0, 0.5]) + rng.normal(size=20)
-    summary = RegressionSummary.from_history(history_of(features, responses))
+    history = history_of(features, responses)
     for width in (2, 4):
         for active in (None, 2):
             with pytest.raises(ValueError, match=f"expected 3 features, got {width}"):
-                mva_score(summary, Observation(rng.normal(size=width), 0.5), active_count=active)
+                mva_score(history, Observation(rng.normal(size=width), 0.5), active_count=active)
 
 
 def test_summary_score_respects_feature_truncation():
@@ -200,9 +198,8 @@ def test_summary_score_respects_feature_truncation():
     features = rng.normal(size=(8, 4))
     responses = rng.normal(size=8)
     history = history_of(features[:-1], responses[:-1])
-    summary = RegressionSummary.from_history(history)
     obs = Observation(features[-1], responses[-1])
-    truncated = mva_score(summary, obs, ridge=0.01, active_count=2)
+    truncated = mva_score(history, obs, ridge=0.01, active_count=2)
     design = np.column_stack([np.ones(8), features[:, :2]])
     raw = oracles.centered_score_direct(design, 0.01, responses)
     assert truncated == pytest.approx(raw, rel=1e-10)
@@ -439,7 +436,7 @@ def test_ridge_zero_rank_is_decided_on_the_history_design():
     with pytest.raises(RankDeficiencyError):
         MvaPredictor().step(history, x)
     with pytest.raises(RankDeficiencyError):
-        mva_score(RegressionSummary.from_history(history), Observation(x, 0.5))
+        mva_score(history, Observation(x, 0.5))
     # a positive ridge keeps the step, and the new row's rank does not matter
     step = MvaPredictor(ridge=0.01).step(history, x)
     assert all(i.lower < i.upper for i in MvaPredictor(ridge=0.01).predict(step, (0.1,)))

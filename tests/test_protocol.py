@@ -22,7 +22,6 @@ from olreg import (
     Observation,
     OnlineLedger,
     PredictionInterval,
-    RegressionSummary,
     SyntheticConfig,
     batch_predict,
     binomial_band,
@@ -83,9 +82,8 @@ def test_invalid_ridge_is_rejected_everywhere(ridge):
             predictor(ridge=ridge)
     rng = np.random.default_rng(3)
     history = History.from_arrays(rng.normal(size=(29, 3)), rng.normal(size=29))
-    summary = RegressionSummary.from_history(history)
     with pytest.raises(ValueError, match="ridge must be nonnegative and finite"):
-        mva_score(summary, Observation(rng.normal(size=3), 0.5), ridge=ridge)
+        mva_score(history, Observation(rng.normal(size=3), 0.5), ridge=ridge)
     for method in (
         history.triangular_factor,
         history.design_has_full_rank,
@@ -331,8 +329,9 @@ def test_smoothed_iid_absorbs_one_row_per_step(monkeypatch):
         absorbed.append(len(rows))
         return absorb(triangle, rows)
 
+    # the predictors reach absorb_rows only through the history
+    assert not hasattr(olreg.predictors, "absorb_rows")
     monkeypatch.setattr(olreg.base, "absorb_rows", counted)
-    monkeypatch.setattr(olreg.predictors, "absorb_rows", counted)
     stream = gen_synthetic(SyntheticConfig(seed=3, observation_count=60, feature_count=100))
     predictor = IidPredictor(ridge=0.01, schedule=FeatureSchedule.for_feature_count(100))
     run_online(predictor, stream, (0.05, 0.01), smoothed=True)
@@ -351,9 +350,6 @@ def test_iid_forms_no_step_triangle(monkeypatch):
         absorbed.append(len(rows))
         return absorb(triangle, rows)
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("the IID step formed a step triangle")
-
     stream = gen_synthetic(SyntheticConfig(seed=7, observation_count=80, feature_count=12))
     predictor = IidPredictor(ridge=0.01, schedule=FeatureSchedule.for_feature_count(12))
     features = np.array([o.explanatory for o in stream])
@@ -368,8 +364,8 @@ def test_iid_forms_no_step_triangle(monkeypatch):
         return ledgers, batch
 
     (deterministic, smoothed), batch = outputs()
+    assert not hasattr(olreg.predictors, "absorb_rows")
     monkeypatch.setattr(olreg.base, "absorb_rows", counted)
-    monkeypatch.setattr(olreg.predictors, "absorb_rows", refuse)
     (deterministic_again, smoothed_again), batch_again = outputs()
     # one row per step of each on-line run, except that the switch to all
     # features refactors the history's rows at once; then the 60 training

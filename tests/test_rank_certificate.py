@@ -4,9 +4,9 @@
 triangular inverse it formed, and settles later rank rules from it.  These
 tests check that no rank decision moves because of that, and that an on-line
 run or a batch prediction no longer forms one inverse per step or per row.
-The IID, Gauss and MVA steps all decide rank by that one rule on the
-history's design block, so a history that only the new row would make full
-rank raises for each of them.
+The IID, Gauss, MVA and IID-Gauss steps and the conditional sampler all
+decide rank by that one rule on the history's design block, so a history
+that only the new row would make full rank raises for each of them.
 """
 
 import numpy as np
@@ -19,10 +19,12 @@ import olreg.base
 from olreg import (
     FeatureSchedule,
     History,
+    IidGaussPredictor,
     Observation,
     RankDeficiencyError,
     SyntheticConfig,
     gen_synthetic,
+    sample_conditional,
 )
 from olreg.base import _passes_rank_rule
 from olreg.cli import batch_predict, main
@@ -169,6 +171,21 @@ def test_history_that_only_the_new_row_makes_full_rank_raises(model):
     if model != "gauss":
         result = batch_predict(train, responses, test, (0.1, 0.05), model=model, ridge=0.01)
         assert result.code == 0 and np.isfinite(result.upper).all()
+
+
+def test_iidgauss_and_the_sampler_decide_rank_on_such_a_history():
+    # the conditional law needs the history's whole design at full rank, so
+    # a positive ridge does not keep the step; deciding rank on the history
+    # plus the new row gave ridge-0 ends near 2e8 of rounding noise
+    train, responses, test = collinear_split()
+    history = History.from_arrays(train, responses)
+    for ridge in (0.0, 0.01):
+        with pytest.raises(RankDeficiencyError):
+            IidGaussPredictor(ridge=ridge).step(history, test[0])
+    with pytest.raises(RankDeficiencyError):
+        sample_conditional(history, 1, seed=0)
+    with pytest.raises(RankDeficiencyError):
+        batch_predict(train, responses, test, (0.1, 0.05), model="iidgauss")
 
 
 def test_iid_predict_on_such_a_history_exits_11(tmp_path, capsys):
