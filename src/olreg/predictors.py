@@ -1232,20 +1232,41 @@ class IidGaussStep:
     def radius(self, y: float) -> float:
         return sqrt(max(self.rss + self.weight * (y - self.center) ** 2, 0.0))
 
+    def _offsets(self, sign: float) -> tuple[np.ndarray, np.ndarray]:
+        """Per draw, the P and Q of ``sweep`` for the sign s: the draw's last
+        residual minus s times the observed one is radius(u) * d - P - Q u."""
+        const = self.draw_const + self.center * self.draw_lin
+        observed = self.observed_const + self.center * self.observed_lin
+        return sign * observed - const, sign * self.observed_lin - self.draw_lin
+
     def strange(self, u: np.ndarray) -> np.ndarray:
         """Whether each draw is at least as strange as the observed sequence at
-        y = center + u; ``u`` is a scalar or has one row per draw."""
+        y = center + u; ``u`` is a scalar or has one row per draw.
+
+        A draw's residual a is at least the observed b in magnitude exactly
+        when (a - b)(a + b) >= 0.  Both factors are formed from the P, Q and
+        lead coefficient that ``sweep`` solves, so the indicator flips at the
+        sweep's roots rather than where rounding a and b apart tips them.
+        """
         u = np.asarray(u, dtype=float)
         per_draw = (slice(None),) + (None,) * (u.ndim - 1)
-        lin = self.draw_lin[per_draw]
         direction = self.draw_dir[per_draw]
-        const = self.draw_const[per_draw] + self.center * lin
-        radius = np.sqrt(np.maximum(self.rss + self.weight * u * u, 0.0))
-        scores = np.abs(const + lin * u + radius * direction)
-        observed = self.observed_const + self.center * self.observed_lin
-        target = np.abs(observed + self.observed_lin * u)
+        spread = direction * direction
+        square = u * u
+        along = np.sqrt(np.maximum(self.rss + self.weight * square, 0.0)) * direction
+        sides = []
+        for sign in (1.0, -1.0):
+            p, q = (part[per_draw] for part in self._offsets(sign))
+            slope = q * u
+            # radius * d - Q u, formed as a quotient where the two terms share a
+            # sign, so it does not cancel when they grow alike with |u|; the
+            # quotient's numerator uses the lead coefficient the sweep solves
+            lead = q * q - spread * self.weight
+            apart = np.divide(spread * self.rss - lead * square, along + slope,
+                              out=along - slope, where=along * slope > 0.0)
+            sides.append(np.sign(apart - p))
         tied = self.ties[per_draw] & (self.reflected | (u * direction >= 0.0))
-        return (scores >= target) | tied
+        return (sides[0] * sides[1] >= 0.0) | tied
 
     def pvalue(self, y: float) -> float:
         count = int(np.count_nonzero(self.strange(y - self.center)))
@@ -1269,14 +1290,11 @@ class IidGaussStep:
         sequence itself.
         """
         w, rss = self.weight, self.rss
-        lin, direction = self.draw_lin, self.draw_dir
-        const = self.draw_const + self.center * lin
-        observed = self.observed_const + self.center * self.observed_lin
+        direction = self.draw_dir
         spread = direction * direction
         columns = [np.where(self.ties, 0.0, inf)]
         for sign in (1.0, -1.0):
-            p = sign * observed - const
-            q = sign * self.observed_lin - lin
+            p, q = self._offsets(sign)
             lead = q * q - spread * w
             half = p * q
             constant = p * p - spread * rss

@@ -418,9 +418,11 @@ def complement_directions_masked(rng, design, orderings, gram_factor) -> np.ndar
 def mc_bisection_boundary(step, epsilon, direction, scale, search_bound):
     """One endpoint of {y : step.pvalue(y) > epsilon}, searched outward from
     ``step.center``: doubling steps from ``scale`` until the p-value drops to
-    epsilon or the distance passes ``search_bound`` (a ray), then 40
-    bisections.  It finds the first crossing on each side, so it assumes the
-    survivor set is an interval around the center."""
+    epsilon or the distance passes ``search_bound`` (a ray), then bisections
+    until the bracket closes to adjacent floats, so the endpoint is exact
+    however far it lies from the center in units of ``scale``.  It finds the
+    first crossing on each side, so it assumes the survivor set is an
+    interval around the center."""
     center = step.center
     inside = center
     distance = scale
@@ -433,8 +435,10 @@ def mc_bisection_boundary(step, epsilon, direction, scale, search_bound):
             break
         inside = candidate
         distance *= 2.0
-    for _ in range(40):
+    while True:
         middle = 0.5 * (inside + outside)
+        if middle == inside or middle == outside:
+            break
         if step.pvalue(middle) > epsilon:
             inside = middle
         else:

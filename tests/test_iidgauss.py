@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import cho_factor
 
@@ -275,6 +275,16 @@ def test_directions_match_the_masked_loop_bitwise(n, k, samples, seed):
     st.sampled_from([(0.2,), (0.1, 0.05), (0.5, 0.2, 0.05, 0.01)]),
     st.integers(min_value=0, max_value=2**32 - 1),
 )
+# one residual dimension with an exactly fitted history: ends tens of units
+# out at a scale near 1e-3, shallow crossings ~1e4 out, and a tied cluster
+# whose end is the center itself
+@example(3, 0, 0.0, 6, (0.1, 0.05), 37)
+@example(3, 0, 0.0, 6, (0.1, 0.05), 38)
+@example(3, 0, 0.0, 6, (0.1, 0.05), 264)
+@example(3, 0, 0.01, 40, (0.1, 0.05), 35)
+@example(5, 0, 0.0, 40, (0.1, 0.05), 114)
+@example(3, 0, 0.01, None, (0.5, 0.2, 0.05, 0.01), 132)
+@example(4, 0, 0.0, 40, (0.5, 0.2, 0.05, 0.01), 11)
 def test_sweep_contains_the_bisection_and_meets_it_at_its_ends(
     k, extra, ridge, switch, levels, seed
 ):
