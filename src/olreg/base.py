@@ -24,6 +24,20 @@ from scipy.linalg import lapack
 # rounding in the computed inverse.
 CERTIFICATE_MARGIN = 1e-2
 
+# A kept factor at least this many design columns wide leaves the rows
+# appended since its last absorb pending beside it (``History.pending_factor``).
+# Below it every row is absorbed when the factor is read: a lone-row update
+# costs about 0.5 us per column (one BLAS thread), 5 us at 11 columns, less
+# than the pending rows' bookkeeping.
+WIDTH_FLOOR = 32
+# Pending rows are folded into the kept factor by one update once this many
+# have gathered ...
+ABSORB_BLOCK = 16
+# ... or once their summed leverage ||W||_F^2 against the kept triangle
+# would pass this bound B.  A corrected read subtracts at most B / (1 + B)
+# of what it corrects, so it loses at most a factor 1 + B to cancellation.
+LEVERAGE_BOUND = 8.0
+
 _EPS = float(np.finfo(float).eps)
 
 
@@ -107,12 +121,25 @@ class History:
     A = [design | responses] stacked on [sqrt(a) I | 0], so that
     R'R = [D'D + aI, D'y; y'D, y'y], over the leading design columns asked
     for (see ``triangular_factor``); a = 0 is the plain factor of
-    [design | responses].  Rows are absorbed lazily:
-    appending only records the row, and the rows appended since a factor
-    was last asked for are folded into it by one triangular-pentagonal QR
-    update (Gill, Golub, Murray & Saunders 1974), O(K^2) per absorbed row.
-    A fixed history is therefore triangularized once, an on-line run pays
-    O(K^2) per step, and predictors that never ask for a factor pay nothing.
+    [design | responses].  Rows are absorbed lazily: appending only records
+    the row, and the rows appended since a factor was last read are folded
+    into it by one triangular-pentagonal QR update (Gill, Golub, Murray &
+    Saunders 1974).  A fixed history is therefore triangularized once, and
+    predictors that never ask for a factor pay nothing.
+
+    A lone-row update costs LAPACK's per-column overhead on top of its
+    O(K^2) arithmetic, about 50 us at K = 100 against 3.5 us per row in a
+    block of 16, so a factor at least ``WIDTH_FLOOR`` columns wide absorbs
+    in blocks: the rows appended since its last absorb stay pending beside
+    it, each whitened once against the kept triangle (w = R_D^-T d, one
+    triangular solve) with its recursive residual e = y - w . R[:c, -1]
+    (Brown, Durbin & Evans 1975), and the Cholesky factor L of I + W'W grows
+    by one row.  ``pending_factor`` reads the factor with that correction
+    (``PendingFactor``).  The pending rows are folded in by one update when
+    ``ABSORB_BLOCK`` of them have gathered, or when their summed leverage
+    ||W||_F^2 against the kept triangle would pass ``LEVERAGE_BOUND``,
+    which caps the cancellation in any corrected read.  ``triangular_factor``
+    folds them in first, so its triangle is exact for every caller.
 
     The rows and the ridge-0 factor are the sufficient summary of the
     linear-Gaussian models: the bag of rows, and R'R, whose last column
@@ -129,16 +156,16 @@ class History:
     block of R_D^-1.  So the carried number bounds ||T^-1||_F, and
     ||T||_F times it bounds kappa_2(T), for the current block, for any
     truncation of it to leading columns, and for any triangle that adds rows
-    to either.  One inverse thus settles the rank rule for every later step
-    until the bound stops settling it; an on-line run forms a new inverse
-    only then, not once per step.
+    to either, pending rows included.  One inverse thus settles the rank
+    rule for every later step until the bound stops settling it; an on-line
+    run forms a new inverse only then, not once per step.
 
-    The other factor of that bound, ||R_D||_F, is carried too: each kept
-    factor holds the column sums of squares s_j of the design rows it has
-    absorbed, updated in O(K) per absorbed row and started again by a wider
-    refactor.  R'R = D'D + aI gives ||R_D||_F = sqrt(a c + sum_{j<c} s_j)
-    for any leading c-block (``design_norm``), so no rank rule reads R for
-    its norm.
+    The other factor of that bound, ||R_D||_F, is carried too: the history
+    keeps the column sums of squares s_j of its design rows, brought up to
+    date in O(K) per appended row when a rank rule asks.  R'R = D'D + aI
+    gives ||R_D||_F = sqrt(a c + sum_{j<c} s_j) for any leading c-block
+    (``design_norm``), so no rank rule reads R for its norm, and one that
+    the sqrt(a) shortcut settles touches no factor at all.
     """
 
     def __init__(self, feature_count: int):
@@ -150,6 +177,8 @@ class History:
         self._n = 0
         self._factors: dict[float, _KeptFactor] = {}
         self._full_rank: dict[tuple[float, int], bool] = {}
+        self._column_squares = np.zeros(self._k + 1)
+        self._squared_rows = 0
 
     @classmethod
     def from_observations(cls, observations: Iterable[Observation]) -> "History":
@@ -234,43 +263,73 @@ class History:
         solves.  Treat the result as read-only.
 
         The history keeps one factor per ridge, as wide as the widest c
-        asked for so far: rows appended since the previous call are absorbed
-        first, a wider request refactors the whole history once, and a
-        narrower one is served from the kept factor's leading c-block and
-        R[:c, -1] (the leading block of a triangular factor is the factor of
-        any leading set of columns), with the norm of the rest of that
-        column as the last diagonal entry.  A feature schedule therefore
-        pays for its narrow phase at the narrow width.
+        asked for so far: every row appended since the previous absorb,
+        pending ones included, is absorbed first, a wider request refactors
+        the whole history once, and a narrower one is served from the kept
+        factor's leading c-block and R[:c, -1] (the leading block of a
+        triangular factor is the factor of any leading set of columns), with
+        the norm of the rest of that column as the last diagonal entry.  A
+        feature schedule therefore pays for its narrow phase at the narrow
+        width.
         """
         columns = self._k + 1 if columns is None else columns
         return _leading_factor(self._kept_factor(ridge, columns).triangle, columns)
 
-    def _kept_factor(self, ridge: float, columns: int) -> "_KeptFactor":
+    def pending_factor(
+        self, ridge: float = 0.0, columns: int | None = None, corrected: bool = True
+    ) -> "PendingFactor":
+        """The factor of ``triangular_factor(ridge, columns)`` as a kept
+        triangle and the rows pending beside it (``PendingFactor``).
+
+        Where ``columns`` is the full width of a kept factor at least
+        ``WIDTH_FLOOR`` wide, the rows appended since its last absorb stay
+        pending until ``ABSORB_BLOCK`` of them have gathered; with
+        ``corrected`` each is also whitened against the triangle, once, and
+        they are absorbed early where their summed leverage would pass the
+        bound (see the class docstring).  Otherwise every row is absorbed
+        and nothing is pending.  The solves read from a corrected result are
+        those of the exact factor of all the history's rows, up to rounding;
+        an uncorrected one carries the pending rows alone, for a reader that
+        takes them as rows.
+        """
+        columns = self._k + 1 if columns is None else columns
+        entry = self._kept_factor(ridge, columns, hold=True, corrected=corrected)
+        if entry.pending:
+            return entry.read(self._design, self._responses)
+        return PendingFactor(_leading_factor(entry.triangle, columns))
+
+    def _kept_factor(
+        self, ridge: float, columns: int, hold: bool = False, corrected: bool = True
+    ) -> "_KeptFactor":
         """The factor kept for ``ridge``, at least ``columns`` design columns
-        wide, with every appended row absorbed; ``ridge`` must pass
+        wide, with every appended row absorbed, or, where ``hold`` allows it
+        and ``columns`` is its full width of at least ``WIDTH_FLOOR``, held
+        pending beside it (``_KeptFactor.hold``); ``ridge`` must pass
         ``validate_ridge``."""
         ridge = validate_ridge(ridge)
         entry = self._factors.get(ridge)
-        if entry is None or entry.triangle.shape[0] <= columns:
+        if entry is None or entry.width < columns:
             start = np.zeros((columns + 1, columns + 1), order="F")
             np.fill_diagonal(start[:-1, :-1], sqrt(ridge))
-            entry = self._factors[ridge] = _KeptFactor(start, np.full(columns, ridge))
-        if entry.absorbed < self._n:
-            width = entry.triangle.shape[0] - 1
-            rows = np.empty((self._n - entry.absorbed, width + 1), order="F")
-            rows[:, :-1] = self._design[entry.absorbed : self._n, :width]
-            rows[:, -1] = self._responses[entry.absorbed : self._n]
-            entry.triangle = absorb_rows(entry.triangle, rows)
-            entry.column_squares += np.einsum("ij,ij->j", rows[:, :-1], rows[:, :-1])
-            entry.absorbed = self._n
+            entry = self._factors[ridge] = _KeptFactor(start)
+        if hold and entry.width == columns >= WIDTH_FLOOR:
+            entry.hold(self._design, self._responses, self._n, corrected)
+        else:
+            entry.absorb(self._design, self._responses, self._n)
         return entry
 
     def design_norm(self, ridge: float = 0.0, columns: int | None = None) -> float:
         """||R_D||_F of the leading ``columns``-block of ``ridge``'s factor
         (default: all K+1 columns), from the column sums of squares the
-        history carries (see the class docstring): O(K), no pass over R."""
+        history carries (see the class docstring): O(K) per row appended
+        since the last call, no pass over R and no factor touched."""
+        ridge = validate_ridge(ridge)
         columns = self._k + 1 if columns is None else columns
-        return self._kept_factor(float(ridge), columns).design_norm(columns)
+        if self._squared_rows < self._n:
+            rows = self._design[self._squared_rows : self._n]
+            self._column_squares += np.einsum("ij,ij->j", rows, rows)
+            self._squared_rows = self._n
+        return sqrt(ridge * columns + float(self._column_squares[:columns].sum()))
 
     def design_inverse_norm(self, ridge: float = 0.0) -> float | None:
         """The rank certificate kept with ``ridge``'s factor.
@@ -278,16 +337,18 @@ class History:
         ||R_D^-1||_F of the factor's design block as it was when last taken,
         which bounds ||T^-1||_F for the current block and for any
         truncation of it (see the class docstring).  It is taken again, by
-        one triangular inverse of the current block, only when it no longer
-        settles the rank rule for that block.  An exactly singular block gives inf; None means that the
+        one triangular inverse of the current block with every row
+        absorbed, only when it no longer settles the rank rule for that
+        block.  An exactly singular block gives inf; None means that the
         sqrt(ridge) shortcut settles the rule without it.
         """
-        ridge = float(ridge)
+        ridge = validate_ridge(ridge)
         entry = self._factors.get(ridge)
-        width = self._k + 1 if entry is None else entry.triangle.shape[0] - 1
+        width = self._k + 1 if entry is None else entry.width
+        carried = None if entry is None else entry.inverse_norm
+        if _settles(self.design_norm(ridge, width), width, self._n, ridge, carried):
+            return carried
         entry = self._kept_factor(ridge, width)
-        if _settles(entry.design_norm(width), width, self._n, ridge, entry.inverse_norm):
-            return entry.inverse_norm
         if entry.inverse_norm is None or entry.certified_rows < self._n:
             inverse, info = lapack.dtrtri(entry.triangle[:width, :width])
             entry.inverse_norm = inf if info > 0 else float(np.linalg.norm(inverse))
@@ -302,71 +363,254 @@ class History:
         The block is rank deficient when sigma_min <= eps * max(n, columns) *
         sigma_max, the default cut-off of LAPACK's SVD least-squares solver.
         At ridge 0 its singular values are the design's, and fewer rows than
-        columns fail at once.  The rule reads the certificate of
-        ``design_inverse_norm`` and the norm of ``design_norm``: appended
-        rows only raise the smallest singular value, so an on-line run
-        settles the rule from the inverse it formed at an earlier step, and
-        forms a new one only when ||R||_F times the carried norm no longer
-        lies far below the cut-off.  For the full kept width a certificate
-        that does not settle the rule is that fresh one, the block's own
-        ||R^-1||_F, so the exact singular values decide without a second
-        inverse of the same block; a narrower block gets its own inverse
-        first (``_passes_rank_rule``).  Every predictor step, both scores
-        and the conditional sampler decide their rank here.
+        columns fail at once.  The rule reads the norm of ``design_norm``
+        and the certificate of ``design_inverse_norm``: the sqrt(ridge)
+        shortcut, or a carried certificate that lies far below the cut-off,
+        settles it without touching the factor, since appended rows, pending
+        or absorbed, only raise the smallest singular value.  Otherwise every
+        row is absorbed and a new certificate is taken.  For the full kept
+        width a certificate that does not settle the rule is that fresh one,
+        the block's own ||R^-1||_F, so the exact singular values decide
+        without a second inverse of the same block; a narrower block gets
+        its own inverse first (``_passes_rank_rule``).  Every predictor
+        step, both scores and the conditional sampler decide their rank
+        here.
         """
-        ridge = float(ridge)
+        ridge = validate_ridge(ridge)
         columns = self._k + 1 if columns is None else columns
         key = (ridge, columns)
         if key not in self._full_rank:
-            if ridge == 0.0 and self._n < columns:
-                full_rank = False
-            else:
-                # the asked width first: a wider factor starts without a certificate
-                entry = self._kept_factor(ridge, columns)
-                inverse_norm = self.design_inverse_norm(ridge)
-                frobenius = entry.design_norm(columns)
-                block = entry.triangle[:columns, :columns]
-                if columns < entry.triangle.shape[0] - 1:
-                    full_rank = _passes_rank_rule(block, self._n, ridge, inverse_norm, frobenius)
-                else:
-                    full_rank = _settles(frobenius, columns, self._n, ridge, inverse_norm) or (
-                        inverse_norm < inf and _spectrum_passes(block, self._n)
-                    )
-            self._full_rank[key] = full_rank
+            self._full_rank[key] = self._rank_rule(ridge, columns)
         return self._full_rank[key]
+
+    def _rank_rule(self, ridge: float, columns: int) -> bool:
+        n = self._n
+        if ridge == 0.0 and n < columns:
+            return False
+        frobenius = self.design_norm(ridge, columns)
+        entry = self._factors.get(ridge)
+        # a wider factor starts without a certificate
+        carried = None if entry is None or entry.width < columns else entry.inverse_norm
+        if _settles(frobenius, columns, n, ridge, carried):
+            return True
+        # the asked width first, so that the certificate is that factor's
+        entry = self._kept_factor(ridge, columns)
+        inverse_norm = self.design_inverse_norm(ridge)
+        block = entry.triangle[:columns, :columns]
+        if columns < entry.width:
+            return _passes_rank_rule(block, n, ridge, inverse_norm, frobenius)
+        return _settles(frobenius, columns, n, ridge, inverse_norm) or (
+            inverse_norm < inf and _spectrum_passes(block, n)
+        )
 
 
 @dataclass(eq=False)
 class _KeptFactor:
     """A ridge factor the history keeps: ``absorbed`` rows are folded into
-    ``triangle``, ``column_squares`` holds the squared norms of the design
-    columns of the stacked matrix it factors (the ridge a plus the column
-    sums of squares of those rows), and ``inverse_norm`` is ||R_D^-1||_F of
-    its design block after ``certified_rows`` rows (None until a rank rule
-    asks for it)."""
+    ``triangle``, and ``inverse_norm`` is ||R_D^-1||_F of its design block
+    after ``certified_rows`` rows (None until a rank rule asks for it).
+
+    The next ``pending`` rows wait beside the triangle, and the first
+    ``whitened`` of them carry their correction: with W = R_D^-T D_P' their
+    whitened design rows, e their recursive residuals and L the Cholesky
+    factor of I + W'W, ``correction`` holds the rows of L^-1 W', ``scaled``
+    the entries of L^-1 e (see ``PendingFactor``), and ``leverage`` is
+    ||W||_F^2.  Both arrays are only ever written past the rows that a
+    ``PendingFactor`` read shares, and an absorb drops them, so every read
+    stays valid.
+    """
 
     triangle: np.ndarray
-    column_squares: np.ndarray
     absorbed: int = 0
     inverse_norm: float | None = None
     certified_rows: int = 0
+    pending: int = 0
+    whitened: int = 0
+    leverage: float = 0.0
+    correction: np.ndarray | None = None
+    scaled: np.ndarray | None = None
 
-    def design_norm(self, columns: int) -> float:
-        """||R_D||_F of the leading ``columns``-block of the design block.
+    @property
+    def width(self) -> int:
+        """The design columns of the factor."""
+        return self.triangle.shape[0] - 1
 
-        R'R is the Gram matrix of the stacked matrix, so column j of R has
-        that matrix's column norm, and the leading block of an upper
-        triangle holds the whole of its leading columns.
-        """
-        return sqrt(float(self.column_squares[:columns].sum()))
+    def absorb(self, design: np.ndarray, responses: np.ndarray, count: int) -> None:
+        """Fold the rows from ``absorbed`` up to ``count``, pending ones
+        included, into the triangle by one ``absorb_rows`` call."""
+        if self.absorbed < count:
+            width = self.width
+            rows = np.empty((count - self.absorbed, width + 1), order="F")
+            rows[:, :-1] = design[self.absorbed : count, :width]
+            rows[:, -1] = responses[self.absorbed : count]
+            self.triangle = absorb_rows(self.triangle, rows)
+            self.absorbed = count
+        if self.pending:
+            self.pending = self.whitened = 0
+            self.leverage = 0.0
+            self.correction = self.scaled = None
+
+    def hold(self, design: np.ndarray, responses: np.ndarray, count: int, corrected: bool) -> None:
+        """Hold the rows up to ``count`` pending beside the triangle, with
+        their correction where ``corrected`` asks for it, or absorb them
+        all, the pending ones with them, where they would make more than
+        ``ABSORB_BLOCK`` pending rows, where the triangle cannot whiten one,
+        or where the summed leverage would pass ``LEVERAGE_BOUND``.  A new
+        factor absorbs the rows it starts from."""
+        if not self.absorbed or count - self.absorbed > ABSORB_BLOCK:
+            return self.absorb(design, responses, count)
+        self.pending = count - self.absorbed
+        if not corrected:
+            return
+        triangle, width = self.triangle, self.width
+        for index in range(self.absorbed + self.whitened, count):
+            row, info = lapack.dtrtrs(triangle[:, :width], design[index, :width], trans=1)
+            energy = float(row @ row)
+            self.leverage += energy
+            # a NaN or an infinite leverage fails the test too
+            if info != 0 or not self.leverage <= LEVERAGE_BOUND:
+                return self.absorb(design, responses, count)
+            if self.correction is None:
+                self.correction = np.empty((ABSORB_BLOCK, width))
+                self.scaled = np.empty(ABSORB_BLOCK)
+            # L grows by the row (l', d): l = L^-1 W'w = V w and d^2 = 1 +
+            # |w|^2 - |l|^2, at least 1; V and s grow by (w - V'l) / d and
+            # (e - l . s) / d, e = y - w . R[:c, -1] the recursive residual
+            held = self.whitened
+            residual = responses[index] - float(triangle[:width, width] @ row)
+            if held:
+                basis, scaled = self.correction[:held], self.scaled[:held]
+                cross = basis @ row
+                diagonal = sqrt(1.0 + energy - float(cross @ cross))
+                row = row - cross @ basis
+                residual -= float(cross @ scaled)
+            else:
+                diagonal = sqrt(1.0 + energy)
+            self.correction[held] = row / diagonal
+            self.scaled[held] = residual / diagonal
+            self.whitened = held + 1
+
+    def read(self, design: np.ndarray, responses: np.ndarray) -> "PendingFactor":
+        """The triangle and its pending rows, as ``PendingFactor``, with
+        their correction once every one of them carries it."""
+        held = self.pending
+        rows = slice(self.absorbed, self.absorbed + held)
+        corrected = self.whitened == held
+        return PendingFactor(
+            self.triangle,
+            design[rows, : self.width],
+            responses[rows],
+            self.correction[:held] if corrected else None,
+            self.scaled[:held] if corrected else None,
+        )
+
+
+@dataclass(eq=False)
+class PendingFactor:
+    """The history's Gram matrix over c design columns as a triangle R of
+    [design | responses] stacked on [sqrt(a) I | 0] over the absorbed rows
+    (as ``History.triangular_factor`` returns it when nothing is pending),
+    and p rows pending beside it.
+
+    The pending rows D_P and their responses are ``rows`` and
+    ``responses``.  With W = R_D^-T D_P' (c x p) their whitened rows, e =
+    y_P - W'R[:c, -1] their recursive residuals against the triangle's own
+    fit, and L the lower Cholesky factor of I + W'W, the Gram matrix of
+    every row is R_D'(I + W W')R_D, so
+
+        (D'D + aI)^-1 = R_D^-1 (I - W (I + W'W)^-1 W') R_D^-T.
+
+    A corrected read carries ``correction`` = V = L^-1 W' (p x c) and
+    ``scaled`` = s = L^-1 e, and the reads below apply the correction
+    through them: O(c^2 + p c) per right side, no factor update.  With
+    nothing pending each read is the plain triangular solve of the
+    triangle, bit for bit.  The history keeps ||W||_F^2 at most
+    ``LEVERAGE_BOUND`` B, so a subtracted term is at most B / (1 + B) of
+    what it is taken from.  An uncorrected read (``correction`` None) has
+    pending rows but no solves.  Treat a read as read-only.
+    """
+
+    triangle: np.ndarray
+    rows: np.ndarray | None = None
+    responses: np.ndarray | None = None
+    correction: np.ndarray | None = None
+    scaled: np.ndarray | None = None
+
+    @property
+    def pending(self) -> int:
+        """The number p of pending rows."""
+        return 0 if self.rows is None else len(self.rows)
+
+    @property
+    def columns(self) -> int:
+        """The design columns c."""
+        return self.triangle.shape[0] - 1
+
+    def _corrections(self) -> tuple[np.ndarray, np.ndarray]:
+        """(V, s), for the solves of a read with pending rows."""
+        if self.correction is None:
+            raise ValueError("an uncorrected read of pending rows has no solves")
+        return self.correction, self.scaled
+
+    def coefficients(self) -> np.ndarray:
+        """The ridge coefficients of every row: R_D^-1 (r + V's), r =
+        R[:c, -1], one triangular solve plus O(p c) for the pending rows."""
+        cols = self.columns
+        right = self.triangle[:cols, cols]
+        if self.pending:
+            basis, scaled = self._corrections()
+            right = right + scaled @ basis
+        coefficients, _ = lapack.dtrtrs(self.triangle[:, :cols], right)
+        return coefficients
+
+    def whiten(self, right: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """G = R_D^-T ``right`` (a c-vector, or c x m) and its pending part
+        Y = V G, empty with nothing pending.  The quadratic form of a right
+        side z is z'(D'D + aI)^-1 z = |g|^2 - |y|^2, column by column;
+        ``solve`` takes (G, Y) to (D'D + aI)^-1 z."""
+        # LAPACK reads R_D as the top block of R's leading columns, which are
+        # contiguous in a Fortran-ordered R, so no copy of it is made
+        whitened, _ = lapack.dtrtrs(self.triangle[:, : self.columns], right, trans=1)
+        if not self.pending:
+            return whitened, whitened[:0]
+        return whitened, self._corrections()[0] @ whitened
+
+    def solve(self, whitened: np.ndarray, part: np.ndarray) -> np.ndarray:
+        """(D'D + aI)^-1 z = R_D^-1 (G - V'Y) from the (G, Y) that
+        ``whiten`` gave for z."""
+        if self.pending:
+            whitened = whitened - self._corrections()[0].T @ part
+        solved, _ = lapack.dtrtrs(self.triangle[:, : self.columns], whitened)
+        return solved
+
+    def residual_norm(self) -> float:
+        """The root of every row's residual energy at the ridge fit,
+        sqrt(R[-1, -1]^2 + |s|^2): a sum of squares, so nothing cancels."""
+        corner = abs(float(self.triangle[-1, -1]))
+        if not self.pending:
+            return corner
+        scaled = self._corrections()[1]
+        return sqrt(corner * corner + float(scaled @ scaled))
+
+    def response_norm(self) -> float:
+        """The root of every row's squared responses, ||R[:, -1]|| with the
+        pending responses added."""
+        column = self.triangle[:, -1]
+        energy = float(column @ column)
+        if self.pending:
+            energy += float(self.responses @ self.responses)
+        return sqrt(energy)
 
 
 def absorb_rows(triangle: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Upper triangle T with T'T = triangle'triangle + rows'rows.
 
     One triangular-pentagonal Householder QR of the triangle stacked over
-    the rows (LAPACK ``dtpqrt``), O(c^2) per row for c columns; the inputs
-    are left unchanged.
+    the rows (LAPACK ``dtpqrt``), the inputs left unchanged.  It costs
+    O(c^2) per row for c columns plus a per-column overhead per call that,
+    for a lone row, outweighs the arithmetic (about 49 us for one row and
+    3.5 us per row in a block of 16 at c = 102, one BLAS thread), which is
+    why ``History`` absorbs wide factors a block at a time.
     """
     # block size 8 was faster than 16 or 32 at K = 100, both for one row
     # and for a 600-row batch

@@ -3,12 +3,13 @@
 The IID step's residual projector applies ``e = y - U (U'U + aI)^{-1} U' y``
 without forming an n-by-n matrix or the Gram matrix U'U.  It starts from the
 triangular factor that ``History`` keeps for the ridge coefficient,
-truncated to the scheduled columns, and does not absorb the new row into
-it: three triangular solves with the factor's design block give the
-history's fit and the new row's leverage, and the row update of Gill,
-Golub, Murray & Saunders (1974) turns them into the n residuals, with no
-step triangle.  The step costs O(k^2 + n k) in all for k regressor columns,
-and the design's conditioning is never squared.  A batch IID step does the
+truncated to the scheduled columns, with the rows pending beside it
+(``History.pending_factor``), and does not absorb the new row into it:
+three triangular solves with the factor's design block, corrected for the
+pending rows, give the history's fit and the new row's leverage, and the
+row update of Gill, Golub, Murray & Saunders (1974) turns them into the n
+residuals, with no step triangle.  The step costs O(k^2 + n k) in all for
+k regressor columns, and the design's conditioning is never squared.  A batch IID step does the
 same for a block of m new rows after one history: the three solves take the
 block as a many-column right side, the history's own coefficients are
 solved once, and one GEMM of the design rows with those coefficients and
@@ -28,10 +29,11 @@ realized residuals of the step are read off the same map in O(n).
 The Gauss and MVA predictors need no projector.  Gauss reads its
 least-squares fit from the ridge-0 factor of [design | responses] that
 ``History`` keeps, by two LAPACK triangular solves, and its residual scale
-from that factor's last diagonal entry.  MVA reads its ridge fit of the
-step from the kept ridge factor by the same solves, and the sum and the
-centered energy of the earlier residuals from the kept ridge-0 factor,
-which the history keeps beside the ridge one when the ridge is positive.
+from that factor's last diagonal entry and the pending rows' recursive
+residuals.  MVA reads its ridge fit of the step from the kept ridge factor
+by the same solves, and the sum and the centered energy of the earlier
+residuals from the kept ridge-0 factor, which the history keeps beside the
+ridge one when the ridge is positive.
 Both steps are O(k^2) per new row with no pass over the rows and no
 residual vector, and take a block of new rows after one history as the
 IID step does: the history's coefficients solved once, the block's rows
@@ -46,8 +48,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lapack
 from scipy.special import stdtr, stdtrit
+
+from .base import PendingFactor
 
 
 class RidgeProjector:
@@ -58,12 +61,14 @@ class RidgeProjector:
     (m, k)), each with the same design rows before it; a one-row projector
     is the one-row block.  ``factor`` is the triangle R of [design |
     responses] stacked on [sqrt(a) I | 0] (as ``History.triangular_factor``
-    returns it), with design block R_D and response column r; its design
-    block must pass the rank rule (``History.design_has_full_rank``).  No
-    new row is absorbed into it.  Three triangular solves, each with the
-    block's m rows as a many-column right side, give G = R_D^-T X', h_j =
-    ||g_j||^2, the design rows' own coefficients c_h = R_D^-1 r (once per
-    block), their predictions yhat_j = x_j . c_h, which are the
+    returns it), with design block R_D and response column r, or that
+    triangle with the rows pending beside it (``History.pending_factor``),
+    whose solves are corrected for them; its design block must pass the
+    rank rule (``History.design_has_full_rank``).  No new row is absorbed
+    into it.  Three triangular solves, each with the block's m rows as a
+    many-column right side, give G = R_D^-T X', h_j = ||g_j||^2 (less the
+    pending rows' part), the design rows' own coefficients c_h = R_D^-1 r
+    (once per block), their predictions yhat_j = x_j . c_h, which are the
     ``reference`` responses, and Q = R_D^-1 G, O(k^2 m).  A response y of
     row j then has the coefficients c_h + q_j u / (1 + h_j) and the
     residuals [e - D q_j u / (1 + h_j); u / (1 + h_j)], where u = y - yhat_j
@@ -79,11 +84,13 @@ class RidgeProjector:
     def __init__(self, design, new_row, factor, responses):
         cols = design.shape[1]
         block = np.asarray(new_row, dtype=float)
+        if not isinstance(factor, PendingFactor):
+            factor = PendingFactor(np.asarray(factor, dtype=float))
         if (
             block.ndim not in (1, 2)
             or block.shape[-1] != cols
             or 0 in block.shape
-            or np.shape(factor) != (cols + 1, cols + 1)
+            or factor.triangle.shape != (cols + 1, cols + 1)
         ):
             raise ValueError(
                 f"new_row must have {cols} entries per row"
@@ -97,17 +104,17 @@ class RidgeProjector:
         self._head = design
         self._responses = responses
         self._decomposition = None
-        # LAPACK reads R_D as the top block of R's leading columns, which
-        # are contiguous in a Fortran-ordered R, so no copy of it is made
-        leading = factor[:, :cols]
-        whitened, _ = lapack.dtrtrs(leading, block.T, trans=1)
-        own, _ = lapack.dtrtrs(leading, factor[:cols, cols])
-        direction, _ = lapack.dtrtrs(leading, whitened)
+        whitened, part = factor.whiten(block.T)
+        own = factor.coefficients()
+        direction = factor.solve(whitened, part)
         # Each row's map: the new row's slope 1 / (1 + h_j) and, one column
         # per row, (U_j'U_j + aI)^-1 x_j; every row's reference response is
         # fitted by the design rows' own c_h
         self._reference = block @ own
-        self._shrink = 1.0 / (1.0 + (whitened * whitened).sum(axis=0))
+        leverage = (whitened * whitened).sum(axis=0)
+        if len(part):
+            leverage = leverage - (part * part).sum(axis=0)
+        self._shrink = 1.0 / (1.0 + leverage)
         direction *= self._shrink
         self._coefficients = own
         self._direction = direction

@@ -46,17 +46,19 @@ The history is the sufficient summary every model reads: its rows, and
 the factors of [design | responses] that ``History`` keeps, whose R'R
 carries the moments sum y, sum y x and sum y^2.  The IID, Gauss and MVA
 steps, and the scores ``gauss_score`` and ``mva_score``, read those factors
-by triangular solves and absorb the new row into no copy of them.  Every
-step decides rank in one place, the history's design block
-(``History.design_has_full_rank``, through ``_require_full_rank``), from
-the certificate the history carries, so the new row never decides it.  The
-IID step (``RidgeProjector``) takes three solves and one O(nK) product for
-the residuals' offset and slope, after which a p-value is an O(n) read; a
-block of m rows takes the same three solves with m right sides and one
-GEMM.  The Gauss and MVA steps form no residual vector: each is O(K^2) per
-row, with five numbers for an MVA step (``MvaStep``) solved in the
-distance from the history's own prediction, and one copy of the MVA
-region's branch rules (``quadratic_ends``) for every row and level.
+by triangular solves, corrected for the rows the history leaves pending
+beside a wide factor (``History.pending_factor``), and absorb the new row
+into no copy of them.  Every step decides rank in one place, the history's
+design block (``History.design_has_full_rank``, through
+``_require_full_rank``), from the certificate the history carries, so the
+new row never decides it.  The IID step (``RidgeProjector``) takes three
+solves and one O(nK) product for the residuals' offset and slope, after
+which a p-value is an O(n) read; a block of m rows takes the same three
+solves with m right sides and one GEMM.  The Gauss and MVA steps form no
+residual vector: each is O(K^2) per row, with five numbers for an MVA step
+(``MvaStep``) solved in the distance from the history's own prediction,
+and one copy of the MVA region's branch rules (``quadratic_ends``) for
+every row and level.
 
 ``iid_predict``, ``gauss_predict`` and ``mva_predict`` are one-step
 shortcuts that take the history directly, and ``iidgauss_predict`` and
@@ -83,6 +85,7 @@ from .base import (
     DegenerateFitError,
     FeatureSchedule,
     History,
+    PendingFactor,
     PredictionInterval,
     Observation,
     RankDeficiencyError,
@@ -139,6 +142,13 @@ def _column_dots(a: np.ndarray, b: np.ndarray):
     return np.einsum("ij,ij->j", a, b)
 
 
+def _leverage(whitened: np.ndarray, part: np.ndarray):
+    """z'(D'D + aI)^-1 z for each right side z, from the (G, Y) of
+    ``PendingFactor.whiten``: |g|^2 less the pending rows' part |y|^2."""
+    leverage = _column_dots(whitened, whitened)
+    return leverage - _column_dots(part, part) if len(part) else leverage
+
+
 def _choose(condition, chosen, otherwise):
     """``chosen`` where ``condition`` holds and ``otherwise`` elsewhere: a
     plain choice for a scalar condition, so that one-row steps pay no array
@@ -164,16 +174,22 @@ def _active_features(schedule: FeatureSchedule | None, n: int, k: int) -> int:
     return active
 
 
-def _require_full_rank(history: History, ridge: float, columns: int) -> None:
+def _require_full_rank(
+    history: History, ridge: float, columns: int, ridge_helps: bool = True
+) -> None:
     """Raise ``RankDeficiencyError`` unless the leading ``columns``-block of
     the history's factor for ``ridge`` passes the least-squares rank rule
     (``History.design_has_full_rank``): the rank decision of the IID, Gauss
-    and MVA steps and of IID-Gauss's ridge fit."""
+    and MVA steps and of IID-Gauss's ridge fit.  At ridge 0 the message
+    advises a positive ridge only where the model has one
+    (``ridge_helps``); Gauss fits by least squares whatever the ridge."""
     if not history.design_has_full_rank(ridge, columns):
+        if ridge > 0.0:
+            raise RankDeficiencyError("ridge normal matrix is numerically singular")
         raise RankDeficiencyError(
             "design is rank deficient; use a positive ridge coefficient"
-            if ridge == 0.0
-            else "ridge normal matrix is numerically singular"
+            if ridge_helps
+            else "design is rank deficient; the least-squares fit needs a full-rank design"
         )
 
 
@@ -188,10 +204,11 @@ def _step_projector(
     The history's design block decides the rank first
     (``_require_full_rank``), from the certificate the history carries for
     its factor, so neither a new row nor a block of them changes the
-    decision.  The projector is then built from that kept factor and the
-    new rows by three triangular solves, O(K^2) per row on top of the
-    history's own O(K^2) per appended row, with no copy of the design or
-    the responses and no step triangle.
+    decision.  The projector is then built from that kept factor, with
+    the rows pending beside it (``History.pending_factor``), and the new
+    rows by three triangular solves, O(K^2) per row on top of the
+    history's own bookkeeping per appended row, with no copy of the design
+    or the responses and no step triangle.
     """
     k = history.feature_count
     x = _new_row(x_new, k, block=True)
@@ -200,7 +217,7 @@ def _step_projector(
     return RidgeProjector(
         history.design_matrix[:, :cols],
         _design_rows(x, cols),
-        history.triangular_factor(ridge, cols),
+        history.pending_factor(ridge, cols),
         history.responses,
     )
 
@@ -608,39 +625,36 @@ class GaussFit:
     degrees_of_freedom: int
 
     @classmethod
-    def from_factor(cls, factor: np.ndarray, count: int, x: np.ndarray) -> "GaussFit":
-        """The fit that the triangle R of [1 | x | y] over ``count`` rows
-        carries, at the new explanatory vector ``x``, or at each row of a
-        block of them (m x K).
+    def from_factor(cls, factor: PendingFactor, count: int, x: np.ndarray) -> "GaussFit":
+        """The fit that the history's factor of [1 | x | y] over ``count``
+        rows carries (``History.pending_factor``), at the new explanatory
+        vector ``x``, or at each row of a block of them (m x K).
 
-        The coefficients solve R_D b = r_y on R's leading block and its
-        response column, once for every row; the leverage of a row z is
-        ||R_D^-T z||^2 (no Gram matrix is formed, so its conditioning is
-        not squared), from one triangular solve with the block's rows as
-        its right sides; and ``sigma_hat`` is |R[-1, -1]|, the root of the
-        residual energy, over sqrt(dof): exactly zero at or below the
-        least-squares cut-off relative to the responses' own root energy
-        ||R[:, -1]||.  Two triangular solves, O(K^2) per row, and no pass
-        over the history's rows.
+        The coefficients solve the normal equations through the factor's
+        triangle R_D and response column, once for every row; the leverage
+        of a row z is z'(D'D)^-1 z = ||R_D^-T z||^2 less the pending rows'
+        part (no Gram matrix is formed, so its conditioning is not squared),
+        from one triangular solve with the block's rows as its right sides;
+        and ``sigma_hat`` is the root of the residual energy, |R[-1, -1]|
+        with the pending rows' recursive residuals added, over sqrt(dof):
+        exactly zero at or below the least-squares cut-off relative to the
+        responses' own root energy.  Two triangular solves, O(K^2) per row,
+        and no pass over the history's rows.
         """
         cols = x.shape[-1] + 1
         rows = _design_rows(x, cols)
-        leading = factor[:, :cols]
-        # LAPACK reads R_D as the top block of R's leading columns, which are
-        # contiguous in a Fortran-ordered R, so no copy of it is made
-        coefficients, _ = lapack.dtrtrs(leading, factor[:cols, cols])
-        whitened, _ = lapack.dtrtrs(leading, rows.T, trans=1)
-        residual_norm = abs(float(factor[-1, -1]))
-        responses = factor[:, -1]
-        tolerance = _rank_tolerance(count, factor.shape[0])
-        if residual_norm <= tolerance * sqrt(float(responses @ responses)):
+        coefficients = factor.coefficients()
+        whitened, part = factor.whiten(rows.T)
+        residual_norm = factor.residual_norm()
+        tolerance = _rank_tolerance(count, cols + 1)
+        if residual_norm <= tolerance * factor.response_norm():
             residual_norm = 0.0
         dof = count - cols
         point = rows @ coefficients
         return cls(
             coefficients=coefficients,
             sigma_hat=residual_norm / sqrt(dof),
-            leverage=_column_dots(whitened, whitened),
+            leverage=_leverage(whitened, part),
             point_prediction=float(point) if x.ndim == 1 else point,
             degrees_of_freedom=dof,
         )
@@ -666,11 +680,12 @@ def gauss_fit(history: History, x_new) -> GaussFit:
     prediction pivot ``GaussFit.pivot`` follows a Student t law with
     ``degrees_of_freedom`` when the model holds.
 
-    Everything is read from the triangular factor R of [design | responses]
-    that the history keeps (``GaussFit.from_factor``).  A residual energy at
-    or below the least-squares cut-off relative to the responses' own (a
-    perfectly interpolated history) gives sigma_hat exactly zero, by the rule
-    ``gauss_score`` applies to the same triangle.  With the factor up to date
+    Everything is read from the factor of [design | responses] that the
+    history keeps, with the rows pending beside it
+    (``GaussFit.from_factor``).  A residual energy at or below the
+    least-squares cut-off relative to the responses' own (a perfectly
+    interpolated history) gives sigma_hat exactly zero, by the rule
+    ``gauss_score`` applies to the same factor.  With the factor up to date
     a call costs two O(K^2) triangular solves per row, with the history's
     coefficients solved once for a block, and no pass over the rows.
     """
@@ -680,8 +695,8 @@ def gauss_fit(history: History, x_new) -> GaussFit:
         raise RankDeficiencyError(
             f"need more than {cols} observations to estimate the residual scale"
         )
-    _require_full_rank(history, 0.0, cols)
-    return GaussFit.from_factor(history.triangular_factor(), rows, x)
+    _require_full_rank(history, 0.0, cols, ridge_helps=False)
+    return GaussFit.from_factor(history.pending_factor(), rows, x)
 
 
 def _pivot_ends(point, spread, quantiles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -833,9 +848,35 @@ class MvaStep:
         return self.head_aa + u * (2.0 * self.head_ab + u * self.head_bb)
 
 
+def _centered_crosses(scale: float, absorbed: int, heads: np.ndarray, tails: np.ndarray):
+    """The matrix of sums over the earlier residuals of (a_i - mean a)(b_i -
+    mean b) for each pair of their affine parts a, b (one more axis for the
+    rows of a block), when some of those rows are pending beside R_0.
+
+    ``heads`` holds, per part, its R_0 v for the rows absorbed into R_0
+    (with Q the orthogonal factor of R_0, the part is Q v): its sum over the
+    ``absorbed`` rows is ``scale`` * head[0] (``scale`` = R_0[0, 0], since
+    Q's first column is the ones column over it) and its centered part
+    lies in head[1:].  ``tails`` holds, per part, its values at the pending
+    rows.  The groups are joined by their within-group terms plus the
+    between-group term n_A n_P / n (mean_A a - mean_P a)(mean_A b -
+    mean_P b), all as one Gram matrix of centered parts, so a centered
+    energy stays a sum of squares.
+    """
+    held = tails.shape[1]
+    means = tails.sum(axis=1, keepdims=True) / held
+    between = sqrt(absorbed * held / (absorbed + held))
+    parts = np.concatenate(
+        [heads[:, 1:], tails - means, between * (scale / absorbed * heads[:, :1] - means)], axis=1
+    )
+    if parts.ndim == 2:
+        return parts @ parts.T
+    return np.einsum("aij,bij->abj", parts, parts)
+
+
 def _mva_step(
-    ridge_factor: np.ndarray,
-    zero_factor: np.ndarray,
+    ridge_factor: PendingFactor,
+    zero_factor: PendingFactor,
     count: int,
     rows: np.ndarray,
     ridge: float,
@@ -843,29 +884,36 @@ def _mva_step(
     """The step of a history of ``count`` rows at the new design row
     ``rows``, or at each row of a block of them (m x cols).
 
-    ``ridge_factor`` is the history's triangle R_a of [design | responses]
-    with ``ridge`` (``History.triangular_factor(ridge, cols)``), and
-    ``zero_factor`` its triangle R_0 at ridge 0 (R_a itself at ridge 0).
-    With g = R_aD^-T row and h = ||g||^2, the history's coefficients c_h,
-    its prediction yhat = row . c_h and u = y - yhat, the step's ridge
-    coefficients are c(y) = c_h + R_aD^-1 g u / (1 + h) and its last
-    residual is u / (1 + h).  With w(y) = R_0 [-c(y); 1] the earlier
-    residuals are Q w(y) for R_0's orthogonal factor Q, whose first column
-    is the ones column over R_0[0, 0]: they sum to R_0[0, 0] w[0] and their
-    centered energy is ||w[1:]||^2, with no column sums formed and no
-    difference of energies that could cancel.  At ridge 0, R_0 = R_a and
-    w(y) = [-g u / (1 + h); rho] exactly, rho = R_0[-1, -1] the history's
-    residual norm, and the centered last residual u n / ((n - 1)(1 + h))
-    vanishes at yhat.  With ridge > 0 it vanishes elsewhere, and the forms
-    are moved there from w(yhat) and dw/du (see ``MvaStep``).
+    ``ridge_factor`` is the history's factor R_a of [design | responses]
+    with ``ridge`` (``History.pending_factor(ridge, cols)``), and
+    ``zero_factor`` its factor R_0 at ridge 0 (R_a itself at ridge 0),
+    each a kept triangle with the rows pending beside it.  With g the
+    whitened row and h its leverage against all the history's rows, the
+    history's coefficients c_h, its prediction yhat = row . c_h and u = y -
+    yhat, the step's ridge coefficients are c(y) = c_h + q u / (1 + h), q =
+    (D'D + aI)^-1 row, and its last residual is u / (1 + h).  With w(y) =
+    R_0 [-c(y); 1] the earlier residuals absorbed into R_0 are Q w(y) for
+    R_0's orthogonal factor Q, whose first column is the ones column over
+    R_0[0, 0]: they sum to R_0[0, 0] w[0] and their centered energy is
+    ||w[1:]||^2, with no column sums formed and no difference of energies
+    that could cancel.  The rows pending beside R_0 add their own
+    residuals, group by group (``_centered_crosses``).  At ridge 0, R_0 = R_a,
+    the earlier residuals at yhat are the history's least-squares
+    residuals, which sum to zero, have energy rho^2 (rho the history's
+    residual norm) and are orthogonal to their change with u; with nothing
+    pending w(y) = [-g u / (1 + h); rho] exactly, and the centered last
+    residual u n / ((n - 1)(1 + h)) vanishes at yhat.  With ridge > 0 it
+    vanishes elsewhere, and the forms are moved there from w(yhat) and
+    dw/du (see ``MvaStep``).
 
     c_h, w(yhat) and rho belong to the history and are solved once; G =
     R_aD^-T X' takes one triangular solve with the rows as its right
-    sides, and for ridge > 0 R_aD^-1 G a second and R_0 times it one
-    product with R_0's design block.  That is O(K^2) per row, with no
-    n-vector.  A rho at or below the least-squares cut-off relative to the
-    responses' own root energy (an exactly linear history) is taken as 0,
-    the rule ``GaussFit`` applies to its residual scale.
+    sides, and for ridge > 0 or pending rows q a second and R_0 times it one
+    product with R_0's design block.  That is O(K^2) per row, plus O(p K)
+    for p pending rows, with no n-vector.  A rho at or below the
+    least-squares cut-off relative to the responses' own root energy (an
+    exactly linear history) is taken as 0, the rule ``GaussFit`` applies to
+    its residual scale.
 
     The caller decides the rank of R_aD first, except where the fit
     interpolates.  Ridge 0 has two structural cases.  With no more rows
@@ -879,47 +927,73 @@ def _mva_step(
     n = count + 1
     if ridge == 0.0 and n <= cols:
         return MvaStep(n, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-    # LAPACK reads R_aD as the top block of R_a's leading columns, which are
-    # contiguous in a Fortran-ordered R_a, so no copy of it is made
-    leading = ridge_factor[:, :cols]
-    whitened, _ = lapack.dtrtrs(leading, rows.T, trans=1)
-    coefficients, _ = lapack.dtrtrs(leading, ridge_factor[:cols, cols])
-    shrink = 1.0 / (1.0 + _column_dots(whitened, whitened))
+    whitened, part = ridge_factor.whiten(rows.T)
+    coefficients = ridge_factor.coefficients()
+    shrink = 1.0 / (1.0 + _leverage(whitened, part))
     center = rows @ coefficients
-    mean_weight = float(zero_factor[0, 0]) / count
-    # R_0's last row is [0, rho], so rho is w's last entry whatever c(y)
-    responses = zero_factor[:, cols]
-    rho = float(responses[cols])
-    if (ridge == 0.0 and n == cols + 1) or abs(rho) <= _rank_tolerance(
-        count, cols + 1
-    ) * sqrt(float(responses @ responses)):
-        rho = 0.0
+    triangle = zero_factor.triangle
+    mean_weight = float(triangle[0, 0]) / count
+    held = zero_factor.pending
+    # at ridge 0 the history's residual norm; with ridge > 0 the rows
+    # absorbed into R_0 enter the energy through their own, and the cut-off
+    # is theirs (they are all of the rows when nothing is pending)
     if ridge == 0.0:
+        rho, root = zero_factor.residual_norm(), zero_factor.response_norm()
+    else:
+        column = triangle[:, cols]
+        rho, root = abs(float(column[cols])), sqrt(float(column @ column))
+    if (ridge == 0.0 and n == cols + 1) or rho <= _rank_tolerance(count, cols + 1) * root:
+        rho = 0.0
+    if ridge == 0.0 and not held:
         # w0 = [0; rho] and w1 = [-g; 0] / (1 + h): no product with R_0
         tail = whitened[1:]
         offset, slope = 0.0, shrink * (1.0 + mean_weight * whitened[0])
         forms = rho * rho, 0.0, shrink * shrink * _column_dots(tail, tail)
     else:
-        direction, _ = lapack.dtrtrs(leading, whitened)
-        design_block = zero_factor[:, :cols]
-        w0 = responses - design_block @ coefficients
-        w0[cols] = rho
+        direction = ridge_factor.solve(whitened, part)
+        design_block = triangle[:, :cols]
         w1 = -shrink * (design_block @ direction)
-        offset = -mean_weight * float(w0[0])
         slope = shrink - mean_weight * w1[0]
-        # the ridge's pull on the intercept can leave the centered last
-        # residual far from zero at yhat when the responses sit far from
-        # zero, and the region's coefficients would then cancel: each row
-        # with a slope is moved to where its centered last residual vanishes
-        moving = slope != 0.0
-        shift = -offset / _choose(moving, slope, inf)
-        w0 = (w0 if w1.ndim == 1 else w0[:, None]) + shift * w1
-        center = center + shift
-        offset = _choose(moving, 0.0, offset)
-        head0, head1 = w0[1:], w1[1:]
-        forms = (
-            _column_dots(head0, head0), _column_dots(head0, head1), _column_dots(head1, head1)
-        )
+        if held:
+            pending_rows = zero_factor.rows
+            t1 = -shrink * (pending_rows @ direction)
+            slope = slope - t1.sum(axis=0) / count
+            groups = (float(triangle[0, 0]), count - held)
+        if ridge == 0.0:
+            # the history's least-squares residuals at yhat: zero sum, energy
+            # rho^2 and orthogonal to w1 (only with rows pending beside R_0)
+            offset = 0.0
+            bb = _centered_crosses(*groups, w1[None], t1[None])[0][0]
+            forms = rho * rho, 0.0, float(bb) if rows.ndim == 1 else bb
+        else:
+            w0 = triangle[:, cols] - design_block @ coefficients
+            w0[cols] = rho
+            offset = -mean_weight * float(w0[0])
+            if held:
+                t0 = zero_factor.responses - pending_rows @ coefficients
+                offset = offset - float(t0.sum()) / count
+            # the ridge's pull on the intercept can leave the centered last
+            # residual far from zero at yhat when the responses sit far from
+            # zero, and the region's coefficients would then cancel: each row
+            # with a slope is moved to where its centered last residual vanishes
+            moving = slope != 0.0
+            shift = -offset / _choose(moving, slope, inf)
+            w0 = (w0 if w1.ndim == 1 else w0[:, None]) + shift * w1
+            center = center + shift
+            offset = _choose(moving, 0.0, offset)
+            if held:
+                t0 = (t0 if t1.ndim == 1 else t0[:, None]) + shift * t1
+                crosses = _centered_crosses(*groups, np.array([w0, w1]), np.array([t0, t1]))
+                if rows.ndim == 1:
+                    crosses = crosses.tolist()
+                forms = crosses[0][0], crosses[0][1], crosses[1][1]
+            else:
+                head0, head1 = w0[1:], w1[1:]
+                forms = (
+                    _column_dots(head0, head0),
+                    _column_dots(head0, head1),
+                    _column_dots(head1, head1),
+                )
     if rows.ndim == 1:
         center, offset, slope = float(center), float(offset), float(slope)
     return MvaStep(n, center, offset, slope, *forms)
@@ -928,13 +1002,15 @@ def _mva_step(
 def _history_mva_step(history: History, rows: np.ndarray, ridge: float) -> MvaStep:
     """The MVA step after ``history`` at the design row ``rows`` (or a
     block of them) over its leading columns, read from the history's kept
-    factors at ridge 0 and at ``ridge``.  The history's design block decides
+    factors at ridge 0 and at ``ridge`` with the rows pending beside them
+    (``History.pending_factor``).  The history's design block decides
     the rank (``_require_full_rank``), except where a ridge-0 fit
     interpolates and has no rank to decide; ``MvaPredictor.step`` and
     ``mva_score`` both take their step here."""
     count, cols = len(history), rows.shape[-1]
-    zero_factor = history.triangular_factor(0.0, cols)
-    ridge_factor = zero_factor if ridge == 0.0 else history.triangular_factor(ridge, cols)
+    # with ridge > 0 the energy takes R_0's pending rows as rows
+    zero_factor = history.pending_factor(0.0, cols, corrected=ridge == 0.0)
+    ridge_factor = zero_factor if ridge == 0.0 else history.pending_factor(ridge, cols)
     if ridge > 0.0 or count >= cols:
         _require_full_rank(history, ridge, cols)
     return _mva_step(ridge_factor, zero_factor, count, rows, ridge)
@@ -1130,8 +1206,8 @@ def mva_score(
     step = _history_mva_step(history, _design_rows(x, cols), ridge)
     u = observation.response - step.center
     spread = sqrt(max(step.head_energy(u), 0.0))
-    responses = history.triangular_factor(0.0, cols)[:, -1]
-    if spread <= _rank_tolerance(head, cols + 1) * np.linalg.norm(responses):
+    root = history.pending_factor(0.0, cols, corrected=False).response_norm()
+    if spread <= _rank_tolerance(head, cols + 1) * root:
         # an interpolating fit's step has every number zero, so it lands here
         raise DegenerateFitError("earlier residuals have zero spread")
     return (step.last_offset + u * step.last_slope) / spread

@@ -265,6 +265,29 @@ def test_rank_deficient_training_design(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_rank_deficient_history_message_advises_a_ridge_only_where_it_helps(tmp_path, capsys):
+    # x2 = x1 in the history: every model exits 11, and only the models
+    # that take a ridge are told to use one (gauss validates it and fits
+    # by least squares whatever its value)
+    rng = np.random.default_rng(0)
+    x = rng.normal(size=20)
+    train, test = tmp_path / "collinear.csv", tmp_path / "collinear_test.csv"
+    np.savetxt(train, np.column_stack([x, x, x + rng.normal(size=20)]), delimiter=",",
+               header="x1,x2,y", comments="")
+    np.savetxt(test, rng.normal(size=(15, 2)), delimiter=",", header="x1,x2", comments="")
+    messages = {}
+    for model in ("gauss", "iid", "mva"):
+        code = run(["predict", "--model", model, "--ridge", 0, "--train", train,
+                    "--test", test, "--out", tmp_path / f"bounds_{model}"])
+        assert code == 11
+        messages[model] = capsys.readouterr().err.strip()
+    assert messages["gauss"] == (
+        "error: design is rank deficient; the least-squares fit needs a full-rank design"
+    )
+    for model in ("iid", "mva"):
+        assert messages[model] == "error: design is rank deficient; use a positive ridge coefficient"
+
+
 @pytest.mark.parametrize("cell", [(2, 0), (3, 2)])
 def test_predict_on_a_non_finite_training_value_is_an_error(tmp_path, capsys, cell):
     rows = [[float(i), float(i * i % 7), 2.0 * i + 1.0] for i in range(12)]

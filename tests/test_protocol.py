@@ -37,6 +37,7 @@ from olreg.base import DegenerateFitError
 from olreg.numerics import StudentT
 from olreg.predictors import GaussFit, _step_projector, iid_pvalue
 from olreg.protocol import PValueTrace
+from test_pending import assert_block_or_guard_trip, count_absorbs
 
 
 class EmptyPredictor:
@@ -319,41 +320,40 @@ def test_smoothed_runs_build_one_step_per_observation(predictor, monkeypatch):
     assert built == list(range(30))
 
 
-def test_smoothed_iid_absorbs_one_row_per_step(monkeypatch):
-    # one row into the history's kept factor; the step reads that factor
+def test_smoothed_iid_absorbs_once_per_block(monkeypatch):
+    # one absorb call per row into the history's narrow kept factor, below
+    # the width floor; from the switch to all 40 features one call per
+    # block of pending rows or per guard trip.  The step reads that factor
     # and absorbs the new row into no copy of it
-    absorbed = []
-    absorb = olreg.base.absorb_rows
-
-    def counted(triangle, rows):
-        absorbed.append(len(rows))
-        return absorb(triangle, rows)
-
+    assert olreg.base.WIDTH_FLOOR <= 41
     # the predictors reach absorb_rows only through the history
     assert not hasattr(olreg.predictors, "absorb_rows")
-    monkeypatch.setattr(olreg.base, "absorb_rows", counted)
-    stream = gen_synthetic(SyntheticConfig(seed=3, observation_count=60, feature_count=100))
-    predictor = IidPredictor(ridge=0.01, schedule=FeatureSchedule.for_feature_count(100))
+    calls = count_absorbs(monkeypatch)
+    stream = gen_synthetic(SyntheticConfig(seed=3, observation_count=200, feature_count=40))
+    predictor = IidPredictor(ridge=0.01, schedule=FeatureSchedule.for_feature_count(40))
     run_online(predictor, stream, (0.05, 0.01), smoothed=True)
-    assert absorbed == [1] * (len(stream) - 1)
+    switch = predictor.schedule.switch_step
+    assert [call.rows for call in calls[: switch - 2]] == [1] * (switch - 2)
+    assert calls[switch - 2][1:4] == (41, True, switch - 1)
+    wide = calls[switch - 1 :]
+    assert 0 < len(wide) <= (len(stream) - switch) // 4
+    left_pending = len(stream) - 1 - (switch - 1) - sum(call.rows for call in wide)
+    assert 0 <= left_pending <= olreg.base.ABSORB_BLOCK
+    for call in wide:
+        assert_block_or_guard_trip(call)
 
 
 def test_iid_forms_no_step_triangle(monkeypatch):
     # the step reads the history's kept factor: an on-line run with a
     # positive ridge and a ridge-0 batch prediction absorb the new row into
-    # no triangle (only the history absorbs, each row once), and give the
+    # no triangle (only the history absorbs its rows, once per block of
+    # pending rows or guard trip, here with no width floor), and give the
     # intervals and p-values they gave before
-    absorbed = []
-    absorb = olreg.base.absorb_rows
-
-    def counted(triangle, rows):
-        absorbed.append(len(rows))
-        return absorb(triangle, rows)
-
     stream = gen_synthetic(SyntheticConfig(seed=7, observation_count=80, feature_count=12))
     predictor = IidPredictor(ridge=0.01, schedule=FeatureSchedule.for_feature_count(12))
     features = np.array([o.explanatory for o in stream])
     responses = np.array([o.response for o in stream])
+    monkeypatch.setattr(olreg.base, "WIDTH_FLOOR", 0)
 
     def outputs():
         ledgers = [
@@ -365,14 +365,18 @@ def test_iid_forms_no_step_triangle(monkeypatch):
 
     (deterministic, smoothed), batch = outputs()
     assert not hasattr(olreg.predictors, "absorb_rows")
-    monkeypatch.setattr(olreg.base, "absorb_rows", counted)
+    calls = count_absorbs(monkeypatch)
     (deterministic_again, smoothed_again), batch_again = outputs()
-    # one row per step of each on-line run, except that the switch to all
-    # features refactors the history's rows at once; then the 60 training
-    # rows at once
+    # each on-line run: the first row, then blocks and guard trips up to the
+    # switch to all features, which refactors the history's rows at once,
+    # then blocks and guard trips again; then the 60 training rows at once
     switch = predictor.schedule.switch_step
-    run = [1] * (switch - 2) + [switch - 1] + [1] * (len(stream) - switch)
-    assert absorbed == run * 2 + [60]
+    assert calls[-1][1:4] == (13, True, 60)
+    runs = calls[:-1]
+    assert len(runs) <= 2 * len(stream) // 3
+    assert [call[1:4] for call in runs if call.fresh] == [(11, True, 1), (13, True, switch - 1)] * 2
+    for call in runs:
+        assert_block_or_guard_trip(call)
     assert batch.code == batch_again.code == 0
     np.testing.assert_array_equal(batch_again.lower, batch.lower)
     np.testing.assert_array_equal(batch_again.upper, batch.upper)
