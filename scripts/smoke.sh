@@ -27,6 +27,10 @@ for model in iid mva; do
   olreg online --model "$model" --ridge 0 --data "$out/narrow.csv" --out-prefix "$out/narrow_$model"
 done
 olreg online --model iidgauss --smoothed --data "$out/narrow.csv" --out-prefix "$out/narrow_iidgauss"
+# ridge-0 IID-Gauss on a schedule decides one ridge's rank at two widths:
+# the whole design for the conditional law, the leading block for the fit
+olreg online --model iidgauss --ridge 0 --schedule 2:8 --smoothed --data "$out/narrow.csv" \
+  --out-prefix "$out/narrow_iidgauss_r0"
 olreg online --model full --data "$out/narrow.csv" --out-prefix "$out/narrow_full"
 # a negative ridge is a usage error (exit 2) for every model, also for
 # gauss, which ignores a valid one

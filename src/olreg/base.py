@@ -148,17 +148,19 @@ class History:
     object keeps a copy.
 
     With each kept factor the history carries one rank certificate: the
-    number ||R_D^-1||_F of the factor's design block R_D, taken from the
-    last triangular inverse of that block (``design_inverse_norm``).
-    Appending rows adds u u' to R_D'R_D for each row u, which never lowers
-    the smallest singular value and never raises trace((R_D'R_D)^-1) =
-    ||R_D^-1||_F^2; the inverse of a leading block of R_D is the leading
-    block of R_D^-1.  So the carried number bounds ||T^-1||_F, and
-    ||T||_F times it bounds kappa_2(T), for the current block, for any
-    truncation of it to leading columns, and for any triangle that adds rows
-    to either, pending rows included.  One inverse thus settles the rank
-    rule for every later step until the bound stops settling it; an on-line
-    run forms a new inverse only then, not once per step.
+    number ||R_D^-1||_F of the factor's whole design block R_D, taken from
+    the last triangular inverse of that block that the rank rule
+    (``design_has_full_rank``) formed.  Appending rows adds u u' to R_D'R_D
+    for each row u, which never lowers the smallest singular value and
+    never raises trace((R_D'R_D)^-1) = ||R_D^-1||_F^2; the inverse of a
+    leading block of R_D is the leading block of R_D^-1.  So the carried
+    number bounds ||T^-1||_F, and ||T||_F times it bounds kappa_2(T), for
+    the current block, for any truncation of it to leading columns, and for
+    any triangle that adds rows to either, pending rows included.  The
+    converse fails, so the inverse of a leading block is never carried.
+    One inverse thus settles the rank rule for every later step until the
+    bound stops settling it; an on-line run forms a new inverse only then,
+    not once per step.
 
     The other factor of that bound, ||R_D||_F, is carried too: the history
     keeps the column sums of squares s_j of its design rows, brought up to
@@ -331,30 +333,6 @@ class History:
             self._squared_rows = self._n
         return sqrt(ridge * columns + float(self._column_squares[:columns].sum()))
 
-    def design_inverse_norm(self, ridge: float = 0.0) -> float | None:
-        """The rank certificate kept with ``ridge``'s factor.
-
-        ||R_D^-1||_F of the factor's design block as it was when last taken,
-        which bounds ||T^-1||_F for the current block and for any
-        truncation of it (see the class docstring).  It is taken again, by
-        one triangular inverse of the current block with every row
-        absorbed, only when it no longer settles the rank rule for that
-        block.  An exactly singular block gives inf; None means that the
-        sqrt(ridge) shortcut settles the rule without it.
-        """
-        ridge = validate_ridge(ridge)
-        entry = self._factors.get(ridge)
-        width = self._k + 1 if entry is None else entry.width
-        carried = None if entry is None else entry.inverse_norm
-        if _settles(self.design_norm(ridge, width), width, self._n, ridge, carried):
-            return carried
-        entry = self._kept_factor(ridge, width)
-        if entry.inverse_norm is None or entry.certified_rows < self._n:
-            inverse, info = lapack.dtrtri(entry.triangle[:width, :width])
-            entry.inverse_norm = inf if info > 0 else float(np.linalg.norm(inverse))
-            entry.certified_rows = self._n
-        return entry.inverse_norm
-
     def design_has_full_rank(self, ridge: float = 0.0, columns: int | None = None) -> bool:
         """Least-squares rank rule for the leading ``columns``-block of
         ``ridge``'s factor (default: all K+1 columns), over the history's n
@@ -363,52 +341,57 @@ class History:
         The block is rank deficient when sigma_min <= eps * max(n, columns) *
         sigma_max, the default cut-off of LAPACK's SVD least-squares solver.
         At ridge 0 its singular values are the design's, and fewer rows than
-        columns fail at once.  The rule reads the norm of ``design_norm``
-        and the certificate of ``design_inverse_norm``: the sqrt(ridge)
-        shortcut, or a carried certificate that lies far below the cut-off,
-        settles it without touching the factor, since appended rows, pending
-        or absorbed, only raise the smallest singular value.  Otherwise every
-        row is absorbed and a new certificate is taken.  For the full kept
-        width a certificate that does not settle the rule is that fresh one,
-        the block's own ||R^-1||_F, so the exact singular values decide
-        without a second inverse of the same block; a narrower block gets
-        its own inverse first (``_passes_rank_rule``).  Every predictor
-        step, both scores and the conditional sampler decide their rank
-        here.
+        columns fail at once.  Then, with ||R_D||_F from ``design_norm``, the
+        sqrt(ridge) shortcut, or the certificate carried with a kept factor at
+        least ``columns`` wide when it lies far below the cut-off, settles
+        the rule without touching the factor (see the class docstring).
+        Otherwise every row is absorbed and one triangular inverse of the
+        block is taken; its norm becomes the certificate only when the block
+        is the factor's full width, since a leading block's inverse does not
+        bound the whole one's.  That norm settles the rule, or the block's
+        singular values decide it.  Every predictor step, both scores and
+        the conditional sampler decide their rank here.
         """
         ridge = validate_ridge(ridge)
         columns = self._k + 1 if columns is None else columns
         key = (ridge, columns)
-        if key not in self._full_rank:
-            self._full_rank[key] = self._rank_rule(ridge, columns)
-        return self._full_rank[key]
-
-    def _rank_rule(self, ridge: float, columns: int) -> bool:
+        if key in self._full_rank:
+            return self._full_rank[key]
         n = self._n
-        if ridge == 0.0 and n < columns:
-            return False
+        tolerance = _rank_tolerance(n, columns)
         frobenius = self.design_norm(ridge, columns)
         entry = self._factors.get(ridge)
         # a wider factor starts without a certificate
         carried = None if entry is None or entry.width < columns else entry.inverse_norm
-        if _settles(frobenius, columns, n, ridge, carried):
-            return True
-        # the asked width first, so that the certificate is that factor's
-        entry = self._kept_factor(ridge, columns)
-        inverse_norm = self.design_inverse_norm(ridge)
-        block = entry.triangle[:columns, :columns]
-        if columns < entry.width:
-            return _passes_rank_rule(block, n, ridge, inverse_norm, frobenius)
-        return _settles(frobenius, columns, n, ridge, inverse_norm) or (
-            inverse_norm < inf and _spectrum_passes(block, n)
-        )
+        if ridge == 0.0 and n < columns:
+            passes = False
+        elif sqrt(ridge) > tolerance * frobenius or (
+            carried is not None and frobenius * carried * tolerance <= CERTIFICATE_MARGIN
+        ):
+            passes = True
+        else:
+            entry = self._kept_factor(ridge, columns)
+            block = entry.triangle[:columns, :columns]
+            inverse, info = lapack.dtrtri(block)
+            # an exactly zero pivot: the block is singular
+            inverse_norm = inf if info > 0 else float(np.linalg.norm(inverse))
+            if columns == entry.width:
+                entry.inverse_norm = inverse_norm
+            passes = inverse_norm < inf
+            if passes and frobenius * inverse_norm * tolerance > CERTIFICATE_MARGIN:
+                # the bound does not settle it: the exact singular values do
+                spectrum = np.linalg.svd(block, compute_uv=False)
+                passes = bool(spectrum[-1] > tolerance * spectrum[0])
+        self._full_rank[key] = passes
+        return passes
 
 
 @dataclass(eq=False)
 class _KeptFactor:
     """A ridge factor the history keeps: ``absorbed`` rows are folded into
-    ``triangle``, and ``inverse_norm`` is ||R_D^-1||_F of its design block
-    after ``certified_rows`` rows (None until a rank rule asks for it).
+    ``triangle``, and ``inverse_norm`` is the rank certificate, ||R_D^-1||_F
+    of its whole design block when a rank rule last inverted it (None until
+    one does).
 
     The next ``pending`` rows wait beside the triangle, and the first
     ``whitened`` of them carry their correction: with W = R_D^-T D_P' their
@@ -423,7 +406,6 @@ class _KeptFactor:
     triangle: np.ndarray
     absorbed: int = 0
     inverse_norm: float | None = None
-    certified_rows: int = 0
     pending: int = 0
     whitened: int = 0
     leverage: float = 0.0
@@ -640,68 +622,6 @@ def _leading_factor(factor: np.ndarray, columns: int) -> np.ndarray:
 
 def _rank_tolerance(rows: int, cols: int) -> float:
     return _EPS * max(rows, cols)
-
-
-def _settles(
-    frobenius: float,
-    cols: int,
-    rows: int,
-    ridge: float,
-    inverse_norm: float | None,
-) -> bool:
-    """Whether a cheap bound alone shows that a square cols x cols triangle
-    with Frobenius norm ``frobenius`` passes the rank rule: the sqrt(ridge)
-    shortcut, or the certificate ||R||_F * inverse_norm far below the
-    cut-off (see ``_passes_rank_rule``).  No inverse is formed."""
-    tolerance = _rank_tolerance(rows, cols)
-    if ridge > 0.0 and sqrt(ridge) > tolerance * frobenius:
-        return True
-    return inverse_norm is not None and frobenius * inverse_norm * tolerance <= CERTIFICATE_MARGIN
-
-
-def _passes_rank_rule(
-    triangle: np.ndarray,
-    rows: int,
-    ridge: float = 0.0,
-    inverse_norm: float | None = None,
-    frobenius: float | None = None,
-) -> bool:
-    """sigma_min > tolerance * sigma_max for a square upper triangle, with
-    the least-squares cut-off tolerance = eps * max(rows, cols).
-
-    ``ridge`` is the coefficient a when the triangle factors U'U + aI: its
-    smallest singular value is then at least sqrt(a) and its largest at most
-    the Frobenius norm, which settles the rule at once when sqrt(a) clears
-    the tolerance times that norm.  Otherwise the rigorous bound
-    kappa_2 <= ||R||_F ||R^-1||_F settles it when it is far below the
-    cut-off.  ``inverse_norm``, when given, is an upper bound on
-    ||R^-1||_F (``History.design_inverse_norm`` carries one across appended
-    rows) and is tried before any inverse is formed; when it is absent or
-    does not settle the rule, one triangular inverse of R gives the bound,
-    and the exact singular values decide when that does not settle it
-    either.  A carried bound is never below R's own ||R^-1||_F, so it
-    settles the rule only where the triangle's own inverse would have.
-    ``frobenius``, when given, is ||R||_F (``History.design_norm`` carries
-    it for a kept factor); otherwise it is taken from R.
-    """
-    cols = triangle.shape[0]
-    if frobenius is None:
-        frobenius = float(np.linalg.norm(triangle))
-    if _settles(frobenius, cols, rows, ridge, inverse_norm):
-        return True
-    inverse, info = lapack.dtrtri(triangle)
-    if info > 0:
-        return False  # an exactly zero pivot: the triangle is singular
-    if _settles(frobenius, cols, rows, 0.0, float(np.linalg.norm(inverse))):
-        return True
-    return _spectrum_passes(triangle, rows)
-
-
-def _spectrum_passes(triangle: np.ndarray, rows: int) -> bool:
-    """The rank rule decided by the triangle's exact singular values."""
-    tolerance = _rank_tolerance(rows, triangle.shape[0])
-    spectrum = np.linalg.svd(triangle, compute_uv=False)
-    return bool(spectrum[-1] > tolerance * spectrum[0])
 
 
 @dataclass(frozen=True)

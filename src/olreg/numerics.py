@@ -59,33 +59,32 @@ class RidgeProjector:
     The design U_j has n rows: the rows of ``design``, then a new row x_j.
     ``new_row`` is one row x (shape (k,)) or a block of m rows (shape
     (m, k)), each with the same design rows before it; a one-row projector
-    is the one-row block.  ``factor`` is the triangle R of [design |
-    responses] stacked on [sqrt(a) I | 0] (as ``History.triangular_factor``
-    returns it), with design block R_D and response column r, or that
-    triangle with the rows pending beside it (``History.pending_factor``),
-    whose solves are corrected for them; its design block must pass the
-    rank rule (``History.design_has_full_rank``).  No new row is absorbed
-    into it.  Three triangular solves, each with the block's m rows as a
-    many-column right side, give G = R_D^-T X', h_j = ||g_j||^2 (less the
-    pending rows' part), the design rows' own coefficients c_h = R_D^-1 r
-    (once per block), their predictions yhat_j = x_j . c_h, which are the
+    is the one-row block.  ``factor`` is the ``PendingFactor`` of the
+    design rows (``History.pending_factor``): the triangle R of [design |
+    responses] stacked on [sqrt(a) I | 0], with design block R_D and
+    response column r, and the rows pending beside it, whose solves are
+    corrected for them; its design block must pass the rank rule
+    (``History.design_has_full_rank``).  No new row is absorbed into it.
+    Three triangular solves, each with the block's m rows as a many-column
+    right side, give G = R_D^-T X', h_j = ||g_j||^2 (less the pending rows'
+    part), the design rows' own coefficients c_h = R_D^-1 r (once per
+    block), their predictions yhat_j = x_j . c_h, which are the
     ``reference`` responses, and Q = R_D^-1 G, O(k^2 m).  A response y of
     row j then has the coefficients c_h + q_j u / (1 + h_j) and the
     residuals [e - D q_j u / (1 + h_j); u / (1 + h_j)], where u = y - yhat_j
     and e are the design rows' own residuals (the row update of Gill,
     Golub, Murray & Saunders 1974), so no step triangle is formed.
     ``residual_decomposition`` reads those affine maps by one O(n k (m + 1))
-    product, and ``residuals`` reads a one-row map at a response in O(n).
+    product and keeps them as ``decomposition``, and ``residuals`` reads a
+    one-row map at a response in O(n).
 
     The shapes of ``factor``, ``new_row`` and ``responses`` are checked
     against the design; the factor's entries are trusted to match it.
     """
 
-    def __init__(self, design, new_row, factor, responses):
+    def __init__(self, design, new_row, factor: PendingFactor, responses):
         cols = design.shape[1]
         block = np.asarray(new_row, dtype=float)
-        if not isinstance(factor, PendingFactor):
-            factor = PendingFactor(np.asarray(factor, dtype=float))
         if (
             block.ndim not in (1, 2)
             or block.shape[-1] != cols
@@ -124,6 +123,11 @@ class RidgeProjector:
         return self._head.shape[0] + 1
 
     @property
+    def decomposition(self) -> "ResidualDecomposition":
+        """The residual maps of every row, taken once (``residual_decomposition``)."""
+        return self._decomposition or residual_decomposition(self)
+
+    @property
     def reference(self) -> float | np.ndarray:
         """The design rows' own prediction at the new row; one per row of a block."""
         return float(self._reference) if self._one_row else self._reference
@@ -132,8 +136,7 @@ class RidgeProjector:
         """The n residuals of a one-row projector once the new row's response
         is ``response`` and the design rows keep their own: an O(n) read of
         the decomposition that ``residual_decomposition`` keeps on it."""
-        decomposition = self._decomposition or residual_decomposition(self)
-        return decomposition.residuals_at(response)
+        return self.decomposition.residuals_at(response)
 
 
 @dataclass(frozen=True)

@@ -48,10 +48,12 @@ carries the moments sum y, sum y x and sum y^2.  The IID, Gauss and MVA
 steps, and the scores ``gauss_score`` and ``mva_score``, read those factors
 by triangular solves, corrected for the rows the history leaves pending
 beside a wide factor (``History.pending_factor``), and absorb the new row
-into no copy of them.  Every step decides rank in one place, the history's
-design block (``History.design_has_full_rank``, through
-``_require_full_rank``), from the certificate the history carries, so the
-new row never decides it.  The IID step (``RidgeProjector``) takes three
+into no copy of them.  Every step decides rank by one method on the
+history's design block (``History.design_has_full_rank``, through
+``_require_full_rank``), so the new row never decides it: the sqrt(ridge)
+shortcut or the certificate the history carries settles most steps without
+touching a factor, and otherwise one triangular inverse of the block, or
+its singular values, decide.  The IID step is its ``RidgeProjector``: three
 solves and one O(nK) product for the residuals' offset and slope, after
 which a p-value is an O(n) read; a block of m rows takes the same three
 solves with m right sides and one GEMM.  The Gauss and MVA steps form no
@@ -79,7 +81,6 @@ from math import ceil, inf, nan, sqrt
 from numbers import Integral
 
 import numpy as np
-from scipy.linalg import lapack
 
 from .base import (
     DegenerateFitError,
@@ -94,7 +95,6 @@ from .base import (
     validate_ridge,
 )
 from .numerics import (
-    ResidualDecomposition,
     RidgeProjector,
     StudentT,
     residual_decomposition,
@@ -147,6 +147,14 @@ def _leverage(whitened: np.ndarray, part: np.ndarray):
     ``PendingFactor.whiten``: |g|^2 less the pending rows' part |y|^2."""
     leverage = _column_dots(whitened, whitened)
     return leverage - _column_dots(part, part) if len(part) else leverage
+
+
+def _residual_cut_off(norm: float, root: float, count: int, cols: int) -> float:
+    """A fit's root residual energy ``norm`` over ``count`` rows and
+    ``cols`` design columns, or exactly 0 at or below the least-squares
+    cut-off relative to the responses' own root energy ``root``: there an
+    exactly linear history leaves rounding residue alone."""
+    return 0.0 if norm <= _rank_tolerance(count, cols + 1) * root else norm
 
 
 def _choose(condition, chosen, otherwise):
@@ -202,11 +210,12 @@ def _step_projector(
     each a new row after the same history.
 
     The history's design block decides the rank first
-    (``_require_full_rank``), from the certificate the history carries for
-    its factor, so neither a new row nor a block of them changes the
-    decision.  The projector is then built from that kept factor, with
-    the rows pending beside it (``History.pending_factor``), and the new
-    rows by three triangular solves, O(K^2) per row on top of the
+    (``_require_full_rank``, by ``History.design_has_full_rank``), so
+    neither a new row nor a block of them changes the decision; where the
+    certificate that the history carries for its factor settles it, no
+    factor is touched.  The projector is then built from that kept factor,
+    with the rows pending beside it (``History.pending_factor``), and the
+    new rows by three triangular solves, O(K^2) per row on top of the
     history's own bookkeeping per appended row, with no copy of the design
     or the responses and no step triangle.
     """
@@ -459,33 +468,6 @@ def sweep_hull(state: SweepState, count: int, epsilon) -> tuple[np.ndarray, np.n
     return np.where(found, lower, inf), np.where(found, upper, -inf)
 
 
-@dataclass(frozen=True, eq=False)
-class RidgeStep:
-    """One IID step: the ridge fit shared by its intervals and p-value.
-
-    ``projector`` fits the history rows plus the new one, truncated to the
-    scheduled columns, from the history's kept ridge factor without a step
-    triangle, with the history's own prediction at the new row as that
-    row's reference; ``decomposition``, which the sweep reads, writes every
-    residual as an affine function of the candidate response around that
-    reference, and the projector keeps it for the p-value.  A batch step
-    holds a block of new rows after the same history, one decomposition row
-    per new row, and has no p-value.
-    """
-
-    projector: RidgeProjector
-    decomposition: ResidualDecomposition
-
-    @property
-    def count(self) -> int:
-        return self.projector.row_count
-
-    def residuals(self, response: float) -> np.ndarray:
-        """The n residuals once ``response`` is revealed: the projector reads
-        them off the decomposition in O(n), with no solve and no product."""
-        return self.projector.residuals(response)
-
-
 def iid_pvalue(scores, tie_break: float) -> float:
     """Rank fraction of the last score with randomized tie handling.
 
@@ -537,17 +519,21 @@ class IidPredictor(_BlockPredictor):
     def __post_init__(self):
         validate_ridge(self.ridge)
 
-    def step(self, history: History, x_new) -> RidgeStep | None:
+    def step(self, history: History, x_new) -> RidgeProjector | None:
         """The ridge fit of the step, for one row or a block of them (m x
-        K); None on an empty history, and at ridge 0 while n <= active + 1
-        (``active`` the features the schedule lets the fit see at n), where
-        the fit interpolates.  Raises ``RankDeficiencyError`` where the
-        history's design block fails the rank rule."""
+        K), with its residual decomposition taken: the projector of the
+        history rows plus the new one (``_step_projector``), whose
+        ``decomposition`` the sweep reads and whose ``residuals`` the
+        p-value reads.  None on an empty history, and at ridge 0 while n <=
+        active + 1 (``active`` the features the schedule lets the fit see
+        at n), where the fit interpolates.  Raises ``RankDeficiencyError``
+        where the history's design block fails the rank rule."""
         n = len(history) + 1
         if n == 1 or self._interpolates(n, history.feature_count):
             return None
         projector = _step_projector(history, x_new, self.ridge, self.schedule)
-        return RidgeStep(projector, residual_decomposition(projector))
+        residual_decomposition(projector)
+        return projector
 
     def predict(self, step, levels) -> list[PredictionInterval]:
         return _intervals(*self._bounds(step, validate_levels(levels)))
@@ -560,7 +546,7 @@ class IidPredictor(_BlockPredictor):
             return _full_bounds(levels)
         decomposition = step.decomposition
         state = build_sweep(decomposition.offset, decomposition.slope)
-        lower, upper = sweep_hull(state, step.count, levels)
+        lower, upper = sweep_hull(state, step.row_count, levels)
         reference = decomposition.reference
         if isinstance(reference, np.ndarray):
             reference = reference[:, None]
@@ -645,10 +631,9 @@ class GaussFit:
         rows = _design_rows(x, cols)
         coefficients = factor.coefficients()
         whitened, part = factor.whiten(rows.T)
-        residual_norm = factor.residual_norm()
-        tolerance = _rank_tolerance(count, cols + 1)
-        if residual_norm <= tolerance * factor.response_norm():
-            residual_norm = 0.0
+        residual_norm = _residual_cut_off(
+            factor.residual_norm(), factor.response_norm(), count, cols
+        )
         dof = count - cols
         point = rows @ coefficients
         return cls(
@@ -942,8 +927,7 @@ def _mva_step(
     else:
         column = triangle[:, cols]
         rho, root = abs(float(column[cols])), sqrt(float(column @ column))
-    if (ridge == 0.0 and n == cols + 1) or rho <= _rank_tolerance(count, cols + 1) * root:
-        rho = 0.0
+    rho = 0.0 if ridge == 0.0 and n == cols + 1 else _residual_cut_off(rho, root, count, cols)
     if ridge == 0.0 and not held:
         # w0 = [0; rho] and w1 = [-g; 0] / (1 + h): no product with R_0
         tail = whitened[1:]

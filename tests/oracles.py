@@ -72,6 +72,14 @@ def affine_residuals(design, ridge, fixed_responses, reference: float = 0.0):
     return offset, matrix @ unit
 
 
+def svd_rank_rule(matrix, rows: int) -> bool:
+    """The least-squares rank rule by singular values alone: sigma_min >
+    eps * max(rows, cols) * sigma_max, LAPACK's default SVD cut-off."""
+    spectrum = np.linalg.svd(np.asarray(matrix, dtype=float), compute_uv=False)
+    tolerance = np.finfo(float).eps * max(rows, spectrum.size)
+    return bool(spectrum[-1] > tolerance * spectrum[0])
+
+
 # ---------------------------------------------------------------------------
 # Student t references
 # ---------------------------------------------------------------------------

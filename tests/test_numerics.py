@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import oracles
 from olreg import FeatureSchedule, History, Observation, RankDeficiencyError
+from olreg.base import PendingFactor
 from olreg.numerics import RidgeProjector, StudentT, residual_decomposition
 from olreg.predictors import _step_projector
 
@@ -119,13 +120,13 @@ def test_step_arguments_must_fit_the_design():
     )
     good = dict(
         new_row=np.array([1.0, 0.5, -0.5]),
-        factor=history.triangular_factor(0.01),
+        factor=PendingFactor(history.triangular_factor(0.01)),
         responses=history.responses,
     )
     RidgeProjector(head, **good)
     for name, bad in (
         ("new_row", np.array([1.0, 0.5])),
-        ("factor", history.triangular_factor(0.01, 2)),
+        ("factor", PendingFactor(history.triangular_factor(0.01, 2))),
         ("responses", history.responses[:-1]),
     ):
         with pytest.raises(ValueError):

@@ -89,7 +89,6 @@ def test_invalid_ridge_is_rejected_everywhere(ridge):
         history.triangular_factor,
         history.design_has_full_rank,
         history.design_norm,
-        history.design_inverse_norm,
     ):
         with pytest.raises(ValueError, match="ridge must be nonnegative and finite"):
             method(ridge)

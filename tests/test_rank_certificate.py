@@ -26,10 +26,11 @@ from olreg import (
     gen_synthetic,
     sample_conditional,
 )
-from olreg.base import _passes_rank_rule
 from olreg.cli import batch_predict, main
 from olreg.predictors import _step_projector
 from olreg.protocol import GaussPredictor, IidPredictor, MvaPredictor, run_online
+
+import oracles
 
 
 def stream_rows(rng, k, count, delta, repeated):
@@ -46,8 +47,8 @@ def stream_rows(rng, k, count, delta, repeated):
 
 def fresh_block_rule(history, ridge, schedule):
     """The rank rule on the design block of a freshly built history, over
-    its own n - 1 rows, decided by the block's own inverse and singular
-    values; fewer rows than columns fail at ridge 0."""
+    its own n - 1 rows, decided by the block's singular values alone; fewer
+    rows than columns fail at ridge 0."""
     fresh = History.from_observations(
         Observation(row, y) for row, y in zip(history.features, history.responses)
     )
@@ -56,7 +57,7 @@ def fresh_block_rule(history, ridge, schedule):
     cols = active + 1
     if ridge == 0.0 and n - 1 < cols:
         return False
-    return _passes_rank_rule(fresh.triangular_factor(ridge, cols)[:cols, :cols], n - 1, ridge)
+    return oracles.svd_rank_rule(fresh.triangular_factor(ridge, cols)[:cols, :cols], n - 1)
 
 
 @settings(deadline=None, max_examples=80)
@@ -138,18 +139,27 @@ def test_ridge_zero_batch_prediction_forms_no_inverse_per_row(monkeypatch, model
     assert len(calls) <= 2
 
 
-def test_rank_deficient_design_is_inverted_once_per_check(monkeypatch):
-    # while the rows repeat no certificate settles the rule: each check takes
-    # a fresh one, the block's own inverse norm, and the singular values
-    # decide without inverting the same block again
+@pytest.mark.parametrize("block", ["whole", "leading"])
+def test_rank_deficient_design_is_inverted_once_per_check(monkeypatch, block):
+    # while the design is deficient no certificate settles the rule: each
+    # check inverts its block once and the singular values decide.  A
+    # leading block of a wider factor is inverted alone, since its inverse
+    # says nothing of the whole block's and no certificate is taken for it
     rng = np.random.default_rng(8)
-    features, responses = stream_rows(rng, 4, 10, None, 10)
-    history = History(4)
+    if block == "leading":
+        # x2 = x1: the leading block [1 | x1 | x2] never gains rank
+        features, responses = stream_rows(rng, 4, 16, 0.0, 0)
+        history = History.from_arrays(features[:6], responses[:6])
+        assert not history.design_has_full_rank()  # keeps the factor full width
+        columns, start = 3, 6
+    else:
+        features, responses = stream_rows(rng, 4, 10, None, 10)
+        history, columns, start = History(4), None, 0
     calls = count_inverses(monkeypatch)
-    for i, (row, y) in enumerate(zip(features, responses)):
-        history.append(Observation(row, y))
+    for i in range(start, len(features)):
+        history.append(Observation(features[i], responses[i]))
         calls.clear()
-        assert not history.design_has_full_rank()
+        assert not history.design_has_full_rank(0.0, columns)
         assert len(calls) == (1 if i >= 4 else 0), i
 
 
