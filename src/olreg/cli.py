@@ -82,8 +82,9 @@ class BatchResult:
 
 
 def _parse_schedule(text: str, feature_count: int) -> FeatureSchedule | None:
-    """Resolve a schedule flag: "none", "auto", or "early:switch[:full]"."""
-    if text == "none":
+    """Resolve a schedule flag: "none", "auto", or "early:switch[:full]".
+    With no features "auto" has nothing to stage and is "none"."""
+    if text == "none" or (text == "auto" and feature_count == 0):
         return None
     if text == "auto":
         return FeatureSchedule.for_feature_count(feature_count)

@@ -15,8 +15,10 @@ step n a bounded interval (the empty set included) is possible at all.
 
 * ``IidPredictor`` assumes exchangeability only.  A candidate survives when
   the rank of its ridge residual magnitude among all n residual magnitudes is
-  not extreme; the exact survivor set is found by a sweep over the at most
-  2n - 2 points where two residual magnitudes cross.
+  not extreme.  Where every comparison set is an interval around the
+  prediction, the hull's ends are order statistics of the interval ends,
+  selected in O(n); otherwise the exact survivor set is found by a sweep
+  over the at most 2n - 2 points where two residual magnitudes cross.
 * ``GaussPredictor`` assumes the full linear-Gaussian model and inverts the
   classical studentized prediction pivot.
 * ``MvaPredictor`` assumes Gaussian noise but nothing about the explanatory
@@ -104,9 +106,12 @@ from .sampler import complement_directions, random_orderings
 
 
 # Test rows per step of a batch IID, Gauss or MVA prediction
-# (``_BlockPredictor.predict_rows``).  For 200 IID test rows at n = 601 and
-# K = 100 on one BLAS thread, blocks of 8 to 12 rows took 22-24 ms (median),
-# 16 to 24 rows 28-31 ms, and one step per row 45-70 ms.  A block's arrays
+# (``_BlockPredictor.predict_rows``).  For 200 IID test rows at n = 601,
+# K = 100 and ridge 0 on one BLAS thread, with the ends read by order
+# statistics, blocks of 8 to 12 rows took 7-8 ms (median), 16 to 48 rows
+# 5-6.5 ms, and one step per row 18-19 ms; Gauss and MVA blocks of 12 took
+# under 2 ms.  Larger blocks would save about 1.5 ms of the 30-40 ms of an
+# ``olreg predict`` run, too little to move the value.  A block's arrays
 # take a few (rows x 2n) doubles for IID and a few (rows x K) for Gauss and
 # MVA, so memory does not grow with the number of test rows.
 BLOCK_ROWS = 12
@@ -468,6 +473,45 @@ def sweep_hull(state: SweepState, count: int, epsilon) -> tuple[np.ndarray, np.n
     return np.where(found, lower, inf), np.where(found, upper, -inf)
 
 
+def _interval_hull(offset: np.ndarray, slope: np.ndarray, levels):
+    """The sweep's hulls read as order statistics, or None where they cannot
+    be: ``sweep_hull(build_sweep(offset, slope), n, levels)`` for a map whose
+    last offset is exactly 0 and whose every earlier slope is below the last
+    one in magnitude (one row, or every row of a block).
+
+    There every comparison set is the closed interval [lo_i, hi_i] around
+    0, with ends formed by ``build_sweep``'s own expressions, and the count
+    rises through the sorted lo_i and falls through the sorted hi_i.  So the
+    hull at a level is [k-th smallest lo_i, k-th largest hi_i], where k + 1
+    is the smallest count c with c / n > epsilon, compared in floats as
+    ``sweep_hull`` does.  A -inf ahead of the lo_i and a +inf after the
+    hi_i play the sweep's sentinels, so that k = 0 gives the whole line.
+    One ``partition`` per side serves every level, and every row of a
+    block, in O(n).  ``levels`` are validated: inside (0, 1), so k < n.
+    Where several lo_i or hi_i are equal, only the sign of a zero end can
+    tell which one was picked.
+    """
+    n = offset.shape[-1]
+    magnitude = np.abs(slope)
+    b, last_slope = magnitude[..., :-1], magnitude[..., -1:]
+    if not ((offset[..., -1] == 0.0).all() and (b < last_slope).all()):
+        return None
+    offset = offset * np.copysign(1.0, slope)
+    a, last_offset = offset[..., :-1], offset[..., -1:]
+    first = (a - last_offset) / (last_slope - b)
+    second = (a + last_offset) / (-last_slope - b)
+    lower = np.empty(offset.shape)
+    upper = np.empty(offset.shape)
+    lower[..., 0], upper[..., -1] = -inf, inf
+    np.minimum(first, second, out=lower[..., 1:])
+    np.maximum(first, second, out=upper[..., :-1])
+    # k counts the c in 1..n with c / n <= epsilon
+    ranks = (np.arange(1, n + 1) / n).searchsorted(levels, side="right")
+    lower.partition(ranks, axis=-1)
+    upper.partition(n - 1 - ranks, axis=-1)
+    return lower[..., ranks], upper[..., n - 1 - ranks]
+
+
 def iid_pvalue(scores, tie_break: float) -> float:
     """Rank fraction of the last score with randomized tie handling.
 
@@ -509,8 +553,8 @@ class IidPredictor(_BlockPredictor):
     ``GaussPredictor`` and ``MvaPredictor``: a history that only the new
     row would make full rank raises ``RankDeficiencyError``.  The residuals
     are decomposed around the history's own prediction at the new row, and
-    the sweep runs in the distance from it, so it does not cancel when the
-    responses sit far from zero.
+    the ends are found in the distance from it (``_bounds``), so they do
+    not cancel when the responses sit far from zero.
     """
 
     ridge: float = 0.0
@@ -541,12 +585,24 @@ class IidPredictor(_BlockPredictor):
     def _bounds(self, step, levels: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray]:
         """Lower and upper ends at each level: one column per level, and one
         row per new row of a block step.  A step of None gives full lines:
-        every residual ties with the candidate's, whatever the candidate."""
+        every residual ties with the candidate's, whatever the candidate.
+
+        The decomposition's last offset is 0, so where every earlier slope
+        is below the new row's, every comparison set is an interval around
+        the prediction and the ends are order statistics of theirs
+        (``_interval_hull``), the sweep's own hull without a sort.  Any
+        other map, such as a residual whose slope reaches the new row's (a
+        ray set), goes through ``build_sweep`` and ``sweep_hull``; a block
+        with one such row goes through them whole.  Both routes give the
+        same ends, up to the sign of a zero end."""
         if step is None:
             return _full_bounds(levels)
         decomposition = step.decomposition
-        state = build_sweep(decomposition.offset, decomposition.slope)
-        lower, upper = sweep_hull(state, step.row_count, levels)
+        ends = _interval_hull(decomposition.offset, decomposition.slope, levels)
+        if ends is None:
+            state = build_sweep(decomposition.offset, decomposition.slope)
+            ends = sweep_hull(state, step.row_count, levels)
+        lower, upper = ends
         reference = decomposition.reference
         if isinstance(reference, np.ndarray):
             reference = reference[:, None]

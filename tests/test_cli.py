@@ -391,6 +391,22 @@ def test_ridge_zero_online_run_completes(tmp_path, capsys, model, schedule):
     assert all(row[:5] == ["inf"] * 5 for row in ledger["lengths"])
 
 
+@pytest.mark.parametrize("model", ["iid", "mva", "gauss", "iidgauss", "full"])
+def test_intercept_only_online_run_at_defaults(tmp_path, capsys, model):
+    # K = 0: the default "auto" schedule has nothing to stage, so the run
+    # is the one with no schedule
+    data = tmp_path / "data.csv"
+    assert run(["gen", "--n", 30, "--k", 0, "--out", data]) == 0
+    for schedule in ("auto", "none"):
+        code = run(["online", "--model", model, "--data", data, "--schedule", schedule,
+                    "--out-prefix", tmp_path / schedule])
+        assert code == 0, capsys.readouterr().err
+    for suffix in ("_cumulative_errors.csv", "_median_accuracy.csv", "_ledger.json"):
+        auto = (tmp_path / f"auto{suffix}").read_bytes()
+        assert auto == (tmp_path / f"none{suffix}").read_bytes()
+    assert len(json.loads(auto)["errors"][0]) == 30
+
+
 def test_online_smoothed_run_is_reproducible(tmp_path):
     data = tmp_path / "data.csv"
     run(["gen", "--seed", 6, "--n", 25, "--k", 1, "--out", data])

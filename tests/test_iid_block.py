@@ -4,7 +4,9 @@ The block sweep is compared with the one-row sweep that ``oracles`` keeps,
 row by row, on random and on crafted residual maps, and the MVA hull of a
 block and of one-row steps, and the Gauss ends of one-row steps, with the
 per-level reads that ``oracles`` keeps; ``batch_predict`` is compared, for
-IID, Gauss and MVA, with one step and one ``predict`` per test row.
+IID, Gauss and MVA, with one step and one ``predict`` per test row, and an
+IID block whose rows mix order-statistic and sweep ends with its one-row
+steps.
 """
 
 import math
@@ -29,7 +31,7 @@ from olreg import (
     sweep_hull,
 )
 from olreg.numerics import two_sided_quantiles
-from olreg.predictors import BLOCK_ROWS, MvaStep, mva_hull
+from olreg.predictors import BLOCK_ROWS, MvaStep, _interval_hull, mva_hull
 
 LEVELS = (0.5, 0.2, 0.1, 0.05)
 
@@ -237,6 +239,36 @@ def test_batch_blocks_match_one_step_per_row(model, ridge, scheduled, shift, row
         # the rounding of its product
         assert np.all(result.lower == result.upper) and np.all(lower == upper)
         np.testing.assert_allclose(result.lower, lower, rtol=1e-12, atol=1e-12)
+
+
+def test_block_of_interval_and_ray_rows_matches_its_one_row_steps():
+    # new rows far along an outlying history row give that row's residual a
+    # slope above the new row's own, so its comparison set is two rays and
+    # the one-row step sweeps; the other rows read order statistics.  A
+    # block of both kinds gives each row its one-row ends.
+    rng = np.random.default_rng(5)
+    features = rng.normal(size=(40, 3))
+    features[0] = [8.0, 0.0, 0.0]
+    responses = features.sum(axis=1) + rng.normal(size=40)
+    history = History.from_arrays(features, responses)
+    test = rng.normal(size=(BLOCK_ROWS, 3))
+    test[::3] = features[0] * rng.uniform(2.0, 3.0, size=(len(test[::3]), 1))
+    predictor = IidPredictor(ridge=0.01)
+    levels = (0.5, 0.2, 0.1)
+    steps = [predictor.step(history, x) for x in test]
+    fast = [
+        _interval_hull(step.decomposition.offset, step.decomposition.slope, levels) is not None
+        for step in steps
+    ]
+    assert fast.count(False) == len(test[::3]) and fast.count(True) == len(test) - len(test[::3])
+    lower, upper = predictor._bounds(predictor.step(history, test), levels)
+    for r, step in enumerate(steps):
+        one_lower, one_upper = predictor._bounds(step, levels)
+        np.testing.assert_array_equal(pattern(lower[r], upper[r]), pattern(one_lower, one_upper))
+        assert np.all(pattern(one_lower, one_upper) == BOUNDED)
+        width = one_upper - one_lower
+        assert np.all(np.abs(lower[r] - one_lower) <= 1e-9 * width)
+        assert np.all(np.abs(upper[r] - one_upper) <= 1e-9 * width)
 
 
 def test_mva_hull_block_matches_its_rows_on_crafted_steps():

@@ -1,4 +1,5 @@
-"""Rank-region predictor: sweep construction, hull extraction, p-values."""
+"""Rank-region predictor: sweep construction, hull extraction, the
+order-statistic ends of all-interval maps against the sweep, p-values."""
 
 import math
 
@@ -16,7 +17,8 @@ from olreg import (
     build_sweep,
     sweep_hull,
 )
-from olreg.predictors import iid_predict, iid_pvalue
+import olreg.predictors as predictors_module
+from olreg.predictors import _interval_hull, iid_predict, iid_pvalue
 from olreg.protocol import IidGaussPredictor, IidPredictor
 
 # Worked example, expected bounds fixed by the set-by-set brute-force
@@ -253,10 +255,101 @@ def test_vectorized_sweep_equals_the_loop(n, seed, kind):
     assert (state.left_count, state.right_count) == (left, right)
 
 
+def interval_map(rng, n, rows, kind):
+    """A residual map (one row, or a block of ``rows``) whose last offset
+    is 0 (either sign) and whose earlier slopes are all below the last in
+    magnitude: every comparison set is an interval around 0.  ``grid``
+    draws offsets and slopes from a few values, so that zero offsets
+    (point sets at 0) and tied ends occur."""
+    shape = (n,) if rows is None else (rows, n)
+    last = rng.choice([-1.0, 1.0, 0.5], size=shape[:-1] + (1,))
+    if kind == "grid":
+        offset = rng.integers(-2, 3, size=shape) * rng.choice([-1.0, 1.0], size=shape)
+        fraction = rng.choice([-0.75, -0.5, 0.0, 0.5, 0.75], size=shape)
+    else:
+        offset = rng.normal(size=shape)
+        fraction = rng.uniform(-1.0, 1.0, size=shape)
+    slope = fraction * np.abs(last)
+    offset[..., -1] = rng.choice([0.0, -0.0])
+    slope[..., -1:] = last
+    return offset.astype(float), slope
+
+
+@st.composite
+def interval_cases(draw):
+    n = draw(st.integers(min_value=2, max_value=25))
+    rows = draw(st.sampled_from([None, 1, 2, 5]))
+    kind = draw(st.sampled_from(["random", "grid"]))
+    # levels at c / n hit the float comparison of ``sweep_hull`` exactly,
+    # and levels below 1 / n give the whole line (k = 0)
+    level = st.one_of(
+        st.floats(min_value=1e-4, max_value=0.999),
+        st.integers(min_value=1, max_value=n - 1).map(lambda c: c / n) if n > 2 else st.just(0.5),
+    )
+    levels = draw(st.lists(level, min_size=1, max_size=6, unique=True))
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    return n, rows, kind, tuple(sorted(levels, reverse=True)), seed
+
+
+def assert_same_ends(fast, swept):
+    for mine, theirs in zip(fast, swept):
+        assert np.array_equal(mine, theirs)
+        # the one difference allowed: which of several equal ends the
+        # selection picks, which can show only as the sign of a zero end
+        differs = np.signbit(mine) != np.signbit(theirs)
+        assert np.all(mine[differs] == 0.0)
+
+
+@settings(deadline=None, max_examples=300)
+@given(interval_cases())
+def test_order_statistics_equal_the_sweep_hull(case):
+    n, rows, kind, levels, seed = case
+    offset, slope = interval_map(np.random.default_rng(seed), n, rows, kind)
+    fast = _interval_hull(offset, slope, levels)
+    assert fast is not None
+    assert fast[0].shape == offset.shape[:-1] + (len(levels),)
+    assert_same_ends(fast, sweep_hull(build_sweep(offset, slope), n, levels))
+
+
+def test_order_statistics_cover_the_whole_line_point_sets_and_ties():
+    # k = 0 below 1 / n: the whole line
+    offset, slope = np.array([1.0, -2.0, 0.0]), np.array([0.5, 0.25, 1.0])
+    lower, upper = _interval_hull(offset, slope, (0.4, 0.3))
+    assert (lower[1], upper[1]) == (-math.inf, math.inf) and np.isfinite([lower[0], upper[0]]).all()
+    # a_i = 0 makes S_i the point 0; with tied ends beside it, every level
+    # reads the sweep's ends
+    offset = np.array([0.0, 0.0, 2.0, 2.0, -2.0, -1.0, 0.0])
+    slope = np.array([0.5, -0.5, 0.5, 0.5, 0.5, 0.0, 1.0])
+    levels = (0.9, 0.7, 0.5, 0.3, 0.15, 0.1)
+    fast = _interval_hull(offset, slope, levels)
+    assert_same_ends(fast, sweep_hull(build_sweep(offset, slope), 7, levels))
+    assert 0.0 in fast[0] and 0.0 in fast[1]
+    assert len(np.unique(fast[1][np.isfinite(fast[1])])) < np.isfinite(fast[1]).sum()
+
+
+@settings(deadline=None, max_examples=150)
+@given(interval_cases(), st.sampled_from(["equal", "above", "offset"]), st.integers(0, 24))
+def test_other_maps_fall_back_to_the_sweep(case, change, where):
+    # a slope equal to or above the last in magnitude (a point ray, two
+    # rays, the whole line) or a nonzero last offset leaves the sweep
+    n, rows, kind, levels, seed = case
+    offset, slope = interval_map(np.random.default_rng(seed), n, rows, kind)
+    row = (0,) if rows else ()
+    if change == "offset":
+        offset[row + (-1,)] = 1e-300
+    else:
+        at = row + (where % (n - 1),)
+        last = abs(slope[row + (-1,)])
+        slope[at] = -last if change == "equal" else 2.0 * last
+    assert _interval_hull(offset, slope, levels) is None
+
+
 @pytest.mark.parametrize("levels", [(0.2,), (0.5, 0.2, 0.1, 0.05, 0.02, 0.01)])
 def test_tie_free_sweeps_sort_once_and_sum_once(monkeypatch, levels):
     # without tied points one argsort orders a sweep and no lexsort runs;
-    # its prefix counts are summed once, however many levels read them
+    # its prefix counts are summed once, however many levels read them.  An
+    # IID step whose every comparison set is an interval runs no sweep at
+    # all; one with a ray set runs one sweep.
     rng = np.random.default_rng(31)
     features = rng.normal(size=(60, 3))
     responses = features.sum(axis=1) + rng.normal(size=60)
@@ -265,6 +358,15 @@ def test_tie_free_sweeps_sort_once_and_sum_once(monkeypatch, levels):
     )
     predictors = (IidPredictor(ridge=0.01), IidGaussPredictor(mc=MonteCarloConfig(199, seed=3)))
     steps = [predictor.step(history, features[-1]) for predictor in predictors]
+    # one outlying row, and twice it as the new row: its residual's slope
+    # is the only one above the new row's, so its comparison set is two rays
+    outlier = np.array([8.0, 0.0, 0.0])
+    outlying = History.from_arrays(
+        np.vstack([features[:-1], outlier]), np.append(responses[:-1], 8.0)
+    )
+    ray_step = predictors[0].step(outlying, 2.0 * outlier)
+    slope = ray_step.decomposition.slope
+    assert np.count_nonzero(np.abs(slope[:-1]) >= slope[-1]) == 1
     calls = []
     for name in ("lexsort", "cumsum"):
         original = getattr(np, name)
@@ -283,6 +385,17 @@ def test_tie_free_sweeps_sort_once_and_sum_once(monkeypatch, levels):
         for eps in levels:
             sweep_hull(state, 40, eps)
     assert calls == []
-    for predictor, step in zip(predictors, steps):
-        predictor.predict(step, levels)
-    assert calls == ["cumsum", "cumsum"]
+    sweep = predictors_module.build_sweep
+
+    def counted_sweep(*args):
+        calls.append("build_sweep")
+        return sweep(*args)
+
+    monkeypatch.setattr(predictors_module, "build_sweep", counted_sweep)
+    predictors[0].predict(steps[0], levels)
+    assert calls == []
+    predictors[0].predict(ray_step, levels)
+    assert calls == ["build_sweep", "cumsum"]
+    calls.clear()
+    predictors[1].predict(steps[1], levels)
+    assert calls == ["cumsum"]
