@@ -14,6 +14,9 @@ gen``, so both trees read the same bytes:
 
 * the ``gen`` default (600 x 100), 120 x 5, 400 x 5 and 30 x 4 files;
 * a 300 x 100 training file with 200 test rows of another seed;
+* a 60 x 50 training file with 40 test rows of another seed, on which some
+  IID row blocks mix rows that read order statistics with rows that need
+  the crossing sweep;
 * a ridge-0 history with x2 = x1, whose test rows alone would add the
   missing rank (every model exits 11 on it).
 
@@ -21,9 +24,11 @@ The commands are ``olreg online`` for every model, deterministic and
 ``--smoothed``, on the first four files at the defaults, and on the
 400 x 5 and 30 x 4 files at ``--ridge 0 --schedule none``; and ``olreg
 predict`` for every model from the training file, at the predict defaults
-(ridge 0, no schedule) and at ``--ridge 0.01 --schedule auto``, and from
-the collinear history.  ``--tiny`` shrinks every ``gen`` file but the
-30 x 4 one, for a quick check such as in CI.
+(ridge 0, no schedule) and at ``--ridge 0.01 --schedule auto``, from the
+60 x 50 training file at the same two settings, and from the collinear
+history.  ``--tiny`` shrinks every ``gen`` file but the 30 x 4 one, for a
+quick check such as in CI; its 24 x 16 training file with 12 test rows
+still has a row block that mixes both routes.
 
 Per command the report gives both exit codes, whether every file written
 is byte-identical, and both trees' LAPACK call counts.  Where a ledger
@@ -60,15 +65,18 @@ AUTO = ("-ridge0.01-auto", ["--ridge", "0.01", "--schedule", "auto"])
 
 
 def input_files(tiny: bool) -> dict[str, tuple[int, int, int]]:
-    """name -> (rows, features, seed) of each ``gen`` file; ``query`` keeps
-    only its features, as test rows for ``train``."""
+    """name -> (rows, features, seed) of each ``gen`` file; ``query`` and
+    ``wide_query`` keep only their features, as test rows for ``train`` and
+    ``wide``."""
     sizes = {
         "paper": (600, 100, 0), "short": (120, 5, 0), "long": (400, 5, 0),
         "narrow": (30, 4, 0), "train": (300, 100, 0), "query": (200, 100, 1),
+        "wide": (60, 50, 0), "wide_query": (40, 50, 1),
     }
     if tiny:
         sizes.update(paper=(40, 4, 0), short=(24, 2, 0), long=(30, 2, 0),
-                     train=(30, 4, 0), query=(6, 4, 1))
+                     train=(30, 4, 0), query=(6, 4, 1),
+                     wide=(24, 16, 0), wide_query=(12, 16, 1))
     return sizes
 
 
@@ -86,6 +94,8 @@ def commands() -> list[tuple[str, list[str]]]:
                 argv += ["--smoothed"] if smoothed else []
                 out.append((name, argv + ["--out-prefix", f"{{out}}/{name}"]))
     predictions = [("train", "query", ("", [])), ("train", "query", AUTO)]
+    # IID blocks in which some rows read order statistics and others sweep
+    predictions += [("wide", "wide_query", ("", [])), ("wide", "wide_query", AUTO)]
     # x2 = x1 in the history, whose test rows alone would add the rank: exit 11
     predictions.append(("collinear", "collinear_query", ("", [])))
     for train, test, (label, extra) in predictions:
@@ -141,7 +151,7 @@ def make_inputs(tree: Path, inputs: Path, tiny: bool) -> None:
              "--seed", str(seed), "--out", str(path)],
             env=tree_env(tree), check=True,
         )
-        if name == "query":
+        if name.endswith("query"):
             lines = path.read_text(encoding="utf-8").splitlines()
             path.write_text("".join(line.rsplit(",", 1)[0] + "\n" for line in lines),
                             encoding="utf-8")

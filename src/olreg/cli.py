@@ -235,7 +235,13 @@ def cmd_online(args) -> int:
 
 def cmd_report(args) -> int:
     with open(args.ledger, "r", encoding="utf-8") as handle:
-        ledger = OnlineLedger.from_dict(json.load(handle))
+        payload = json.load(handle)
+    try:
+        ledger = OnlineLedger.from_dict(payload)
+    except ValueError as exc:
+        # a malformed ledger is a file problem, not a usage error
+        print(f"error: {args.ledger}: {exc}", file=sys.stderr)
+        return 10
     report = validity_report(ledger)
     with open(args.out, "w", encoding="utf-8") as handle:
         json.dump(report, handle, indent=2)

@@ -22,9 +22,11 @@ residual vector of (y_1, ..., y_{n-1}, y) is an affine function of y.  The
 ``residual_decomposition`` helper materializes that affine map once per
 prediction step around the history's own prediction at the new row, so the
 map does not cancel when responses sit far from zero, and the history's
-offsets are shared by every row of a block; its sweep then scans candidate
-responses at O(1) per residual component instead of re-solving, and the
-realized residuals of the step are read off the same map in O(n).
+offsets are shared by every row of a block.  The map is kept on the
+projector itself, as its ``offset`` and ``slope``: the step is the
+projector, with no separate decomposition object.  The interval is then
+read from the map at O(1) per residual component instead of re-solving,
+and the realized residuals of the step are read off the same map in O(n).
 
 The Gauss and MVA predictors need no projector.  Gauss reads its
 least-squares fit from the ridge-0 factor of [design | responses] that
@@ -45,10 +47,8 @@ Every quantile of a ladder comes from one ``stdtrit`` call
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-from scipy.special import stdtr, stdtrit
+from scipy.special import stdtrit
 
 from .base import PendingFactor
 
@@ -75,8 +75,8 @@ class RidgeProjector:
     and e are the design rows' own residuals (the row update of Gill,
     Golub, Murray & Saunders 1974), so no step triangle is formed.
     ``residual_decomposition`` reads those affine maps by one O(n k (m + 1))
-    product and keeps them as ``decomposition``, and ``residuals`` reads a
-    one-row map at a response in O(n).
+    product and keeps them on the projector as ``offset`` and ``slope``,
+    and ``residuals`` reads a one-row map at a response in O(n).
 
     The shapes of ``factor``, ``new_row`` and ``responses`` are checked
     against the design; the factor's entries are trusted to match it.
@@ -97,19 +97,17 @@ class RidgeProjector:
             )
         if np.shape(responses) != (design.shape[0],):
             raise ValueError(f"expected {design.shape[0]} responses for the design rows")
-        # A one-row projector keeps its row 1-d and its numbers scalar, so
-        # that the on-line step pays no block overhead
-        self._one_row = block.ndim == 1
         self._head = design
         self._responses = responses
-        self._decomposition = None
         whitened, part = factor.whiten(block.T)
         own = factor.coefficients()
         direction = factor.solve(whitened, part)
         # Each row's map: the new row's slope 1 / (1 + h_j) and, one column
         # per row, (U_j'U_j + aI)^-1 x_j; every row's reference response is
-        # fitted by the design rows' own c_h
-        self._reference = block @ own
+        # fitted by the design rows' own c_h.  A one-row projector keeps its
+        # reference a float, so that the on-line step pays no block overhead
+        reference = block @ own
+        self.reference = float(reference) if block.ndim == 1 else reference
         leverage = (whitened * whitened).sum(axis=0)
         if len(part):
             leverage = leverage - (part * part).sum(axis=0)
@@ -122,104 +120,45 @@ class RidgeProjector:
     def row_count(self) -> int:
         return self._head.shape[0] + 1
 
-    @property
-    def decomposition(self) -> "ResidualDecomposition":
-        """The residual maps of every row, taken once (``residual_decomposition``)."""
-        return self._decomposition or residual_decomposition(self)
-
-    @property
-    def reference(self) -> float | np.ndarray:
-        """The design rows' own prediction at the new row; one per row of a block."""
-        return float(self._reference) if self._one_row else self._reference
-
     def residuals(self, response: float) -> np.ndarray:
         """The n residuals of a one-row projector once the new row's response
         is ``response`` and the design rows keep their own: an O(n) read of
-        the decomposition that ``residual_decomposition`` keeps on it."""
-        return self.decomposition.residuals_at(response)
-
-
-@dataclass(frozen=True)
-class ResidualDecomposition:
-    """Residuals of (fixed responses..., y) as offset + (y - reference) * slope.
-
-    One row's map has n-vectors and a float reference; a block's has one row
-    of ``offset`` and ``slope`` (m x n) and one reference per new row.
-    """
-
-    offset: np.ndarray
-    slope: np.ndarray
-    reference: float | np.ndarray
-
-    def residuals_at(self, response: float) -> np.ndarray:
+        the map that ``residual_decomposition`` keeps on it."""
         return self.offset + (response - self.reference) * self.slope
 
 
-def residual_decomposition(projector: RidgeProjector) -> ResidualDecomposition:
-    """Split each residual map over the last response into offset and slope parts.
+def residual_decomposition(projector: RidgeProjector) -> RidgeProjector:
+    """Split each residual map over the last response into offset and slope
+    parts, and keep them on the projector, which is returned.
 
     The design rows keep the projector's responses and the n-th is left
     symbolic.  ``offset`` is the residual vector with the projector's
     reference response, the design rows' own prediction, in the last place
     (where that residual is 0) and ``slope`` the projected last unit vector,
-    so that ``offset + (y - reference) * slope`` are the residuals at y; a
-    block projector gives one such row per new row.  All of them come from
-    one GEMM of the design rows with the design rows' own coefficients and
-    the columns (U_j'U_j + aI)^-1 x_j, which the projector holds: n k (m + 1)
-    for a block of m rows, whose first n-1 offsets are shared.  The new
-    rows' slopes are the projector's own numbers.  The decomposition is kept
-    on the projector for ``RidgeProjector.residuals``.
+    so that ``offset + (y - reference) * slope`` are the residuals at y: two
+    n-vectors for a one-row projector, and one row of each (m x n) per new
+    row of a block.  All of them come from one GEMM of the design rows with
+    the design rows' own coefficients and the columns (U_j'U_j + aI)^-1 x_j,
+    which the projector holds: n k (m + 1) for a block of m rows, whose
+    first n-1 offsets are shared.  The new rows' slopes are the projector's
+    own numbers.
     """
-    n = projector.row_count
     fitted = projector._head @ np.column_stack([projector._coefficients, projector._direction])
-    count = 1 if projector._one_row else len(projector._reference)
-    offset = np.empty(n if projector._one_row else (count, n))
-    slope = np.empty_like(offset)
-    # block views of one row's vectors, so that every write below fits both
-    block_offset, block_slope = offset.reshape(count, n), slope.reshape(count, n)
-    np.subtract(projector._responses, fitted[:, :-count].T, out=block_offset[:, :-1])
-    block_offset[:, -1] = 0.0
-    np.negative(fitted[:, -count:].T, out=block_slope[:, :-1])
-    block_slope[:, -1] = projector._shrink
-    decomposition = ResidualDecomposition(offset, slope, projector.reference)
-    projector._decomposition = decomposition
-    return decomposition
-
-
-@dataclass(frozen=True)
-class StudentT:
-    """Student t distribution with a positive integer number of degrees of freedom."""
-
-    degrees_of_freedom: int
-
-    def __post_init__(self):
-        df = self.degrees_of_freedom
-        if int(df) != df or df < 1:
-            raise ValueError("degrees_of_freedom must be a positive integer")
-        object.__setattr__(self, "degrees_of_freedom", int(df))
-
-    def cdf(self, value: float):
-        return stdtr(self.degrees_of_freedom, value)
-
-    def quantile(self, probability: float) -> float:
-        if not 0.0 < probability < 1.0:
-            raise ValueError("probability must lie strictly inside (0, 1)")
-        return float(stdtrit(self.degrees_of_freedom, probability))
-
-    def upper_quantile(self, tail: float) -> float:
-        """The point t with 1 - cdf(t) = tail, for tail strictly inside (0, 1).
-
-        Uses the distribution's symmetry; inverting 1 - tail directly loses
-        the tail to double rounding once it drops below ~1e-10.
-        """
-        if not 0.0 < tail < 1.0:
-            raise ValueError("tail must lie strictly inside (0, 1)")
-        return -float(stdtrit(self.degrees_of_freedom, tail))
+    shape = np.shape(projector.reference) + (projector.row_count,)
+    offset, slope = np.empty((2,) + shape)
+    offset[..., :-1] = projector._responses - fitted[:, 0]
+    offset[..., -1] = 0.0
+    slope[..., :-1] = -fitted[:, 1:].T
+    slope[..., -1] = projector._shrink
+    projector.offset, projector.slope = offset, slope
+    return projector
 
 
 def two_sided_quantiles(degrees_of_freedom: int, levels) -> np.ndarray:
     """For each level epsilon the point t with P(|T| > t) = epsilon, T
     Student t with ``degrees_of_freedom``: one elementwise ``stdtrit`` call
-    for the whole ladder, each entry equal to
-    ``StudentT(degrees_of_freedom).upper_quantile(epsilon / 2)``."""
+    for the whole ladder.  Each is the upper epsilon / 2 quantile, taken by
+    symmetry as -stdtrit(dof, epsilon / 2): inverting 1 - epsilon / 2
+    directly would lose the tail to double rounding once it drops below
+    ~1e-10."""
     return -stdtrit(degrees_of_freedom, np.multiply(levels, 0.5))

@@ -15,10 +15,12 @@ step n a bounded interval (the empty set included) is possible at all.
 
 * ``IidPredictor`` assumes exchangeability only.  A candidate survives when
   the rank of its ridge residual magnitude among all n residual magnitudes is
-  not extreme.  Where every comparison set is an interval around the
-  prediction, the hull's ends are order statistics of the interval ends,
-  selected in O(n); otherwise the exact survivor set is found by a sweep
-  over the at most 2n - 2 points where two residual magnitudes cross.
+  not extreme.  Its step is one residual map, kept on the step's
+  ``RidgeProjector``.  Where every comparison set is an interval around
+  the prediction, the hull's ends are order statistics of the interval
+  ends, selected in O(n); otherwise the exact survivor set is found by a
+  sweep over the at most 2n - 2 points where two residual magnitudes
+  cross, one map (one row) at a time.
 * ``GaussPredictor`` assumes the full linear-Gaussian model and inverts the
   classical studentized prediction pivot.
 * ``MvaPredictor`` assumes Gaussian noise but nothing about the explanatory
@@ -40,7 +42,10 @@ after one history, through one loop for every model
 ``BLOCK_ROWS`` at a time: their ``step`` takes a block of rows as well as
 one row, with the history's own numbers solved once and the block's rows
 the many-column right side of the step's triangular solves.  The on-line
-step is the one-row block of the same code.  IID-Gauss takes blocks of one
+step is the one-row block of the same code.  An IID block decides its
+route row by row: the rows whose comparison sets are all intervals read
+their ends at once, and each other row falls back to its own sweep, so
+every row gets the ends of its one-row route.  IID-Gauss takes blocks of one
 row, since each row's draws need the design in its own canonical order and
 its own QR factors.
 
@@ -79,10 +84,11 @@ candidates gives the full line) instead of empty output.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ceil, inf, nan, sqrt
+from math import ceil, inf, sqrt
 from numbers import Integral
 
 import numpy as np
+from scipy.special import stdtr
 
 from .base import (
     DegenerateFitError,
@@ -96,12 +102,7 @@ from .base import (
     validate_levels,
     validate_ridge,
 )
-from .numerics import (
-    RidgeProjector,
-    StudentT,
-    residual_decomposition,
-    two_sided_quantiles,
-)
+from .numerics import RidgeProjector, residual_decomposition, two_sided_quantiles
 from .sampler import complement_directions, random_orderings
 
 
@@ -222,18 +223,20 @@ def _step_projector(
     with the rows pending beside it (``History.pending_factor``), and the
     new rows by three triangular solves, O(K^2) per row on top of the
     history's own bookkeeping per appended row, with no copy of the design
-    or the responses and no step triangle.
+    or the responses and no step triangle.  Its residual map is taken
+    (``residual_decomposition``) before it is returned.
     """
     k = history.feature_count
     x = _new_row(x_new, k, block=True)
     cols = _active_features(schedule, len(history) + 1, k) + 1
     _require_full_rank(history, ridge, cols)
-    return RidgeProjector(
+    projector = RidgeProjector(
         history.design_matrix[:, :cols],
         _design_rows(x, cols),
         history.pending_factor(ridge, cols),
         history.responses,
     )
+    return residual_decomposition(projector)
 
 
 def _intervals(lower: np.ndarray, upper: np.ndarray) -> list[PredictionInterval]:
@@ -286,74 +289,51 @@ class _BlockPredictor:
 class SweepState:
     """Sorted crossing points with membership deltas and boundary counts.
 
-    One row of ``points`` starts at -inf and ends at +inf, followed by any
-    padding (NaN with delta 0) that a block's row does not use; ``deltas``
-    aligns with it, and ``counts``, its running prefix sum, equals n * p(y)
-    for y in the half-open cell that starts at the corresponding point,
-    where p(y) is the fraction of the n residual magnitudes at least as
-    large as the candidate's own.  Padding sorts after +inf, where the count
-    is 0, so it changes no hull.  ``left_count`` and ``right_count`` tally
-    the comparison sets that are unbounded to the left and to the right.
-    A state of one row holds 1-d arrays and integer tallies; a block's
-    holds m-row arrays and one tally per row.
+    ``points`` starts at -inf and ends at +inf; ``deltas`` aligns with it,
+    and ``counts``, its running prefix sum, equals n * p(y) for y in the
+    half-open cell that starts at the corresponding point, where p(y) is
+    the fraction of the n residual magnitudes at least as large as the
+    candidate's own.  ``left_count`` and ``right_count`` tally the
+    comparison sets that are unbounded to the left and to the right.  A
+    state holds the 1-d arrays of one map.
     """
 
     points: np.ndarray
     deltas: np.ndarray
     counts: np.ndarray
-    left_count: int | np.ndarray
-    right_count: int | np.ndarray
+    left_count: int
+    right_count: int
 
     @classmethod
-    def from_crossings(cls, points, deltas, left, right) -> "SweepState":
-        """Sort each row's crossing points between the infinite sentinels.
+    def from_crossings(cls, points, deltas, left: int, right: int) -> "SweepState":
+        """Sort one map's crossing points (1-d) between the infinite sentinels.
 
-        ``points`` and ``deltas`` are one row (1-d) or a block (m x p), with
-        ``left`` and ``right`` an integer or one per row.  The sentinels
-        carry ``left`` + 1 and -``right`` - 1: the candidate's own score is
-        always counted.  One ``argsort`` along the rows orders the points;
-        only for the rows where two of them are equal does a stable
-        ``lexsort`` on (point, -delta) replace it, so that at a tie the +1
-        entries come first and the prefix peak at a point equals the
-        membership count there.  Entries that tie on both keys are equal (at
-        most the sign of a zero differs), so the order in which they are
-        emitted does not matter.  Without ties both sorts give the one
-        ascending order.
+        The sentinels carry ``left`` + 1 and -``right`` - 1: the candidate's
+        own score is always counted.  One ``argsort`` orders the points;
+        only where two of them are equal does a stable ``lexsort`` on
+        (point, -delta) replace it, so that at a tie the +1 entries come
+        first and the prefix peak at a point equals the membership count
+        there.  Entries that tie on both keys are equal (at most the sign of
+        a zero differs), so the order in which they are emitted does not
+        matter.  Without ties both sorts give the one ascending order.
         """
-        points = np.asarray(points, dtype=float)
-        shape = points.shape[:-1] + (points.shape[-1] + 2,)
-        all_points = np.empty(shape)
-        all_points[..., 0], all_points[..., -1] = -inf, inf
-        all_points[..., 1:-1] = points
-        all_deltas = np.empty(shape, dtype=np.int64)
-        all_deltas[..., 0] = left + 1
-        all_deltas[..., -1] = -1 - right
-        all_deltas[..., 1:-1] = deltas
-        # each row's order, moved to that row's place in the flat arrays
-        starts = np.arange(0, all_points.size, shape[-1])[:, None]
-        order = np.argsort(all_points, axis=-1)
-        if points.ndim == 2:
-            order += starts
-        sorted_points = all_points.take(order)
-        repeats = sorted_points[..., 1:] == sorted_points[..., :-1]
-        if repeats.any():
-            # rows of 2-d views, which write through to a single row's arrays
-            views = np.atleast_2d(all_points, all_deltas, order, sorted_points)
-            block_points, block_deltas, block_order, block_sorted = views
-            tied = np.flatnonzero(np.atleast_2d(repeats).any(axis=1))
-            block_order[tied] = (
-                np.lexsort((-block_deltas[tied], block_points[tied]), axis=1) + starts[tied]
-            )
-            block_sorted[tied] = all_points.take(block_order[tied])
-        sorted_deltas = all_deltas.take(order)
-        return cls(sorted_points, sorted_deltas, np.cumsum(sorted_deltas, axis=-1), left, right)
+        if np.ndim(points) != 1:
+            raise ValueError("a sweep takes the crossing points of one map (1-d)")
+        all_points = np.concatenate([[-inf], points, [inf]])
+        all_deltas = np.concatenate([[left + 1], deltas, [-1 - right]], dtype=np.int64)
+        order = np.argsort(all_points)
+        sorted_points = all_points[order]
+        if (sorted_points[1:] == sorted_points[:-1]).any():
+            order = np.lexsort((-all_deltas, all_points))
+            sorted_points = all_points[order]
+        sorted_deltas = all_deltas[order]
+        return cls(sorted_points, sorted_deltas, np.cumsum(sorted_deltas), left, right)
 
 
 def build_sweep(offset: np.ndarray, slope: np.ndarray) -> SweepState:
     """Locate every candidate response where two residual magnitudes cross.
 
-    ``offset`` and ``slope`` are one residual map (n-vectors) or a block of
-    them (m x n), one row per new row; every row is handled at once.  The
+    ``offset`` and ``slope`` are one residual map: two n-vectors.  The
     i-th residual is the affine function offset_i + y * slope_i, and the
     comparison set S_i = {y : |e_i(y)| >= |e_n(y)|} is closed: an interval, a
     point, one ray, two rays, the whole line, or empty.  Each bounded
@@ -364,22 +344,21 @@ def build_sweep(offset: np.ndarray, slope: np.ndarray) -> SweepState:
     slopes simply produce a far-away crossing point that the infinite
     sentinels absorb.
 
-    Each earlier residual owns two slots per row; a slot it does not fill
-    (a tangency from above, a single ray, a set without transitions) holds
-    NaN with delta 0.  A one-row map drops those slots before sorting; a
-    block keeps them, and they sort after +inf (see ``SweepState``).  The
-    divisions run only where they are defined, so none of them warns.
+    Each earlier residual owns two slots; the slots it does not fill (a
+    tangency from above, a single ray, a set without transitions) are
+    dropped before sorting.  The divisions run only where they are
+    defined, so none of them warns.
     """
     offset = np.asarray(offset, dtype=float)
     slope = np.asarray(slope, dtype=float)
-    if offset.shape != slope.shape or offset.ndim not in (1, 2) or 0 in offset.shape:
-        raise ValueError("offset and slope must be 1-d or 2-d arrays of equal nonempty shape")
+    if offset.shape != slope.shape or offset.ndim != 1 or offset.size == 0:
+        raise ValueError("offset and slope must be 1-d arrays of equal nonzero length")
     # Normalize signs so every slope is nonnegative; |e_i| is unchanged (a
     # slope of -0 flips too, which only swaps the two crossings it has).
     offset = offset * np.copysign(1.0, slope)
     slope = np.abs(slope)
-    a, b = offset[..., :-1], slope[..., :-1]
-    last_offset, last_slope = offset[..., -1:], slope[..., -1:]
+    a, b = offset[:-1], slope[:-1]
+    last_offset, last_slope = offset[-1], slope[-1]
 
     # Unequal slopes: both magnitudes cross twice (counting multiplicity),
     # where the difference and where the sum of the two affine maps vanish.
@@ -404,18 +383,14 @@ def build_sweep(offset: np.ndarray, slope: np.ndarray) -> SweepState:
     starts = np.where(inside, 1, -1)
     # the lower and the upper crossing; where they are equal, which one is
     # taken shows only in the sign of a zero
-    width = a.shape[-1]
-    points = np.empty(a.shape[:-1] + (2 * width,))
-    np.minimum(first, second, out=points[..., :width])
-    np.maximum(first, second, out=points[..., width:])
-    deltas = np.concatenate([starts, -starts], axis=-1)
-    left = right = outside.sum(axis=-1)
-    padded = not unequal or tangent.any()
-    if padded:
-        kept = inside | outside & ~tangent
-        unused = np.concatenate([~kept, ~kept], axis=-1)
-        points[unused] = nan
-        deltas[unused] = 0
+    width = len(a)
+    points = np.empty(2 * width)
+    np.minimum(first, second, out=points[:width])
+    np.maximum(first, second, out=points[width:])
+    deltas = np.concatenate([starts, -starts])
+    left = right = int(np.count_nonzero(outside))
+    # the slots in use: both where S_i has two ends, the first for a ray
+    first_kept = kept = inside | outside & ~tangent
 
     if not unequal:
         # Equal slopes: identical magnitudes cover the whole line.  Equal
@@ -428,19 +403,17 @@ def build_sweep(offset: np.ndarray, slope: np.ndarray) -> SweepState:
         rightward = moving & (a > last_offset)
         leftward = moving & ~rightward
         covering = same | (equal & (last_slope == 0.0) & (np.abs(a) >= np.abs(last_offset)))
-        np.divide(second, -2.0 * last_slope, out=points[..., :width], where=moving)
-        single_deltas = deltas[..., :width]
-        single_deltas[rightward] = 1
-        single_deltas[leftward] = -1
-        covered = covering.sum(axis=-1)
-        left = left + covered + leftward.sum(axis=-1)
-        right = right + covered + rightward.sum(axis=-1)
+        np.divide(second, -2.0 * last_slope, out=points[:width], where=moving)
+        deltas[:width][rightward] = 1
+        deltas[:width][leftward] = -1
+        covered = int(np.count_nonzero(covering))
+        left += covered + int(np.count_nonzero(leftward))
+        right += covered + int(np.count_nonzero(rightward))
+        first_kept = kept | moving
 
-    if offset.ndim == 1:
-        left, right = int(left), int(right)
-        if padded:
-            used = deltas != 0
-            points, deltas = points[used], deltas[used]
+    if not unequal or tangent.any():
+        used = np.concatenate([first_kept, kept])
+        points, deltas = points[used], deltas[used]
     return SweepState.from_crossings(points, deltas, left, right)
 
 
@@ -449,35 +422,30 @@ def sweep_hull(state: SweepState, count: int, epsilon) -> tuple[np.ndarray, np.n
 
     The state's prefix counts give count * p(y) per cell; a cell or point
     qualifies when p(y) = counts / count > epsilon, with counts / count
-    worked out once for every level and row.  A hull runs from the first
+    worked out once for every level.  A hull runs from the first
     qualifying position to the point just after the last one: qualifying
     sets are closed, so the supremum of a qualifying open cell is itself a
     member.  ``epsilon`` is a sequence of levels (one level counts as a
-    sequence of one).  The lower and upper ends come as arrays, one column
-    per level and, for a block's state, one row per state row, with the
-    empty set as (inf, -inf).
+    sequence of one).  The lower and upper ends come as arrays, one entry
+    per level, with the empty set as (inf, -inf).
     """
     levels = np.asarray(epsilon, dtype=float)
-    qualifying = (state.counts / count)[..., None, :] > levels.reshape(-1, 1)
+    qualifying = state.counts / count > levels.reshape(-1, 1)
     found = qualifying.any(axis=-1)
     first = qualifying.argmax(axis=-1)
     # one past the last qualifying position; kept in range where none is
-    after = qualifying.shape[-1] - qualifying[..., ::-1].argmax(axis=-1)
+    after = qualifying.shape[-1] - qualifying[:, ::-1].argmax(axis=-1)
     np.minimum(after, qualifying.shape[-1] - 1, out=after)
     points = state.points
-    if points.ndim == 2:
-        rows = np.arange(len(points))[:, None]
-        lower, upper = points[rows, first], points[rows, after]
-    else:
-        lower, upper = points[first], points[after]
-    return np.where(found, lower, inf), np.where(found, upper, -inf)
+    return np.where(found, points[first], inf), np.where(found, points[after], -inf)
 
 
 def _interval_hull(offset: np.ndarray, slope: np.ndarray, levels):
-    """The sweep's hulls read as order statistics, or None where they cannot
-    be: ``sweep_hull(build_sweep(offset, slope), n, levels)`` for a map whose
-    last offset is exactly 0 and whose every earlier slope is below the last
-    one in magnitude (one row, or every row of a block).
+    """The sweep's hulls read as order statistics:
+    ``sweep_hull(build_sweep(offset, slope), n, levels)`` of each map, one
+    row or every row of a block, at once.  Each map must have its last
+    offset exactly 0 and every earlier slope below the last one in
+    magnitude (``IidPredictor._bounds`` tests that).
 
     There every comparison set is the closed interval [lo_i, hi_i] around
     0, with ends formed by ``build_sweep``'s own expressions, and the count
@@ -494,8 +462,6 @@ def _interval_hull(offset: np.ndarray, slope: np.ndarray, levels):
     n = offset.shape[-1]
     magnitude = np.abs(slope)
     b, last_slope = magnitude[..., :-1], magnitude[..., -1:]
-    if not ((offset[..., -1] == 0.0).all() and (b < last_slope).all()):
-        return None
     offset = offset * np.copysign(1.0, slope)
     a, last_offset = offset[..., :-1], offset[..., -1:]
     first = (a - last_offset) / (last_slope - b)
@@ -552,7 +518,7 @@ class IidPredictor(_BlockPredictor):
     Otherwise the rank is decided on the history's design block, as for
     ``GaussPredictor`` and ``MvaPredictor``: a history that only the new
     row would make full rank raises ``RankDeficiencyError``.  The residuals
-    are decomposed around the history's own prediction at the new row, and
+    are mapped around the history's own prediction at the new row, and
     the ends are found in the distance from it (``_bounds``), so they do
     not cancel when the responses sit far from zero.
     """
@@ -565,19 +531,18 @@ class IidPredictor(_BlockPredictor):
 
     def step(self, history: History, x_new) -> RidgeProjector | None:
         """The ridge fit of the step, for one row or a block of them (m x
-        K), with its residual decomposition taken: the projector of the
-        history rows plus the new one (``_step_projector``), whose
-        ``decomposition`` the sweep reads and whose ``residuals`` the
-        p-value reads.  None on an empty history, and at ridge 0 while n <=
-        active + 1 (``active`` the features the schedule lets the fit see
-        at n), where the fit interpolates.  Raises ``RankDeficiencyError``
-        where the history's design block fails the rank rule."""
+        K): the projector of the history rows plus the new one, with its
+        residual map taken (``_step_projector``), whose ``offset``,
+        ``slope`` and ``reference`` the intervals read and whose
+        ``residuals`` the p-value reads.  None on an empty history, and at
+        ridge 0 while n <= active + 1 (``active`` the features the schedule
+        lets the fit see at n), where the fit interpolates.  Raises
+        ``RankDeficiencyError`` where the history's design block fails the
+        rank rule."""
         n = len(history) + 1
         if n == 1 or self._interpolates(n, history.feature_count):
             return None
-        projector = _step_projector(history, x_new, self.ridge, self.schedule)
-        residual_decomposition(projector)
-        return projector
+        return _step_projector(history, x_new, self.ridge, self.schedule)
 
     def predict(self, step, levels) -> list[PredictionInterval]:
         return _intervals(*self._bounds(step, validate_levels(levels)))
@@ -587,23 +552,33 @@ class IidPredictor(_BlockPredictor):
         row per new row of a block step.  A step of None gives full lines:
         every residual ties with the candidate's, whatever the candidate.
 
-        The decomposition's last offset is 0, so where every earlier slope
-        is below the new row's, every comparison set is an interval around
-        the prediction and the ends are order statistics of theirs
+        The test is taken once per row: where the map's last offset is
+        exactly 0 and every earlier slope is below the new row's in
+        magnitude, every comparison set is an interval around the
+        prediction and the ends are order statistics of theirs
         (``_interval_hull``), the sweep's own hull without a sort.  Any
-        other map, such as a residual whose slope reaches the new row's (a
-        ray set), goes through ``build_sweep`` and ``sweep_hull``; a block
-        with one such row goes through them whole.  Both routes give the
-        same ends, up to the sign of a zero end."""
+        other row, such as one with a residual whose slope reaches the new
+        row's (a ray set), goes through ``build_sweep`` and ``sweep_hull``
+        on its own.  The rows of a block that pass read their ends in one
+        ``_interval_hull`` call, so each row gets the ends of its own
+        one-row route.  Both routes give the same ends, up to the sign of a
+        zero end."""
         if step is None:
             return _full_bounds(levels)
-        decomposition = step.decomposition
-        ends = _interval_hull(decomposition.offset, decomposition.slope, levels)
-        if ends is None:
-            state = build_sweep(decomposition.offset, decomposition.slope)
-            ends = sweep_hull(state, step.row_count, levels)
-        lower, upper = ends
-        reference = decomposition.reference
+        offset, slope, reference = step.offset, step.slope, step.reference
+        magnitude = np.abs(slope)
+        fits = (offset[..., -1] == 0.0) & (magnitude[..., :-1] < magnitude[..., -1:]).all(axis=-1)
+        if fits.all():
+            lower, upper = _interval_hull(offset, slope, levels)
+        else:
+            # a row index of a block, or () for the one row of an on-line step
+            lower, upper = np.empty((2,) + fits.shape + (len(levels),))
+            if fits.any():
+                lower[fits], upper[fits] = _interval_hull(offset[fits], slope[fits], levels)
+            for row in np.ndindex(fits.shape):
+                if not fits[row]:
+                    state = build_sweep(offset[row], slope[row])
+                    lower[row], upper[row] = sweep_hull(state, step.row_count, levels)
         if isinstance(reference, np.ndarray):
             reference = reference[:, None]
         return lower + reference, upper + reference
@@ -786,7 +761,7 @@ class GaussPredictor(_BlockPredictor):
         if step.sigma_hat == 0.0:
             return 1.0 if response == step.point_prediction else 0.0
         # the lower tail: 1 - cdf(|t|) loses the tail to rounding
-        return 2.0 * StudentT(step.degrees_of_freedom).cdf(-abs(step.pivot(response)))
+        return 2.0 * stdtr(step.degrees_of_freedom, -abs(step.pivot(response)))
 
     def can_bound(self, n: int, feature_count: int, levels) -> bool:
         """Whether step n can give a bounded interval: n >= K + 3, the first
@@ -1185,7 +1160,7 @@ class MvaPredictor(_BlockPredictor):
         statistic = abs(
             sqrt((n - 1) * (n - 2) / n) * (step.last_offset + u * step.last_slope)
         ) / sqrt(energy)
-        return 2.0 * StudentT(n - 2).cdf(-statistic)
+        return 2.0 * stdtr(n - 2, -statistic)
 
     def can_bound(self, n: int, feature_count: int, levels) -> bool:
         """Whether step n can give a bounded interval: n >= 3 with a positive

@@ -25,8 +25,8 @@ from typing import Protocol
 
 import numpy as np
 
-from .base import EpsilonLadder, History, PredictionInterval, Stream
-from .numerics import StudentT
+from .base import EpsilonLadder, History, PredictionInterval, Stream, validate_levels
+from .numerics import two_sided_quantiles
 # the predictor classes live in ``predictors``; ``run_online`` drives them
 from .predictors import (
     FullLinePredictor,
@@ -123,28 +123,60 @@ class OnlineLedger:
         return payload
 
     @classmethod
-    def from_dict(cls, payload: dict) -> "OnlineLedger":
-        lengths = np.array(
-            [[float(v) for v in row] for row in payload["lengths"]], dtype=float
-        )
-        pvalues = payload.get("pvalues")
-        tie_breaks = payload.get("tie_breaks")
-        trace = None
-        if pvalues is not None:
-            trace = PValueTrace(
-                np.asarray(pvalues, dtype=float),
-                np.asarray(
-                    tie_breaks if tie_breaks is not None else [], dtype=float
-                ),
+    def from_dict(cls, payload) -> "OnlineLedger":
+        """The ledger that ``to_dict`` wrote, checked first: a ``ValueError``
+        names the problem where ``payload`` is not such a ledger.
+
+        It needs a JSON object with ``levels`` (a valid ladder),
+        ``smoothed``, ``errors`` and ``lengths``.  ``errors`` and ``lengths``
+        need one row per level and the same number of steps, at least one;
+        error bits are 0 or 1 and lengths nonnegative numbers or "inf".
+        ``pvalues``, where present and not null, needs one entry per step.
+        """
+        if not isinstance(payload, dict):
+            raise ValueError("a ledger must be a JSON object")
+        missing = [key for key in ("levels", "smoothed", "errors", "lengths") if key not in payload]
+        if missing:
+            raise ValueError(f"ledger lacks {', '.join(missing)}")
+        levels = validate_levels(_ledger_array(payload, "levels", 1))
+        errors, lengths = (_ledger_array(payload, key, 2) for key in ("errors", "lengths"))
+        steps = errors.shape[1]
+        if steps == 0 or errors.shape != (len(levels), steps) or lengths.shape != errors.shape:
+            raise ValueError(
+                f"ledger errors and lengths must have one row per level ({len(levels)})"
+                " and the same number of steps, at least one"
             )
+        if not (np.isin(errors, (0.0, 1.0)).all() and (lengths >= 0.0).all()):
+            raise ValueError("ledger errors must be bits, 0 or 1, and lengths nonnegative")
+        trace = None
+        if payload.get("pvalues") is not None:
+            pvalues = _ledger_array(payload, "pvalues", 1)
+            if len(pvalues) != steps:
+                raise ValueError(f"ledger pvalues must have one entry per step ({steps})")
+            tie_breaks = np.empty(0)
+            if payload.get("tie_breaks") is not None:
+                tie_breaks = _ledger_array(payload, "tie_breaks", 1)
+            trace = PValueTrace(pvalues, tie_breaks)
         return cls(
-            levels=tuple(float(e) for e in payload["levels"]),
-            errors=np.asarray(payload["errors"], dtype=np.uint8),
+            levels=levels,
+            errors=errors.astype(np.uint8),
             lengths=lengths,
             smoothed=bool(payload["smoothed"]),
             seed=payload.get("seed"),
             trace=trace,
         )
+
+
+def _ledger_array(payload: dict, key: str, ndim: int) -> np.ndarray:
+    """A ledger entry as a float array of ``ndim`` dimensions; a
+    ``ValueError`` names the entry where it is not one."""
+    try:
+        table = np.array(payload[key], dtype=float)
+    except (TypeError, ValueError):
+        table = None
+    if table is None or table.ndim != ndim:
+        raise ValueError(f"ledger {key} must be a rectangular {ndim}-d list of numbers")
+    return table
 
 
 def _check_nested(intervals: list[PredictionInterval]) -> None:
@@ -271,6 +303,8 @@ def fisher_verify(responses, batch_size: int, epsilon: float, mode: str = "isola
         raise ValueError("batch_size must be at least 2")
     if mode not in ("isolated", "cumulative"):
         raise ValueError(f"unknown mode: {mode!r}")
+    if not 0.0 < epsilon < 1.0:
+        raise ValueError("epsilon must lie strictly between 0 and 1")
     block = batch_size + 1
     count = y.size // block
     errors = np.zeros(count, dtype=np.uint8)
@@ -286,11 +320,7 @@ def fisher_verify(responses, batch_size: int, epsilon: float, mode: str = "isola
         if spread == 0.0:
             errors[m - 1] = 0 if test == mean else 1
             continue
-        half = (
-            StudentT(size - 1).upper_quantile(epsilon / 2.0)
-            * spread
-            * sqrt((size + 1) / size)
-        )
+        half = two_sided_quantiles(size - 1, (epsilon,))[0] * spread * sqrt((size + 1) / size)
         errors[m - 1] = 0 if abs(test - mean) <= half else 1
     return errors
 

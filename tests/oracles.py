@@ -277,9 +277,9 @@ def sweep_loop(offset, slope):
 
 
 def sweep_one_row(offset, slope):
-    """The one-row sweep as the package had it before its block route.
+    """A one-row sweep written apart from the package's ``build_sweep``.
 
-    Compacted arrays (no padding) of the crossing points between the
+    Compacted arrays of the crossing points between the
     infinite sentinels, their deltas and prefix counts, sorted by one
     ``argsort``, or by a stable ``lexsort`` on (point, -delta) when two
     points are equal.  Returns (points, deltas, counts, left, right).

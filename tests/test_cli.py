@@ -12,7 +12,7 @@ import pytest
 
 import olreg
 import oracles
-from olreg import batch_predict, load_matrix
+from olreg import OnlineLedger, batch_predict, load_matrix
 from olreg.cli import main
 
 TRAIN_LINES = "x1,y\n1,2.01\n2,2.99\n3,4.01\n4,4.99\n"
@@ -455,6 +455,72 @@ def test_report_from_a_saved_ledger(tmp_path):
     }
     assert 0.0 <= report["pvalue_ks_statistic"] <= 1.0
     assert run(["report", "--ledger", tmp_path / "missing.json", "--out", out]) == 10
+
+
+def saved_ledger(tmp_path) -> dict:
+    """The ledger of a short smoothed run at two levels, as JSON data."""
+    data = tmp_path / "data.csv"
+    run(["gen", "--seed", 7, "--n", 30, "--k", 1, "--out", data])
+    run(["online", "--model", "iid", "--data", data, "--epsilons", "0.2,0.1",
+         "--smoothed", "--out-prefix", tmp_path / "run"])
+    return json.loads((tmp_path / "run_ledger.json").read_text())
+
+
+def without(payload: dict, *keys) -> dict:
+    return {key: value for key, value in payload.items() if key not in keys}
+
+
+# one malformed ledger per way a ledger used to crash ``report`` or be misread
+MALFORMED_LEDGERS = {
+    "no-smoothed": lambda good: without(good, "smoothed"),
+    "a-list": lambda good: [good],
+    "empty-errors": lambda good: {**good, "errors": []},
+    "empty-lengths": lambda good: {**good, "lengths": []},
+    "empty-levels": lambda good: {**good, "levels": []},
+    "no-steps": lambda good: {**good, "errors": [[], []], "lengths": [[], []], "pvalues": []},
+    "ragged-errors": lambda good: {**good, "errors": [good["errors"][0], good["errors"][1][:-1]]},
+    "non-numeric-length": lambda good: {
+        **good, "lengths": [["wide"] + good["lengths"][0][1:], good["lengths"][1]]
+    },
+    "three-error-rows-for-one-level": lambda good: {
+        **good, "levels": good["levels"][:1], "lengths": good["lengths"][:1],
+        "errors": good["errors"] + good["errors"][:1],
+    },
+    "non-bit-error": lambda good: {
+        **good, "errors": [[2] + good["errors"][0][1:], good["errors"][1]]
+    },
+    "short-pvalues": lambda good: {**good, "pvalues": good["pvalues"][:-1]},
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_LEDGERS))
+def test_report_on_a_malformed_ledger_is_a_file_error(tmp_path, capsys, case):
+    ledger = tmp_path / "bad_ledger.json"
+    ledger.write_text(json.dumps(MALFORMED_LEDGERS[case](saved_ledger(tmp_path))))
+    out = tmp_path / "report.json"
+    capsys.readouterr()
+    assert run(["report", "--ledger", ledger, "--out", out]) == 10
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_a_saved_ledger_round_trips_exactly(tmp_path):
+    good = saved_ledger(tmp_path)
+    assert OnlineLedger.from_dict(good).to_dict() == good
+    # ledgers without p-values, deterministic runs and older files alike,
+    # are still read
+    for payload in ({**good, "pvalues": None, "tie_breaks": None},
+                    without(good, "pvalues", "tie_breaks")):
+        ledger = OnlineLedger.from_dict(payload)
+        assert ledger.trace is None
+        assert np.array_equal(ledger.lengths, OnlineLedger.from_dict(good).lengths)
+        ledger_file = tmp_path / "plain_ledger.json"
+        ledger_file.write_text(json.dumps(payload))
+        out = tmp_path / "plain_report.json"
+        assert run(["report", "--ledger", ledger_file, "--out", out]) == 0
+        assert json.loads(out.read_text())["pvalue_ks_statistic"] is None
 
 
 def test_importing_the_cli_leaves_scipy_stats_unloaded():

@@ -1,12 +1,12 @@
 """Batch prediction in row blocks against the one-row route.
 
-The block sweep is compared with the one-row sweep that ``oracles`` keeps,
-row by row, on random and on crafted residual maps, and the MVA hull of a
-block and of one-row steps, and the Gauss ends of one-row steps, with the
-per-level reads that ``oracles`` keeps; ``batch_predict`` is compared, for
-IID, Gauss and MVA, with one step and one ``predict`` per test row, and an
-IID block whose rows mix order-statistic and sweep ends with its one-row
-steps.
+The IID ends of a block of random and crafted residual maps are compared,
+row by row, with the one-row sweep that ``oracles`` keeps and with each
+row's one-row ends; the MVA hull of a block and of one-row steps, and the
+Gauss ends of one-row steps, with the per-level reads that ``oracles``
+keeps; ``batch_predict`` is compared, for IID, Gauss and MVA, with one step
+and one ``predict`` per test row, and an IID block whose rows mix
+order-statistic and sweep ends with its one-row steps.
 """
 
 import math
@@ -31,7 +31,8 @@ from olreg import (
     sweep_hull,
 )
 from olreg.numerics import two_sided_quantiles
-from olreg.predictors import BLOCK_ROWS, MvaStep, _interval_hull, mva_hull
+from olreg.predictors import BLOCK_ROWS, MvaStep, SweepState, mva_hull
+from test_iid_sweep import map_step
 
 LEVELS = (0.5, 0.2, 0.1, 0.05)
 
@@ -40,7 +41,9 @@ def crafted_block(rng, n):
     """Rows of residual maps (offset, slope) with n entries each, built so
     that exact point ties, slopes equal to the last one (with equal and
     unequal offsets, zero and nonzero), zero slopes and tangencies from
-    above all occur, beside a plain random row."""
+    above all occur, beside a plain random row and a row whose comparison
+    sets are all intervals around 0 (with zero offsets among them), which
+    reads order statistics where the others sweep."""
     rows = []
     # small integers: tangencies, identical magnitudes and tied points
     small = rng.integers(-2, 3, size=(2, n)).astype(float)
@@ -66,24 +69,36 @@ def crafted_block(rng, n):
     offset[-1] = 0.0
     rows.append((offset, rng.choice([-1.0, 1.0, 2.0, 0.0], size=n)))
     rows.append((rng.normal(size=n), rng.normal(size=n)))
+    # the last offset 0 and every earlier slope below the last: intervals
+    offset = rng.choice([0.0, -0.0, 1.0, -2.0], size=n)
+    offset[-1] = rng.choice([0.0, -0.0])
+    slope = rng.choice([-0.5, 0.0, 0.25], size=n)
+    slope[-1] = 1.0
+    rows.append((offset, slope))
     return np.array([row[0] for row in rows]), np.array([row[1] for row in rows])
 
 
+def assert_same_bits(mine, theirs):
+    """Equal arrays, down to the sign of every zero."""
+    assert np.array_equal(mine, theirs)
+    assert np.array_equal(np.signbit(mine), np.signbit(theirs))
+
+
 def check_block_against_rows(offset, slope):
+    # a block's IID ends, each row by its own route, against the one-row
+    # sweep that ``oracles`` keeps: the sweep of each row state for state,
+    # and every row's ends (a row of intervals reads order statistics,
+    # which can differ from the sweep only in the sign of a zero end)
     n = offset.shape[1]
-    state = build_sweep(offset, slope)
-    assert state.points.shape == (offset.shape[0], 2 * n)
-    lower, upper = sweep_hull(state, n, LEVELS)
+    lower, upper = IidPredictor()._bounds(map_step(offset, slope), LEVELS)
+    assert lower.shape == upper.shape == (offset.shape[0], len(LEVELS))
     for r in range(offset.shape[0]):
         points, deltas, counts, left, right = oracles.sweep_one_row(offset[r], slope[r])
-        used = ~np.isnan(state.points[r])
-        # padding sits past the +inf sentinel, where the count is 0
-        assert not used[used.sum():].any()
-        assert np.all(state.deltas[r][~used] == 0) and np.all(state.counts[r][~used] == 0)
-        assert np.array_equal(state.points[r][used], points)
-        assert np.array_equal(state.deltas[r][used], deltas)
-        assert np.array_equal(state.counts[r][used], counts)
-        assert (state.left_count[r], state.right_count[r]) == (left, right)
+        state = build_sweep(offset[r], slope[r])
+        assert np.array_equal(state.points, points)
+        assert np.array_equal(state.deltas, deltas)
+        assert np.array_equal(state.counts, counts)
+        assert (state.left_count, state.right_count) == (left, right)
         for j, epsilon in enumerate(LEVELS):
             expected = oracles.sweep_hull_one_row(points, counts, n, epsilon)
             assert (lower[r, j], upper[r, j]) == expected, (r, epsilon)
@@ -109,8 +124,7 @@ def test_crafted_maps_divide_without_warnings():
         warnings.simplefilter("error")
         for n in (2, 5, 17):
             offset, slope = crafted_block(rng, n)
-            state = build_sweep(offset, slope)
-            sweep_hull(state, n, LEVELS)
+            IidPredictor()._bounds(map_step(offset, slope), LEVELS)
             for r in range(offset.shape[0]):
                 one = build_sweep(offset[r], slope[r])
                 for epsilon in LEVELS:
@@ -118,15 +132,29 @@ def test_crafted_maps_divide_without_warnings():
 
 
 def test_one_row_sweep_equals_its_row_in_a_block():
+    # each row of a block, swept or read by order statistics, gets the ends
+    # of its own one-row map bit for bit, the sign of a zero end included
     rng = np.random.default_rng(11)
-    offset, slope = crafted_block(rng, 12)
-    block = build_sweep(offset, slope)
-    for r in range(offset.shape[0]):
-        one = build_sweep(offset[r], slope[r])
-        used = ~np.isnan(block.points[r])
-        assert np.array_equal(one.points, block.points[r][used])
-        assert np.array_equal(one.counts, block.counts[r][used])
-        assert (one.left_count, one.right_count) == (block.left_count[r], block.right_count[r])
+    for n in (2, 5, 12):
+        offset, slope = crafted_block(rng, n)
+        lower, upper = IidPredictor()._bounds(map_step(offset, slope), LEVELS)
+        for r in range(offset.shape[0]):
+            one_lower, one_upper = IidPredictor()._bounds(map_step(offset[r], slope[r]), LEVELS)
+            assert_same_bits(lower[r], one_lower)
+            assert_same_bits(upper[r], one_upper)
+
+
+def test_a_sweep_takes_one_map():
+    # a block's rows are swept one by one (``IidPredictor._bounds``); the
+    # sweep itself takes one map, and a 2-d one is refused
+    rng = np.random.default_rng(12)
+    offset, slope = crafted_block(rng, 6)
+    with pytest.raises(ValueError):
+        build_sweep(offset, slope)
+    with pytest.raises(ValueError):
+        build_sweep(offset[0], slope[0, :-1])
+    with pytest.raises(ValueError):
+        SweepState.from_crossings(offset, np.ones(offset.shape, dtype=int), 0, 0)
 
 
 def pattern(lower, upper):
@@ -245,7 +273,9 @@ def test_block_of_interval_and_ray_rows_matches_its_one_row_steps():
     # new rows far along an outlying history row give that row's residual a
     # slope above the new row's own, so its comparison set is two rays and
     # the one-row step sweeps; the other rows read order statistics.  A
-    # block of both kinds gives each row its one-row ends.
+    # block of both kinds, or of ray rows alone, gives each row the ends of
+    # its own map read as one row, bit for bit, and the ends of its one-row
+    # step up to the rounding in which the block's map differs
     rng = np.random.default_rng(5)
     features = rng.normal(size=(40, 3))
     features[0] = [8.0, 0.0, 0.0]
@@ -257,18 +287,38 @@ def test_block_of_interval_and_ray_rows_matches_its_one_row_steps():
     levels = (0.5, 0.2, 0.1)
     steps = [predictor.step(history, x) for x in test]
     fast = [
-        _interval_hull(step.decomposition.offset, step.decomposition.slope, levels) is not None
+        step.offset[-1] == 0.0 and np.all(np.abs(step.slope[:-1]) < abs(step.slope[-1]))
         for step in steps
     ]
     assert fast.count(False) == len(test[::3]) and fast.count(True) == len(test) - len(test[::3])
-    lower, upper = predictor._bounds(predictor.step(history, test), levels)
-    for r, step in enumerate(steps):
-        one_lower, one_upper = predictor._bounds(step, levels)
-        np.testing.assert_array_equal(pattern(lower[r], upper[r]), pattern(one_lower, one_upper))
-        assert np.all(pattern(one_lower, one_upper) == BOUNDED)
-        width = one_upper - one_lower
-        assert np.all(np.abs(lower[r] - one_lower) <= 1e-9 * width)
-        assert np.all(np.abs(upper[r] - one_upper) <= 1e-9 * width)
+    for rows in (slice(None), slice(None, None, 3)):
+        block = predictor.step(history, test[rows])
+        lower, upper = predictor._bounds(block, levels)
+        for r, step in enumerate(steps[rows]):
+            row = map_step(block.offset[r], block.slope[r])
+            row.reference = float(block.reference[r])
+            row_lower, row_upper = predictor._bounds(row, levels)
+            assert_same_bits(lower[r], row_lower)
+            assert_same_bits(upper[r], row_upper)
+            one_lower, one_upper = predictor._bounds(step, levels)
+            assert np.all(pattern(one_lower, one_upper) == BOUNDED)
+            width = one_upper - one_lower
+            assert np.all(np.abs(lower[r] - one_lower) <= 1e-9 * width)
+            assert np.all(np.abs(upper[r] - one_upper) <= 1e-9 * width)
+    # maps whose ends are zeros of either sign: two rows of intervals, which
+    # read order statistics, beside a row that sweeps, or the sweeping row
+    # alone; each row keeps the signs of its own one-row ends
+    offset = np.array([[0.0] * 5, [-0.0] * 5, [-1.0, 1.0, -1.0, 1.0, 1.0]])
+    slope = np.array([[0.5] * 4 + [1.0], [0.0] * 4 + [1.0], [-0.5, -1.0, 0.5, 0.0, 1.0]])
+    for rows in ([0, 1, 2], [2]):
+        lower, upper = predictor._bounds(map_step(offset[rows], slope[rows]), levels)
+        for r, row in enumerate(rows):
+            one_lower, one_upper = predictor._bounds(map_step(offset[row], slope[row]), levels)
+            assert_same_bits(lower[r], one_lower)
+            assert_same_bits(upper[r], one_upper)
+        ends = np.concatenate([lower, upper], axis=None)
+        zeros = ends[ends == 0.0]
+        assert set(np.signbit(zeros).tolist()) == {False, True}
 
 
 def test_mva_hull_block_matches_its_rows_on_crafted_steps():

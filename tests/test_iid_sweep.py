@@ -2,6 +2,8 @@
 order-statistic ends of all-interval maps against the sweep, p-values."""
 
 import math
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -36,6 +38,24 @@ def hull_at(state, count, epsilon) -> PredictionInterval:
     """The sweep's hull at one level: element 0 of ``sweep_hull``'s ends."""
     lower, upper = sweep_hull(state, count, epsilon)
     return PredictionInterval(lower[0], upper[0])
+
+
+def map_step(offset, slope):
+    """A step that carries only a residual map (one row, or a block), as
+    ``IidPredictor._bounds`` reads it.  Its reference is -0.0, which keeps
+    the sign of every end, zeros included."""
+    reference = -0.0 if offset.ndim == 1 else np.full(len(offset), -0.0)
+    return SimpleNamespace(offset=offset, slope=slope, reference=reference,
+                           row_count=offset.shape[-1])
+
+
+def swept_ends(offset, slope, levels):
+    """``sweep_hull`` of a map, or of each row of a block, row by row."""
+    n = offset.shape[-1]
+    if offset.ndim == 1:
+        return sweep_hull(build_sweep(offset, slope), n, levels)
+    ends = [sweep_hull(build_sweep(*row), n, levels) for row in zip(offset, slope)]
+    return tuple(np.array(side) for side in zip(*ends))
 
 
 def history_from_columns(features, responses):
@@ -306,9 +326,8 @@ def test_order_statistics_equal_the_sweep_hull(case):
     n, rows, kind, levels, seed = case
     offset, slope = interval_map(np.random.default_rng(seed), n, rows, kind)
     fast = _interval_hull(offset, slope, levels)
-    assert fast is not None
     assert fast[0].shape == offset.shape[:-1] + (len(levels),)
-    assert_same_ends(fast, sweep_hull(build_sweep(offset, slope), n, levels))
+    assert_same_ends(fast, swept_ends(offset, slope, levels))
 
 
 def test_order_statistics_cover_the_whole_line_point_sets_and_ties():
@@ -331,7 +350,9 @@ def test_order_statistics_cover_the_whole_line_point_sets_and_ties():
 @given(interval_cases(), st.sampled_from(["equal", "above", "offset"]), st.integers(0, 24))
 def test_other_maps_fall_back_to_the_sweep(case, change, where):
     # a slope equal to or above the last in magnitude (a point ray, two
-    # rays, the whole line) or a nonzero last offset leaves the sweep
+    # rays, the whole line) or a nonzero last offset leaves the sweep: the
+    # changed row, and it alone, is swept, while the other rows of a block
+    # read order statistics; every row gets the sweep's ends
     n, rows, kind, levels, seed = case
     offset, slope = interval_map(np.random.default_rng(seed), n, rows, kind)
     row = (0,) if rows else ()
@@ -341,7 +362,18 @@ def test_other_maps_fall_back_to_the_sweep(case, change, where):
         at = row + (where % (n - 1),)
         last = abs(slope[row + (-1,)])
         slope[at] = -last if change == "equal" else 2.0 * last
-    assert _interval_hull(offset, slope, levels) is None
+    swept = []
+    sweep = predictors_module.build_sweep
+
+    def counted(*args):
+        swept.append(args)
+        return sweep(*args)
+
+    with mock.patch.object(predictors_module, "build_sweep", counted):
+        ends = IidPredictor()._bounds(map_step(offset, slope), levels)
+    assert len(swept) == 1
+    assert np.array_equal(swept[0][0], offset[row]) and np.array_equal(swept[0][1], slope[row])
+    assert_same_ends(ends, swept_ends(offset, slope, levels))
 
 
 @pytest.mark.parametrize("levels", [(0.2,), (0.5, 0.2, 0.1, 0.05, 0.02, 0.01)])
@@ -365,7 +397,7 @@ def test_tie_free_sweeps_sort_once_and_sum_once(monkeypatch, levels):
         np.vstack([features[:-1], outlier]), np.append(responses[:-1], 8.0)
     )
     ray_step = predictors[0].step(outlying, 2.0 * outlier)
-    slope = ray_step.decomposition.slope
+    slope = ray_step.slope
     assert np.count_nonzero(np.abs(slope[:-1]) >= slope[-1]) == 1
     calls = []
     for name in ("lexsort", "cumsum"):

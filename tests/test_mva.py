@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.special import stdtr
 
 import oracles
 from olreg import (
@@ -21,7 +22,7 @@ from olreg import (
 import olreg.numerics
 import olreg.predictors
 from olreg import RankDeficiencyError, run_online
-from olreg.numerics import StudentT
+from olreg.numerics import two_sided_quantiles
 from olreg.predictors import mva_predict, quadratic_ends
 from olreg.protocol import MvaPredictor
 
@@ -307,7 +308,7 @@ def vector_route(history, x, response, predictor, levels):
     reference = float(history.responses.mean())
     design = np.vstack([head, np.append(1.0, x[:active])])
     offset, slope = oracles.affine_residuals(design, predictor.ridge, history.responses, reference)
-    t_values = [StudentT(n - 2).upper_quantile(eps / 2.0) for eps in levels]
+    t_values = two_sided_quantiles(n - 2, levels).tolist()
     factor = math.sqrt((n - 1) * (n - 2) / n)
 
     def statistic(residuals):
@@ -324,7 +325,7 @@ def vector_route(history, x, response, predictor, levels):
         if fixed is None:
             return full, 1.0
         bounds = [(-math.inf, math.inf) if fixed < t else (math.inf, -math.inf) for t in t_values]
-        return bounds, 2.0 * StudentT(n - 2).cdf(-fixed)
+        return bounds, 2.0 * stdtr(n - 2, -fixed)
     a = offset - offset[:-1].mean()
     b = slope - slope[:-1].mean()
     bounds = []
@@ -339,7 +340,7 @@ def vector_route(history, x, response, predictor, levels):
             scale * a[-1] ** 2 - weight * float(a[:-1] @ a[:-1]),
         )
         bounds.append((lower + reference, upper + reference))
-    pvalue = 1.0 if realized is None else 2.0 * StudentT(n - 2).cdf(-realized)
+    pvalue = 1.0 if realized is None else 2.0 * stdtr(n - 2, -realized)
     return bounds, pvalue
 
 

@@ -1,14 +1,15 @@
-"""Projection, residual-decomposition, and Student-t plumbing."""
+"""Projection, residual map, and Student-t plumbing."""
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.special import stdtr
 
 import oracles
 from olreg import FeatureSchedule, History, Observation, RankDeficiencyError
 from olreg.base import PendingFactor
-from olreg.numerics import RidgeProjector, StudentT, residual_decomposition
+from olreg.numerics import RidgeProjector, residual_decomposition, two_sided_quantiles
 from olreg.predictors import _step_projector
 
 
@@ -38,22 +39,24 @@ def test_single_row_with_ridge_keeps_part_of_the_response():
 
 
 def test_decomposition_on_two_ones_rows():
-    dec = residual_decomposition(step_projector(ones_design(2), [4.0], 0.0))
+    proj = step_projector(ones_design(2), [4.0], 0.0)
+    # the step's map is taken, and kept on the projector that is returned
+    assert residual_decomposition(proj) is proj
     # centred at the history's own prediction, where the new residual is 0
-    assert dec.reference == 4.0
-    assert np.allclose(dec.offset, [0.0, 0.0])
-    assert np.allclose(dec.slope, [-0.5, 0.5])
-    assert np.allclose(dec.residuals_at(0.0), [2.0, -2.0])
+    assert proj.reference == 4.0
+    assert np.allclose(proj.offset, [0.0, 0.0])
+    assert np.allclose(proj.slope, [-0.5, 0.5])
+    assert np.allclose(proj.residuals(0.0), [2.0, -2.0])
 
 
 def test_decomposition_reconstructs_direct_residuals():
     rng = np.random.default_rng(11)
     design = np.column_stack([np.ones(6), rng.normal(size=(6, 2))])
     fixed = rng.normal(size=5)
-    dec = residual_decomposition(step_projector(design, fixed, 0.01))
+    proj = step_projector(design, fixed, 0.01)
     for y in (-3.0, 0.0, 7.0):
         direct = oracles.residuals_direct(design, 0.01, np.append(fixed, y))
-        assert np.allclose(dec.residuals_at(y), direct, atol=1e-10)
+        assert np.allclose(proj.residuals(y), direct, atol=1e-10)
 
 
 def test_projector_matches_explicit_matrix():
@@ -143,41 +146,34 @@ def test_row_in_a_direction_the_others_lack_keeps_full_accuracy():
             design = np.column_stack([np.ones(3), rng.normal(size=(3, 3))])
             design[:2, 3] = 0.0
             fixed = rng.normal(size=2)
-            dec = residual_decomposition(step_projector(design, fixed, ridge))
+            proj = step_projector(design, fixed, ridge)
             for y in (-2.0, 0.0, 1.5):
                 expected = oracles.residuals_direct(design, ridge, np.append(fixed, y))
-                np.testing.assert_allclose(dec.residuals_at(y), expected, rtol=0, atol=1e-9)
+                np.testing.assert_allclose(proj.residuals(y), expected, rtol=0, atol=1e-9)
 
 
 def test_t_quantile_one_degree_matches_arctangent_form():
-    dist = StudentT(1)
-    assert dist.upper_quantile(0.025) == pytest.approx(
-        oracles.cauchy_upper_quantile(0.025), rel=1e-7
-    )
-    assert abs(dist.upper_quantile(0.025) - 12.70620) < 1e-4
-    assert dist.upper_quantile(0.5) == pytest.approx(0.0, abs=1e-12)
+    # the two-sided level 0.05 is the upper 0.025 quantile
+    (quantile, center) = two_sided_quantiles(1, (0.05, 1.0))
+    assert quantile == pytest.approx(oracles.cauchy_upper_quantile(0.025), rel=1e-7)
+    assert abs(quantile - 12.70620) < 1e-4
+    assert center == pytest.approx(0.0, abs=1e-12)
 
 
 def test_t_quantile_large_degrees_approach_normal():
-    dist = StudentT(10**6)
-    assert dist.upper_quantile(0.025) == pytest.approx(
-        oracles.normal_upper_quantile(0.025), abs=1e-3
-    )
+    (quantile,) = two_sided_quantiles(10**6, (0.05,))
+    assert quantile == pytest.approx(oracles.normal_upper_quantile(0.025), abs=1e-3)
 
 
 @pytest.mark.parametrize("df", [1, 2, 5, 30, 200])
 def test_quantile_inverts_cdf(df):
-    # each tail is inverted on its own side; the upper side goes through
-    # the symmetry so no precision is lost to packing probabilities near 1
-    dist = StudentT(df)
-    for value in np.linspace(-50.0, 0.0, 12):
-        probability = dist.cdf(value)
-        if probability > 0.0:
-            assert dist.quantile(probability) == pytest.approx(value, abs=1e-8)
-    for value in np.linspace(0.0, 50.0, 12):
-        tail = dist.cdf(-value)
-        if tail > 0.0:
-            assert dist.upper_quantile(tail) == pytest.approx(value, abs=1e-8)
+    # the tail is inverted through the symmetry, so no precision is lost to
+    # packing probabilities near 1, down to tails far below 1e-10
+    values = np.linspace(0.0, 50.0, 12)
+    tails = stdtr(df, -values)
+    kept = tails > 0.0
+    quantiles = two_sided_quantiles(df, 2.0 * tails[kept])
+    np.testing.assert_allclose(quantiles, values[kept], rtol=0, atol=1e-8)
 
 
 @settings(deadline=None, max_examples=60)
@@ -195,10 +191,10 @@ def test_decomposition_is_affine_in_the_candidate(n, k, ridge, seed):
     if ridge == 0.0 and n <= k + 1:
         ridge = 0.5
     fixed = rng.normal(size=n - 1)
-    dec = residual_decomposition(step_projector(design, fixed, ridge))
+    proj = step_projector(design, fixed, ridge)
     for y in (-2.0, 0.0, 1.5):
         expected = oracles.residuals_direct(design, ridge, np.append(fixed, y))
-        assert np.allclose(dec.offset + (y - dec.reference) * dec.slope, expected, atol=1e-9)
+        assert np.allclose(proj.offset + (y - proj.reference) * proj.slope, expected, atol=1e-9)
 
 
 @settings(deadline=None, max_examples=60)
@@ -232,11 +228,9 @@ def test_history_factor_projector_matches_direct_residuals(k, ridge, scheduled, 
                 _step_projector(history, features[n - 1], ridge, schedule)
             continue
         projector = _step_projector(history, features[n - 1], ridge, schedule)
-        dec = residual_decomposition(projector)
         for y in (-2.0, 0.0, 1.5):
             completed = np.append(history.responses, y)
             expected = oracles.residuals_direct(design, ridge, completed)
-            np.testing.assert_allclose(dec.residuals_at(y), expected, rtol=0, atol=1e-9)
             np.testing.assert_allclose(projector.residuals(y), expected, rtol=0, atol=1e-9)
 
 
@@ -260,17 +254,15 @@ def test_step_decomposition_matches_the_explicit_projector(ridge, shift):
         if ridge == 0.0 and n <= cols:
             continue  # the fit interpolates; the predictor abstains here
         projector = _step_projector(history, features[n - 1], ridge, schedule)
-        dec = residual_decomposition(projector)
         design = np.column_stack([np.ones(n), features[:n, : cols - 1]])
         _, slope = oracles.affine_residuals(design, ridge, history.responses)
-        np.testing.assert_allclose(dec.slope, slope, rtol=0, atol=1e-9)
-        assert dec.offset[-1] == 0.0  # centred at the prediction yhat
+        np.testing.assert_allclose(projector.slope, slope, rtol=0, atol=1e-9)
+        assert projector.offset[-1] == 0.0  # centred at the prediction yhat
         for u in (-2.0, 0.0, 1.5):
-            y = dec.reference + u
+            y = projector.reference + u
             expected = oracles.residuals_direct(design, ridge, np.append(history.responses, y))
             # the explicit projector rounds at eps * n * |responses| itself
             atol = 1e-9 + 1e-14 * shift
-            np.testing.assert_allclose(dec.residuals_at(y), expected, rtol=0, atol=atol)
             np.testing.assert_allclose(projector.residuals(y), expected, rtol=0, atol=atol)
         checked += 1
     assert checked >= 10

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from scipy import optimize, stats
+from scipy.special import stdtr
 
 import oracles
 import olreg.base
@@ -34,7 +35,6 @@ from olreg import (
     validity_report,
 )
 from olreg.base import DegenerateFitError
-from olreg.numerics import StudentT
 from olreg.predictors import GaussFit, _step_projector, iid_pvalue
 from olreg.protocol import PValueTrace
 from test_pending import assert_block_or_guard_trip, count_absorbs
@@ -294,6 +294,11 @@ def test_fisher_rejects_bad_arguments():
         fisher_verify(np.ones(10), batch_size=1, epsilon=0.1)
     with pytest.raises(ValueError):
         fisher_verify(np.ones(10), batch_size=3, epsilon=0.1, mode="other")
+    # the level is checked up front, also where every block's spread is zero
+    for responses in (np.arange(12.0), np.ones(12)):
+        for epsilon in (0.0, 1.0, 1.5, -0.1, math.nan):
+            with pytest.raises(ValueError):
+                fisher_verify(responses, batch_size=3, epsilon=epsilon)
 
 
 MODELS = (
@@ -400,7 +405,7 @@ def one_off_pvalue(predictor, history, observation, tie_break):
             return 1.0, False
         fit = gauss_fit(history, x)
         pivot = (y - fit.point_prediction) / (fit.sigma_hat * np.sqrt(1.0 + fit.leverage))
-        return 2.0 * StudentT(fit.degrees_of_freedom).cdf(-abs(pivot)), False
+        return 2.0 * stdtr(fit.degrees_of_freedom, -abs(pivot)), False
     if isinstance(predictor, IidPredictor) and n == 1:
         return tie_break, False
     if isinstance(predictor, IidPredictor) and predictor.ridge == 0.0 and (
@@ -424,7 +429,7 @@ def one_off_pvalue(predictor, history, observation, tie_break):
     except DegenerateFitError:
         return 1.0, False
     statistic = np.sqrt((n - 1) * (n - 2) / n) * score
-    return 2.0 * StudentT(n - 2).cdf(-abs(statistic)), False
+    return 2.0 * stdtr(n - 2, -abs(statistic)), False
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
