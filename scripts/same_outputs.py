@@ -13,6 +13,8 @@ per command.  The inputs are written once, by the parent tree's ``olreg
 gen``, so both trees read the same bytes:
 
 * the ``gen`` default (600 x 100), 120 x 5, 400 x 5 and 30 x 4 files;
+* a 200 x 40 file, wide enough (``WIDTH_FLOOR`` design columns) that a
+  ridge-0 history keeps rows pending beside its factor;
 * a 300 x 100 training file with 200 test rows of another seed;
 * a 60 x 50 training file with 40 test rows of another seed, on which some
   IID row blocks mix rows that read order statistics with rows that need
@@ -22,13 +24,14 @@ gen``, so both trees read the same bytes:
 
 The commands are ``olreg online`` for every model, deterministic and
 ``--smoothed``, on the first four files at the defaults, and on the
-400 x 5 and 30 x 4 files at ``--ridge 0 --schedule none``; and ``olreg
-predict`` for every model from the training file, at the predict defaults
-(ridge 0, no schedule) and at ``--ridge 0.01 --schedule auto``, from the
-60 x 50 training file at the same two settings, and from the collinear
-history.  ``--tiny`` shrinks every ``gen`` file but the 30 x 4 one, for a
-quick check such as in CI; its 24 x 16 training file with 12 test rows
-still has a row block that mixes both routes.
+400 x 5, 30 x 4 and 200 x 40 files at ``--ridge 0 --schedule none``; and
+``olreg predict`` for every model from the training file, at the predict
+defaults (ridge 0, no schedule) and at ``--ridge 0.01 --schedule auto``,
+from the 60 x 50 training file at the same two settings, and from the
+collinear history.  ``--tiny`` shrinks every ``gen`` file but the 30 x 4
+one, for a quick check such as in CI; its 24 x 16 training file with 12
+test rows still has a row block that mixes both routes, and its 48 x 32
+file still keeps ridge-0 rows pending.
 
 Per command the report gives both exit codes, whether every file written
 is byte-identical, and both trees' LAPACK call counts.  Where a ledger
@@ -70,12 +73,13 @@ def input_files(tiny: bool) -> dict[str, tuple[int, int, int]]:
     ``wide``."""
     sizes = {
         "paper": (600, 100, 0), "short": (120, 5, 0), "long": (400, 5, 0),
-        "narrow": (30, 4, 0), "train": (300, 100, 0), "query": (200, 100, 1),
+        "narrow": (30, 4, 0), "broad": (200, 40, 0),
+        "train": (300, 100, 0), "query": (200, 100, 1),
         "wide": (60, 50, 0), "wide_query": (40, 50, 1),
     }
     if tiny:
         sizes.update(paper=(40, 4, 0), short=(24, 2, 0), long=(30, 2, 0),
-                     train=(30, 4, 0), query=(6, 4, 1),
+                     broad=(48, 32, 0), train=(30, 4, 0), query=(6, 4, 1),
                      wide=(24, 16, 0), wide_query=(12, 16, 1))
     return sizes
 
@@ -85,7 +89,8 @@ def commands() -> list[tuple[str, list[str]]]:
     name in the output directory, written below as ``{out}``."""
     out = []
     runs = [(data, ("", [])) for data in ("paper", "short", "long", "narrow")]
-    runs += [("long", RIDGE0), ("narrow", RIDGE0)]
+    # the 200 x 40 file keeps ridge-0 rows pending beside the factor
+    runs += [("long", RIDGE0), ("narrow", RIDGE0), ("broad", RIDGE0)]
     for data, (label, extra) in runs:
         for model in ONLINE_MODELS:
             for smoothed in (False, True):

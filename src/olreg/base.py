@@ -505,11 +505,12 @@ class PendingFactor:
     A corrected read carries ``correction`` = V = L^-1 W' (p x c) and
     ``scaled`` = s = L^-1 e, and the reads below apply the correction
     through them: O(c^2 + p c) per right side, no factor update.  With
-    nothing pending each read is the plain triangular solve of the
-    triangle, bit for bit.  The history keeps ||W||_F^2 at most
-    ``LEVERAGE_BOUND`` B, so a subtracted term is at most B / (1 + B) of
-    what it is taken from.  An uncorrected read (``correction`` None) has
-    pending rows but no solves.  Treat a read as read-only.
+    nothing pending, ``rows`` and ``responses`` have zero rows and each
+    read is the plain triangular solve of the triangle, bit for bit.  The
+    history keeps ||W||_F^2 at most ``LEVERAGE_BOUND`` B, so a subtracted
+    term is at most B / (1 + B) of what it is taken from.  An uncorrected
+    read (``correction`` None) has pending rows but no solves.  Treat a
+    read as read-only.
     """
 
     triangle: np.ndarray
@@ -518,10 +519,14 @@ class PendingFactor:
     correction: np.ndarray | None = None
     scaled: np.ndarray | None = None
 
+    def __post_init__(self):
+        if self.rows is None:
+            self.rows, self.responses = np.empty((0, self.columns)), np.empty(0)
+
     @property
     def pending(self) -> int:
         """The number p of pending rows."""
-        return 0 if self.rows is None else len(self.rows)
+        return len(self.rows)
 
     @property
     def columns(self) -> int:
@@ -557,13 +562,26 @@ class PendingFactor:
             return whitened, whitened[:0]
         return whitened, self._corrections()[0] @ whitened
 
+    def corrected(self, whitened: np.ndarray, part: np.ndarray) -> np.ndarray:
+        """R_D (D'D + aI)^-1 z = G - V'Y from the (G, Y) that ``whiten``
+        gave for z: G itself with nothing pending."""
+        if not self.pending:
+            return whitened
+        return whitened - self._corrections()[0].T @ part
+
     def solve(self, whitened: np.ndarray, part: np.ndarray) -> np.ndarray:
         """(D'D + aI)^-1 z = R_D^-1 (G - V'Y) from the (G, Y) that
         ``whiten`` gave for z."""
-        if self.pending:
-            whitened = whitened - self._corrections()[0].T @ part
-        solved, _ = lapack.dtrtrs(self.triangle[:, : self.columns], whitened)
+        solved, _ = lapack.dtrtrs(self.triangle[:, : self.columns], self.corrected(whitened, part))
         return solved
+
+    def pending_values(self, whitened: np.ndarray, part: np.ndarray) -> np.ndarray:
+        """D_P (D'D + aI)^-1 z, the pending rows' values of the solve of z,
+        from the (G, Y) that ``whiten`` gave for z: zero rows, and no
+        solve, with nothing pending."""
+        if not self.pending:
+            return whitened[:0]
+        return self.rows @ self.solve(whitened, part)
 
     def residual_norm(self) -> float:
         """The root of every row's residual energy at the ridge fit,

@@ -11,7 +11,6 @@ significant digits, with "inf"/"-inf" as the infinity tokens.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import inf
 
 import numpy as np
 
@@ -165,16 +164,17 @@ def save_matrix(matrix, path, header: list[str] | None = None) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         if header is not None:
             handle.write(",".join(header) + "\n")
-        for row in matrix:
+        for row in matrix.tolist():
             handle.write(",".join(f"{value:.17g}" for value in row) + "\n")
 
 
 def emit_series(ledger: OnlineLedger, kind: str, path) -> None:
-    """Write one plot-ready series per level: a step column plus level columns.
+    """Write one plot-ready series per level: a step column plus level
+    columns, through ``save_matrix``.
 
-    ``cumulative_errors`` emits running error totals (integers);
-    ``median_accuracy`` emits running medians of the interval lengths, with
-    infinite medians spelled "inf".
+    ``cumulative_errors`` emits running error totals, which print as
+    integers; ``median_accuracy`` emits running medians of the interval
+    lengths, with infinite medians spelled "inf".
     """
     if kind == "cumulative_errors":
         table = ledger.cumulative_errors()
@@ -183,14 +183,5 @@ def emit_series(ledger: OnlineLedger, kind: str, path) -> None:
     else:
         raise ValueError(f"unknown series kind: {kind!r}")
     header = ["n"] + [f"level_{epsilon:g}" for epsilon in ledger.levels]
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(",".join(header) + "\n")
-        for step in range(ledger.step_count):
-            cells = [str(step + 1)]
-            for j in range(len(ledger.levels)):
-                value = table[j, step]
-                if kind == "cumulative_errors":
-                    cells.append(str(int(value)))
-                else:
-                    cells.append("inf" if value == inf else f"{value:.17g}")
-            handle.write(",".join(cells) + "\n")
+    steps = np.arange(1, ledger.step_count + 1)
+    save_matrix(np.column_stack([steps, table.T]), path, header=header)

@@ -35,12 +35,13 @@ from that factor's last diagonal entry and the pending rows' recursive
 residuals.  MVA reads its ridge fit of the step from the kept ridge factor
 by the same solves, and the sum and the centered energy of the earlier
 residuals from the kept ridge-0 factor, which the history keeps beside the
-ridge one when the ridge is positive.
-Both steps are O(k^2) per new row with no pass over the rows and no
-residual vector, and take a block of new rows after one history as the
-IID step does: the history's coefficients solved once, the block's rows
-the many-column right side of the triangular solves, and, for a positive
-ridge, one product of MVA's solved directions with the ridge-0 factor.
+ridge one when the ridge is positive, and the rows pending beside it.
+Both steps are O(k^2 + p k) per new row for p pending rows, with no pass
+over the rows and no residual vector, and take a block of new rows after
+one history as the IID step does: the history's coefficients solved once,
+the block's rows the many-column right side of the triangular solves, and,
+for a positive ridge, one product of MVA's solved directions with the
+ridge-0 factor.
 Every quantile of a ladder comes from one ``stdtrit`` call
 (``two_sided_quantiles``).
 """

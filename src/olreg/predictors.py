@@ -64,8 +64,9 @@ its singular values, decide.  The IID step is its ``RidgeProjector``: three
 solves and one O(nK) product for the residuals' offset and slope, after
 which a p-value is an O(n) read; a block of m rows takes the same three
 solves with m right sides and one GEMM.  The Gauss and MVA steps form no
-residual vector: each is O(K^2) per row, with five numbers for an MVA step
-(``MvaStep``) solved in the distance from the history's own prediction,
+residual vector: each is O(K^2 + p K) per row for p rows pending beside
+the history's factors, with five numbers for an MVA step (``MvaStep``)
+solved in the distance from the history's own prediction,
 and one copy of the MVA region's branch rules (``quadratic_ends``) for
 every row and level.
 
@@ -440,12 +441,14 @@ def sweep_hull(state: SweepState, count: int, epsilon) -> tuple[np.ndarray, np.n
     return np.where(found, points[first], inf), np.where(found, points[after], -inf)
 
 
-def _interval_hull(offset: np.ndarray, slope: np.ndarray, levels):
+def _interval_hull(offset: np.ndarray, magnitude: np.ndarray, levels):
     """The sweep's hulls read as order statistics:
-    ``sweep_hull(build_sweep(offset, slope), n, levels)`` of each map, one
-    row or every row of a block, at once.  Each map must have its last
-    offset exactly 0 and every earlier slope below the last one in
-    magnitude (``IidPredictor._bounds`` tests that).
+    ``sweep_hull(build_sweep(a, b), n, levels)`` of each map, one row or
+    every row of a block, at once, given as the sign-normalised offsets
+    ``offset`` = a copysign(1, b) and the slopes' magnitudes ``magnitude`` =
+    |b|, which ``IidPredictor._bounds`` forms once for its test.  Each map
+    must have its last offset exactly 0 and every earlier slope below the
+    last one in magnitude (``_bounds`` tests that).
 
     There every comparison set is the closed interval [lo_i, hi_i] around
     0, with ends formed by ``build_sweep``'s own expressions, and the count
@@ -460,9 +463,7 @@ def _interval_hull(offset: np.ndarray, slope: np.ndarray, levels):
     tell which one was picked.
     """
     n = offset.shape[-1]
-    magnitude = np.abs(slope)
     b, last_slope = magnitude[..., :-1], magnitude[..., -1:]
-    offset = offset * np.copysign(1.0, slope)
     a, last_offset = offset[..., :-1], offset[..., -1:]
     first = (a - last_offset) / (last_slope - b)
     second = (a + last_offset) / (-last_slope - b)
@@ -568,13 +569,15 @@ class IidPredictor(_BlockPredictor):
         offset, slope, reference = step.offset, step.slope, step.reference
         magnitude = np.abs(slope)
         fits = (offset[..., -1] == 0.0) & (magnitude[..., :-1] < magnitude[..., -1:]).all(axis=-1)
+        normalised = offset * np.copysign(1.0, slope)
         if fits.all():
-            lower, upper = _interval_hull(offset, slope, levels)
+            lower, upper = _interval_hull(normalised, magnitude, levels)
         else:
             # a row index of a block, or () for the one row of an on-line step
             lower, upper = np.empty((2,) + fits.shape + (len(levels),))
             if fits.any():
-                lower[fits], upper[fits] = _interval_hull(offset[fits], slope[fits], levels)
+                ends = _interval_hull(normalised[fits], magnitude[fits], levels)
+                lower[fits], upper[fits] = ends
             for row in np.ndindex(fits.shape):
                 if not fits[row]:
                     state = build_sweep(offset[row], slope[row])
@@ -864,30 +867,34 @@ class MvaStep:
         return self.head_aa + u * (2.0 * self.head_ab + u * self.head_bb)
 
 
-def _centered_crosses(scale: float, absorbed: int, heads: np.ndarray, tails: np.ndarray):
-    """The matrix of sums over the earlier residuals of (a_i - mean a)(b_i -
-    mean b) for each pair of their affine parts a, b (one more axis for the
-    rows of a block), when some of those rows are pending beside R_0.
+def _centered_parts(scale: float, count: int, heads: np.ndarray, tails: np.ndarray):
+    """The mean of an affine part of the ``count`` earlier residuals (one
+    entry per row of a block step) and coordinates of it whose dot products
+    are its centered cross sums: sum (a_i - mean a)(b_i - mean b) over
+    those rows for two parts a, b.
 
-    ``heads`` holds, per part, its R_0 v for the rows absorbed into R_0
-    (with Q the orthogonal factor of R_0, the part is Q v): its sum over the
-    ``absorbed`` rows is ``scale`` * head[0] (``scale`` = R_0[0, 0], since
-    Q's first column is the ones column over it) and its centered part
-    lies in head[1:].  ``tails`` holds, per part, its values at the pending
-    rows.  The groups are joined by their within-group terms plus the
-    between-group term n_A n_P / n (mean_A a - mean_P a)(mean_A b -
-    mean_P b), all as one Gram matrix of centered parts, so a centered
-    energy stays a sum of squares.
+    ``heads`` holds R_0 v for the rows absorbed into R_0 (with Q the
+    orthogonal factor of R_0, the part is Q v there): their sum is
+    ``scale`` v[0] (``scale`` = R_0[0, 0], since Q's first column is the
+    ones column over it) and their centered part lies in v[1:].  ``tails``
+    holds its values at the p rows pending beside R_0, zero rows when none
+    is.  With n_A = count - p absorbed rows, m their mean and T the sum of
+    the pending values less m, the pending rows enter as their values less
+    m + T / (count + sqrt(n_A count)): their products then sum to the
+    within-group and between-group terms, sum (t - m)(s - m') - T T' /
+    count, so a centered energy stays a sum of squares.  With nothing
+    pending that is v[1:], returned as it is.  O(K + p) per part and row.
     """
-    held = tails.shape[1]
-    means = tails.sum(axis=1, keepdims=True) / held
-    between = sqrt(absorbed * held / (absorbed + held))
-    parts = np.concatenate(
-        [heads[:, 1:], tails - means, between * (scale / absorbed * heads[:, :1] - means)], axis=1
-    )
-    if parts.ndim == 2:
-        return parts @ parts.T
-    return np.einsum("aij,bij->abj", parts, parts)
+    held = len(tails)
+    mean = scale / count * heads[0]
+    if not held:
+        return heads[1:], mean
+    total = tails.sum(axis=0)
+    absorbed = count - held
+    first = scale / absorbed * heads[0]
+    pull = 1.0 / (count + sqrt(absorbed * count))
+    centered = tails - (first + pull * (total - held * first))
+    return np.concatenate([heads[1:], centered]), mean + total / count
 
 
 def _mva_step(
@@ -901,35 +908,40 @@ def _mva_step(
     ``rows``, or at each row of a block of them (m x cols).
 
     ``ridge_factor`` is the history's factor R_a of [design | responses]
-    with ``ridge`` (``History.pending_factor(ridge, cols)``), and
+    with ``ridge`` a (``History.pending_factor(ridge, cols)``), and
     ``zero_factor`` its factor R_0 at ridge 0 (R_a itself at ridge 0),
-    each a kept triangle with the rows pending beside it.  With g the
-    whitened row and h its leverage against all the history's rows, the
-    history's coefficients c_h, its prediction yhat = row . c_h and u = y -
-    yhat, the step's ridge coefficients are c(y) = c_h + q u / (1 + h), q =
-    (D'D + aI)^-1 row, and its last residual is u / (1 + h).  With w(y) =
-    R_0 [-c(y); 1] the earlier residuals absorbed into R_0 are Q w(y) for
-    R_0's orthogonal factor Q, whose first column is the ones column over
-    R_0[0, 0]: they sum to R_0[0, 0] w[0] and their centered energy is
-    ||w[1:]||^2, with no column sums formed and no difference of energies
-    that could cancel.  The rows pending beside R_0 add their own
-    residuals, group by group (``_centered_crosses``).  At ridge 0, R_0 = R_a,
-    the earlier residuals at yhat are the history's least-squares
-    residuals, which sum to zero, have energy rho^2 (rho the history's
-    residual norm) and are orthogonal to their change with u; with nothing
-    pending w(y) = [-g u / (1 + h); rho] exactly, and the centered last
-    residual u n / ((n - 1)(1 + h)) vanishes at yhat.  With ridge > 0 it
-    vanishes elsewhere, and the forms are moved there from w(yhat) and
-    dw/du (see ``MvaStep``).
+    each a kept triangle with the rows pending beside it.  With G the
+    whitened row, h its leverage against all the history's rows, c_h the
+    history's coefficients, yhat = row . c_h and u = y - yhat, the step's
+    ridge coefficients are c(y) = c_h + q u / (1 + h), q = (D'D + aI)^-1
+    row, and its last residual is u / (1 + h).  The earlier residuals are
+    their values at yhat plus u times their change -D q / (1 + h).  On
+    the rows absorbed into R_0 a part is Q w for R_0's orthogonal factor
+    Q, with w = R_0 [-c_h; 1] for the values and -R_0 [q; 0] / (1 + h) for
+    the change; on the rows pending beside R_0 it is read as values, the
+    pending rows times c_h and q.  One path serves both ridges and any
+    number of pending rows: ``_centered_parts`` joins the two groups into
+    coordinates whose dot products are the centered energies, and the
+    parts' sums over the earlier rows are R_0[0, 0] w[0] plus the pending
+    values' sum.
 
-    c_h, w(yhat) and rho belong to the history and are solved once; G =
-    R_aD^-T X' takes one triangular solve with the rows as its right
-    sides, and for ridge > 0 or pending rows q a second and R_0 times it one
-    product with R_0's design block.  That is O(K^2) per row, plus O(p K)
-    for p pending rows, with no n-vector.  A rho at or below the
-    least-squares cut-off relative to the responses' own root energy (an
-    exactly linear history) is taken as 0, the rule ``GaussFit`` applies to
-    its residual scale.
+    At ridge 0, R_0 = R_a and R_0 q = G - V'Y exactly
+    (``PendingFactor.corrected``), so the change needs no product with R_0
+    and q is solved only for the pending rows.  The values at yhat are the
+    history's least-squares residuals: they sum to zero, have energy rho^2
+    (rho the history's residual norm) and are orthogonal to their change,
+    so the ridge sets the offset and the cross term to exactly 0 and the
+    energy at yhat to rho^2 rather than reading them.  With ridge > 0 the
+    centered last residual vanishes elsewhere than at yhat, and the forms
+    are moved there (see ``MvaStep``).
+
+    c_h belongs to the history and is solved once; G takes one triangular
+    solve with the rows as its right sides, and q a second with ridge > 0
+    or rows pending: O(K^2 + p K) per row for p pending rows, with no
+    n-vector.  A rho at or below the least-squares cut-off relative to the
+    responses' own root energy (an exactly linear history) is taken as 0,
+    the rule ``GaussFit`` applies to its residual scale; with ridge > 0
+    rho and that root energy are the absorbed rows' own, read from R_0.
 
     The caller decides the rank of R_aD first, except where the fit
     interpolates.  Ridge 0 has two structural cases.  With no more rows
@@ -947,71 +959,38 @@ def _mva_step(
     coefficients = ridge_factor.coefficients()
     shrink = 1.0 / (1.0 + _leverage(whitened, part))
     center = rows @ coefficients
-    triangle = zero_factor.triangle
-    mean_weight = float(triangle[0, 0]) / count
-    held = zero_factor.pending
-    # at ridge 0 the history's residual norm; with ridge > 0 the rows
-    # absorbed into R_0 enter the energy through their own, and the cut-off
-    # is theirs (they are all of the rows when nothing is pending)
+    triangle, pending = zero_factor.triangle, zero_factor.rows
+    scale, column, design = float(triangle[0, 0]), triangle[:, cols], triangle[:, :cols]
     if ridge == 0.0:
         rho, root = zero_factor.residual_norm(), zero_factor.response_norm()
+        heads, tails = ridge_factor.corrected(whitened, part), zero_factor.pending_values(whitened, part)
     else:
-        column = triangle[:, cols]
         rho, root = abs(float(column[cols])), sqrt(float(column @ column))
-    rho = 0.0 if ridge == 0.0 and n == cols + 1 else _residual_cut_off(rho, root, count, cols)
-    if ridge == 0.0 and not held:
-        # w0 = [0; rho] and w1 = [-g; 0] / (1 + h): no product with R_0
-        tail = whitened[1:]
-        offset, slope = 0.0, shrink * (1.0 + mean_weight * whitened[0])
-        forms = rho * rho, 0.0, shrink * shrink * _column_dots(tail, tail)
-    else:
         direction = ridge_factor.solve(whitened, part)
-        design_block = triangle[:, :cols]
-        w1 = -shrink * (design_block @ direction)
-        slope = shrink - mean_weight * w1[0]
-        if held:
-            pending_rows = zero_factor.rows
-            t1 = -shrink * (pending_rows @ direction)
-            slope = slope - t1.sum(axis=0) / count
-            groups = (float(triangle[0, 0]), count - held)
-        if ridge == 0.0:
-            # the history's least-squares residuals at yhat: zero sum, energy
-            # rho^2 and orthogonal to w1 (only with rows pending beside R_0)
-            offset = 0.0
-            bb = _centered_crosses(*groups, w1[None], t1[None])[0][0]
-            forms = rho * rho, 0.0, float(bb) if rows.ndim == 1 else bb
-        else:
-            w0 = triangle[:, cols] - design_block @ coefficients
-            w0[cols] = rho
-            offset = -mean_weight * float(w0[0])
-            if held:
-                t0 = zero_factor.responses - pending_rows @ coefficients
-                offset = offset - float(t0.sum()) / count
-            # the ridge's pull on the intercept can leave the centered last
-            # residual far from zero at yhat when the responses sit far from
-            # zero, and the region's coefficients would then cancel: each row
-            # with a slope is moved to where its centered last residual vanishes
-            moving = slope != 0.0
-            shift = -offset / _choose(moving, slope, inf)
-            w0 = (w0 if w1.ndim == 1 else w0[:, None]) + shift * w1
-            center = center + shift
-            offset = _choose(moving, 0.0, offset)
-            if held:
-                t0 = (t0 if t1.ndim == 1 else t0[:, None]) + shift * t1
-                crosses = _centered_crosses(*groups, np.array([w0, w1]), np.array([t0, t1]))
-                if rows.ndim == 1:
-                    crosses = crosses.tolist()
-                forms = crosses[0][0], crosses[0][1], crosses[1][1]
-            else:
-                head0, head1 = w0[1:], w1[1:]
-                forms = (
-                    _column_dots(head0, head0),
-                    _column_dots(head0, head1),
-                    _column_dots(head1, head1),
-                )
+        heads, tails = design @ direction, pending @ direction
+    rho = 0.0 if ridge == 0.0 and n == cols + 1 else _residual_cut_off(rho, root, count, cols)
+    change, mean = _centered_parts(scale, count, -shrink * heads, -shrink * tails)
+    slope = shrink - mean
+    if ridge == 0.0:
+        offset, forms = 0.0, (rho * rho, 0.0)
+    else:
+        head = column - design @ coefficients
+        head[cols] = rho
+        values, mean = _centered_parts(scale, count, head, zero_factor.responses - pending @ coefficients)
+        offset = -mean
+        # the ridge's pull on the intercept can leave the centered last
+        # residual far from zero at yhat when the responses sit far from
+        # zero, and the region's coefficients would then cancel: each row
+        # with a slope is moved to where it vanishes
+        moving = slope != 0.0
+        shift = -offset / _choose(moving, slope, inf)
+        values = (values + (shift * change).T).T
+        center = center + shift
+        offset = _choose(moving, 0.0, offset)
+        forms = _column_dots(values, values), _column_dots(values, change)
     if rows.ndim == 1:
         center, offset, slope = float(center), float(offset), float(slope)
-    return MvaStep(n, center, offset, slope, *forms)
+    return MvaStep(n, center, offset, slope, *forms, _column_dots(change, change))
 
 
 def _history_mva_step(history: History, rows: np.ndarray, ridge: float) -> MvaStep:
@@ -1095,10 +1074,12 @@ class MvaPredictor(_BlockPredictor):
     residual and the survivor set is a quadratic region classified exactly
     (no search).
 
-    A step costs O(K^2) from the factors the history keeps: the ridge fit
-    of the n rows from the history's ridge factor by triangular solves, and
-    the sum and centered energy of the earlier residuals from its ridge-0
-    factor, which the history keeps beside the ridge one when ridge > 0
+    A step costs O(K^2 + p K) per row from the factors the history keeps,
+    p the rows pending beside them: the ridge fit of the n rows from the
+    history's ridge factor by triangular solves, and the sum and centered
+    energy of the earlier residuals from its ridge-0 factor, which the
+    history keeps beside the ridge one when ridge > 0, and its pending
+    rows, through one path for both ridges and any number of pending rows
     (see ``_mva_step``).  No residual vector is formed.  The region is
     solved in the distance from the history's own prediction at the new
     row (with ridge > 0, from where the centered last residual vanishes),

@@ -295,6 +295,13 @@ def interval_map(rng, n, rows, kind):
     return offset.astype(float), slope
 
 
+def interval_hull(offset, slope, levels):
+    """``_interval_hull`` of a map given by its offsets and slopes: the
+    sign-normalised offsets and the magnitudes that ``IidPredictor._bounds``
+    passes it."""
+    return _interval_hull(offset * np.copysign(1.0, slope), np.abs(slope), levels)
+
+
 @st.composite
 def interval_cases(draw):
     n = draw(st.integers(min_value=2, max_value=25))
@@ -325,7 +332,7 @@ def assert_same_ends(fast, swept):
 def test_order_statistics_equal_the_sweep_hull(case):
     n, rows, kind, levels, seed = case
     offset, slope = interval_map(np.random.default_rng(seed), n, rows, kind)
-    fast = _interval_hull(offset, slope, levels)
+    fast = interval_hull(offset, slope, levels)
     assert fast[0].shape == offset.shape[:-1] + (len(levels),)
     assert_same_ends(fast, swept_ends(offset, slope, levels))
 
@@ -333,14 +340,14 @@ def test_order_statistics_equal_the_sweep_hull(case):
 def test_order_statistics_cover_the_whole_line_point_sets_and_ties():
     # k = 0 below 1 / n: the whole line
     offset, slope = np.array([1.0, -2.0, 0.0]), np.array([0.5, 0.25, 1.0])
-    lower, upper = _interval_hull(offset, slope, (0.4, 0.3))
+    lower, upper = interval_hull(offset, slope, (0.4, 0.3))
     assert (lower[1], upper[1]) == (-math.inf, math.inf) and np.isfinite([lower[0], upper[0]]).all()
     # a_i = 0 makes S_i the point 0; with tied ends beside it, every level
     # reads the sweep's ends
     offset = np.array([0.0, 0.0, 2.0, 2.0, -2.0, -1.0, 0.0])
     slope = np.array([0.5, -0.5, 0.5, 0.5, 0.5, 0.0, 1.0])
     levels = (0.9, 0.7, 0.5, 0.3, 0.15, 0.1)
-    fast = _interval_hull(offset, slope, levels)
+    fast = interval_hull(offset, slope, levels)
     assert_same_ends(fast, sweep_hull(build_sweep(offset, slope), 7, levels))
     assert 0.0 in fast[0] and 0.0 in fast[1]
     assert len(np.unique(fast[1][np.isfinite(fast[1])])) < np.isfinite(fast[1]).sum()

@@ -19,6 +19,7 @@ from olreg import (
     wilks_level,
     wilks_predict,
 )
+import olreg.base
 import olreg.numerics
 import olreg.predictors
 from olreg import RankDeficiencyError, run_online
@@ -263,6 +264,50 @@ def test_one_residual_dimension_gives_empty_set_or_whole_line():
             assert empty == (p <= eps), (eps, p, bounds)
             seen.add(empty)
     assert seen == {True, False}
+
+
+def test_ridge_zero_structure_stays_exact_with_rows_pending(monkeypatch):
+    # The check above run on-line, with every kept factor holding its
+    # appended rows pending (the width floor patched to 0).  At n = K + 2 the
+    # history's triangle has absorbed at most K rows of its K + 1 columns, so
+    # it cannot whiten a held row and absorbs them all: nothing is pending
+    # there, and the interval must still be exactly empty or the whole line.
+    # From the next steps on rows are pending, and at every ridge-0 step,
+    # one row or a block, the offset and the cross term are exactly 0: the
+    # least-squares residuals at the prediction sum to zero and are
+    # orthogonal to their change, which the step sets rather than reads.
+    monkeypatch.setattr(olreg.base, "WIDTH_FLOOR", 0)
+    levels = (0.5, 0.2, 0.05)
+    seen, pending_steps = set(), 0
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        for k in range(1, 6):
+            features = rng.normal(size=(k + 14, k)) + 3.0
+            responses = 1e3 + rng.normal(size=k + 14)
+            predictor = MvaPredictor(ridge=0.0)
+            history = History(k)
+            for x, y in zip(features[:-3], responses[:-3]):
+                if len(history) >= k + 1:
+                    pending = history.pending_factor(0.0, k + 1).pending
+                    assert pending == 0 or len(history) > k + 1
+                    pending_steps += pending > 0
+                    step = predictor.step(history, x)
+                    block = predictor.step(history, np.vstack([x, features[-3:]]))
+                    for numbers in (step, block):
+                        assert np.all(numbers.last_offset == 0.0), numbers
+                        assert np.all(numbers.head_ab == 0.0), numbers
+                    if len(history) == k + 1:
+                        p = predictor.pvalue(step, y, 0.5)
+                        for eps, interval in zip(levels, predictor.predict(step, levels)):
+                            bounds = (interval.lower, interval.upper)
+                            assert bounds in ((math.inf, -math.inf), (-math.inf, math.inf))
+                            assert (bounds == (math.inf, -math.inf)) == (p <= eps), (eps, p)
+                            seen.add(bounds)
+                else:
+                    # an interpolating step, which still reads the factor
+                    predictor.step(history, x)
+                history.append(Observation(x, float(y)))
+    assert len(seen) == 2 and pending_steps > 100
 
 
 @pytest.mark.parametrize("seed", range(6))
