@@ -23,15 +23,19 @@ gen``, so both trees read the same bytes:
   missing rank (every model exits 11 on it).
 
 The commands are ``olreg online`` for every model, deterministic and
-``--smoothed``, on the first four files at the defaults, and on the
-400 x 5, 30 x 4 and 200 x 40 files at ``--ridge 0 --schedule none``; and
-``olreg predict`` for every model from the training file, at the predict
-defaults (ridge 0, no schedule) and at ``--ridge 0.01 --schedule auto``,
-from the 60 x 50 training file at the same two settings, and from the
-collinear history.  ``--tiny`` shrinks every ``gen`` file but the 30 x 4
-one, for a quick check such as in CI; its 24 x 16 training file with 12
-test rows still has a row block that mixes both routes, and its 48 x 32
-file still keeps ridge-0 rows pending.
+``--smoothed``, on the first four files at the defaults, on the 400 x 5,
+30 x 4 and 200 x 40 files at ``--ridge 0 --schedule none``, and on the
+120 x 5 file at ``--ridge 0 --schedule 1:60``; and ``olreg predict`` for
+every model from the training file, at the predict defaults (ridge 0, no
+schedule) and at ``--ridge 0.01 --schedule auto``, from the 60 x 50
+training file at those two settings and at ``--ridge 0 --schedule
+1:1000``, and from the collinear history.  The two ``--ridge 0`` schedules
+reach a ridge-0 fit on fewer features than the design has, which IID-Gauss
+reads apart from its full fit.  ``--tiny`` shrinks every ``gen`` file but
+the 30 x 4 one, for a quick check such as in CI; its 24 x 16 training file
+with 12 test rows still has a row block that mixes both routes, its 48 x 32
+file still keeps ridge-0 rows pending, and both ``--ridge 0`` schedules
+still truncate its 24 x 2 and 24 x 16 files.
 
 Per command the report gives both exit codes, whether every file written
 is byte-identical, and both trees' LAPACK call counts.  Where a ledger
@@ -65,6 +69,9 @@ PREDICT_MODELS = ("iid", "mva", "gauss", "iidgauss")
 
 RIDGE0 = ("-ridge0-none", ["--ridge", "0", "--schedule", "none"])
 AUTO = ("-ridge0.01-auto", ["--ridge", "0.01", "--schedule", "auto"])
+# ridge-0 fits on the leading features only, up to step 60 or throughout
+EARLY = ("-ridge0-early", ["--ridge", "0", "--schedule", "1:60"])
+LEADING = ("-ridge0-leading", ["--ridge", "0", "--schedule", "1:1000"])
 
 
 def input_files(tiny: bool) -> dict[str, tuple[int, int, int]]:
@@ -90,7 +97,7 @@ def commands() -> list[tuple[str, list[str]]]:
     out = []
     runs = [(data, ("", [])) for data in ("paper", "short", "long", "narrow")]
     # the 200 x 40 file keeps ridge-0 rows pending beside the factor
-    runs += [("long", RIDGE0), ("narrow", RIDGE0), ("broad", RIDGE0)]
+    runs += [("long", RIDGE0), ("narrow", RIDGE0), ("broad", RIDGE0), ("short", EARLY)]
     for data, (label, extra) in runs:
         for model in ONLINE_MODELS:
             for smoothed in (False, True):
@@ -100,7 +107,8 @@ def commands() -> list[tuple[str, list[str]]]:
                 out.append((name, argv + ["--out-prefix", f"{{out}}/{name}"]))
     predictions = [("train", "query", ("", [])), ("train", "query", AUTO)]
     # IID blocks in which some rows read order statistics and others sweep
-    predictions += [("wide", "wide_query", ("", [])), ("wide", "wide_query", AUTO)]
+    predictions += [("wide", "wide_query", ("", [])), ("wide", "wide_query", AUTO),
+                    ("wide", "wide_query", LEADING)]
     # x2 = x1 in the history, whose test rows alone would add the rank: exit 11
     predictions.append(("collinear", "collinear_query", ("", [])))
     for train, test, (label, extra) in predictions:

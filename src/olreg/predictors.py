@@ -46,8 +46,8 @@ step is the one-row block of the same code.  An IID block decides its
 route row by row: the rows whose comparison sets are all intervals read
 their ends at once, and each other row falls back to its own sweep, so
 every row gets the ends of its one-row route.  IID-Gauss takes blocks of one
-row, since each row's draws need the design in its own canonical order and
-its own QR factors.
+row, since each row's draws and fits need the rows in their own canonical
+order and one triangle of them.
 
 The history is the sufficient summary every model reads: its rows, and
 the factors of [design | responses] that ``History`` keeps, whose R'R
@@ -55,7 +55,11 @@ carries the moments sum y, sum y x and sum y^2.  The IID, Gauss and MVA
 steps, and the scores ``gauss_score`` and ``mva_score``, read those factors
 by triangular solves, corrected for the rows the history leaves pending
 beside a wide factor (``History.pending_factor``), and absorb the new row
-into no copy of them.  Every step decides rank by one method on the
+into no copy of them.  The IID-Gauss step makes the same reads
+(``PendingFactor``) on one QR triangle of its own rows in canonical
+order instead: the history's factors round differently for the same rows
+in another order, and its output must depend on the bag of rows alone, bit
+for bit.  Every step decides rank by one method on the
 history's design block (``History.design_has_full_rank``, through
 ``_require_full_rank``), so the new row never decides it: the sqrt(ridge)
 shortcut or the certificate the history carries settles most steps without
@@ -99,6 +103,7 @@ from .base import (
     PredictionInterval,
     Observation,
     RankDeficiencyError,
+    _leading_factor,
     _rank_tolerance,
     validate_levels,
     validate_ridge,
@@ -1252,8 +1257,9 @@ class MonteCarloConfig:
     the draws: a generator seeded with it gives the row orderings
     (``random_orderings``) and then the normals of the directions
     (``complement_directions``), drawn in the design's canonical row order.
-    Setting up the draws of one step costs O(samples * n * K) in two GEMMs
-    and O(samples * n) memory; after that a p-value costs O(samples) and
+    Setting up one step costs O(n * K^2) for the QR triangle of its rows and
+    O(samples * n * K) in the two GEMMs of the draws, with O(samples * n)
+    memory; after that a p-value costs O(samples) and
     the survivor sets of every level one O(samples log samples) sweep, with
     no search bound and no bisection.  ``samples`` must be a nonnegative
     integer; zero draws give full lines.
@@ -1415,8 +1421,8 @@ class IidGaussPredictor(_BlockPredictor):
     estimated by the step's common draws: the bag orderings and sphere
     directions are drawn once per step and reused for every candidate, so
     each draw's score is an explicit affine function of the candidate plus a
-    radius term.  ``step`` builds them in O(samples * n * K) GEMMs and
-    O(samples * n) memory.
+    radius term.  ``step`` builds them from one QR triangle of the rows,
+    O(n * K^2), and O(samples * n * K) GEMMs, in O(samples * n) memory.
 
     The estimate is a step function of the candidate whose jumps are solved
     in closed form (``IidGaussStep.sweep``), so the reported interval is the
@@ -1440,8 +1446,8 @@ class IidGaussPredictor(_BlockPredictor):
     schedule: FeatureSchedule | None = None
     mc: MonteCarloConfig = MonteCarloConfig()
 
-    # each row's draws need the design in its own canonical order and its
-    # own QR factors, so a batch takes one step per row
+    # each row's draws and fits need the rows in their own canonical order
+    # and one triangle of them, so a batch takes one step per row
     block_rows = 1
 
     def __post_init__(self):
@@ -1458,15 +1464,23 @@ class IidGaussPredictor(_BlockPredictor):
         computed once and read at each draw's last row, and the observed one
         at the new row.  A draw's direction is orthogonal to every design
         column, so its truncated fit is zero and its last residual is its own
-        last entry.  The fits are orthogonal projections through QR factors
-        of the design, so the design's conditioning is not squared.
+        last entry.  The fits are read by triangular solves
+        (``PendingFactor``) from one QR triangle of the canonically ordered
+        rows [1 | x | y], the truncated ridge fit from the QR triangle of its
+        leading block stacked on [sqrt(ridge) I | 0], so the design's
+        conditioning is not squared; the output depends on the history only
+        through its bag of rows, bit for bit.
         """
         ridge, schedule, mc = self.ridge, self.schedule, self.mc
         k = history.feature_count
         n = len(history) + 1
         if n < k + 2 or mc.samples < 1:
             return None
-        x = _new_row(x_new, k)
+        # the rows [1 | x | y], with 0 as the new row's response
+        rows = np.zeros((n, k + 2))
+        rows[-1, :-1] = _design_rows(_new_row(x_new, k), k + 1)
+        rows[: n - 1, :-1] = history.design_matrix
+        rows[: n - 1, -1] = history.responses
         # the conditional law needs the whole design at full rank, whatever
         # the ridge, as ``sample_conditional`` does
         if not history.design_has_full_rank():
@@ -1478,46 +1492,45 @@ class IidGaussPredictor(_BlockPredictor):
 
         # The draws must depend on the history only through its bag of rows
         # (permuting past observations must not change the output), so the
-        # design is taken in a canonical lexicographic row order.  Past the
-        # constant ones column the first feature decides it unless it has ties.
-        design = np.empty((n, k + 1))
-        design[: n - 1] = history.design_matrix
-        design[-1, 0] = 1.0
-        design[-1, 1:] = x
-        first = design[:, min(k, 1)]  # the ones column itself when K = 0
+        # rows are taken in a canonical lexicographic order of their design
+        # part.  Past the constant ones column the first feature decides it
+        # unless it has ties.
+        first = rows[:, min(k, 1)]  # the ones column itself when K = 0
         canonical = np.argsort(first)
         if (first[canonical[1:]] == first[canonical[:-1]]).any():
-            canonical = np.lexsort(design.T[::-1])
-        ordered = design[canonical]
-        basis, upper = np.linalg.qr(ordered)
-
-        # Fitted vectors of the fixed responses (new response 0) and of the new
-        # row's unit vector, in canonical order.
+            canonical = np.lexsort(rows[:, k::-1].T)
+        rows = rows[canonical]
+        ordered, fixed = rows[:, :-1], rows[:, -1]
+        # One triangle of those rows: its design block spans the draws'
+        # complement, and its reads give the full fit's coefficients of the
+        # fixed responses and of the new row's unit vector, (D'D)^-1 D'y and
+        # (D'D)^-1 x.  Fortran order lets ``PendingFactor`` read its leading
+        # columns without a copy, as it reads the history's triangles.
         new_at = int(np.flatnonzero(canonical == n - 1)[0])
-        fixed = np.append(history.responses, 0.0)[canonical]
-        fixed_fit = basis @ (basis.T @ fixed)
-        unit_fit = basis @ basis[new_at]
+        triangle = np.asfortranarray(np.linalg.qr(rows, mode="r"))
+        factor = PendingFactor(triangle)
+        whitened, part = factor.whiten(ordered[new_at])
+        fits = ordered @ np.column_stack([factor.coefficients(), factor.solve(whitened, part)])
 
         rng = np.random.default_rng(mc.seed)
         orderings = random_orderings(rng, mc.samples, n)
-        directions = complement_directions(rng, ordered, orderings, upper)
+        draw_dir = complement_directions(rng, ordered, orderings, triangle[:-1, :-1])[:, -1]
 
         # Once y is appended the full fit leaves residual fixed - fixed_fit +
-        # y * (unit - unit_fit), whose energy is least at the history's own
-        # prediction, center, where it is the history's residual energy rss.
-        # Both are read off these vectors, so nothing cancels when the responses
-        # sit far from zero.
-        weight = 1.0 - float(basis[new_at] @ basis[new_at])
-        center = float(fixed_fit[new_at]) / weight if weight > 0.0 else 0.0
+        # y * (unit - unit_fit), with fixed_fit and unit_fit the columns of
+        # fits.  Its energy is least at the history's own prediction, center,
+        # where it is the history's residual energy rss.  Both are read off
+        # these vectors, so nothing cancels when the responses sit far from zero.
+        weight = 1.0 - float(_leverage(whitened, part))
+        center = float(fits[new_at, 0]) / weight if weight > 0.0 else 0.0
         if n == k + 2:
             # One residual dimension: the history's K + 1 rows are interpolated,
             # and the draws whose last row is the new row tie (see IidGaussStep).
             rss, ties = 0.0, orderings[:, -1] == new_at
         else:
-            resid = fixed - fixed_fit - center * unit_fit
+            resid = fixed - fits @ (1.0, center)
             resid[new_at] += center
             rss, ties = float(resid @ resid), np.zeros(mc.samples, dtype=bool)
-        draw_dir = directions[:, -1]
 
         if reflected:
             # The truncated fit is the full fit: it leaves nothing of the fitted
@@ -1525,18 +1538,22 @@ class IidGaussPredictor(_BlockPredictor):
             draw_const = draw_lin = np.zeros(mc.samples)
             observed_const, observed_lin = -weight * center, weight
         else:
-            # the ridge fit projects onto the leading rows of the orthogonal
-            # factor of the truncated design stacked on sqrt(ridge) I
+            # The ridge fit on the leading cols columns reads the QR triangle
+            # of the triangle's leading block (``_leading_factor``) stacked on
+            # [sqrt(ridge) I | 0]: 2 cols + 1 rows, whatever n.  The fitted
+            # vectors have the same products with those columns as the fixed
+            # responses and the unit vector, so its fits of them are its
+            # coefficients and its solve of the new row's leading part.
             cols = active + 1
-            stacked = np.vstack([ordered[:, :cols], sqrt(ridge) * np.eye(cols)])
-            trunc_basis = np.linalg.qr(stacked)[0][:n]
-            fits = np.column_stack([fixed_fit, unit_fit])
-            fit_resid = fits - trunc_basis @ (trunc_basis.T @ fits)
+            shrink = sqrt(ridge) * np.eye(cols, cols + 1)
+            stacked = np.vstack([_leading_factor(triangle, cols), shrink])
+            ridged = PendingFactor(np.asfortranarray(np.linalg.qr(stacked, mode="r")))
+            whitened, part = ridged.whiten(ordered[new_at, :cols])
+            trunc = np.column_stack([ridged.coefficients(), ridged.solve(whitened, part)])
+            fit_resid = fits - ordered[:, :cols] @ trunc
             draw_const, draw_lin = fit_resid[orderings[:, -1]].T
             # the observed sequence's own last residual: its new row
-            trunc_row = trunc_basis[new_at]
-            observed_const = -float(trunc_row @ (trunc_basis.T @ fixed))
-            observed_lin = 1.0 - float(trunc_row @ trunc_row)
+            observed_const, observed_lin = (0.0, 1.0) - ordered[new_at, :cols] @ trunc
         return IidGaussStep(
             draw_const, draw_lin, draw_dir, observed_const, observed_lin,
             rss, weight, center, ties, reflected,

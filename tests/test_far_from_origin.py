@@ -12,6 +12,7 @@ import pytest
 
 import oracles
 from olreg import (
+    FeatureSchedule,
     History,
     IidGaussPredictor,
     Observation,
@@ -33,8 +34,15 @@ def history_of(features, responses):
     return History.from_observations(Observation(x, float(y)) for x, y in zip(features, responses))
 
 
-def iidgauss_intervals(history, x, levels=LEVELS, ridge=0.0):
-    return iidgauss_predict(IidGaussPredictor(ridge=ridge).step(history, x), levels)
+def iidgauss_intervals(history, x, levels=LEVELS, ridge=0.0, schedule=None):
+    return iidgauss_predict(IidGaussPredictor(ridge, schedule).step(history, x), levels)
+
+
+# IID-Gauss's truncated fit is its full one on every feature at ridge 0, and a
+# ridge-0 fit on the first two features of five until step 100
+IIDGAUSS_SCHEDULES = pytest.mark.parametrize(
+    "schedule", [None, FeatureSchedule(2, 100, 5)], ids=["all-features", "leading-features"]
+)
 
 
 def instance(seed):
@@ -126,23 +134,27 @@ def test_iidgauss_search_is_measured_from_the_center():
     assert_moved(moved, base, 5e6, 1e-2)
 
 
-def test_iidgauss_radius_keeps_full_accuracy_at_a_response_shift():
+@IIDGAUSS_SCHEDULES
+def test_iidgauss_radius_keeps_full_accuracy_at_a_response_shift(schedule):
     # the conditional radius comes from residuals, not from y'y - m'b,
     # which cancels at y'y ~ 1e15 and moves this interval by 9e-4 of its width
     features, responses, x, _ = instance(3)
     shifted = responses + 5e6
-    base = iidgauss_intervals(history_of(features, shifted - 5e6), x)
-    moved = iidgauss_intervals(history_of(features, shifted), x)
+    base = iidgauss_intervals(history_of(features, shifted - 5e6), x, schedule=schedule)
+    moved = iidgauss_intervals(history_of(features, shifted), x, schedule=schedule)
     assert_moved(moved, base, 5e6, 1e-6)
 
 
-def test_iidgauss_feature_shift_keeps_full_rank_and_the_interval():
+@IIDGAUSS_SCHEDULES
+def test_iidgauss_feature_shift_keeps_full_rank_and_the_interval(schedule):
     # x + 1e3 gives a design condition number near 2e6; the squared Gram's
     # reciprocal condition number (4e-13) used to fail the rank floor
     features, responses, x, _ = instance(3)
     shifted, x_shifted = features + 1e3, x + 1e3
-    base = iidgauss_intervals(history_of(shifted - 1e3, responses), x_shifted - 1e3)
-    moved = iidgauss_intervals(history_of(shifted, responses), x_shifted)
+    base = iidgauss_intervals(
+        history_of(shifted - 1e3, responses), x_shifted - 1e3, schedule=schedule
+    )
+    moved = iidgauss_intervals(history_of(shifted, responses), x_shifted, schedule=schedule)
     assert_moved(moved, base, 0.0, 1e-6)
 
 

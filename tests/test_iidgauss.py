@@ -31,8 +31,8 @@ def random_history(rng, n, k):
     return history_of(rng.normal(size=(n, k)), rng.normal(size=n))
 
 
-def step_of(history, x, mc=MonteCarloConfig(), ridge=0.0):
-    return IidGaussPredictor(ridge=ridge, mc=mc).step(history, x)
+def step_of(history, x, mc=MonteCarloConfig(), ridge=0.0, schedule=None):
+    return IidGaussPredictor(ridge=ridge, schedule=schedule, mc=mc).step(history, x)
 
 
 def test_full_lines_until_enough_observations():
@@ -74,7 +74,15 @@ def test_levels_nest():
         assert mid.upper <= narrow.upper or mid.is_empty
 
 
-def test_permutation_invariance_is_bitwise():
+# the reflected step (ridge 0, every feature) and two whose truncated fit
+# is not the full one: a ridge on every feature, and ridge 0 on the first
+# feature alone until step 30
+@pytest.mark.parametrize(
+    "ridge,schedule",
+    [(0.0, None), (0.01, None), (0.0, FeatureSchedule(1, 30, 3))],
+    ids=["all-features", "ridge", "leading-feature"],
+)
+def test_permutation_invariance_is_bitwise(ridge, schedule):
     rng = np.random.default_rng(65)
     features = rng.normal(size=(14, 3))
     responses = rng.normal(size=14)
@@ -83,12 +91,11 @@ def test_permutation_invariance_is_bitwise():
     plain = history_of(features, responses)
     shuffled_index = rng.permutation(14)
     shuffled = history_of(features[shuffled_index], responses[shuffled_index])
-    a = iidgauss_predict(step_of(plain, x, mc), (0.1,))
-    b = iidgauss_predict(step_of(shuffled, x, mc), (0.1,))
+    steps = [step_of(history, x, mc, ridge, schedule) for history in (plain, shuffled)]
+    assert steps[0].reflected == (schedule is None and ridge == 0.0)
+    a, b = (iidgauss_predict(step, (0.1,)) for step in steps)
     assert a == b
-    assert iidgauss_pvalue(step_of(plain, x, mc), 0.25) == iidgauss_pvalue(
-        step_of(shuffled, x, mc), 0.25
-    )
+    assert iidgauss_pvalue(steps[0], 0.25) == iidgauss_pvalue(steps[1], 0.25)
 
 
 def test_permutation_invariance_with_a_tied_first_feature():
